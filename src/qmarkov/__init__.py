@@ -58,9 +58,7 @@ from .functionals import (
     sandwiched_fixed_point_residual,
 )
 from .linalg import (
-    DEFAULT_CONVENTION,
     SpectralDecomposition,
-    SupportConvention,
     alpha_norm,
     embed_operator,
     herm_exp,
@@ -110,7 +108,6 @@ from .states import (
     random_density,
     trace_distance,
     validate_density,
-    validate_positive,
 )
 from .structured import (
     MarkovBlock,

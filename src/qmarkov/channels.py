@@ -13,8 +13,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .linalg import SupportConvention, DEFAULT_CONVENTION, herm_pow
-from .states import PositiveOperator
+from .linalg import herm_pow, hermitian_eig, support_mask
 
 TP_TOL = 1e-10
 
@@ -140,11 +139,7 @@ def partial_trace_channel(dims, traced_out) -> Channel:
     return Channel(tuple(ops))
 
 
-def petz_recovery(
-    sigma,
-    channel: Channel,
-    conv: SupportConvention = DEFAULT_CONVENTION,
-) -> Channel:
+def petz_recovery(sigma, channel: Channel) -> Channel:
     """Petz recovery map of ``channel`` with respect to reference ``sigma``.
 
     Acts as w -> sigma^(1/2) N†( N(sigma)^(-1/2) w N(sigma)^(-1/2) ) sigma^(1/2),
@@ -160,12 +155,11 @@ def petz_recovery(
         )
     if np.linalg.norm(sig, np.inf) == 0.0:
         raise ValidationError("not-positive", "sigma is the zero operator")
-    out_sigma = apply_channel(channel, sig)
-    sqrt_sigma = herm_pow(sig, 0.5, conv)
-    inv_sqrt_out = herm_pow(out_sigma, -0.5, conv)
+    out_dec = hermitian_eig(apply_channel(channel, sig))
+    sqrt_sigma = herm_pow(sig, 0.5)
+    inv_sqrt_out = out_dec.power(-0.5)
     ops = tuple(sqrt_sigma @ k.conj().T @ inv_sqrt_out for k in channel.kraus)
-    eigs = np.linalg.eigvalsh((out_sigma + out_sigma.conj().T) / 2)
-    full_rank = eigs[0] > conv.relative_cutoff * max(eigs[-1], 0.0) and eigs[0] > 0
+    full_rank = bool(np.all(support_mask(out_dec.eigenvalues)))
     return Channel(ops, tp_on_support=not full_rank)
 
 
@@ -259,9 +253,3 @@ def random_strict_channel(
         if is_strict_cptp(candidate, tol=1e-8):
             return candidate
     raise ValidationError("bad-spec", "could not draw a strict channel")
-
-
-def channel_output_positive(channel: Channel, operator) -> PositiveOperator:
-    """Apply a channel to a positive operator, keeping the typed wrapper."""
-    mat = operator.matrix if hasattr(operator, "matrix") else np.asarray(operator)
-    return PositiveOperator(apply_channel(channel, mat))

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .linalg import DEFAULT_CONVENTION, hermitian_eig, herm_pow
+from .linalg import hermitian_eig, on_support, support_mask
 from .states import fidelity
 
 ALPHA_ONE_GUARD = 1e-6
@@ -27,9 +27,10 @@ class AlphaParameter:
 
     ``petz_ok`` marks the interval (0,1) u (1,2) on which the non-sandwiched
     quantities are certified, ``sandwiched_ok`` the interval (1/2,1) u (1,inf)
-    for the sandwiched ones.  Orders within 1e-6 of 1 are rejected: the
-    1/(alpha-1) prefactor amplifies round-off beyond usefulness there, and
-    callers should use the von Neumann quantities instead.
+    for the sandwiched ones.  Non-finite orders are rejected, and so are
+    orders within 1e-6 of 1: the 1/(alpha-1) prefactor amplifies round-off
+    beyond usefulness there, and callers should use the von Neumann
+    quantities instead.
     """
 
     alpha: float
@@ -37,8 +38,8 @@ class AlphaParameter:
 
     def __post_init__(self):
         a = float(self.alpha)
-        if not a > 0.0:
-            raise ValidationError("bad-spec", f"alpha must be positive, got {a}")
+        if not 0.0 < a < math.inf:
+            raise ValidationError("bad-spec", f"alpha must be positive and finite, got {a}")
         if abs(a - 1.0) < ALPHA_ONE_GUARD:
             raise ValidationError(
                 "bad-spec", f"alpha within {ALPHA_ONE_GUARD} of 1 is not evaluable"
@@ -67,27 +68,18 @@ def _pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def support_contained(rho, sigma, tol: float = 1e-10) -> bool:
+def support_contained(rho, sigma) -> bool:
     """Whether supp(rho) is contained in supp(sigma)."""
     a, b = _pair(rho, sigma)
-    dec = hermitian_eig(b)
-    top = np.max(np.abs(dec.eigenvalues)) if dec.eigenvalues.size else 0.0
-    kernel = dec.eigenvectors[:, np.abs(dec.eigenvalues) <= DEFAULT_CONVENTION.relative_cutoff * top]
-    if kernel.shape[1] == 0:
-        return True
-    weight = float(np.real(np.trace(kernel.conj().T @ a @ kernel)))
-    return weight <= tol * max(1.0, float(np.trace(a).real))
+    return hermitian_eig(b).supports(a)
 
 
 def von_neumann_entropy(rho) -> float:
     """Entropy -Tr{rho log2 rho} over the support."""
     mat = rho.matrix if hasattr(rho, "matrix") else np.asarray(rho, dtype=complex)
     eigs = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
-    top = eigs[-1] if eigs.size else 0.0
-    kept = eigs[eigs > DEFAULT_CONVENTION.relative_cutoff * max(top, 0.0)]
-    if kept.size == 0:
-        return 0.0
-    return float(-np.sum(kept * np.log2(kept)))
+    keep, logs = on_support(eigs, np.log2)
+    return float(-np.sum(eigs[keep] * logs))
 
 
 def rel_entropy(rho, sigma) -> float:
@@ -96,22 +88,17 @@ def rel_entropy(rho, sigma) -> float:
     Returns +inf when supp(rho) is not contained in supp(sigma).
     """
     a, b = _pair(rho, sigma)
-    if not support_contained(a, b):
+    dec_b = hermitian_eig(b)
+    if not dec_b.supports(a):
         return math.inf
     dec_a = hermitian_eig(a)
-    dec_b = hermitian_eig(b)
-    cutoff = DEFAULT_CONVENTION.relative_cutoff
-    top_a = np.max(np.abs(dec_a.eigenvalues)) if dec_a.eigenvalues.size else 0.0
-    keep_a = dec_a.eigenvalues > cutoff * top_a
-    top_b = np.max(np.abs(dec_b.eigenvalues)) if dec_b.eigenvalues.size else 0.0
-    keep_b = dec_b.eigenvalues > cutoff * top_b
+    keep_a, log_p = on_support(dec_a.eigenvalues, np.log2)
+    keep_b, log_q = on_support(dec_b.eigenvalues, np.log2)
     p = dec_a.eigenvalues[keep_a]
     va = dec_a.eigenvectors[:, keep_a]
-    q = dec_b.eigenvalues[keep_b]
     vb = dec_b.eigenvectors[:, keep_b]
     overlaps = np.abs(va.conj().T @ vb) ** 2  # |<a_i|b_j>|^2
-    value = float(np.sum(p * np.log2(p)) - np.sum((p[:, None] * overlaps) * np.log2(q)[None, :]))
-    return value
+    return float(np.sum(p * log_p) - np.sum((p[:, None] * overlaps) * log_q[None, :]))
 
 
 def renyi_rel_entropy(rho, sigma, a) -> float:
@@ -122,10 +109,11 @@ def renyi_rel_entropy(rho, sigma, a) -> float:
     """
     a = as_alpha(a)
     rho_m, sigma_m = _pair(rho, sigma)
-    if a.alpha > 1.0 and not support_contained(rho_m, sigma_m):
+    dec_sigma = hermitian_eig(sigma_m)
+    if a.alpha > 1.0 and not dec_sigma.supports(rho_m):
         return math.inf
     value = np.trace(
-        herm_pow(rho_m, a.alpha) @ herm_pow(sigma_m, 1.0 - a.alpha)
+        hermitian_eig(rho_m).power(a.alpha) @ dec_sigma.power(1.0 - a.alpha)
     ).real
     if value <= 0.0:
         return math.inf
@@ -139,18 +127,16 @@ def sandwiched_rel_entropy(rho, sigma, a) -> float:
     """
     a = as_alpha(a)
     rho_m, sigma_m = _pair(rho, sigma)
-    if a.alpha > 1.0 and not support_contained(rho_m, sigma_m):
+    dec_sigma = hermitian_eig(sigma_m)
+    if a.alpha > 1.0 and not dec_sigma.supports(rho_m):
         return math.inf
-    exponent = (1.0 - a.alpha) / (2.0 * a.alpha)
-    wedge = herm_pow(sigma_m, exponent)
+    wedge = dec_sigma.power((1.0 - a.alpha) / (2.0 * a.alpha))
     core = wedge @ rho_m @ wedge
     core = (core + core.conj().T) / 2
-    eigs = np.linalg.eigvalsh(core)
-    top = eigs[-1] if eigs.size else 0.0
-    kept = eigs[eigs > DEFAULT_CONVENTION.relative_cutoff * max(top, 0.0)]
-    if kept.size == 0:
+    keep, powers = on_support(np.linalg.eigvalsh(core), lambda x: x**a.alpha)
+    if not np.any(keep):
         return math.inf
-    value = float(np.sum(kept**a.alpha))
+    value = float(np.sum(powers))
     if value <= 0.0:
         return math.inf
     return float(np.log2(value) / (a.alpha - 1.0))
@@ -171,9 +157,10 @@ def max_rel_entropy(rho, sigma) -> float:
     when supp(rho) is contained in supp(sigma); +inf otherwise.
     """
     rho_m, sigma_m = _pair(rho, sigma)
-    if not support_contained(rho_m, sigma_m):
+    dec_sigma = hermitian_eig(sigma_m)
+    if not dec_sigma.supports(rho_m):
         return math.inf
-    inv_sqrt = herm_pow(sigma_m, -0.5)
+    inv_sqrt = dec_sigma.power(-0.5)
     core = inv_sqrt @ rho_m @ inv_sqrt
     eigs = np.linalg.eigvalsh((core + core.conj().T) / 2)
     top = float(eigs[-1])
@@ -197,8 +184,7 @@ def f_divergence(a, b, f: Callable[[np.ndarray], np.ndarray]) -> float:
         raise ValidationError("not-positive", "B must be positive definite")
     dec_a = hermitian_eig(a_m)
     ratios = dec_a.eigenvalues[None, :] / dec_b.eigenvalues[:, None]
-    top = np.max(np.abs(ratios))
-    keep = np.abs(ratios) > DEFAULT_CONVENTION.relative_cutoff * top if top > 0 else np.zeros_like(ratios, bool)
+    keep = support_mask(ratios)
     with np.errstate(all="ignore"):
         fvals = np.where(keep, f(np.where(keep, ratios, 1.0)), 0.0)
     if not np.all(np.isfinite(fvals)):

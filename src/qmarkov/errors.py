@@ -21,7 +21,7 @@ class ValidationError(QmarkovError):
     """State, operator, or channel failed a structural check.
 
     ``reason`` is one of "not-hermitian", "not-positive", "not-normalized",
-    "not-trace-preserving", "bad-rank", "bad-spec".
+    "not-trace-preserving", "not-finite", "bad-rank", "bad-spec".
     """
 
     def __init__(self, reason: str, message: str):

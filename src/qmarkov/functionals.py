@@ -11,7 +11,7 @@ import numpy as np
 
 from .channels import adjoint_apply, apply_channel
 from .linalg import herm_exp, herm_log, herm_pow, spectral_norm
-from .measures import ChannelTriple, TripartiteState
+from .measures import ChannelTriple, TripartiteState, _cmi_chain, _pulled_bracket
 
 LN2 = float(np.log(2.0))
 
@@ -33,10 +33,7 @@ def cmi_trace_value(state: TripartiteState, alpha: float, sandwiched: bool = Fal
     if sandwiched:
         h /= alpha
         closing *= alpha
-    p_ac = state.embed_ac(herm_pow(state.rho_ac, h))
-    p_c = state.embed_c(herm_pow(state.rho_c, -h))
-    p_bc = state.embed_bc(herm_pow(state.rho_bc, 2.0 * h))
-    chain = _symmetrize(p_ac @ p_c @ p_bc @ p_c @ p_ac)
+    chain = _symmetrize(_cmi_chain(state, h))
     return float(np.trace(herm_pow(chain, closing)).real)
 
 
@@ -44,12 +41,7 @@ def _channel_bracket(triple: ChannelTriple, alpha: float, sandwiched: bool) -> n
     h = (1.0 - alpha) / 2.0
     if sandwiched:
         h /= alpha
-    inner = (
-        herm_pow(triple.out_sigma, -h)
-        @ herm_pow(triple.out_rho, 2.0 * h)
-        @ herm_pow(triple.out_sigma, -h)
-    )
-    pulled = adjoint_apply(triple.channel, _symmetrize(inner))
+    pulled = _pulled_bracket(triple, h)
     wedge = herm_pow(triple.sigma.matrix, h)
     return _symmetrize(wedge @ pulled @ wedge)
 
@@ -69,23 +61,32 @@ def channel_trace_value(triple: ChannelTriple, alpha: float, sandwiched: bool = 
     return float(np.trace(herm_pow(bracket, closing)).real)
 
 
-def exp_trace_channel_value(triple: ChannelTriple) -> float:
-    """Tr{exp(log sigma + N†(log N(rho) - log N(sigma)))}; at most 1."""
-    pulled = adjoint_apply(
+def _pulled_log_ratio(triple: ChannelTriple) -> np.ndarray:
+    """N†(log N(rho) - log N(sigma)), natural logarithms."""
+    return adjoint_apply(
         triple.channel, herm_log(triple.out_rho) - herm_log(triple.out_sigma)
     )
-    exponent = _symmetrize(herm_log(triple.sigma.matrix) + pulled)
-    return float(np.trace(herm_exp(exponent)).real)
 
 
-def exp_trace_cmi_value(state: TripartiteState) -> float:
-    """Tr{exp(log rho_AC + log rho_BC - log rho_C)}; at most 1."""
+def _exp_log_marginals(state: TripartiteState) -> np.ndarray:
+    """exp(log rho_AC + log rho_BC - log rho_C), embedded in A x B x C."""
     exponent = (
         state.embed_ac(herm_log(state.rho_ac))
         + state.embed_bc(herm_log(state.rho_bc))
         - state.embed_c(herm_log(state.rho_c))
     )
-    return float(np.trace(herm_exp(_symmetrize(exponent))).real)
+    return herm_exp(_symmetrize(exponent))
+
+
+def exp_trace_channel_value(triple: ChannelTriple) -> float:
+    """Tr{exp(log sigma + N†(log N(rho) - log N(sigma)))}; at most 1."""
+    exponent = _symmetrize(herm_log(triple.sigma.matrix) + _pulled_log_ratio(triple))
+    return float(np.trace(herm_exp(exponent)).real)
+
+
+def exp_trace_cmi_value(state: TripartiteState) -> float:
+    """Tr{exp(log rho_AC + log rho_BC - log rho_C)}; at most 1."""
+    return float(np.trace(_exp_log_marginals(state)).real)
 
 
 def lie_trotter_deviation(state: TripartiteState, alpha: float) -> float:
@@ -95,20 +96,9 @@ def lie_trotter_deviation(state: TripartiteState, alpha: float) -> float:
     rho_AC^((1-a)/2))^(1/(1-a)) with exp(log rho_AC + log rho_BC - log rho_C);
     the gap vanishes as alpha approaches 1.
     """
-    h = (1.0 - alpha) / 2.0
-    p_ac = state.embed_ac(herm_pow(state.rho_ac, h))
-    p_c = state.embed_c(herm_pow(state.rho_c, -h))
-    p_bc = state.embed_bc(herm_pow(state.rho_bc, 2.0 * h))
-    chain = _symmetrize(p_ac @ p_c @ p_bc @ p_c @ p_ac)
+    chain = _symmetrize(_cmi_chain(state, (1.0 - alpha) / 2.0))
     closed = herm_pow(chain, 1.0 / (1.0 - alpha))
-    limit = herm_exp(
-        _symmetrize(
-            state.embed_ac(herm_log(state.rho_ac))
-            + state.embed_bc(herm_log(state.rho_bc))
-            - state.embed_c(herm_log(state.rho_c))
-        )
-    )
-    return spectral_norm(closed - limit)
+    return spectral_norm(closed - _exp_log_marginals(state))
 
 
 def recovery_fixed_point_residual(triple: ChannelTriple, alpha: float) -> float:
@@ -148,8 +138,5 @@ def log_identity_residual(triple: ChannelTriple) -> float:
     sigma; with the conditional-mutual-information substitution it becomes
     log rho_ABC = log rho_AC + log rho_BC - log rho_C.
     """
-    pulled = adjoint_apply(
-        triple.channel, herm_log(triple.out_rho) - herm_log(triple.out_sigma)
-    )
     direct = herm_log(triple.rho.matrix) - herm_log(triple.sigma.matrix)
-    return spectral_norm(pulled - direct) / LN2
+    return spectral_norm(_pulled_log_ratio(triple) - direct) / LN2

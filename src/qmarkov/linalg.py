@@ -4,10 +4,9 @@ Eigendecompositions, matrix functions restricted to the support, tensor
 products, partial traces, and Schatten functionals.  Every function here is
 pure; matrices are never modified in place.
 
-Conventions: functions of a Hermitian operator act only on the part of the
-spectrum above a relative cutoff, so negative powers are pseudo-inverses on
-the support and ``A @ herm_pow(A, -1)`` is the orthogonal projector onto
-supp(A).
+Conventions: functions of a Hermitian operator act only on its support, as
+``support_mask`` defines it, so negative powers are pseudo-inverses on the
+support and ``A @ herm_pow(A, -1)`` is the orthogonal projector onto supp(A).
 """
 
 from __future__ import annotations
@@ -26,24 +25,40 @@ from .errors import (
 
 LOG2 = math.log(2.0)
 
+SUPPORT_CUTOFF = 1e-12
+POSITIVITY_TOL = 1e-10  # negative eigenvalues validation accepts as round-off
+HERMITICITY_TOL = 1e-10
 
-@dataclass(frozen=True)
-class SupportConvention:
-    """Relative eigenvalue cutoff below which the spectrum is treated as zero.
 
-    An eigenvalue lam is dropped when |lam| <= relative_cutoff * max|lam|.
+def support_mask(values) -> np.ndarray:
+    """Which eigenvalues (or singular values, or ratios of them) are nonzero.
+
+    A value is kept when it exceeds SUPPORT_CUTOFF * max|value|.  A negative
+    value is kept only below -POSITIVITY_TOL * max(1, max|value|), so the
+    round-off that positivity validation accepts counts as zero.  This is the
+    only support cutoff in the package: every power, logarithm, support test
+    and Schatten functional reads its support from here.
     """
-
-    relative_cutoff: float = 1e-12
-
-    def __post_init__(self):
-        if not 0.0 <= self.relative_cutoff < 1.0:
-            raise ValueError(
-                f"relative_cutoff must lie in [0, 1), got {self.relative_cutoff}"
-            )
+    values = np.asarray(values)
+    top = float(np.max(np.abs(values))) if values.size else 0.0
+    return (values > SUPPORT_CUTOFF * top) | (values < -POSITIVITY_TOL * max(1.0, top))
 
 
-DEFAULT_CONVENTION = SupportConvention()
+def on_support(values, f: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The support mask of ``values`` and ``f`` evaluated on the kept values.
+
+    Raises MatrixFunctionDomainError if ``f`` is undefined (nan/inf) on a
+    kept value.
+    """
+    keep = support_mask(values)
+    kept = values[keep]
+    with np.errstate(all="ignore"):
+        fvals = np.asarray(f(kept), dtype=float)
+    if not np.all(np.isfinite(fvals)):
+        raise MatrixFunctionDomainError(
+            f"function undefined on retained eigenvalue(s) {kept[~np.isfinite(fvals)]}"
+        )
+    return keep, fvals
 
 
 @dataclass(frozen=True)
@@ -58,6 +73,29 @@ class SpectralDecomposition:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
 
+    def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """``f`` of the matrix on its support, zero on the kernel.
+
+        Kernel eigenvalues are mapped to zero without evaluating ``f``, so
+        e.g. f(x) = 1/x yields the pseudo-inverse.
+        """
+        keep, fvals = on_support(self.eigenvalues, f)
+        v = self.eigenvectors[:, keep]
+        out = (v * fvals) @ v.conj().T
+        return (out + out.conj().T) / 2
+
+    def power(self, p: float) -> np.ndarray:
+        """Support-restricted power; ``p = 0`` gives the support projector."""
+        return self.apply(lambda x: np.power(x, p))
+
+    def supports(self, a) -> bool:
+        """Whether supp(a) lies in the support of this matrix, for PSD ``a``."""
+        kernel = self.eigenvectors[:, ~support_mask(self.eigenvalues)]
+        if kernel.shape[1] == 0:
+            return True
+        weight = float(np.real(np.trace(kernel.conj().T @ a @ kernel)))
+        return weight <= POSITIVITY_TOL * max(1.0, float(np.trace(a).real))
+
 
 def _as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
@@ -66,20 +104,22 @@ def _as_matrix(m) -> np.ndarray:
     return a
 
 
-def hermitian_eig(m, tol: float = 1e-10) -> SpectralDecomposition:
+def hermitian_eig(m) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
     The input is symmetrized to (M + M†)/2 before the decomposition; a
-    relative anti-Hermitian residual above ``tol`` raises NonHermitianError.
+    relative anti-Hermitian residual above HERMITICITY_TOL raises
+    NonHermitianError.
     """
     a = _as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"matrix is not square: shape {a.shape}")
     scale = np.linalg.norm(a, np.inf)
     residual = np.linalg.norm(a - a.conj().T, np.inf)
-    if scale > 0 and residual > tol * scale:
+    if scale > 0 and residual > HERMITICITY_TOL * scale:
         raise NonHermitianError(
-            f"anti-Hermitian residual {residual:.3e} exceeds {tol:.1e} * norm {scale:.3e}"
+            f"anti-Hermitian residual {residual:.3e} exceeds "
+            f"{HERMITICITY_TOL:.1e} * norm {scale:.3e}"
         )
     sym = (a + a.conj().T) / 2
     vals, vecs = np.linalg.eigh(sym)
@@ -88,63 +128,41 @@ def hermitian_eig(m, tol: float = 1e-10) -> SpectralDecomposition:
     return SpectralDecomposition(vals[order], vecs[:, order], float(rel))
 
 
-def matrix_function(
-    m,
-    f: Callable[[np.ndarray], np.ndarray],
-    conv: SupportConvention = DEFAULT_CONVENTION,
-    tol: float = 1e-10,
-) -> np.ndarray:
+def matrix_function(m, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix on its support only.
 
-    Eigenvalues at or below the support cutoff are mapped to zero without
-    evaluating ``f``, so e.g. f(x) = 1/x yields the pseudo-inverse.  Raises
-    MatrixFunctionDomainError if ``f`` is undefined (nan/inf) on a retained
-    eigenvalue.
+    Raises MatrixFunctionDomainError if ``f`` is undefined (nan/inf) on a
+    retained eigenvalue.
     """
-    dec = hermitian_eig(m, tol=tol)
-    vals, vecs = dec.eigenvalues, dec.eigenvectors
-    top = np.max(np.abs(vals)) if vals.size else 0.0
-    keep = np.abs(vals) > conv.relative_cutoff * top if top > 0 else np.zeros_like(vals, bool)
-    if not np.any(keep):
-        return np.zeros_like(np.asarray(m, dtype=complex))
-    with np.errstate(all="ignore"):
-        fvals = np.asarray(f(vals[keep]), dtype=float)
-    if not np.all(np.isfinite(fvals)):
-        bad = vals[keep][~np.isfinite(fvals)]
-        raise MatrixFunctionDomainError(
-            f"function undefined on retained eigenvalue(s) {bad}"
-        )
-    v = vecs[:, keep]
-    out = (v * fvals) @ v.conj().T
-    return (out + out.conj().T) / 2
+    return hermitian_eig(m).apply(f)
 
 
-def herm_pow(m, p: float, conv: SupportConvention = DEFAULT_CONVENTION) -> np.ndarray:
+def herm_pow(m, p: float) -> np.ndarray:
     """Fractional power of a Hermitian matrix, restricted to the support.
 
     ``p = 0`` gives the projector onto the support; negative ``p`` uses the
     support-restricted inverse.
     """
-    return matrix_function(m, lambda x: np.power(x, p), conv)
+    return hermitian_eig(m).power(p)
 
 
-def herm_log(m, conv: SupportConvention = DEFAULT_CONVENTION) -> np.ndarray:
+def herm_log(m) -> np.ndarray:
     """Natural logarithm on the support of a Hermitian PSD matrix."""
-    return matrix_function(m, np.log, conv)
+    return matrix_function(m, np.log)
 
 
-def herm_log2(m, conv: SupportConvention = DEFAULT_CONVENTION) -> np.ndarray:
+def herm_log2(m) -> np.ndarray:
     """Base-2 logarithm on the support of a Hermitian PSD matrix."""
-    return matrix_function(m, np.log2, conv)
+    return matrix_function(m, np.log2)
 
 
-def herm_exp(m, tol: float = 1e-10) -> np.ndarray:
+def herm_exp(m) -> np.ndarray:
     """Exponential of a Hermitian matrix over the full spectrum.
 
     Unlike matrix_function this does not drop the kernel (exp(0) = 1 there),
     which is the behavior needed for exponentials of sums of logarithms.
     """
-    dec = hermitian_eig(m, tol=tol)
+    dec = hermitian_eig(m)
     v = dec.eigenvectors
     out = (v * np.exp(dec.eigenvalues)) @ v.conj().T
     return (out + out.conj().T) / 2
@@ -226,15 +244,13 @@ def embed_operator(x, dims: Sequence[int], sites: Sequence[int]) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(total, total))
 
 
-def singular_values(x, conv: SupportConvention = DEFAULT_CONVENTION) -> np.ndarray:
-    """Singular values above the support cutoff, descending."""
+def singular_values(x) -> np.ndarray:
+    """Singular values on the support, descending."""
     sv = np.linalg.svd(_as_matrix(x), compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return np.zeros(0)
-    return sv[sv > conv.relative_cutoff * sv[0]]
+    return sv[support_mask(sv)]
 
 
-def alpha_norm(x, alpha: float, conv: SupportConvention = DEFAULT_CONVENTION) -> float:
+def alpha_norm(x, alpha: float) -> float:
     """Schatten functional [Tr |X|^alpha]^(1/alpha) with |X| = sqrt(X†X).
 
     For alpha >= 1 this is the Schatten norm; for alpha in (0, 1) it is the
@@ -242,7 +258,7 @@ def alpha_norm(x, alpha: float, conv: SupportConvention = DEFAULT_CONVENTION) ->
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    sv = singular_values(x, conv)
+    sv = singular_values(x)
     if sv.size == 0:
         return 0.0
     return float(np.sum(sv**alpha) ** (1.0 / alpha))

@@ -35,7 +35,16 @@ from .errors import (
     NotStrictError,
     RankDeficientError,
 )
-from .linalg import alpha_norm, embed_operator, herm_pow, partial_trace, spectral_norm
+from .linalg import (
+    POSITIVITY_TOL,
+    alpha_norm,
+    embed_operator,
+    herm_pow,
+    hermitian_eig,
+    partial_trace,
+    singular_values,
+    spectral_norm,
+)
 from .states import DensityOperator, PositiveOperator
 
 # Renyi orders used whenever a certified sweep over both sides of 1 is needed.
@@ -70,8 +79,8 @@ class TripartiteState:
     def matrix(self) -> np.ndarray:
         return self.rho.matrix
 
-    def is_positive_definite(self, tol: float = 1e-10) -> bool:
-        return self.rho.is_positive_definite(tol)
+    def is_positive_definite(self) -> bool:
+        return self.rho.is_positive_definite()
 
     # embeddings into the full A x B x C space
     def embed_ac(self, x) -> np.ndarray:
@@ -107,12 +116,12 @@ class ChannelTriple:
     def out_sigma(self) -> np.ndarray:
         return apply_channel(self.channel, self.sigma.matrix)
 
-    def is_positive_definite(self, tol: float = 1e-10) -> bool:
-        if not (self.rho.is_positive_definite(tol) and self.sigma.is_positive_definite(tol)):
+    def is_positive_definite(self) -> bool:
+        if not (self.rho.is_positive_definite() and self.sigma.is_positive_definite()):
             return False
         for out in (self.out_rho, self.out_sigma):
             eigs = np.linalg.eigvalsh((out + out.conj().T) / 2)
-            if eigs[0] <= tol:
+            if eigs[0] <= POSITIVITY_TOL:
                 return False
         return True
 
@@ -275,6 +284,27 @@ def rel_ent_diff(triple: ChannelTriple) -> float:
     return first - second
 
 
+def _pulled_bracket(triple: ChannelTriple, h: float) -> np.ndarray:
+    """N†(N(sigma)^(-h) N(rho)^(2h) N(sigma)^(-h)), the inner part of every bracket."""
+    out_wedge = herm_pow(triple.out_sigma, -h)
+    inner = out_wedge @ herm_pow(triple.out_rho, 2.0 * h) @ out_wedge
+    return adjoint_apply(triple.channel, (inner + inner.conj().T) / 2)
+
+
+def _sigma_wedge(triple: ChannelTriple, a: AlphaParameter, h: float) -> np.ndarray:
+    """sigma^h, after checking that an alpha > 1 difference is finite.
+
+    For alpha > 1 the first term D_alpha(rho||sigma) is +inf unless
+    supp(rho) lies in supp(sigma), and then the difference is undefined.
+    """
+    dec = hermitian_eig(triple.sigma.matrix)
+    if a.alpha > 1.0 and not dec.supports(triple.rho.matrix):
+        raise InfiniteTermError(
+            f"D_alpha(rho||sigma) is infinite at alpha = {a.alpha}; difference undefined"
+        )
+    return dec.power(h)
+
+
 def renyi_rel_ent_diff(triple: ChannelTriple, a, strict: bool = True) -> float:
     """Renyi relative-entropy difference.
 
@@ -282,18 +312,14 @@ def renyi_rel_ent_diff(triple: ChannelTriple, a, strict: bool = True) -> float:
     N†(N(sigma)^((alpha-1)/2) N(rho)^(1-alpha) N(sigma)^((alpha-1)/2))
     sigma^((1-alpha)/2)}.  Certified non-negative on (0,1) u (1,2); for
     alpha > 1 the positive definiteness of rho, sigma, N(rho), N(sigma) is
-    required unless ``strict`` is disabled.
+    required unless ``strict`` is disabled, and InfiniteTermError is raised
+    when supp(rho) is not contained in supp(sigma).
     """
     a = as_alpha(a)
     _require_definite_triple(triple, a, strict)
     half = (1.0 - a.alpha) / 2.0
-    inner = (
-        herm_pow(triple.out_sigma, -half)
-        @ herm_pow(triple.out_rho, 2.0 * half)
-        @ herm_pow(triple.out_sigma, -half)
-    )
-    pulled = adjoint_apply(triple.channel, (inner + inner.conj().T) / 2)
-    wedge = herm_pow(triple.sigma.matrix, half)
+    wedge = _sigma_wedge(triple, a, half)
+    pulled = _pulled_bracket(triple, half)
     value = float(
         np.trace(herm_pow(triple.rho.matrix, a.alpha) @ wedge @ pulled @ wedge).real
     )
@@ -310,21 +336,16 @@ def sandwiched_rel_ent_diff(triple: ChannelTriple, a, strict: bool = True) -> fl
     N(rho)^((1-alpha)/alpha) N(sigma)^((alpha-1)/2alpha)) sigma^((1-alpha)/2alpha)
     rho^(1/2).  The middle factor is positive semidefinite, so the functional
     is evaluated from the singular values of Q^(1/2) sigma^(...) rho^(1/2).
+    For alpha > 1, InfiniteTermError is raised when supp(rho) is not
+    contained in supp(sigma).
     """
     a = as_alpha(a)
     _require_definite_triple(triple, a, strict)
     h = (1.0 - a.alpha) / (2.0 * a.alpha)
-    inner = (
-        herm_pow(triple.out_sigma, -h)
-        @ herm_pow(triple.out_rho, 2.0 * h)
-        @ herm_pow(triple.out_sigma, -h)
-    )
-    pulled = adjoint_apply(triple.channel, (inner + inner.conj().T) / 2)
-    half_pulled = herm_pow(pulled, 0.5)
-    stacked = half_pulled @ herm_pow(triple.sigma.matrix, h) @ herm_pow(triple.rho.matrix, 0.5)
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    top = sv[0] if sv.size else 0.0
-    sv = sv[sv > 1e-12 * top] if top > 0 else sv[:0]
+    wedge = _sigma_wedge(triple, a, h)
+    half_pulled = herm_pow(_pulled_bracket(triple, h), 0.5)
+    stacked = half_pulled @ wedge @ herm_pow(triple.rho.matrix, 0.5)
+    sv = singular_values(stacked)
     if sv.size == 0:
         return math.inf
     value = float(np.sum(sv ** (2.0 * a.alpha)))

@@ -38,6 +38,8 @@ def _matrix_from_obj(obj, what: str) -> np.ndarray:
         raise ValidationError("bad-spec", f"{what}: malformed matrix object") from exc
     if re.shape != im.shape or re.ndim != 2:
         raise ValidationError("bad-spec", f"{what}: re/im shapes disagree or not 2-d")
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise ValidationError("not-finite", f"{what}: matrix entries must be finite")
     return re + 1j * im
 
 

@@ -8,10 +8,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .linalg import alpha_norm, herm_pow, partial_trace
+from .linalg import POSITIVITY_TOL, alpha_norm, herm_pow
 
-HERMITICITY_TOL = 1e-10
-POSITIVITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 
 
@@ -100,14 +98,6 @@ def validate_density(matrix, dims=None, tol: float = POSITIVITY_TOL) -> DensityO
     return DensityOperator(m, tuple(dims), atol=tol)
 
 
-def validate_positive(matrix, dims=None, tol: float = POSITIVITY_TOL) -> PositiveOperator:
-    """Like validate_density but without the unit-trace requirement."""
-    m = np.asarray(matrix, dtype=complex)
-    if dims is None:
-        dims = (m.shape[0],)
-    return PositiveOperator(m, tuple(dims), atol=tol)
-
-
 def random_density(dims, rank: int | None = None, seed=0) -> DensityOperator:
     """Seeded random state G G† / Tr{G G†} with G complex Gaussian dim x rank.
 
@@ -158,8 +148,3 @@ def trace_distance(a, b) -> float:
     if am.shape != bm.shape:
         raise DimensionMismatchError(f"shape mismatch {am.shape} vs {bm.shape}")
     return alpha_norm(am - bm, 1.0)
-
-
-def reduced_state(rho: DensityOperator, traced_out) -> np.ndarray:
-    """Partial trace of a structured state, as a plain matrix."""
-    return partial_trace(rho.matrix, rho.dims, traced_out)

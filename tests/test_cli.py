@@ -3,17 +3,19 @@ import json
 import numpy as np
 import pytest
 
+from qmarkov.channels import random_strict_channel, random_unitary
 from qmarkov.cli import main
 from qmarkov.linalg import kron
-from qmarkov.measures import TripartiteState, renyi_cmi
+from qmarkov.measures import TripartiteState, cmi_as_triple, renyi_cmi
 from qmarkov.serialization import (
     load_channel,
     load_state,
+    save_channel,
     save_markov_spec,
     save_state,
     save_sufficiency_spec,
 )
-from qmarkov.states import DensityOperator, random_density
+from qmarkov.states import DensityOperator, PositiveOperator, random_density
 from qmarkov.structured import (
     ChannelTriple,
     is_markov_petz,
@@ -122,6 +124,120 @@ class TestCompute:
         assert main(["compute", "--measure", "cmi",
                      "--state", str(tmp_path / "flat.json")]) == 2
 
+
+def _triple_args(prefix):
+    return ["--rho", f"{prefix}.rho.json", "--sigma", f"{prefix}.sigma.json",
+            "--channel", f"{prefix}.channel.json"]
+
+
+def _save_triple(prefix, triple):
+    save_state(f"{prefix}.rho.json", triple.rho)
+    save_state(f"{prefix}.sigma.json", triple.sigma)
+    save_channel(f"{prefix}.channel.json", triple.channel)
+
+
+# compute output on fixed inputs, pinned so that refactoring cannot move a
+# printed digit: "state" is random_density((2,2,2), seed=7), "cmi" its
+# cmi_as_triple files, "4to3" a seeded triple through a 4 -> 3 channel
+GOLDEN = [
+    ("state", "cmi", None, 0.341575478449),
+    ("state", "renyi-cmi", "0.5", 0.195147899467),
+    ("state", "renyi-cmi", "1.5", 0.482126627935),
+    ("state", "sand-cmi", "0.75", 0.265764233942),
+    ("state", "sand-cmi", "2.0", 0.548162669539),
+    ("state", "imax", None, 1.296416876225),
+    ("state", "imin", None, 0.173830770929),
+    ("cmi", "red", None, 0.341575478449),
+    ("cmi", "delta", "0.5", 0.195147899467),
+    ("cmi", "delta", "1.5", 0.482126627935),
+    ("cmi", "delta-tilde", "0.75", 0.265764233942),
+    ("cmi", "delta-tilde", "2.0", 0.548162669539),
+    ("cmi", "delta-min", None, 0.173830770929),
+    ("cmi", "delta-max", None, 1.296416876225),
+    ("4to3", "red", None, 3.023040576509),
+    ("4to3", "delta", "0.5", 1.322561930686),
+    ("4to3", "delta", "1.5", 4.772553958783),
+    ("4to3", "delta-tilde", "0.75", 2.056898548491),
+    ("4to3", "delta-tilde", "2.0", 5.285996439217),
+    ("4to3", "delta-min", None, 1.089989768801),
+    ("4to3", "delta-max", None, 6.436139751767),
+]
+
+
+@pytest.fixture(scope="module")
+def golden_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    state = random_density((2, 2, 2), seed=7)
+    save_state(d / "state.json", state)
+    _save_triple(d / "cmi", cmi_as_triple(TripartiteState(state)))
+    _save_triple(d / "4to3", ChannelTriple(
+        rho=random_density((4,), seed=11),
+        sigma=random_density((4,), seed=12),
+        channel=random_strict_channel(4, 3, seed=13),
+    ))
+    return {
+        "state": ["--state", str(d / "state.json")],
+        "cmi": _triple_args(d / "cmi"),
+        "4to3": _triple_args(d / "4to3"),
+    }
+
+
+@pytest.mark.parametrize("inputs,measure,alpha,expected", GOLDEN)
+def test_golden_value(golden_inputs, capsys, inputs, measure, alpha, expected):
+    argv = ["compute", "--measure", measure] + golden_inputs[inputs]
+    if alpha is not None:
+        argv += ["--alpha", alpha]
+    assert main(argv) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(expected, abs=1e-12)
+
+
+class TestEdgeInputs:
+    def test_validated_round_off_is_evaluable(self, tmp_path, capsys):
+        # load_state accepts the eigenvalue -5e-11; every measure treats it as
+        # zero, so the values match those of the state with the zero restored
+        u = random_unitary(8, seed=1)
+        for name, tail in (("neg", -5e-11), ("zero", 0.0)):
+            m = u @ np.diag([0.5, 0.3, 0.2, 0.0, 0.0, 0.0, 0.0, tail]) @ u.conj().T
+            save_state(tmp_path / f"{name}.json", DensityOperator(m, (2, 2, 2)))
+        for args in (["cmi"], ["imax"], ["renyi-cmi", "--alpha", "0.5"],
+                     ["sand-cmi", "--alpha", "0.75"]):
+            values = []
+            for name in ("neg", "zero"):
+                code = main(["compute", "--state", str(tmp_path / f"{name}.json"),
+                             "--measure"] + args)
+                assert code == 0
+                values.append(float(capsys.readouterr().out))
+            assert values[0] == pytest.approx(values[1], abs=1e-8)
+
+    @pytest.mark.parametrize("measure", ["delta", "delta-tilde"])
+    def test_difference_off_the_support_exits_two(self, tmp_path, capsys, measure):
+        _save_triple(tmp_path / "t", ChannelTriple(
+            rho=random_density((4,), seed=1),
+            sigma=PositiveOperator(np.diag([1.0, 1.0, 0.0, 0.0])),
+            channel=random_strict_channel(4, 3, seed=2),
+        ))
+        argv = ["compute", "--measure", measure, "--alpha", "1.5"] + _triple_args(tmp_path / "t")
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("entry", [(0, 1), (7, 7)])
+    def test_nan_entry_exits_two(self, tmp_path, capsys, entry):
+        path = tmp_path / "nan.json"
+        m = np.eye(8) / 8
+        m[entry] = np.nan
+        path.write_text(json.dumps({
+            "version": 1, "kind": "state", "dims": [2, 2, 2],
+            "re": m.tolist(), "im": np.zeros((8, 8)).tolist(),
+        }))
+        assert main(["compute", "--measure", "cmi", "--state", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+
+    def test_infinite_alpha_exits_two(self, correlated_state_file, capsys):
+        assert main(["compute", "--measure", "sand-cmi", "--alpha", "inf",
+                     "--state", correlated_state_file]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
 
 class TestGenerate:
     def test_random_state_deterministic(self, tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from qmarkov.errors import (
     MatrixFunctionDomainError,
     NonHermitianError,
 )
+from qmarkov.divergences import rel_entropy, support_contained, von_neumann_entropy
 from qmarkov.linalg import (
-    SupportConvention,
     alpha_norm,
     embed_operator,
     herm_exp,
@@ -18,6 +20,7 @@ from qmarkov.linalg import (
     kron,
     matrix_function,
     partial_trace,
+    singular_values,
     trace_norm,
 )
 
@@ -98,14 +101,21 @@ class TestMatrixFunction:
         out = herm_exp(np.diag([1.0, 0.0]))
         np.testing.assert_allclose(out, np.diag([np.e, 1.0]), atol=1e-12)
 
-    def test_cutoff_convention(self):
-        conv = SupportConvention(relative_cutoff=1e-3)
-        out = matrix_function(np.diag([1.0, 1e-5]), lambda x: 1.0 / x, conv)
-        np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-14)
-
-    def test_bad_cutoff(self):
-        with pytest.raises(ValueError):
-            SupportConvention(relative_cutoff=1.5)
+    def test_fixed_cutoff(self):
+        # 1e-11 * max lies in the support and 1e-13 * max does not, for every
+        # function that reads a support
+        m = np.diag([1.0, 1e-11, 1e-13])
+        kept, dropped = np.diag([0.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])
+        np.testing.assert_allclose(herm_pow(m, -1.0), np.diag([1.0, 1e11, 0.0]), rtol=1e-12)
+        assert support_contained(kept, m)
+        assert not support_contained(dropped, m)
+        assert von_neumann_entropy(m) == pytest.approx(-1e-11 * np.log2(1e-11), rel=1e-12)
+        np.testing.assert_allclose(singular_values(m), [1.0, 1e-11], rtol=1e-12)
+        assert rel_entropy(kept, m) == pytest.approx(-np.log2(1e-11), rel=1e-12)
+        assert rel_entropy(dropped, m) == math.inf
+        # a negative eigenvalue that positivity validation accepts is dropped
+        np.testing.assert_allclose(herm_log2(np.diag([0.5, 0.5, -5e-11])),
+                                   np.diag([-1.0, -1.0, 0.0]))
 
 
 class TestKron:

@@ -431,3 +431,16 @@ class TestLocalUnitaryInvariance:
             assert minmax_cmi(rotated, kind) == pytest.approx(
                 minmax_cmi(state, kind), abs=1e-9
             )
+
+
+@pytest.mark.parametrize("measure", [renyi_rel_ent_diff, sandwiched_rel_ent_diff])
+def test_difference_off_the_support_is_infinite(measure):
+    # alpha > 1 and supp(rho) not in supp(sigma): D_alpha(rho||sigma) = +inf
+    triple = ChannelTriple(
+        rho=random_density((4,), seed=1),
+        sigma=PositiveOperator(np.diag([1.0, 1.0, 0.0, 0.0])),
+        channel=random_strict_channel(4, 3, seed=2),
+    )
+    with pytest.raises(InfiniteTermError):
+        measure(triple, 1.5, strict=False)
+    assert measure(triple, 0.75, strict=False) >= 0.0
