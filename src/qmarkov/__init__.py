@@ -81,7 +81,6 @@ from .measures import (
     TripartiteState,
     cmi_as_triple,
     minmax_cmi,
-    minmax_cmi_norm_form,
     minmax_rel_ent_diff,
     rel_ent_diff,
     renyi_cmi,

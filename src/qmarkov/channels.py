@@ -36,6 +36,8 @@ class Channel:
         ops = tuple(np.ascontiguousarray(np.asarray(k, dtype=complex)) for k in self.kraus)
         if not ops:
             raise ValidationError("bad-spec", "a channel needs at least one Kraus operator")
+        if not all(np.all(np.isfinite(k)) for k in ops):
+            raise ValidationError("not-finite", "Kraus operator entries must be finite")
         d_out, d_in = ops[0].shape
         if self.dim_in and self.dim_in != d_in:
             raise DimensionMismatchError(

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .linalg import hermitian_eig, on_support, support_mask
+from .linalg import hermitian_eig, log2_power_sum, on_support, support_mask
 from .states import fidelity
 
 ALPHA_ONE_GUARD = 1e-6
@@ -133,13 +133,10 @@ def sandwiched_rel_entropy(rho, sigma, a) -> float:
     wedge = dec_sigma.power((1.0 - a.alpha) / (2.0 * a.alpha))
     core = wedge @ rho_m @ wedge
     core = (core + core.conj().T) / 2
-    keep, powers = on_support(np.linalg.eigvalsh(core), lambda x: x**a.alpha)
-    if not np.any(keep):
+    log_value = log2_power_sum(np.linalg.eigvalsh(core), a.alpha)
+    if log_value == -math.inf:
         return math.inf
-    value = float(np.sum(powers))
-    if value <= 0.0:
-        return math.inf
-    return float(np.log2(value) / (a.alpha - 1.0))
+    return float(log_value / (a.alpha - 1.0))
 
 
 def min_rel_entropy(rho, sigma) -> float:

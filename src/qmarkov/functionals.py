@@ -9,15 +9,40 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import adjoint_apply, apply_channel
+from .channels import apply_channel
 from .linalg import herm_exp, herm_log, herm_pow, spectral_norm
-from .measures import ChannelTriple, TripartiteState, _cmi_chain, _pulled_bracket
+from .measures import ChannelTriple, TripartiteState, _bracket
 
 LN2 = float(np.log(2.0))
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
+
+
+def _channel_bracket(x, alpha: float, sandwiched: bool) -> np.ndarray:
+    h = (1.0 - alpha) / 2.0
+    if sandwiched:
+        h /= alpha
+    return _bracket(x, h, herm_pow(x.out_rho, 2.0 * h))
+
+
+def channel_trace_value(
+    triple: ChannelTriple | TripartiteState, alpha: float, sandwiched: bool = False
+) -> float:
+    """Trace of the channel-form bracket raised to its closing exponent.
+
+    Tr{[sigma^(h) N†(N(sigma)^(-h) N(rho)^(2h) N(sigma)^(-h)) sigma^(h)]^(1/(1-a))}
+    with h = (1-a)/2 (or h divided by alpha and closing exponent alpha/(1-a)
+    in the sandwiched form); at most 1, with equality iff the channel is
+    sufficient for rho and sigma.  A TripartiteState is read as its CMI
+    triple.
+    """
+    closing = 1.0 / (1.0 - alpha)
+    if sandwiched:
+        closing *= alpha
+    bracket = _channel_bracket(triple, alpha, sandwiched)
+    return float(np.trace(herm_pow(bracket, closing)).real)
 
 
 def cmi_trace_value(state: TripartiteState, alpha: float, sandwiched: bool = False) -> float:
@@ -28,77 +53,44 @@ def cmi_trace_value(state: TripartiteState, alpha: float, sandwiched: bool = Fal
     form divides the inner exponents by alpha and closes with alpha/(1-alpha).
     Equality at 1 holds exactly on short Markov chains.
     """
-    h = (1.0 - alpha) / 2.0
-    closing = 1.0 / (1.0 - alpha)
-    if sandwiched:
-        h /= alpha
-        closing *= alpha
-    chain = _symmetrize(_cmi_chain(state, h))
-    return float(np.trace(herm_pow(chain, closing)).real)
+    return channel_trace_value(state, alpha, sandwiched)
 
 
-def _channel_bracket(triple: ChannelTriple, alpha: float, sandwiched: bool) -> np.ndarray:
-    h = (1.0 - alpha) / 2.0
-    if sandwiched:
-        h /= alpha
-    pulled = _pulled_bracket(triple, h)
-    wedge = herm_pow(triple.sigma.matrix, h)
-    return _symmetrize(wedge @ pulled @ wedge)
-
-
-def channel_trace_value(triple: ChannelTriple, alpha: float, sandwiched: bool = False) -> float:
-    """Trace of the channel-form bracket raised to its closing exponent.
-
-    Tr{[sigma^(h) N†(N(sigma)^(-h) N(rho)^(2h) N(sigma)^(-h)) sigma^(h)]^(1/(1-a))}
-    with h = (1-a)/2 (or h divided by alpha and closing exponent alpha/(1-a)
-    in the sandwiched form); at most 1, with equality iff the channel is
-    sufficient for rho and sigma.
-    """
-    closing = 1.0 / (1.0 - alpha)
-    if sandwiched:
-        closing *= alpha
-    bracket = _channel_bracket(triple, alpha, sandwiched)
-    return float(np.trace(herm_pow(bracket, closing)).real)
-
-
-def _pulled_log_ratio(triple: ChannelTriple) -> np.ndarray:
+def _pulled_log_ratio(x) -> np.ndarray:
     """N†(log N(rho) - log N(sigma)), natural logarithms."""
-    return adjoint_apply(
-        triple.channel, herm_log(triple.out_rho) - herm_log(triple.out_sigma)
-    )
+    return x.pull(herm_log(x.out_rho) - herm_log(x.out_sigma))
 
 
-def _exp_log_marginals(state: TripartiteState) -> np.ndarray:
-    """exp(log rho_AC + log rho_BC - log rho_C), embedded in A x B x C."""
-    exponent = (
-        state.embed_ac(herm_log(state.rho_ac))
-        + state.embed_bc(herm_log(state.rho_bc))
-        - state.embed_c(herm_log(state.rho_c))
-    )
-    return herm_exp(_symmetrize(exponent))
+def _exp_log_sum(x) -> np.ndarray:
+    """exp(log sigma + N†(log N(rho) - log N(sigma)))."""
+    return herm_exp(_symmetrize(x.sigma_fn(np.log) + _pulled_log_ratio(x)))
 
 
-def exp_trace_channel_value(triple: ChannelTriple) -> float:
-    """Tr{exp(log sigma + N†(log N(rho) - log N(sigma)))}; at most 1."""
-    exponent = _symmetrize(herm_log(triple.sigma.matrix) + _pulled_log_ratio(triple))
-    return float(np.trace(herm_exp(exponent)).real)
+def exp_trace_channel_value(triple: ChannelTriple | TripartiteState) -> float:
+    """Tr{exp(log sigma + N†(log N(rho) - log N(sigma)))}; at most 1.
+
+    A TripartiteState is read as its CMI triple.
+    """
+    return float(np.trace(_exp_log_sum(triple)).real)
 
 
 def exp_trace_cmi_value(state: TripartiteState) -> float:
     """Tr{exp(log rho_AC + log rho_BC - log rho_C)}; at most 1."""
-    return float(np.trace(_exp_log_marginals(state)).real)
+    return exp_trace_channel_value(state)
 
 
-def lie_trotter_deviation(state: TripartiteState, alpha: float) -> float:
-    """Operator-norm gap between the closed chain and its alpha -> 1 limit.
+def lie_trotter_deviation(x: ChannelTriple | TripartiteState, alpha: float) -> float:
+    """Operator-norm gap between the closed bracket and its alpha -> 1 limit.
 
-    Compares (rho_AC^((1-a)/2) rho_C^((a-1)/2) rho_BC^(1-a) rho_C^((a-1)/2)
-    rho_AC^((1-a)/2))^(1/(1-a)) with exp(log rho_AC + log rho_BC - log rho_C);
-    the gap vanishes as alpha approaches 1.
+    Compares [sigma^h N†(N(sigma)^(-h) N(rho)^(2h) N(sigma)^(-h)) sigma^h]^(1/(1-a)),
+    h = (1-a)/2, with exp(log sigma + N†(log N(rho) - log N(sigma))); for a
+    state these are (rho_AC^((1-a)/2) rho_C^((a-1)/2) rho_BC^(1-a)
+    rho_C^((a-1)/2) rho_AC^((1-a)/2))^(1/(1-a)) and
+    exp(log rho_AC + log rho_BC - log rho_C).  The gap vanishes as alpha
+    approaches 1.
     """
-    chain = _symmetrize(_cmi_chain(state, (1.0 - alpha) / 2.0))
-    closed = herm_pow(chain, 1.0 / (1.0 - alpha))
-    return spectral_norm(closed - _exp_log_marginals(state))
+    closed = herm_pow(_channel_bracket(x, alpha, sandwiched=False), 1.0 / (1.0 - alpha))
+    return spectral_norm(closed - _exp_log_sum(x))
 
 
 def recovery_fixed_point_residual(triple: ChannelTriple, alpha: float) -> float:
@@ -122,7 +114,7 @@ def output_fixed_point_residual(triple: ChannelTriple, alpha: float) -> float:
     """Residual of [N(sigma)^((a-1)/2) N(sigma^((1-a)/2) rho^a sigma^((1-a)/2))
     N(sigma)^((a-1)/2)]^(1/a) = N(rho), in spectral norm."""
     h = (1.0 - alpha) / 2.0
-    wedge = herm_pow(triple.sigma.matrix, h)
+    wedge = triple.sigma_fn(lambda v: v**h)
     pushed = apply_channel(
         triple.channel, _symmetrize(wedge @ herm_pow(triple.rho.matrix, alpha) @ wedge)
     )
@@ -138,5 +130,5 @@ def log_identity_residual(triple: ChannelTriple) -> float:
     sigma; with the conditional-mutual-information substitution it becomes
     log rho_ABC = log rho_AC + log rho_BC - log rho_C.
     """
-    direct = herm_log(triple.rho.matrix) - herm_log(triple.sigma.matrix)
+    direct = herm_log(triple.rho.matrix) - triple.sigma_fn(np.log)
     return spectral_norm(_pulled_log_ratio(triple) - direct) / LN2

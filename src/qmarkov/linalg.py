@@ -250,6 +250,24 @@ def singular_values(x) -> np.ndarray:
     return sv[support_mask(sv)]
 
 
+def log2_power_sum(values, p: float) -> float:
+    """log2 of the sum of v^p over the kept ``values``, without overflow.
+
+    Evaluated as p log2 v_max + log2 sum (v / v_max)^p, so it stays finite for
+    any order p; -inf when no value is kept or the sum is not positive.
+    Raises MatrixFunctionDomainError where v^p is undefined on a kept value.
+    """
+    values = np.asarray(values, dtype=float)
+    top = float(np.max(values)) if values.size else 0.0
+    if top <= 0.0:
+        return -math.inf
+    _, scaled = on_support(values, lambda v: (v / top) ** p)
+    total = float(np.sum(scaled))
+    if total <= 0.0:
+        return -math.inf
+    return p * math.log2(top) + math.log2(total)
+
+
 def alpha_norm(x, alpha: float) -> float:
     """Schatten functional [Tr |X|^alpha]^(1/alpha) with |X| = sqrt(X†X).
 
@@ -258,10 +276,7 @@ def alpha_norm(x, alpha: float) -> float:
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    sv = singular_values(x)
-    if sv.size == 0:
-        return 0.0
-    return float(np.sum(sv**alpha) ** (1.0 / alpha))
+    return float(2.0 ** (log2_power_sum(singular_values(x), alpha) / alpha))
 
 
 def trace_norm(x) -> float:

@@ -2,25 +2,31 @@
 
 Two families, each in von Neumann, Renyi, sandwiched, and min/max flavors:
 
-* conditional mutual information of a state on A x B x C, built from the
-  marginals on AC, BC, and C;
+* conditional mutual information of a state on A x B x C;
 * the relative-entropy difference of a triple (rho, sigma, channel), which
   measures how much distinguishability the channel destroys.
 
-The first family is the special case of the second under the substitution
-sigma = rho_AC x I_B with the channel tracing out A, and that reduction is
-exposed through ``cmi_as_triple`` so it can be tested directly.  All outputs
-are in bits.
+The first family is the second evaluated on the CMI triple
+(rho_ABC, rho_AC x I_B, trace-out-A), as in arXiv:1501.05636: each Renyi,
+sandwiched and min/max CMI is a call to its difference counterpart.  The
+difference formulas read only a few members of their argument (N(rho),
+N(sigma), functions of sigma, N†, and a square root of N† on a Gram
+matrix), and a ``TripartiteState`` answers each from its marginals, so the
+triple is never built.  ``cmi_as_triple`` builds it densely, so the
+reduction can be tested against an independent evaluation.  Sandwiched
+values are summed in log space, so alpha may be arbitrarily large.  All
+outputs are in bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .channels import Channel, adjoint_apply, apply_channel, is_strict_cptp, partial_trace_channel, petz_recovery
+from .channels import Channel, adjoint_apply, apply_channel, is_strict_cptp, partial_trace_channel
 from .divergences import (
     AlphaParameter,
     as_alpha,
@@ -37,13 +43,13 @@ from .errors import (
 )
 from .linalg import (
     POSITIVITY_TOL,
-    alpha_norm,
     embed_operator,
     herm_pow,
     hermitian_eig,
+    kron,
+    log2_power_sum,
     partial_trace,
     singular_values,
-    spectral_norm,
 )
 from .states import DensityOperator, PositiveOperator
 
@@ -55,8 +61,10 @@ SANDWICHED_ALPHA_GRID = (0.6, 0.75, 0.9, 1.5, 2.0, 3.0, 5.0)
 class TripartiteState:
     """State on A x B x C with its marginals computed once and cached.
 
-    All formulas consume the cached marginals so the same support handling
-    applies consistently across measures.
+    It is also read as its CMI triple (rho_ABC, rho_AC x I_B, Tr_A): it has
+    the members ``ChannelTriple`` offers to the difference formulas, each
+    answered from the marginals, so neither rho_AC x I_B nor the Kraus
+    operators of Tr_A are ever built.
     """
 
     def __init__(self, rho: DensityOperator):
@@ -82,20 +90,40 @@ class TripartiteState:
     def is_positive_definite(self) -> bool:
         return self.rho.is_positive_definite()
 
-    # embeddings into the full A x B x C space
-    def embed_ac(self, x) -> np.ndarray:
-        return embed_operator(x, self.dims, (0, 2))
+    @property
+    def out_rho(self) -> np.ndarray:
+        """Tr_A rho_ABC = rho_BC."""
+        return self.rho_bc
 
-    def embed_bc(self, x) -> np.ndarray:
+    @property
+    def out_sigma(self) -> np.ndarray:
+        """Tr_A (rho_AC x I_B) = I_B x rho_C, on B x C."""
+        return kron(np.eye(self.dims[1]), self.rho_c)
+
+    def sigma_fn(self, f) -> np.ndarray:
+        """f(rho_AC x I_B) = f(rho_AC) x I_B on the support."""
+        return embed_operator(hermitian_eig(self.rho_ac).apply(f), self.dims, (0, 2))
+
+    def sigma_supports_rho(self) -> bool:
+        """Always true: supp(rho_ABC) lies in supp(rho_AC x I_B)."""
+        return True
+
+    def pull(self, x) -> np.ndarray:
+        """Tr_A†(x) = I_A x x for an operator x on B x C."""
         return embed_operator(x, self.dims, (1, 2))
 
-    def embed_c(self, x) -> np.ndarray:
-        return embed_operator(x, self.dims, (2,))
+    def pull_root(self, y) -> np.ndarray:
+        """I_A x y, a Z with Z Z† = Tr_A†(y y†): Tr_A† is a *-homomorphism."""
+        return self.pull(y)
 
 
 @dataclass(frozen=True, eq=False)
 class ChannelTriple:
-    """A state, a reference positive operator, and a channel acting on both."""
+    """A state, a reference positive operator, and a channel acting on both.
+
+    The members below are everything the difference formulas read; the
+    channel outputs and the decomposition of sigma are computed once.
+    """
 
     rho: DensityOperator
     sigma: PositiveOperator
@@ -108,13 +136,17 @@ class ChannelTriple:
                 f"channel input {self.channel.dim_in}"
             )
 
-    @property
+    @cached_property
     def out_rho(self) -> np.ndarray:
         return apply_channel(self.channel, self.rho.matrix)
 
-    @property
+    @cached_property
     def out_sigma(self) -> np.ndarray:
         return apply_channel(self.channel, self.sigma.matrix)
+
+    @cached_property
+    def _sigma_eig(self):
+        return hermitian_eig(self.sigma.matrix)
 
     def is_positive_definite(self) -> bool:
         if not (self.rho.is_positive_definite() and self.sigma.is_positive_definite()):
@@ -125,14 +157,31 @@ class ChannelTriple:
                 return False
         return True
 
+    def sigma_fn(self, f) -> np.ndarray:
+        """f(sigma) on the support of sigma."""
+        return self._sigma_eig.apply(f)
+
+    def sigma_supports_rho(self) -> bool:
+        """Whether supp(rho) lies in supp(sigma)."""
+        return self._sigma_eig.supports(self.rho.matrix)
+
+    def pull(self, x) -> np.ndarray:
+        """N†(x)."""
+        return adjoint_apply(self.channel, x)
+
+    def pull_root(self, y) -> np.ndarray:
+        """N†(y y†)^(1/2), a Z with Z Z† = N†(y y†)."""
+        return herm_pow(self.pull(y @ y.conj().T), 0.5)
+
 
 def cmi_as_triple(state: TripartiteState) -> ChannelTriple:
     """The substitution that turns CMI into a relative-entropy difference.
 
-    Returns (rho_ABC, rho_AC x I_B, trace-out-A); every Renyi CMI equals the
-    corresponding relative-entropy-difference measure on this triple.
+    Returns (rho_ABC, rho_AC x I_B, trace-out-A) as dense operators; every
+    Renyi CMI equals the corresponding relative-entropy-difference measure on
+    this triple.
     """
-    sigma = state.embed_ac(state.rho_ac)  # equals rho_AC x I_B in ABC ordering
+    sigma = embed_operator(state.rho_ac, state.dims, (0, 2))  # rho_AC x I_B in ABC order
     return ChannelTriple(
         rho=DensityOperator(state.matrix, (state.rho.dim,)),
         sigma=PositiveOperator(sigma),
@@ -140,21 +189,26 @@ def cmi_as_triple(state: TripartiteState) -> ChannelTriple:
     )
 
 
-def _require_definite(state: TripartiteState, a: AlphaParameter, strict: bool):
-    if strict and a.alpha > 1.0 and not state.is_positive_definite():
-        raise RankDeficientError(
-            f"alpha = {a.alpha} > 1 requires a positive definite state; "
-            "perturb the input or pass strict=False to evaluate on the support"
-        )
+def _checked_alpha(x, a, strict: bool) -> AlphaParameter:
+    """The Renyi order, once a difference at that order is known to be defined.
 
-
-def _require_definite_triple(triple: ChannelTriple, a: AlphaParameter, strict: bool):
-    if strict and a.alpha > 1.0 and not triple.is_positive_definite():
+    For alpha > 1 the formulas take inverse powers, so with ``strict`` rho,
+    sigma and their outputs must be positive definite; and D_alpha(rho||sigma)
+    is +inf unless supp(rho) lies in supp(sigma), leaving the difference
+    undefined.
+    """
+    a = as_alpha(a)
+    if strict and a.alpha > 1.0 and not x.is_positive_definite():
         raise RankDeficientError(
             f"alpha = {a.alpha} > 1 requires rho, sigma, and their channel "
             "outputs to be positive definite; pass strict=False to evaluate "
             "on the support"
         )
+    if a.alpha > 1.0 and not x.sigma_supports_rho():
+        raise InfiniteTermError(
+            f"D_alpha(rho||sigma) is infinite at alpha = {a.alpha}; difference undefined"
+        )
+    return a
 
 
 def von_neumann_cmi(state: TripartiteState) -> float:
@@ -167,32 +221,18 @@ def von_neumann_cmi(state: TripartiteState) -> float:
     )
 
 
-def _cmi_chain(state: TripartiteState, half_exponent: float) -> np.ndarray:
-    """The marginal product with exponents (h, -h, 2h, -h, h) on (AC, C, BC, C, AC)."""
-    p_ac = state.embed_ac(herm_pow(state.rho_ac, half_exponent))
-    p_c = state.embed_c(herm_pow(state.rho_c, -half_exponent))
-    p_bc = state.embed_bc(herm_pow(state.rho_bc, 2.0 * half_exponent))
-    return p_ac @ p_c @ p_bc @ p_c @ p_ac
-
-
 def renyi_cmi(state: TripartiteState, a, strict: bool = True) -> float:
     """Renyi conditional mutual information.
 
     (1/(alpha-1)) log2 Tr{rho_ABC^alpha rho_AC^((1-alpha)/2) rho_C^((alpha-1)/2)
-    rho_BC^(1-alpha) rho_C^((alpha-1)/2) rho_AC^((1-alpha)/2)}.
+    rho_BC^(1-alpha) rho_C^((alpha-1)/2) rho_AC^((1-alpha)/2)}, the Renyi
+    difference of the CMI triple.
 
     For alpha > 1 the formula involves inverse powers of the marginals; with
     ``strict`` (the default) a rank-deficient state raises RankDeficientError
     rather than being evaluated on its support.
     """
-    a = as_alpha(a)
-    _require_definite(state, a, strict)
-    chain = _cmi_chain(state, (1.0 - a.alpha) / 2.0)
-    power_alpha = herm_pow(state.matrix, a.alpha)
-    value = float(np.trace(power_alpha @ chain).real)
-    if value <= 0.0:
-        return math.inf
-    return float(np.log2(value) / (a.alpha - 1.0))
+    return renyi_rel_ent_diff(state, a, strict)
 
 
 def sandwiched_cmi(state: TripartiteState, a, strict: bool = True) -> float:
@@ -200,31 +240,11 @@ def sandwiched_cmi(state: TripartiteState, a, strict: bool = True) -> float:
 
     (2 alpha/(alpha-1)) log2 of the Schatten-2alpha functional of
     rho_ABC^(1/2) rho_AC^((1-alpha)/2alpha) rho_C^((alpha-1)/2alpha)
-    rho_BC^((1-alpha)/2alpha); evaluated from the singular values of that
-    product so the Gram matrix is never formed.
+    rho_BC^((1-alpha)/2alpha), the sandwiched difference of the CMI triple;
+    evaluated from the singular values of that product so the Gram matrix is
+    never formed.
     """
-    a = as_alpha(a)
-    _require_definite(state, a, strict)
-    h = (1.0 - a.alpha) / (2.0 * a.alpha)
-    product = (
-        herm_pow(state.matrix, 0.5)
-        @ state.embed_ac(herm_pow(state.rho_ac, h))
-        @ state.embed_c(herm_pow(state.rho_c, -h))
-        @ state.embed_bc(herm_pow(state.rho_bc, h))
-    )
-    norm = alpha_norm(product, 2.0 * a.alpha)
-    if norm <= 0.0:
-        return math.inf
-    return float(2.0 * a.alpha / (a.alpha - 1.0) * np.log2(norm))
-
-
-def _recovered_product(state: TripartiteState) -> np.ndarray:
-    """rho_AC^(1/2) rho_C^(-1/2) rho_BC rho_C^(-1/2) rho_AC^(1/2), embedded."""
-    s_ac = state.embed_ac(herm_pow(state.rho_ac, 0.5))
-    s_c = state.embed_c(herm_pow(state.rho_c, -0.5))
-    mid = state.embed_bc(state.rho_bc)
-    out = s_ac @ s_c @ mid @ s_c @ s_ac
-    return (out + out.conj().T) / 2
+    return sandwiched_rel_ent_diff(state, a, strict)
 
 
 def minmax_cmi(state: TripartiteState, kind: str, strict: bool = True) -> float:
@@ -238,37 +258,7 @@ def minmax_cmi(state: TripartiteState, kind: str, strict: bool = True) -> float:
         raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
     if strict and not state.is_positive_definite():
         raise RankDeficientError("min/max CMI requires a positive definite state")
-    recovered = _recovered_product(state)
-    if kind == "max":
-        return max_rel_entropy(state.matrix, recovered)
-    return min_rel_entropy(state.matrix, recovered)
-
-
-def minmax_cmi_norm_form(state: TripartiteState, kind: str) -> float:
-    """The equivalent product-of-powers evaluation of minmax_cmi.
-
-    max: 2 log2 ||rho_ABC^(1/2) rho_AC^(-1/2) rho_C^(1/2) rho_BC^(-1/2)||_inf;
-    min: -2 log2 ||rho_ABC^(1/2) rho_AC^(1/2) rho_C^(-1/2) rho_BC^(1/2)||_1.
-    Used as an independent cross-check of the divergence-based form.
-    """
-    if kind not in ("min", "max"):
-        raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
-    root = herm_pow(state.matrix, 0.5)
-    if kind == "max":
-        product = (
-            root
-            @ state.embed_ac(herm_pow(state.rho_ac, -0.5))
-            @ state.embed_c(herm_pow(state.rho_c, 0.5))
-            @ state.embed_bc(herm_pow(state.rho_bc, -0.5))
-        )
-        return float(2.0 * np.log2(spectral_norm(product)))
-    product = (
-        root
-        @ state.embed_ac(herm_pow(state.rho_ac, 0.5))
-        @ state.embed_c(herm_pow(state.rho_c, -0.5))
-        @ state.embed_bc(herm_pow(state.rho_bc, 0.5))
-    )
-    return float(-2.0 * np.log2(alpha_norm(product, 1.0)))
+    return _recovery_divergence(state, kind)
 
 
 def rel_ent_diff(triple: ChannelTriple) -> float:
@@ -284,28 +274,23 @@ def rel_ent_diff(triple: ChannelTriple) -> float:
     return first - second
 
 
-def _pulled_bracket(triple: ChannelTriple, h: float) -> np.ndarray:
-    """N†(N(sigma)^(-h) N(rho)^(2h) N(sigma)^(-h)), the inner part of every bracket."""
-    out_wedge = herm_pow(triple.out_sigma, -h)
-    inner = out_wedge @ herm_pow(triple.out_rho, 2.0 * h) @ out_wedge
-    return adjoint_apply(triple.channel, (inner + inner.conj().T) / 2)
+def _bracket(x, h: float, middle: np.ndarray) -> np.ndarray:
+    """sigma^h N†(N(sigma)^(-h) M N(sigma)^(-h)) sigma^h, symmetrized.
 
-
-def _sigma_wedge(triple: ChannelTriple, a: AlphaParameter, h: float) -> np.ndarray:
-    """sigma^h, after checking that an alpha > 1 difference is finite.
-
-    For alpha > 1 the first term D_alpha(rho||sigma) is +inf unless
-    supp(rho) lies in supp(sigma), and then the difference is undefined.
+    ``x`` is a ChannelTriple or a TripartiteState.  With M = N(rho)^(2h) this
+    is the bracket of every Renyi formula; at h = 1/2 with M = N(rho) it is
+    the Petz-recovered N(rho).
     """
-    dec = hermitian_eig(triple.sigma.matrix)
-    if a.alpha > 1.0 and not dec.supports(triple.rho.matrix):
-        raise InfiniteTermError(
-            f"D_alpha(rho||sigma) is infinite at alpha = {a.alpha}; difference undefined"
-        )
-    return dec.power(h)
+    out_wedge = herm_pow(x.out_sigma, -h)
+    inner = out_wedge @ middle @ out_wedge
+    wedge = x.sigma_fn(lambda v: v**h)
+    out = wedge @ x.pull((inner + inner.conj().T) / 2) @ wedge
+    return (out + out.conj().T) / 2
 
 
-def renyi_rel_ent_diff(triple: ChannelTriple, a, strict: bool = True) -> float:
+def renyi_rel_ent_diff(
+    triple: ChannelTriple | TripartiteState, a, strict: bool = True
+) -> float:
     """Renyi relative-entropy difference.
 
     (1/(alpha-1)) log2 Tr{rho^alpha sigma^((1-alpha)/2)
@@ -313,45 +298,53 @@ def renyi_rel_ent_diff(triple: ChannelTriple, a, strict: bool = True) -> float:
     sigma^((1-alpha)/2)}.  Certified non-negative on (0,1) u (1,2); for
     alpha > 1 the positive definiteness of rho, sigma, N(rho), N(sigma) is
     required unless ``strict`` is disabled, and InfiniteTermError is raised
-    when supp(rho) is not contained in supp(sigma).
+    when supp(rho) is not contained in supp(sigma).  A TripartiteState is
+    read as its CMI triple.
     """
-    a = as_alpha(a)
-    _require_definite_triple(triple, a, strict)
+    a = _checked_alpha(triple, a, strict)
     half = (1.0 - a.alpha) / 2.0
-    wedge = _sigma_wedge(triple, a, half)
-    pulled = _pulled_bracket(triple, half)
+    middle = herm_pow(triple.out_rho, 2.0 * half)
     value = float(
-        np.trace(herm_pow(triple.rho.matrix, a.alpha) @ wedge @ pulled @ wedge).real
+        np.trace(herm_pow(triple.rho.matrix, a.alpha) @ _bracket(triple, half, middle)).real
     )
     if value <= 0.0:
         return math.inf
     return float(np.log2(value) / (a.alpha - 1.0))
 
 
-def sandwiched_rel_ent_diff(triple: ChannelTriple, a, strict: bool = True) -> float:
+def sandwiched_rel_ent_diff(
+    triple: ChannelTriple | TripartiteState, a, strict: bool = True
+) -> float:
     """Sandwiched Renyi relative-entropy difference.
 
     (alpha/(alpha-1)) log2 of the Schatten-alpha functional of
     rho^(1/2) sigma^((1-alpha)/2alpha) N†(N(sigma)^((alpha-1)/2alpha)
     N(rho)^((1-alpha)/alpha) N(sigma)^((alpha-1)/2alpha)) sigma^((1-alpha)/2alpha)
-    rho^(1/2).  The middle factor is positive semidefinite, so the functional
-    is evaluated from the singular values of Q^(1/2) sigma^(...) rho^(1/2).
-    For alpha > 1, InfiniteTermError is raised when supp(rho) is not
-    contained in supp(sigma).
+    rho^(1/2).  The middle factor is N†(y y†) with
+    y = N(sigma)^((alpha-1)/2alpha) N(rho)^((1-alpha)/2alpha), so the
+    functional is evaluated from the singular values of
+    Z† sigma^((1-alpha)/2alpha) rho^(1/2), where Z Z† = N†(y y†); large
+    orders do not overflow.  For alpha > 1, InfiniteTermError is raised when
+    supp(rho) is not contained in supp(sigma).  A TripartiteState is read as
+    its CMI triple.
     """
-    a = as_alpha(a)
-    _require_definite_triple(triple, a, strict)
+    a = _checked_alpha(triple, a, strict)
     h = (1.0 - a.alpha) / (2.0 * a.alpha)
-    wedge = _sigma_wedge(triple, a, h)
-    half_pulled = herm_pow(_pulled_bracket(triple, h), 0.5)
-    stacked = half_pulled @ wedge @ herm_pow(triple.rho.matrix, 0.5)
-    sv = singular_values(stacked)
-    if sv.size == 0:
+    y = herm_pow(triple.out_sigma, -h) @ herm_pow(triple.out_rho, h)
+    wedge = triple.sigma_fn(lambda v: v**h)
+    product = triple.pull_root(y).conj().T @ wedge @ herm_pow(triple.rho.matrix, 0.5)
+    log_value = log2_power_sum(singular_values(product), 2.0 * a.alpha)
+    if log_value == -math.inf:
         return math.inf
-    value = float(np.sum(sv ** (2.0 * a.alpha)))
-    if value <= 0.0:
-        return math.inf
-    return float(np.log2(value) / (a.alpha - 1.0))
+    return float(log_value / (a.alpha - 1.0))
+
+
+def _recovery_divergence(x, kind: str) -> float:
+    """D_max or D_min between rho and the Petz-recovered N(rho)."""
+    recovered = _bracket(x, 0.5, x.out_rho)
+    if kind == "max":
+        return max_rel_entropy(x.rho.matrix, recovered)
+    return min_rel_entropy(x.rho.matrix, recovered)
 
 
 def minmax_rel_ent_diff(triple: ChannelTriple, kind: str, strict: bool = True) -> float:
@@ -369,8 +362,4 @@ def minmax_rel_ent_diff(triple: ChannelTriple, kind: str, strict: bool = True) -
         triple.rho.is_positive_definite() and triple.sigma.is_positive_definite()
     ):
         raise RankDeficientError("min/max differences require positive definite inputs")
-    recovery = petz_recovery(triple.sigma, triple.channel)
-    recovered = apply_channel(recovery, triple.out_rho)
-    if kind == "max":
-        return max_rel_entropy(triple.rho.matrix, recovered)
-    return min_rel_entropy(triple.rho.matrix, recovered)
+    return _recovery_divergence(triple, kind)

@@ -26,6 +26,8 @@ def _check_dims(matrix: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
 
 
 def _validated_eigs(matrix: np.ndarray, tol: float) -> np.ndarray:
+    if not np.all(np.isfinite(matrix)):
+        raise ValidationError("not-finite", "matrix entries must be finite")
     scale = np.linalg.norm(matrix, np.inf)
     residual = np.linalg.norm(matrix - matrix.conj().T, np.inf)
     if scale > 0 and residual > tol * scale:

@@ -28,7 +28,7 @@ from .channels import (
 from .errors import DimensionMismatchError, RankDeficientError, ValidationError
 from .functionals import log_identity_residual
 from .linalg import kron
-from .measures import ChannelTriple, TripartiteState, _recovered_product
+from .measures import ChannelTriple, TripartiteState, _bracket
 from .states import (
     DensityOperator,
     PositiveOperator,
@@ -61,10 +61,10 @@ class MarkovBlockSpec:
         if not self.blocks:
             raise ValidationError("bad-spec", "at least one block is required")
         total = sum(b.weight for b in self.blocks)
-        if abs(total - 1.0) > WEIGHT_TOL:
+        if not abs(total - 1.0) <= WEIGHT_TOL:  # written so that NaN fails
             raise ValidationError("bad-spec", f"block weights sum to {total!r}, not 1")
         for b in self.blocks:
-            if b.weight <= 0.0:
+            if not b.weight > 0.0:
                 raise ValidationError("bad-spec", "block weights must be positive")
             DensityOperator(b.rho_left, (self.dim_a, b.dim_cl))
             DensityOperator(b.rho_right, (b.dim_cr, self.dim_b))
@@ -133,10 +133,10 @@ class SufficiencyBlockSpec:
         if not self.blocks:
             raise ValidationError("bad-spec", "at least one block is required")
         total = sum(b.prob for b in self.blocks)
-        if abs(total - 1.0) > WEIGHT_TOL:
+        if not abs(total - 1.0) <= WEIGHT_TOL:  # written so that NaN fails
             raise ValidationError("bad-spec", f"block probabilities sum to {total!r}")
         for b in self.blocks:
-            if b.prob <= 0.0 or b.weight <= 0.0:
+            if not (b.prob > 0.0 and b.weight > 0.0):
                 raise ValidationError("bad-spec", "probs and weights must be positive")
             dl = b.rho_left.shape[0]
             DensityOperator(b.rho_left)
@@ -215,7 +215,7 @@ def is_markov_petz(state: TripartiteState, tol: float = 1e-9) -> tuple[bool, flo
     rho_AC^(1/2) to rho_BC (identity on B) and returns the trace-norm
     distance to the state together with the comparison against ``tol``.
     """
-    recovered = _recovered_product(state)
+    recovered = _bracket(state, 0.5, state.out_rho)
     distance = trace_distance(recovered, state.matrix)
     return distance <= tol, float(distance)
 

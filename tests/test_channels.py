@@ -57,6 +57,11 @@ class TestChannelBasics:
             Channel((np.eye(2) * 0.5,))
         assert err.value.reason == "not-trace-preserving"
 
+    def test_not_finite_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            Channel((np.full((2, 2), np.nan),))
+        assert err.value.reason == "not-finite"
+
     def test_dim_mismatch(self):
         chan = identity_channel(2)
         with pytest.raises(DimensionMismatchError):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -232,6 +233,30 @@ class TestEdgeInputs:
         assert main(["compute", "--measure", "cmi", "--state", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite" in err
+
+    @pytest.mark.parametrize("alpha", ["1e3", "1e6"])
+    def test_large_alpha_is_finite(self, golden_inputs, capsys, alpha):
+        # the sandwiched values tend to the max-CMI as alpha grows
+        # (arXiv:1306.3142), and the sum of singular-value powers would overflow
+        values = []
+        for inputs, measure in (("state", "sand-cmi"), ("cmi", "delta-tilde")):
+            argv = ["compute", "--measure", measure, "--alpha", alpha] + golden_inputs[inputs]
+            assert main(argv) == 0
+            values.append(float(capsys.readouterr().out))
+        imax = 1.296416876225
+        assert all(math.isfinite(v) and v <= imax + 1e-9 for v in values)
+        if alpha == "1e6":
+            assert values == pytest.approx([imax, imax], abs=1e-5)
+
+    def test_nan_spec_weight_exits_two(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        save_markov_spec(spec_path, random_markov_spec(2, 2, ((2, 1), (1, 2)), seed=3))
+        spec = json.loads(spec_path.read_text())
+        spec["blocks"][0]["weight"] = float("nan")
+        spec_path.write_text(json.dumps(spec))
+        assert main(["generate", "--kind", "markov", "--spec", str(spec_path),
+                     "--out", str(tmp_path / "markov.json")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_infinite_alpha_exits_two(self, correlated_state_file, capsys):
         assert main(["compute", "--measure", "sand-cmi", "--alpha", "inf",

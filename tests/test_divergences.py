@@ -120,6 +120,16 @@ class TestSandwiched:
             min_rel_entropy(rho, sigma), abs=1e-9
         )
 
+    def test_large_orders_stay_finite(self):
+        # the sum of eigenvalue powers would overflow from alpha ~ 300; the
+        # values rise with alpha toward D_max (arXiv:1306.3142)
+        rho = random_density((4,), seed=1)
+        sigma = random_density((4,), seed=2)
+        values = [sandwiched_rel_entropy(rho, sigma, a) for a in (100, 300, 1e3, 1e6)]
+        assert all(math.isfinite(v) for v in values)
+        assert all(lo <= hi + 1e-12 for lo, hi in zip(values, values[1:]))
+        assert values[-1] <= max_rel_entropy(rho, sigma) + 1e-9
+
     @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9, 1.5, 2.0])
     def test_never_exceeds_plain_on_diagonals(self, alpha):
         # on commuting pairs the two families coincide exactly

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import classical_oracles as co
+import marginal_oracles as mo
 from qmarkov.channels import (
     Channel,
     identity_channel,
@@ -13,6 +14,13 @@ from qmarkov.errors import (
     NotStrictError,
     RankDeficientError,
 )
+from qmarkov.functionals import (
+    channel_trace_value,
+    cmi_trace_value,
+    exp_trace_channel_value,
+    exp_trace_cmi_value,
+    lie_trotter_deviation,
+)
 from qmarkov.linalg import kron, kron_all
 from qmarkov.measures import (
     PETZ_ALPHA_GRID,
@@ -21,7 +29,6 @@ from qmarkov.measures import (
     TripartiteState,
     cmi_as_triple,
     minmax_cmi,
-    minmax_cmi_norm_form,
     minmax_rel_ent_diff,
     rel_ent_diff,
     renyi_cmi,
@@ -205,6 +212,37 @@ class TestReductionIdentity:
         assert von_neumann_cmi(state) == pytest.approx(rel_ent_diff(triple), abs=1e-10)
 
 
+class TestMarginalOracle:
+    """The CMI measures, evaluated as differences of the CMI triple, against
+    the explicit marginal-product formulas of marginal_oracles."""
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 4)])
+    def test_against_oracle(self, dims):
+        state = TripartiteState(random_density(dims, seed=sum(dims)))
+        for a in PETZ_ALPHA_GRID:
+            assert renyi_cmi(state, a) == pytest.approx(mo.renyi_cmi(state, a), abs=1e-9)
+            assert cmi_trace_value(state, a) == pytest.approx(
+                mo.cmi_trace_value(state, a), abs=1e-9
+            )
+            assert lie_trotter_deviation(state, a) == pytest.approx(
+                mo.lie_trotter_deviation(state, a), abs=1e-9
+            )
+        for a in SANDWICHED_ALPHA_GRID:
+            assert sandwiched_cmi(state, a) == pytest.approx(
+                mo.sandwiched_cmi(state, a), abs=1e-9
+            )
+            assert cmi_trace_value(state, a, sandwiched=True) == pytest.approx(
+                mo.cmi_trace_value(state, a, sandwiched=True), abs=1e-9
+            )
+        for kind in ("min", "max"):
+            assert minmax_cmi(state, kind) == pytest.approx(
+                mo.minmax_cmi(state, kind), abs=1e-9
+            )
+        assert exp_trace_cmi_value(state) == pytest.approx(
+            float(np.trace(mo.exp_log_marginals(state)).real), abs=1e-9
+        )
+
+
 class TestMinMaxCmi:
     def test_product_state(self):
         state = product_state()
@@ -216,7 +254,7 @@ class TestMinMaxCmi:
     def test_norm_form_agreement(self, kind, seed):
         state = TripartiteState(random_density((2, 2, 2), seed=seed))
         assert minmax_cmi(state, kind) == pytest.approx(
-            minmax_cmi_norm_form(state, kind), abs=1e-9
+            mo.minmax_cmi_norm_form(state, kind), abs=1e-9
         )
 
     @pytest.mark.parametrize("seed", range(4))
@@ -397,6 +435,24 @@ class TestAsymmetricDimensions:
                 sandwiched_rel_ent_diff(triple, a), abs=1e-9
             )
         assert von_neumann_cmi(state) == pytest.approx(rel_ent_diff(triple), abs=1e-10)
+        for kind in ("min", "max"):
+            assert minmax_cmi(state, kind) == pytest.approx(
+                minmax_rel_ent_diff(triple, kind), abs=1e-9
+            )
+        for a in (0.25, 1.75):
+            assert cmi_trace_value(state, a) == pytest.approx(
+                channel_trace_value(triple, a), abs=1e-9
+            )
+            assert lie_trotter_deviation(state, a) == pytest.approx(
+                lie_trotter_deviation(triple, a), abs=1e-9
+            )
+        for a in (0.6, 3.0):
+            assert cmi_trace_value(state, a, sandwiched=True) == pytest.approx(
+                channel_trace_value(triple, a, sandwiched=True), abs=1e-9
+            )
+        assert exp_trace_cmi_value(state) == pytest.approx(
+            exp_trace_channel_value(triple), abs=1e-9
+        )
 
     def test_markov_chain(self):
         from qmarkov.structured import build_markov_chain, is_markov_petz, random_markov_spec

@@ -47,6 +47,11 @@ class TestValidateDensity:
         with pytest.raises(DimensionMismatchError):
             DensityOperator(np.eye(4) / 4, (2, 3))
 
+    def test_not_finite(self):
+        with pytest.raises(ValidationError) as err:
+            PositiveOperator(np.full((2, 2), np.nan))
+        assert err.value.reason == "not-finite"
+
     def test_positive_operator_skips_trace(self):
         op = PositiveOperator(np.diag([0.6, 0.6]))
         assert op.dim == 2

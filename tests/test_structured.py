@@ -51,6 +51,12 @@ class TestMarkovSpec:
         with pytest.raises(ValidationError):
             MarkovBlockSpec(dim_a=2, dim_b=2, blocks=(block,))
 
+    def test_nan_weight_rejected(self):
+        rho = random_density((2,), seed=0).matrix
+        block = MarkovBlock(weight=np.nan, dim_cl=1, dim_cr=1, rho_left=rho, rho_right=rho)
+        with pytest.raises(ValidationError):
+            MarkovBlockSpec(dim_a=2, dim_b=2, blocks=(block,))
+
     def test_block_states_validated(self):
         bad = np.diag([0.6, 0.6])
         block = MarkovBlock(weight=1.0, dim_cl=1, dim_cr=1, rho_left=bad, rho_right=bad)
@@ -142,6 +148,16 @@ class TestSufficiencySpec:
         rho = random_density((2,), seed=0).matrix
         block = SufficiencyBlock(
             prob=0.5, weight=1.0, rho_left=rho, sigma_left=rho, tau_right=rho,
+            unitary=np.eye(2), channel_right=identity_channel(2),
+        )
+        with pytest.raises(ValidationError):
+            SufficiencyBlockSpec(blocks=(block,))
+
+    @pytest.mark.parametrize("prob,weight", [(np.nan, 1.0), (1.0, np.nan)])
+    def test_nan_prob_or_weight_rejected(self, prob, weight):
+        rho = random_density((2,), seed=0).matrix
+        block = SufficiencyBlock(
+            prob=prob, weight=weight, rho_left=rho, sigma_left=rho, tau_right=rho,
             unitary=np.eye(2), channel_right=identity_channel(2),
         )
         with pytest.raises(ValidationError):
