@@ -3,7 +3,9 @@
 Implements the quantum relative entropy, the alpha-Renyi and sandwiched
 alpha-Renyi relative entropies, the min/max relative entropies, and the
 operator f-divergence.  When a support condition fails the value is the
-explicit float +inf, never an error.
+explicit float +inf, never an error.  An operand handed in as a
+PositiveOperator is read through its cached decomposition, so evaluating
+many orders on the same operators decomposes each of them once.
 """
 
 from __future__ import annotations
@@ -15,8 +17,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .linalg import hermitian_eig, log2_power_sum, on_support, support_mask
-from .states import fidelity
+from .linalg import (
+    SpectralDecomposition,
+    hermitian_eig,
+    log2_power_sum,
+    on_support,
+    support_mask,
+)
+from .states import PositiveOperator, fidelity, spectrum_of
 
 ALPHA_ONE_GUARD = 1e-6
 
@@ -70,14 +78,21 @@ def _pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
 
 def support_contained(rho, sigma) -> bool:
     """Whether supp(rho) is contained in supp(sigma)."""
-    a, b = _pair(rho, sigma)
-    return hermitian_eig(b).supports(a)
+    a, _ = _pair(rho, sigma)
+    return spectrum_of(sigma).supports(a)
 
 
 def von_neumann_entropy(rho) -> float:
-    """Entropy -Tr{rho log2 rho} over the support."""
-    mat = rho.matrix if hasattr(rho, "matrix") else np.asarray(rho, dtype=complex)
-    eigs = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
+    """Entropy -Tr{rho log2 rho} over the support.
+
+    A PositiveOperator's entropy is read from the eigenvalues its validation
+    computed.
+    """
+    if isinstance(rho, PositiveOperator):
+        eigs = rho.eigenvalues
+    else:
+        mat = rho.matrix if hasattr(rho, "matrix") else np.asarray(rho, dtype=complex)
+        eigs = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
     keep, logs = on_support(eigs, np.log2)
     return float(-np.sum(eigs[keep] * logs))
 
@@ -87,11 +102,20 @@ def rel_entropy(rho, sigma) -> float:
 
     Returns +inf when supp(rho) is not contained in supp(sigma).
     """
-    a, b = _pair(rho, sigma)
-    dec_b = hermitian_eig(b)
+    a, _ = _pair(rho, sigma)
+    dec_b = spectrum_of(sigma)
     if not dec_b.supports(a):
         return math.inf
-    dec_a = hermitian_eig(a)
+    return _rel_entropy_on_support(spectrum_of(rho), dec_b)
+
+
+def _rel_entropy_on_support(
+    dec_a: SpectralDecomposition, dec_b: SpectralDecomposition
+) -> float:
+    """Tr{rho (log2 rho - log2 sigma)} from the two decompositions.
+
+    The caller has checked that supp(rho) lies in supp(sigma).
+    """
     keep_a, log_p = on_support(dec_a.eigenvalues, np.log2)
     keep_b, log_q = on_support(dec_b.eigenvalues, np.log2)
     p = dec_a.eigenvalues[keep_a]
@@ -108,12 +132,12 @@ def renyi_rel_entropy(rho, sigma, a) -> float:
     also when the trace functional vanishes (disjoint supports, alpha < 1).
     """
     a = as_alpha(a)
-    rho_m, sigma_m = _pair(rho, sigma)
-    dec_sigma = hermitian_eig(sigma_m)
+    rho_m, _ = _pair(rho, sigma)
+    dec_sigma = spectrum_of(sigma)
     if a.alpha > 1.0 and not dec_sigma.supports(rho_m):
         return math.inf
     value = np.trace(
-        hermitian_eig(rho_m).power(a.alpha) @ dec_sigma.power(1.0 - a.alpha)
+        spectrum_of(rho).power(a.alpha) @ dec_sigma.power(1.0 - a.alpha)
     ).real
     if value <= 0.0:
         return math.inf
@@ -126,8 +150,8 @@ def sandwiched_rel_entropy(rho, sigma, a) -> float:
     (1/(alpha-1)) log2 Tr{ (sigma^((1-alpha)/2alpha) rho sigma^((1-alpha)/2alpha))^alpha }.
     """
     a = as_alpha(a)
-    rho_m, sigma_m = _pair(rho, sigma)
-    dec_sigma = hermitian_eig(sigma_m)
+    rho_m, _ = _pair(rho, sigma)
+    dec_sigma = spectrum_of(sigma)
     if a.alpha > 1.0 and not dec_sigma.supports(rho_m):
         return math.inf
     wedge = dec_sigma.power((1.0 - a.alpha) / (2.0 * a.alpha))
@@ -153,8 +177,8 @@ def max_rel_entropy(rho, sigma) -> float:
     Equals log2 of the largest eigenvalue of sigma^(-1/2) rho sigma^(-1/2)
     when supp(rho) is contained in supp(sigma); +inf otherwise.
     """
-    rho_m, sigma_m = _pair(rho, sigma)
-    dec_sigma = hermitian_eig(sigma_m)
+    rho_m, _ = _pair(rho, sigma)
+    dec_sigma = spectrum_of(sigma)
     if not dec_sigma.supports(rho_m):
         return math.inf
     inv_sqrt = dec_sigma.power(-0.5)

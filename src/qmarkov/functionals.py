@@ -2,7 +2,9 @@
 
 These evaluate the bracketed recovery-type operators whose traces are bounded
 by one, the exponential-of-logarithms corollaries of those bounds, and the
-operator identities that characterize exact recoverability.
+operator identities that characterize exact recoverability.  Powers and
+logarithms of rho, N(rho) and N(sigma) are read from the decompositions the
+triple or state caches, so a sweep over orders decomposes each once.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import apply_channel
-from .linalg import herm_exp, herm_log, herm_pow, spectral_norm
+from .linalg import herm_exp, herm_pow, spectral_norm
 from .measures import ChannelTriple, TripartiteState, _bracket
 
 LN2 = float(np.log(2.0))
@@ -24,7 +26,7 @@ def _channel_bracket(x, alpha: float, sandwiched: bool) -> np.ndarray:
     h = (1.0 - alpha) / 2.0
     if sandwiched:
         h /= alpha
-    return _bracket(x, h, herm_pow(x.out_rho, 2.0 * h))
+    return _bracket(x, h, x.out_rho_spectrum.power(2.0 * h))
 
 
 def channel_trace_value(
@@ -58,7 +60,7 @@ def cmi_trace_value(state: TripartiteState, alpha: float, sandwiched: bool = Fal
 
 def _pulled_log_ratio(x) -> np.ndarray:
     """N†(log N(rho) - log N(sigma)), natural logarithms."""
-    return x.pull(herm_log(x.out_rho) - herm_log(x.out_sigma))
+    return x.pull(x.out_rho_spectrum.apply(np.log) - x.out_sigma_spectrum.apply(np.log))
 
 
 def _exp_log_sum(x) -> np.ndarray:
@@ -116,9 +118,9 @@ def output_fixed_point_residual(triple: ChannelTriple, alpha: float) -> float:
     h = (1.0 - alpha) / 2.0
     wedge = triple.sigma_fn(lambda v: v**h)
     pushed = apply_channel(
-        triple.channel, _symmetrize(wedge @ herm_pow(triple.rho.matrix, alpha) @ wedge)
+        triple.channel, _symmetrize(wedge @ triple.rho.spectrum.power(alpha) @ wedge)
     )
-    out_wedge = herm_pow(triple.out_sigma, -h)
+    out_wedge = triple.out_sigma_spectrum.power(-h)
     closed = herm_pow(_symmetrize(out_wedge @ pushed @ out_wedge), 1.0 / alpha)
     return spectral_norm(closed - triple.out_rho)
 
@@ -130,5 +132,5 @@ def log_identity_residual(triple: ChannelTriple) -> float:
     sigma; with the conditional-mutual-information substitution it becomes
     log rho_ABC = log rho_AC + log rho_BC - log rho_C.
     """
-    direct = herm_log(triple.rho.matrix) - triple.sigma_fn(np.log)
+    direct = triple.rho.spectrum.apply(np.log) - triple.sigma_fn(np.log)
     return spectral_norm(_pulled_log_ratio(triple) - direct) / LN2

@@ -63,7 +63,11 @@ def on_support(values, f: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarra
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigensystem of a Hermitian matrix, eigenvalues sorted descending."""
+    """Eigensystem of a Hermitian matrix, eigenvalues sorted descending.
+
+    Both arrays are read-only: operators cache their decomposition and read
+    every power and logarithm from it.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns, aligned with eigenvalues
@@ -97,6 +101,12 @@ class SpectralDecomposition:
         return weight <= POSITIVITY_TOL * max(1.0, float(np.trace(a).real))
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """Mark ``a`` read-only and return it, so a cached array cannot go stale."""
+    a.flags.writeable = False
+    return a
+
+
 def _as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
@@ -125,7 +135,9 @@ def hermitian_eig(m) -> SpectralDecomposition:
     vals, vecs = np.linalg.eigh(sym)
     order = np.argsort(-vals, kind="stable")
     rel = residual / scale if scale > 0 else 0.0
-    return SpectralDecomposition(vals[order], vecs[:, order], float(rel))
+    return SpectralDecomposition(
+        read_only(vals[order]), read_only(vecs[:, order]), float(rel)
+    )
 
 
 def matrix_function(m, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

@@ -16,6 +16,14 @@ triple is never built.  ``cmi_as_triple`` builds it densely, so the
 reduction can be tested against an independent evaluation.  Sandwiched
 values are summed in log space, so alpha may be arbitrarily large.  All
 outputs are in bits.
+
+Each operator a formula reads is decomposed at most once per object: rho
+and sigma cache ``spectrum``, and a triple or state caches ``out_rho``,
+``out_sigma``, ``out_rho_spectrum`` and ``out_sigma_spectrum`` (a state
+also its marginals and the decomposition of rho_AC behind ``sigma_fn``).
+Every power and logarithm is read from these, so evaluating many orders on
+one object decomposes each operator once.  A cache lives as long as its
+object, and the cached arrays are read-only.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ import numpy as np
 from .channels import Channel, adjoint_apply, apply_channel, is_strict_cptp, partial_trace_channel
 from .divergences import (
     AlphaParameter,
+    _rel_entropy_on_support,
     as_alpha,
     max_rel_entropy,
     min_rel_entropy,
@@ -43,12 +52,14 @@ from .errors import (
 )
 from .linalg import (
     POSITIVITY_TOL,
+    SpectralDecomposition,
     embed_operator,
     herm_pow,
     hermitian_eig,
     kron,
     log2_power_sum,
     partial_trace,
+    read_only,
     singular_values,
 )
 from .states import DensityOperator, PositiveOperator
@@ -58,13 +69,32 @@ PETZ_ALPHA_GRID = (0.25, 0.5, 0.75, 1.25, 1.5, 1.75)
 SANDWICHED_ALPHA_GRID = (0.6, 0.75, 0.9, 1.5, 2.0, 3.0, 5.0)
 
 
-class TripartiteState:
+class _CachedSpectra:
+    """Decompositions of the channel outputs, each computed once.
+
+    Shared by both readings of a triple.  ``out_rho`` and ``out_sigma`` are
+    cached, read-only operators; their decompositions are computed on first
+    use and live as long as the object, like ``rho.spectrum``.
+    """
+
+    @cached_property
+    def out_rho_spectrum(self) -> SpectralDecomposition:
+        return hermitian_eig(self.out_rho)
+
+    @cached_property
+    def out_sigma_spectrum(self) -> SpectralDecomposition:
+        return hermitian_eig(self.out_sigma)
+
+
+class TripartiteState(_CachedSpectra):
     """State on A x B x C with its marginals computed once and cached.
 
     It is also read as its CMI triple (rho_ABC, rho_AC x I_B, Tr_A): it has
     the members ``ChannelTriple`` offers to the difference formulas, each
     answered from the marginals, so neither rho_AC x I_B nor the Kraus
-    operators of Tr_A are ever built.
+    operators of Tr_A are ever built.  The marginals and I_B x rho_C are
+    read-only, and rho_ABC, rho_BC, I_B x rho_C and rho_AC are each
+    decomposed at most once, on first use, for the lifetime of the object.
     """
 
     def __init__(self, rho: DensityOperator):
@@ -75,9 +105,9 @@ class TripartiteState:
         self.rho = rho
         self.dims = rho.dims
         m = rho.matrix
-        self.rho_ac = partial_trace(m, self.dims, {1})
-        self.rho_bc = partial_trace(m, self.dims, {0})
-        self.rho_c = partial_trace(m, self.dims, {0, 1})
+        self.rho_ac = read_only(partial_trace(m, self.dims, {1}))
+        self.rho_bc = read_only(partial_trace(m, self.dims, {0}))
+        self.rho_c = read_only(partial_trace(m, self.dims, {0, 1}))
 
     @classmethod
     def from_matrix(cls, matrix, dims) -> "TripartiteState":
@@ -95,14 +125,18 @@ class TripartiteState:
         """Tr_A rho_ABC = rho_BC."""
         return self.rho_bc
 
-    @property
+    @cached_property
     def out_sigma(self) -> np.ndarray:
         """Tr_A (rho_AC x I_B) = I_B x rho_C, on B x C."""
-        return kron(np.eye(self.dims[1]), self.rho_c)
+        return read_only(kron(np.eye(self.dims[1]), self.rho_c))
+
+    @cached_property
+    def _rho_ac_spectrum(self) -> SpectralDecomposition:
+        return hermitian_eig(self.rho_ac)
 
     def sigma_fn(self, f) -> np.ndarray:
         """f(rho_AC x I_B) = f(rho_AC) x I_B on the support."""
-        return embed_operator(hermitian_eig(self.rho_ac).apply(f), self.dims, (0, 2))
+        return embed_operator(self._rho_ac_spectrum.apply(f), self.dims, (0, 2))
 
     def sigma_supports_rho(self) -> bool:
         """Always true: supp(rho_ABC) lies in supp(rho_AC x I_B)."""
@@ -118,11 +152,13 @@ class TripartiteState:
 
 
 @dataclass(frozen=True, eq=False)
-class ChannelTriple:
+class ChannelTriple(_CachedSpectra):
     """A state, a reference positive operator, and a channel acting on both.
 
-    The members below are everything the difference formulas read; the
-    channel outputs and the decomposition of sigma are computed once.
+    The members below are everything the difference formulas read.  The
+    channel outputs are computed once and read-only; rho and sigma cache
+    their own decompositions (``rho.spectrum``, ``sigma.spectrum``), and
+    the outputs' decompositions are cached here, each on first use.
     """
 
     rho: DensityOperator
@@ -138,32 +174,27 @@ class ChannelTriple:
 
     @cached_property
     def out_rho(self) -> np.ndarray:
-        return apply_channel(self.channel, self.rho.matrix)
+        return read_only(apply_channel(self.channel, self.rho.matrix))
 
     @cached_property
     def out_sigma(self) -> np.ndarray:
-        return apply_channel(self.channel, self.sigma.matrix)
-
-    @cached_property
-    def _sigma_eig(self):
-        return hermitian_eig(self.sigma.matrix)
+        return read_only(apply_channel(self.channel, self.sigma.matrix))
 
     def is_positive_definite(self) -> bool:
-        if not (self.rho.is_positive_definite() and self.sigma.is_positive_definite()):
-            return False
-        for out in (self.out_rho, self.out_sigma):
-            eigs = np.linalg.eigvalsh((out + out.conj().T) / 2)
-            if eigs[0] <= POSITIVITY_TOL:
-                return False
-        return True
+        return (
+            self.rho.is_positive_definite()
+            and self.sigma.is_positive_definite()
+            and self.out_rho_spectrum.eigenvalues[-1] > POSITIVITY_TOL
+            and self.out_sigma_spectrum.eigenvalues[-1] > POSITIVITY_TOL
+        )
 
     def sigma_fn(self, f) -> np.ndarray:
         """f(sigma) on the support of sigma."""
-        return self._sigma_eig.apply(f)
+        return self.sigma.spectrum.apply(f)
 
     def sigma_supports_rho(self) -> bool:
         """Whether supp(rho) lies in supp(sigma)."""
-        return self._sigma_eig.supports(self.rho.matrix)
+        return self.sigma.spectrum.supports(self.rho.matrix)
 
     def pull(self, x) -> np.ndarray:
         """N†(x)."""
@@ -217,7 +248,7 @@ def von_neumann_cmi(state: TripartiteState) -> float:
         von_neumann_entropy(state.rho_ac)
         + von_neumann_entropy(state.rho_bc)
         - von_neumann_entropy(state.rho_c)
-        - von_neumann_entropy(state.matrix)
+        - von_neumann_entropy(state.rho)
     )
 
 
@@ -267,11 +298,13 @@ def rel_ent_diff(triple: ChannelTriple) -> float:
     Non-negative by the data-processing inequality; raises InfiniteTermError
     when the first term is infinite and the difference is undefined.
     """
-    first = rel_entropy(triple.rho.matrix, triple.sigma.matrix)
+    first = rel_entropy(triple.rho, triple.sigma)
     if math.isinf(first):
         raise InfiniteTermError("D(rho||sigma) is infinite; difference undefined")
-    second = rel_entropy(triple.out_rho, triple.out_sigma)
-    return first - second
+    out_sigma = triple.out_sigma_spectrum
+    if not out_sigma.supports(triple.out_rho):
+        return -math.inf
+    return first - _rel_entropy_on_support(triple.out_rho_spectrum, out_sigma)
 
 
 def _bracket(x, h: float, middle: np.ndarray) -> np.ndarray:
@@ -281,7 +314,7 @@ def _bracket(x, h: float, middle: np.ndarray) -> np.ndarray:
     is the bracket of every Renyi formula; at h = 1/2 with M = N(rho) it is
     the Petz-recovered N(rho).
     """
-    out_wedge = herm_pow(x.out_sigma, -h)
+    out_wedge = x.out_sigma_spectrum.power(-h)
     inner = out_wedge @ middle @ out_wedge
     wedge = x.sigma_fn(lambda v: v**h)
     out = wedge @ x.pull((inner + inner.conj().T) / 2) @ wedge
@@ -303,9 +336,9 @@ def renyi_rel_ent_diff(
     """
     a = _checked_alpha(triple, a, strict)
     half = (1.0 - a.alpha) / 2.0
-    middle = herm_pow(triple.out_rho, 2.0 * half)
+    middle = triple.out_rho_spectrum.power(2.0 * half)
     value = float(
-        np.trace(herm_pow(triple.rho.matrix, a.alpha) @ _bracket(triple, half, middle)).real
+        np.trace(triple.rho.spectrum.power(a.alpha) @ _bracket(triple, half, middle)).real
     )
     if value <= 0.0:
         return math.inf
@@ -330,9 +363,9 @@ def sandwiched_rel_ent_diff(
     """
     a = _checked_alpha(triple, a, strict)
     h = (1.0 - a.alpha) / (2.0 * a.alpha)
-    y = herm_pow(triple.out_sigma, -h) @ herm_pow(triple.out_rho, h)
+    y = triple.out_sigma_spectrum.power(-h) @ triple.out_rho_spectrum.power(h)
     wedge = triple.sigma_fn(lambda v: v**h)
-    product = triple.pull_root(y).conj().T @ wedge @ herm_pow(triple.rho.matrix, 0.5)
+    product = triple.pull_root(y).conj().T @ wedge @ triple.rho.spectrum.power(0.5)
     log_value = log2_power_sum(singular_values(product), 2.0 * a.alpha)
     if log_value == -math.inf:
         return math.inf
@@ -343,8 +376,8 @@ def _recovery_divergence(x, kind: str) -> float:
     """D_max or D_min between rho and the Petz-recovered N(rho)."""
     recovered = _bracket(x, 0.5, x.out_rho)
     if kind == "max":
-        return max_rel_entropy(x.rho.matrix, recovered)
-    return min_rel_entropy(x.rho.matrix, recovered)
+        return max_rel_entropy(x.rho, recovered)
+    return min_rel_entropy(x.rho, recovered)
 
 
 def minmax_rel_ent_diff(triple: ChannelTriple, kind: str, strict: bool = True) -> float:

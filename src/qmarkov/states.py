@@ -1,14 +1,27 @@
-"""Density operators and positive operators with subsystem structure."""
+"""Density operators and positive operators with subsystem structure.
+
+An operator is validated once, on construction, and caches its full
+eigendecomposition on first use, so every power and logarithm of it is read
+from one ``hermitian_eig``.  The cache lives as long as the object; the
+matrix, the eigenvalues and the decomposition are read-only.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .linalg import POSITIVITY_TOL, alpha_norm, herm_pow
+from .linalg import (
+    POSITIVITY_TOL,
+    SpectralDecomposition,
+    alpha_norm,
+    hermitian_eig,
+    read_only,
+)
 
 TRACE_TOL = 1e-10
 
@@ -44,7 +57,11 @@ def _validated_eigs(matrix: np.ndarray, tol: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PositiveOperator:
-    """Hermitian positive semidefinite operator; trace is unconstrained."""
+    """Hermitian positive semidefinite operator; trace is unconstrained.
+
+    Validation computes the eigenvalues only (``eigenvalues``); the full
+    decomposition (``spectrum``) is computed on first use and cached.
+    """
 
     matrix: np.ndarray
     dims: tuple[int, ...] = field(default=())
@@ -55,9 +72,9 @@ class PositiveOperator:
         dims = self.dims if self.dims else (m.shape[0],)
         dims = _check_dims(m, dims)
         eigs = _validated_eigs(m, self.atol)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", read_only(m.view()))
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "_eigs", eigs)
+        object.__setattr__(self, "_eigs", read_only(eigs))
 
     @property
     def dim(self) -> int:
@@ -65,8 +82,13 @@ class PositiveOperator:
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues, ascending."""
+        """Eigenvalues, ascending, as validation computed them."""
         return self._eigs
+
+    @cached_property
+    def spectrum(self) -> SpectralDecomposition:
+        """The eigendecomposition of ``matrix``, computed once."""
+        return hermitian_eig(self.matrix)
 
     def is_positive_definite(self, tol: float = POSITIVITY_TOL) -> bool:
         return bool(self._eigs[0] > tol)
@@ -133,13 +155,20 @@ def perturb_positive(rho: DensityOperator, eps: float) -> DensityOperator:
     return DensityOperator(mixed, rho.dims)
 
 
+def spectrum_of(x) -> SpectralDecomposition:
+    """The cached decomposition of a PositiveOperator, else a fresh one."""
+    if isinstance(x, PositiveOperator):
+        return x.spectrum
+    return hermitian_eig(x.matrix if hasattr(x, "matrix") else x)
+
+
 def fidelity(rho, sigma) -> float:
     """Fidelity ||sqrt(rho) sqrt(sigma)||_1^2, in [0, 1] for states."""
     a = rho.matrix if hasattr(rho, "matrix") else np.asarray(rho, dtype=complex)
     b = sigma.matrix if hasattr(sigma, "matrix") else np.asarray(sigma, dtype=complex)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    product = herm_pow(a, 0.5) @ herm_pow(b, 0.5)
+    product = spectrum_of(rho).power(0.5) @ spectrum_of(sigma).power(0.5)
     return float(alpha_norm(product, 1.0) ** 2)
 
 

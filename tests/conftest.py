@@ -6,6 +6,8 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 def random_hermitian(dim, seed):
     rng = np.random.default_rng(seed)
@@ -16,3 +18,10 @@ def random_hermitian(dim, seed):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def src_env():
+    """Environment for a subprocess that imports qmarkov from this checkout."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=SRC + os.pathsep + path if path else SRC)

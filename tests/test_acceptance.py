@@ -341,16 +341,16 @@ def test_criterion_10_classical_equivalence():
     )
 
 
-def test_criterion_11_cli_contract(tmp_path):
+def test_criterion_11_cli_contract(tmp_path, src_env):
     args = [
         sys.executable, "-m", "qmarkov.cli",
         "verify", "--suite", "all", "--dims", "2,2,2",
         "--trials", "50", "--seed", "42",
     ]
     start = time.time()
-    first = subprocess.run(args, capture_output=True, text=True)
+    first = subprocess.run(args, capture_output=True, text=True, env=src_env)
     elapsed = time.time() - start
-    second = subprocess.run(args, capture_output=True, text=True)
+    second = subprocess.run(args, capture_output=True, text=True, env=src_env)
     ok = (
         first.returncode == 0
         and elapsed <= 60.0
