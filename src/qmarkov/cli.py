@@ -63,10 +63,10 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _certified(measure: str, alpha: float) -> bool:
+def _certified(measure: str, alpha: AlphaParameter) -> bool:
     if measure in ("renyi-cmi", "delta"):
-        return 0.0 < alpha < 2.0
-    return alpha > 0.5
+        return alpha.petz_ok
+    return alpha.sandwiched_ok
 
 
 def _load_inputs(args):
@@ -95,7 +95,7 @@ def _alpha_for(args) -> AlphaParameter | None:
     if args.alpha is None:
         raise UsageError(f"--measure {args.measure} needs --alpha")
     alpha = AlphaParameter(args.alpha)
-    if not args.allow_uncertified and not _certified(args.measure, alpha.alpha):
+    if not args.allow_uncertified and not _certified(args.measure, alpha):
         raise UsageError(
             f"alpha {alpha.alpha} is outside the certified range of "
             f"{args.measure}; pass --allow-uncertified to evaluate anyway"

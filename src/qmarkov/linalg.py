@@ -47,16 +47,21 @@ def support_mask(values) -> np.ndarray:
 def on_support(values, f: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """The support mask of ``values`` and ``f`` evaluated on the kept values.
 
-    Raises MatrixFunctionDomainError if ``f`` is undefined (nan/inf) on a
-    kept value.
+    Raises MatrixFunctionDomainError if ``f`` is undefined (nan) or
+    overflows float64 (+-inf) on a kept value.
     """
     keep = support_mask(values)
     kept = values[keep]
     with np.errstate(all="ignore"):
         fvals = np.asarray(f(kept), dtype=float)
     if not np.all(np.isfinite(fvals)):
+        nan = np.isnan(fvals)
+        if nan.any():
+            raise MatrixFunctionDomainError(
+                f"function undefined on retained eigenvalue(s) {kept[nan]}"
+            )
         raise MatrixFunctionDomainError(
-            f"function undefined on retained eigenvalue(s) {kept[~np.isfinite(fvals)]}"
+            f"function overflows float64 on retained eigenvalue(s) {kept[np.isinf(fvals)]}"
         )
     return keep, fvals
 

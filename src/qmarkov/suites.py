@@ -6,15 +6,22 @@ deterministic functions of (config, suite name): per-trial randomness is
 derived from ``seed + trial`` so trial order and parallelism cannot change
 the outcome.
 
+The protocol is fixed apart from the four ``SuiteConfig`` values: the plain
+Renyi families are checked at PETZ_ALPHA_GRID, the sandwiched ones at
+SANDWICHED_ALPHA_GRID, random triples map C^4 to C^3 (CHANNEL_DIMS), exact
+inequalities may fail by at most SLACK_FLOOR, and the order-1 limits at
+alpha = 1 +- 1e-4 must hold within LIMIT_TOL.
+
 Slack semantics: every record stores the signed margin by which its check is
 satisfied (bound minus value for upper bounds, value minus bound for lower
-bounds), so a negative slack beyond the configured floor is a failure.
+bounds), so a negative slack beyond the check's floor is a failure.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
@@ -28,15 +35,13 @@ from .divergences import (
 from .errors import ValidationError
 from .functionals import (
     channel_trace_value,
-    cmi_trace_value,
     exp_trace_channel_value,
-    exp_trace_cmi_value,
     lie_trotter_deviation,
     output_fixed_point_residual,
     recovery_fixed_point_residual,
     sandwiched_fixed_point_residual,
 )
-from .linalg import herm_pow
+from .linalg import hermitian_eig, herm_pow
 from .measures import (
     PETZ_ALPHA_GRID,
     SANDWICHED_ALPHA_GRID,
@@ -51,7 +56,7 @@ from .measures import (
     sandwiched_rel_ent_diff,
     von_neumann_cmi,
 )
-from .states import DensityOperator, PositiveOperator, perturb_positive, random_density
+from .states import DensityOperator, PositiveOperator, random_density
 from .structured import (
     build_markov_chain,
     build_sufficiency_triple,
@@ -62,49 +67,31 @@ from .structured import (
 
 CONVERSE_FLOOR = 1e-6  # empirical positivity threshold for non-sufficient instances
 SCREEN_DISTANCE = 1e-3  # random triples closer than this to recoverable are redrawn
+CHANNEL_DIMS = (4, 3)  # input and output dimension of the random triples
+SLACK_FLOOR = 1e-9  # allowed negative margin on exact inequalities
+LIMIT_TOL = 1e-3  # distance to the von Neumann quantities at alpha = 1 +- 1e-4
+EXACT_TROTTER_BOUND = 1e-10  # product-formula deviation counted as exact
+MONOTONE_FLOOR = 1e-12  # allowed growth of a shrinking product-formula deviation
 
 SUITE_NAMES = ("trace", "characterization", "limits", "inequalities")
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Shared knobs for all suites.
-
-    ``tol`` bounds structural-identity residuals, ``slack_floor`` is the
-    allowed negative margin on exact inequalities, and ``limit_tol`` bounds
-    the distance to the von Neumann quantities at alpha = 1 +- 1e-4.
-    """
+    """The four settable values of a run; ``tol`` bounds structural-identity
+    residuals."""
 
     trials: int = 25
     dims: tuple[int, ...] = (2, 2, 2)
     seed: int = 0
     tol: float = 1e-8
-    alpha_grid: tuple[float, ...] | None = None
-    eps_regularize: float = 0.0
-    channel_dims: tuple[int, int] = (4, 3)
-    slack_floor: float = 1e-9
-    limit_tol: float = 1e-3
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValidationError("bad-spec", "trials must be at least 1")
-        if self.tol <= 0:
-            raise ValidationError("bad-spec", "tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValidationError("bad-spec", f"tol must be positive and finite, got {self.tol}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if self.alpha_grid is not None:
-            object.__setattr__(
-                self, "alpha_grid", tuple(float(a) for a in self.alpha_grid)
-            )
-
-    @property
-    def petz_grid(self) -> tuple[float, ...]:
-        grid = self.alpha_grid if self.alpha_grid is not None else PETZ_ALPHA_GRID
-        return tuple(a for a in grid if 0.0 < a < 2.0 and abs(a - 1.0) >= 1e-6)
-
-    @property
-    def sandwiched_grid(self) -> tuple[float, ...]:
-        grid = self.alpha_grid if self.alpha_grid is not None else SANDWICHED_ALPHA_GRID
-        return tuple(a for a in grid if a > 0.5 and abs(a - 1.0) >= 1e-6)
 
 
 @dataclass(frozen=True)
@@ -138,34 +125,21 @@ class VerificationReport:
         return [r for r in self.records if not r.passed]
 
     def to_dict(self) -> dict:
+        # the report also states the fixed protocol: a null alpha_grid means
+        # the two default grids, eps_regularize 0 that states are unmixed
+        config = {
+            **asdict(self.config),
+            "dims": list(self.config.dims),
+            "alpha_grid": None,
+            "eps_regularize": 0.0,
+            "channel_dims": list(CHANNEL_DIMS),
+            "slack_floor": SLACK_FLOOR,
+            "limit_tol": LIMIT_TOL,
+        }
         return {
             "suite": self.suite,
-            "config": {
-                "trials": self.config.trials,
-                "dims": list(self.config.dims),
-                "seed": self.config.seed,
-                "tol": self.config.tol,
-                "alpha_grid": list(self.config.alpha_grid)
-                if self.config.alpha_grid is not None
-                else None,
-                "eps_regularize": self.config.eps_regularize,
-                "channel_dims": list(self.config.channel_dims),
-                "slack_floor": self.config.slack_floor,
-                "limit_tol": self.config.limit_tol,
-            },
-            "records": [
-                {
-                    "check": r.check,
-                    "trial": r.trial,
-                    "seed": r.seed,
-                    "alpha": r.alpha,
-                    "value": r.value,
-                    "bound": r.bound,
-                    "slack": r.slack,
-                    "passed": r.passed,
-                }
-                for r in self.records
-            ],
+            "config": config,
+            "records": [asdict(r) for r in self.records],
             "worst_slack": self.worst_slack,
             "all_pass": self.all_pass,
         }
@@ -215,19 +189,18 @@ class _Recorder:
         )
 
 
-def _trial_rng(cfg: SuiteConfig, trial: int) -> np.random.Generator:
-    return np.random.default_rng(cfg.seed + trial)
+def _trials(cfg: SuiteConfig):
+    """(trial, seed, rng) for each trial; the stream depends on seed + trial only."""
+    for trial in range(cfg.trials):
+        yield trial, cfg.seed + trial, np.random.default_rng(cfg.seed + trial)
 
 
 def _random_state(cfg: SuiteConfig, rng) -> TripartiteState:
-    rho = random_density(cfg.dims, seed=rng)
-    if cfg.eps_regularize > 0.0:
-        rho = perturb_positive(rho, cfg.eps_regularize)
-    return TripartiteState(rho)
+    return TripartiteState(random_density(cfg.dims, seed=rng))
 
 
-def _random_triple(cfg: SuiteConfig, rng) -> ChannelTriple:
-    d_in, d_out = cfg.channel_dims
+def _random_triple(rng) -> ChannelTriple:
+    d_in, d_out = CHANNEL_DIMS
     rho = random_density((d_in,), seed=rng)
     sigma = PositiveOperator(random_density((d_in,), seed=rng).matrix)
     channel = random_strict_channel(d_in, d_out, seed=int(rng.integers(2**63)))
@@ -261,7 +234,7 @@ def _screened_nonsufficient_triple(
         rng = np.random.default_rng(
             np.random.SeedSequence((cfg.seed, trial, attempt))
         )
-        triple = _random_triple(cfg, rng)
+        triple = _random_triple(rng)
         _, d_rho, _ = is_sufficient_petz(triple)
         if d_rho >= min_distance:
             return triple
@@ -276,58 +249,42 @@ def trace_inequality_suite(cfg: SuiteConfig, extra_state: TripartiteState | None
     """
     rec = _Recorder("trace", cfg)
     if extra_state is not None:
-        _trace_checks_for_state(rec, cfg, extra_state, -1, cfg.seed)
-    for trial in range(cfg.trials):
-        seed_t = cfg.seed + trial
-        rng = _trial_rng(cfg, trial)
-        state = _random_state(cfg, rng)
-        _trace_checks_for_state(rec, cfg, state, trial, seed_t)
-
-        triple = _random_triple(cfg, rng)
-        for a in cfg.petz_grid:
-            rec.upper("channel-trace-plain", trial, seed_t, a,
-                      channel_trace_value(triple, a, sandwiched=False), 1.0, cfg.slack_floor)
-        for a in cfg.sandwiched_grid:
-            rec.upper("channel-trace-sandwiched", trial, seed_t, a,
-                      channel_trace_value(triple, a, sandwiched=True), 1.0, cfg.slack_floor)
-        rec.upper("exp-trace-channel", trial, seed_t, None,
-                  exp_trace_channel_value(triple), 1.0, cfg.slack_floor)
-
+        _trace_bounds(rec, extra_state, "cmi", -1, cfg.seed)
+    for trial, seed_t, rng in _trials(cfg):
+        _trace_bounds(rec, _random_state(cfg, rng), "cmi", trial, seed_t)
+        _trace_bounds(rec, _random_triple(rng), "channel", trial, seed_t)
         # equality cases: constructed recoverable instances sit exactly at 1
         markov = build_markov_chain(
             random_markov_spec(2, 2, _markov_block_menu(rng), seed=rng)
         )
-        for a in cfg.petz_grid:
-            rec.upper("markov-trace-equality", trial, seed_t, a,
-                      abs(cmi_trace_value(markov, a, sandwiched=False) - 1.0),
-                      cfg.tol, 0.0)
-        for a in cfg.sandwiched_grid:
-            rec.upper("markov-trace-equality-sandwiched", trial, seed_t, a,
-                      abs(cmi_trace_value(markov, a, sandwiched=True) - 1.0),
-                      cfg.tol, 0.0)
+        _trace_equalities(rec, cfg, markov, "markov", trial, seed_t)
         suff = build_sufficiency_triple(
             random_sufficiency_spec(_sufficiency_block_menu(rng), seed=rng)
         )
-        for a in cfg.petz_grid:
-            rec.upper("sufficiency-trace-equality", trial, seed_t, a,
-                      abs(channel_trace_value(suff, a, sandwiched=False) - 1.0),
-                      cfg.tol, 0.0)
-        for a in cfg.sandwiched_grid:
-            rec.upper("sufficiency-trace-equality-sandwiched", trial, seed_t, a,
-                      abs(channel_trace_value(suff, a, sandwiched=True) - 1.0),
-                      cfg.tol, 0.0)
+        _trace_equalities(rec, cfg, suff, "sufficiency", trial, seed_t)
     return rec.report
 
 
-def _trace_checks_for_state(rec, cfg, state, trial, seed_t):
-    for a in cfg.petz_grid:
-        rec.upper("cmi-trace-plain", trial, seed_t, a,
-                  cmi_trace_value(state, a, sandwiched=False), 1.0, cfg.slack_floor)
-    for a in cfg.sandwiched_grid:
-        rec.upper("cmi-trace-sandwiched", trial, seed_t, a,
-                  cmi_trace_value(state, a, sandwiched=True), 1.0, cfg.slack_floor)
-    rec.upper("exp-trace-cmi", trial, seed_t, None,
-              exp_trace_cmi_value(state), 1.0, cfg.slack_floor)
+def _trace_bounds(rec, x, kind, trial, seed_t):
+    """Trace bounds of a triple, or of a state read as its CMI triple."""
+    for a in PETZ_ALPHA_GRID:
+        rec.upper(f"{kind}-trace-plain", trial, seed_t, a,
+                  channel_trace_value(x, a, sandwiched=False), 1.0, SLACK_FLOOR)
+    for a in SANDWICHED_ALPHA_GRID:
+        rec.upper(f"{kind}-trace-sandwiched", trial, seed_t, a,
+                  channel_trace_value(x, a, sandwiched=True), 1.0, SLACK_FLOOR)
+    rec.upper(f"exp-trace-{kind}", trial, seed_t, None,
+              exp_trace_channel_value(x), 1.0, SLACK_FLOOR)
+
+
+def _trace_equalities(rec, cfg, x, kind, trial, seed_t):
+    """The traces of a recoverable triple or Markov chain equal one."""
+    for a in PETZ_ALPHA_GRID:
+        rec.upper(f"{kind}-trace-equality", trial, seed_t, a,
+                  abs(channel_trace_value(x, a, sandwiched=False) - 1.0), cfg.tol, 0.0)
+    for a in SANDWICHED_ALPHA_GRID:
+        rec.upper(f"{kind}-trace-equality-sandwiched", trial, seed_t, a,
+                  abs(channel_trace_value(x, a, sandwiched=True) - 1.0), cfg.tol, 0.0)
 
 
 def characterization_suite(cfg: SuiteConfig) -> VerificationReport:
@@ -338,25 +295,23 @@ def characterization_suite(cfg: SuiteConfig) -> VerificationReport:
     of them strictly positive.
     """
     rec = _Recorder("characterization", cfg)
-    for trial in range(cfg.trials):
-        seed_t = cfg.seed + trial
-        rng = _trial_rng(cfg, trial)
+    for trial, seed_t, rng in _trials(cfg):
         suff = build_sufficiency_triple(
             random_sufficiency_spec(_sufficiency_block_menu(rng), seed=rng)
         )
         # the plain difference is checked on its certified grid only: beyond
         # alpha = 2 its exponents amplify round-off past any useful tolerance
-        for a in cfg.petz_grid:
+        for a in PETZ_ALPHA_GRID:
             rec.upper("sufficiency-renyi-diff-zero", trial, seed_t, a,
                       abs(renyi_rel_ent_diff(suff, a)), cfg.tol, 0.0)
             rec.upper("sufficiency-output-fixed-point", trial, seed_t, a,
                       output_fixed_point_residual(suff, a), cfg.tol, 0.0)
-        for a in cfg.sandwiched_grid:
+        for a in SANDWICHED_ALPHA_GRID:
             rec.upper("sufficiency-sandwiched-diff-zero", trial, seed_t, a,
                       abs(sandwiched_rel_ent_diff(suff, a)), cfg.tol, 0.0)
             rec.upper("sufficiency-sandwiched-fixed-point", trial, seed_t, a,
                       sandwiched_fixed_point_residual(suff, a), cfg.tol, 0.0)
-        for a in cfg.petz_grid:
+        for a in PETZ_ALPHA_GRID:
             rec.upper("sufficiency-recovery-fixed-point", trial, seed_t, a,
                       recovery_fixed_point_residual(suff, a), cfg.tol, 0.0)
         for kind in ("min", "max"):
@@ -365,13 +320,13 @@ def characterization_suite(cfg: SuiteConfig) -> VerificationReport:
 
         hard = _screened_nonsufficient_triple(cfg, trial)
         rec.lower("nonsufficient-renyi-diff-positive", trial, seed_t, None,
-                  max(renyi_rel_ent_diff(hard, a) for a in cfg.petz_grid),
+                  max(renyi_rel_ent_diff(hard, a) for a in PETZ_ALPHA_GRID),
                   CONVERSE_FLOOR, 0.0)
         rec.lower("nonsufficient-sandwiched-diff-positive", trial, seed_t, None,
-                  max(sandwiched_rel_ent_diff(hard, a) for a in cfg.sandwiched_grid),
+                  max(sandwiched_rel_ent_diff(hard, a) for a in SANDWICHED_ALPHA_GRID),
                   CONVERSE_FLOOR, 0.0)
         rec.lower("nonsufficient-fixed-point-positive", trial, seed_t, None,
-                  max(recovery_fixed_point_residual(hard, a) for a in cfg.petz_grid),
+                  max(recovery_fixed_point_residual(hard, a) for a in PETZ_ALPHA_GRID),
                   CONVERSE_FLOOR, 0.0)
     return rec.report
 
@@ -379,33 +334,37 @@ def characterization_suite(cfg: SuiteConfig) -> VerificationReport:
 def limit_suite(cfg: SuiteConfig) -> VerificationReport:
     """Certify alpha -> 1 limits and the product-formula convergence."""
     rec = _Recorder("limits", cfg)
-    for trial in range(cfg.trials):
-        seed_t = cfg.seed + trial
-        rng = _trial_rng(cfg, trial)
+    for trial, seed_t, rng in _trials(cfg):
         state = _random_state(cfg, rng)
         vn = von_neumann_cmi(state)
         for a in (1.0 - 1e-4, 1.0 + 1e-4):
             rec.upper("renyi-cmi-limit", trial, seed_t, a,
-                      abs(renyi_cmi(state, a) - vn), cfg.limit_tol, 0.0)
+                      abs(renyi_cmi(state, a) - vn), LIMIT_TOL, 0.0)
             rec.upper("sandwiched-cmi-limit", trial, seed_t, a,
-                      abs(sandwiched_cmi(state, a) - vn), cfg.limit_tol, 0.0)
+                      abs(sandwiched_cmi(state, a) - vn), LIMIT_TOL, 0.0)
 
-        triple = _random_triple(cfg, rng)
+        triple = _random_triple(rng)
         diff = rel_ent_diff(triple)
         for a in (1.0 - 1e-4, 1.0 + 1e-4):
             rec.upper("renyi-diff-limit", trial, seed_t, a,
-                      abs(renyi_rel_ent_diff(triple, a) - diff), cfg.limit_tol, 0.0)
+                      abs(renyi_rel_ent_diff(triple, a) - diff), LIMIT_TOL, 0.0)
 
         for sign in (-1.0, 1.0):
             deviations = [
                 lie_trotter_deviation(state, 1.0 + sign * 10.0**-k)
                 for k in range(1, 5)
             ]
+            if deviations[0] <= EXACT_TROTTER_BOUND:
+                # sigma and N†(...) commute (e.g. a trivial subsystem), so the
+                # formula is exact and the deviations are round-off
+                rec.upper("lie-trotter-monotone", trial, seed_t, 1.0 + sign * 0.1,
+                          max(deviations), EXACT_TROTTER_BOUND, 0.0)
+                continue
             margin = min(
                 deviations[k] - deviations[k + 1] for k in range(len(deviations) - 1)
             )
             rec.lower("lie-trotter-monotone", trial, seed_t, 1.0 + sign * 0.1,
-                      margin, 0.0, 1e-12)
+                      margin, 0.0, MONOTONE_FLOOR)
 
         # commuting case: the product formula is exact at any order
         diag_state = TripartiteState(
@@ -414,10 +373,10 @@ def limit_suite(cfg: SuiteConfig) -> VerificationReport:
         )
         for a in (0.5, 2.0):
             rec.upper("diagonal-lie-trotter-exact", trial, seed_t, a,
-                      lie_trotter_deviation(diag_state, a), 1e-10, 0.0)
+                      lie_trotter_deviation(diag_state, a), EXACT_TROTTER_BOUND, 0.0)
 
-        pair_rho = random_density((cfg.channel_dims[0],), seed=rng)
-        pair_sigma = random_density((cfg.channel_dims[0],), seed=rng)
+        pair_rho = random_density((CHANNEL_DIMS[0],), seed=rng)
+        pair_sigma = random_density((CHANNEL_DIMS[0],), seed=rng)
         rec.upper("sandwiched-half-is-min", trial, seed_t, 0.5,
                   abs(sandwiched_rel_entropy(pair_rho, pair_sigma, 0.5)
                       - min_rel_entropy(pair_rho, pair_sigma)),
@@ -429,68 +388,65 @@ def inequality_suite(cfg: SuiteConfig) -> VerificationReport:
     """Certify data processing, concavity, the order relation between the two
     Renyi difference families, and non-negativity of all eight measures."""
     rec = _Recorder("inequalities", cfg)
-    d_in, d_out = cfg.channel_dims
-    for trial in range(cfg.trials):
-        seed_t = cfg.seed + trial
-        rng = _trial_rng(cfg, trial)
-        rho = random_density((d_in,), seed=rng)
-        sigma = PositiveOperator(random_density((d_in,), seed=rng).matrix)
-        channel = random_strict_channel(d_in, d_out, seed=int(rng.integers(2**63)))
-        out_rho, out_sigma = channel(rho.matrix), channel(sigma.matrix)
-        for a in cfg.petz_grid:
+    for trial, seed_t, rng in _trials(cfg):
+        triple = _random_triple(rng)
+        rho, sigma = triple.rho, triple.sigma
+        # operators, so each output is decomposed once for all orders
+        out_rho, out_sigma = PositiveOperator(triple.out_rho), PositiveOperator(triple.out_sigma)
+        for a in PETZ_ALPHA_GRID:
             rec.lower("dpi-renyi", trial, seed_t, a,
                       renyi_rel_entropy(rho, sigma, a)
                       - renyi_rel_entropy(out_rho, out_sigma, a),
-                      0.0, cfg.slack_floor)
-        for a in cfg.sandwiched_grid:
+                      0.0, SLACK_FLOOR)
+        for a in SANDWICHED_ALPHA_GRID:
             rec.lower("dpi-sandwiched", trial, seed_t, a,
                       sandwiched_rel_entropy(rho, sigma, a)
                       - sandwiched_rel_entropy(out_rho, out_sigma, a),
-                      0.0, cfg.slack_floor)
+                      0.0, SLACK_FLOOR)
 
         # concavity of B -> Tr{(A B^p A†)^(1/p)} on two-point mixtures
-        dim = d_in
+        dim = CHANNEL_DIMS[0]
         a_mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         b_one = random_density((dim,), seed=rng).matrix
         b_two = random_density((dim,), seed=rng).matrix
         lam = float(rng.uniform(0.2, 0.8))
-        mixed = lam * b_one + (1.0 - lam) * b_two
+        mixed, one, two = (hermitian_eig(b) for b in
+                           (lam * b_one + (1.0 - lam) * b_two, b_one, b_two))
         for p in (0.3, 0.7, -0.3, -0.7):
             def functional(b):
-                core = a_mat @ herm_pow(b, p) @ a_mat.conj().T
+                core = a_mat @ b.power(p) @ a_mat.conj().T
                 return float(np.trace(herm_pow((core + core.conj().T) / 2, 1.0 / p)).real)
 
-            gap = functional(mixed) - lam * functional(b_one) - (1.0 - lam) * functional(b_two)
-            rec.lower("power-trace-concavity", trial, seed_t, p, gap, 0.0, cfg.slack_floor)
+            gap = functional(mixed) - lam * functional(one) - (1.0 - lam) * functional(two)
+            rec.lower("power-trace-concavity", trial, seed_t, p, gap, 0.0, SLACK_FLOOR)
 
-        triple = ChannelTriple(rho=rho, sigma=sigma, channel=channel)
         for a in (1.5, 2.0, 3.0):
             gamma = (2.0 * a - 1.0) / a
             rec.lower("sandwiched-dominates-substituted", trial, seed_t, a,
                       sandwiched_rel_ent_diff(triple, a)
                       - renyi_rel_ent_diff(triple, gamma),
-                      0.0, cfg.slack_floor)
+                      0.0, SLACK_FLOOR)
 
         state = _random_state(cfg, rng)
-        for a in cfg.petz_grid:
+        for a in PETZ_ALPHA_GRID:
             rec.lower("nonneg-renyi-cmi", trial, seed_t, a,
-                      renyi_cmi(state, a), 0.0, cfg.slack_floor)
+                      renyi_cmi(state, a), 0.0, SLACK_FLOOR)
             rec.lower("nonneg-renyi-diff", trial, seed_t, a,
-                      renyi_rel_ent_diff(triple, a), 0.0, cfg.slack_floor)
-        for a in cfg.sandwiched_grid:
+                      renyi_rel_ent_diff(triple, a), 0.0, SLACK_FLOOR)
+        for a in SANDWICHED_ALPHA_GRID:
             rec.lower("nonneg-sandwiched-cmi", trial, seed_t, a,
-                      sandwiched_cmi(state, a), 0.0, cfg.slack_floor)
+                      sandwiched_cmi(state, a), 0.0, SLACK_FLOOR)
             rec.lower("nonneg-sandwiched-diff", trial, seed_t, a,
-                      sandwiched_rel_ent_diff(triple, a), 0.0, cfg.slack_floor)
+                      sandwiched_rel_ent_diff(triple, a), 0.0, SLACK_FLOOR)
         for kind in ("min", "max"):
             rec.lower(f"nonneg-{kind}-cmi", trial, seed_t, None,
-                      minmax_cmi(state, kind), 0.0, cfg.slack_floor)
+                      minmax_cmi(state, kind), 0.0, SLACK_FLOOR)
             rec.lower(f"nonneg-{kind}-diff", trial, seed_t, None,
-                      minmax_rel_ent_diff(triple, kind), 0.0, cfg.slack_floor)
+                      minmax_rel_ent_diff(triple, kind), 0.0, SLACK_FLOOR)
     return rec.report
 
 
-_SUITES: dict[str, Callable[[SuiteConfig], VerificationReport]] = {
+_SUITES: dict[str, Callable[..., VerificationReport]] = {
     "trace": trace_inequality_suite,
     "characterization": characterization_suite,
     "limits": limit_suite,
@@ -498,17 +454,14 @@ _SUITES: dict[str, Callable[[SuiteConfig], VerificationReport]] = {
 }
 
 
-def run_suite(name: str, cfg: SuiteConfig, **kwargs) -> VerificationReport:
+def run_suite(name: str, cfg: SuiteConfig, extra_state=None) -> VerificationReport:
+    """Run one suite; ``extra_state`` is a fixed instance the trace suite adds."""
     if name not in _SUITES:
         raise ValidationError("bad-spec", f"unknown suite {name!r}")
-    return _SUITES[name](cfg, **kwargs)
+    if name == "trace":
+        return _SUITES[name](cfg, extra_state=extra_state)
+    return _SUITES[name](cfg)
 
 
 def run_suites(names: Iterable[str], cfg: SuiteConfig, extra_state=None) -> list[VerificationReport]:
-    reports = []
-    for name in names:
-        if name == "trace":
-            reports.append(trace_inequality_suite(cfg, extra_state=extra_state))
-        else:
-            reports.append(run_suite(name, cfg))
-    return reports
+    return [run_suite(name, cfg, extra_state) for name in names]

@@ -258,6 +258,14 @@ class TestEdgeInputs:
                      "--out", str(tmp_path / "markov.json")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_overflowing_power_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        save_state(path, random_density((2, 2, 2), seed=7))
+        assert main(["compute", "--measure", "renyi-cmi", "--alpha", "1000",
+                     "--allow-uncertified", "--state", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflows float64" in err
+
     def test_infinite_alpha_exits_two(self, correlated_state_file, capsys):
         assert main(["compute", "--measure", "sand-cmi", "--alpha", "inf",
                      "--state", correlated_state_file]) == 2
@@ -329,6 +337,15 @@ class TestVerify:
                      "--seed", "0", "--tol", "1e-18"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_exits_two(self, tol, capsys):
+        code = main(["verify", "--suite", "characterization", "--trials", "1",
+                     "--seed", "0", "--tol", tol])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "finite" in captured.err
+        assert captured.out == ""
 
     def test_corrupt_state_exits_two(self, tmp_path):
         path = tmp_path / "nonpsd.json"

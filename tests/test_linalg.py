@@ -75,8 +75,13 @@ class TestMatrixFunction:
         np.testing.assert_allclose(out, -np.eye(2), atol=1e-14)
 
     def test_domain_error(self):
-        with pytest.raises(MatrixFunctionDomainError):
+        with pytest.raises(MatrixFunctionDomainError, match="undefined"):
             herm_log2(np.diag([1.0, -1.0]))
+
+    def test_overflow_is_named(self):
+        # 1e-5 is on the support, and its power -100 exceeds the float64 range
+        with pytest.raises(MatrixFunctionDomainError, match=r"overflows float64 .*\[1\.e-05\]"):
+            herm_pow(np.diag([1.0, 1e-5]), -100.0)
 
     def test_identity_function_projects_to_support(self):
         for seed in range(4):

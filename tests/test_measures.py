@@ -11,6 +11,7 @@ from qmarkov.channels import (
 )
 from qmarkov.errors import (
     InfiniteTermError,
+    MatrixFunctionDomainError,
     NotStrictError,
     RankDeficientError,
 )
@@ -145,6 +146,12 @@ class TestRenyiCmi:
         state = TripartiteState(DensityOperator(np.diag(p.ravel()), (2, 2, 2)))
         for a in PETZ_ALPHA_GRID:
             assert renyi_cmi(state, a) == pytest.approx(co.renyi_cmi(p, a), abs=1e-10)
+
+    def test_overflow_at_extreme_order_is_named(self):
+        # the eigenvalues are positive; their power at alpha = 1000 overflows
+        state = TripartiteState(random_density((2, 2, 2), seed=7))
+        with pytest.raises(MatrixFunctionDomainError, match="overflows float64"):
+            renyi_cmi(state, 1000, strict=False)
 
 
 class TestSandwichedCmi:

@@ -1,11 +1,18 @@
+import dataclasses
+import json
+import math
+import os
+
 import pytest
 
+from qmarkov.cli import main
 from qmarkov.errors import ValidationError
-from qmarkov.measures import TripartiteState
+from qmarkov.measures import PETZ_ALPHA_GRID, SANDWICHED_ALPHA_GRID, TripartiteState
 from qmarkov.states import random_density
 from qmarkov.structured import is_sufficient_petz
 from qmarkov.suites import (
     SCREEN_DISTANCE,
+    SUITE_NAMES,
     SuiteConfig,
     _screened_nonsufficient_triple,
     characterization_suite,
@@ -19,22 +26,95 @@ from qmarkov.suites import (
 SMALL = SuiteConfig(trials=4, dims=(2, 2, 2), seed=7)
 
 
-class TestSuiteConfig:
-    def test_defaults(self):
-        cfg = SuiteConfig()
-        assert cfg.petz_grid == (0.25, 0.5, 0.75, 1.25, 1.5, 1.75)
-        assert cfg.sandwiched_grid == (0.6, 0.75, 0.9, 1.5, 2.0, 3.0, 5.0)
+GOLDEN_REPORT = os.path.join(
+    os.path.dirname(__file__), "golden", "verify_all_222_trials3_seed42.json"
+)
 
-    def test_custom_grid_is_filtered(self):
-        cfg = SuiteConfig(alpha_grid=(0.3, 0.6, 1.5, 2.5, 4.0))
-        assert cfg.petz_grid == (0.3, 0.6, 1.5)
-        assert cfg.sandwiched_grid == (0.6, 1.5, 2.5, 4.0)
+# checks evaluated at every order of a grid, by family
+PLAIN_GRID_CHECKS = {
+    "cmi-trace-plain", "channel-trace-plain", "markov-trace-equality",
+    "sufficiency-trace-equality", "sufficiency-renyi-diff-zero",
+    "sufficiency-output-fixed-point", "sufficiency-recovery-fixed-point",
+    "dpi-renyi", "nonneg-renyi-cmi", "nonneg-renyi-diff",
+}
+SANDWICHED_GRID_CHECKS = {
+    "cmi-trace-sandwiched", "channel-trace-sandwiched",
+    "markov-trace-equality-sandwiched", "sufficiency-trace-equality-sandwiched",
+    "sufficiency-sandwiched-diff-zero", "sufficiency-sandwiched-fixed-point",
+    "dpi-sandwiched", "nonneg-sandwiched-cmi", "nonneg-sandwiched-diff",
+}
+
+
+class TestSuiteConfig:
+    def test_only_the_run_values_are_settable(self):
+        names = [f.name for f in dataclasses.fields(SuiteConfig)]
+        assert names == ["trials", "dims", "seed", "tol"]
+
+    def test_defaults(self):
+        """Every grid check runs at exactly the fixed grid of its family."""
+        reports = run_suites(SUITE_NAMES, SuiteConfig(trials=2, seed=7))
+        orders = {}
+        for r in (r for report in reports for r in report.records):
+            orders.setdefault((r.check, r.trial), []).append(r.alpha)
+        checks = {check for check, _ in orders}
+        assert PLAIN_GRID_CHECKS | SANDWICHED_GRID_CHECKS <= checks
+        for (check, _), alphas in orders.items():
+            if check in PLAIN_GRID_CHECKS:
+                assert tuple(alphas) == PETZ_ALPHA_GRID, check
+            if check in SANDWICHED_GRID_CHECKS:
+                assert tuple(alphas) == SANDWICHED_ALPHA_GRID, check
 
     def test_validation(self):
         with pytest.raises(ValidationError):
             SuiteConfig(trials=0)
         with pytest.raises(ValidationError):
             SuiteConfig(tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tol(self, tol):
+        with pytest.raises(ValidationError) as info:
+            SuiteConfig(tol=tol)
+        assert info.value.reason == "bad-spec"
+
+
+class TestGoldenReport:
+    def test_report_matches_recorded(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--suite", "all", "--dims", "2,2,2", "--trials", "3",
+                     "--seed", "42", "--json", str(out)]) == 0
+        got = json.loads(out.read_text())["reports"]
+        with open(GOLDEN_REPORT, encoding="utf-8") as handle:
+            want = json.load(handle)["reports"]
+        assert [r["suite"] for r in got] == [r["suite"] for r in want]
+        for mine, theirs in zip(got, want):
+            assert mine["config"] == theirs["config"]
+            assert mine["all_pass"] == theirs["all_pass"]
+            assert len(mine["records"]) == len(theirs["records"])
+            for a, b in zip(mine["records"], theirs["records"]):
+                for key in ("check", "trial", "seed", "alpha", "passed"):
+                    assert a[key] == b[key], (key, b)
+                for key in ("value", "bound", "slack"):
+                    assert abs(a[key] - b[key]) <= 1e-12, (key, b)
+
+
+class TestTrivialSubsystem:
+    """With A, B or C one-dimensional the product formula is exact."""
+
+    @pytest.mark.parametrize("dims", [(1, 2, 2), (2, 1, 2), (2, 2, 1)])
+    def test_limits_pass(self, dims):
+        report = limit_suite(SuiteConfig(trials=10, dims=dims, seed=0))
+        assert report.all_pass, report.failures[:3]
+        monotone = [r for r in report.records if r.check == "lie-trotter-monotone"]
+        assert len(monotone) == 20
+        assert all(r.bound == 1e-10 and r.value <= 1e-10 for r in monotone)
+
+    @pytest.mark.parametrize("dims", ["1,2,2", "2,1,2", "2,2,1"])
+    def test_one_trial_makes_152_checks(self, dims, capsys):
+        assert main(["verify", "--suite", "all", "--dims", dims, "--trials", "1",
+                     "--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        counts = [line for line in out.splitlines() if ": PASS (" in line]
+        assert sum(int(line.split("(")[1].split()[0]) for line in counts) == 152
 
 
 @pytest.mark.parametrize(
