@@ -13,7 +13,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .linalg import herm_pow, hermitian_eig, support_mask
+from .linalg import herm_pow, hermitian_eig
 
 TP_TOL = 1e-10
 
@@ -161,7 +161,7 @@ def petz_recovery(sigma, channel: Channel) -> Channel:
     sqrt_sigma = herm_pow(sig, 0.5)
     inv_sqrt_out = out_dec.power(-0.5)
     ops = tuple(sqrt_sigma @ k.conj().T @ inv_sqrt_out for k in channel.kraus)
-    full_rank = bool(np.all(support_mask(out_dec.eigenvalues)))
+    full_rank = bool(out_dec.support[0].all())
     return Channel(ops, tp_on_support=not full_rank)
 
 

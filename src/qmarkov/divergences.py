@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DimensionMismatchError, ValidationError
 from .linalg import (
     SpectralDecomposition,
+    finite_values,
     hermitian_eig,
     log2_power_sum,
     on_support,
@@ -116,11 +117,9 @@ def _rel_entropy_on_support(
 
     The caller has checked that supp(rho) lies in supp(sigma).
     """
-    keep_a, log_p = on_support(dec_a.eigenvalues, np.log2)
-    keep_b, log_q = on_support(dec_b.eigenvalues, np.log2)
-    p = dec_a.eigenvalues[keep_a]
-    va = dec_a.eigenvectors[:, keep_a]
-    vb = dec_b.eigenvectors[:, keep_b]
+    _, p, va = dec_a.support
+    _, q, vb = dec_b.support
+    log_p, log_q = finite_values(p, np.log2), finite_values(q, np.log2)
     overlaps = np.abs(va.conj().T @ vb) ** 2  # |<a_i|b_j>|^2
     return float(np.sum(p * log_p) - np.sum((p[:, None] * overlaps) * log_q[None, :]))
 

@@ -4,7 +4,8 @@ These evaluate the bracketed recovery-type operators whose traces are bounded
 by one, the exponential-of-logarithms corollaries of those bounds, and the
 operator identities that characterize exact recoverability.  Powers and
 logarithms of rho, N(rho) and N(sigma) are read from the decompositions the
-triple or state caches, so a sweep over orders decomposes each once.
+triple or state caches, so a sweep over orders decomposes each once, and the
+exp-log operator is read from ``exp_log_sum``, built once per object.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import apply_channel
-from .linalg import herm_exp, herm_pow, spectral_norm
+from .linalg import herm_pow, spectral_norm
 from .measures import ChannelTriple, TripartiteState, _bracket
 
 LN2 = float(np.log(2.0))
@@ -58,22 +59,12 @@ def cmi_trace_value(state: TripartiteState, alpha: float, sandwiched: bool = Fal
     return channel_trace_value(state, alpha, sandwiched)
 
 
-def _pulled_log_ratio(x) -> np.ndarray:
-    """N†(log N(rho) - log N(sigma)), natural logarithms."""
-    return x.pull(x.out_rho_spectrum.apply(np.log) - x.out_sigma_spectrum.apply(np.log))
-
-
-def _exp_log_sum(x) -> np.ndarray:
-    """exp(log sigma + N†(log N(rho) - log N(sigma)))."""
-    return herm_exp(_symmetrize(x.sigma_fn(np.log) + _pulled_log_ratio(x)))
-
-
 def exp_trace_channel_value(triple: ChannelTriple | TripartiteState) -> float:
     """Tr{exp(log sigma + N†(log N(rho) - log N(sigma)))}; at most 1.
 
     A TripartiteState is read as its CMI triple.
     """
-    return float(np.trace(_exp_log_sum(triple)).real)
+    return float(np.trace(triple.exp_log_sum).real)
 
 
 def exp_trace_cmi_value(state: TripartiteState) -> float:
@@ -92,7 +83,7 @@ def lie_trotter_deviation(x: ChannelTriple | TripartiteState, alpha: float) -> f
     approaches 1.
     """
     closed = herm_pow(_channel_bracket(x, alpha, sandwiched=False), 1.0 / (1.0 - alpha))
-    return spectral_norm(closed - _exp_log_sum(x))
+    return spectral_norm(closed - x.exp_log_sum)
 
 
 def recovery_fixed_point_residual(triple: ChannelTriple, alpha: float) -> float:
@@ -133,4 +124,4 @@ def log_identity_residual(triple: ChannelTriple) -> float:
     log rho_ABC = log rho_AC + log rho_BC - log rho_C.
     """
     direct = triple.rho.spectrum.apply(np.log) - triple.sigma_fn(np.log)
-    return spectral_norm(_pulled_log_ratio(triple) - direct) / LN2
+    return spectral_norm(triple.pulled_log_ratio() - direct) / LN2

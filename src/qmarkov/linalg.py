@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -45,16 +46,20 @@ def support_mask(values) -> np.ndarray:
 
 
 def on_support(values, f: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The support mask of ``values`` and ``f`` evaluated on the kept values.
+    """The support mask of ``values`` and ``f`` evaluated on the kept values."""
+    keep = support_mask(values)
+    return keep, finite_values(values[keep], f)
+
+
+def finite_values(kept: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """``f`` evaluated on ``kept``, which must give finite values.
 
     Raises MatrixFunctionDomainError if ``f`` is undefined (nan) or
-    overflows float64 (+-inf) on a kept value.
+    overflows float64 (+-inf) on a value.
     """
-    keep = support_mask(values)
-    kept = values[keep]
     with np.errstate(all="ignore"):
         fvals = np.asarray(f(kept), dtype=float)
-    if not np.all(np.isfinite(fvals)):
+    if not np.isfinite(fvals).all():
         nan = np.isnan(fvals)
         if nan.any():
             raise MatrixFunctionDomainError(
@@ -63,7 +68,7 @@ def on_support(values, f: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarra
         raise MatrixFunctionDomainError(
             f"function overflows float64 on retained eigenvalue(s) {kept[np.isinf(fvals)]}"
         )
-    return keep, fvals
+    return fvals
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,11 @@ class SpectralDecomposition:
     """Eigensystem of a Hermitian matrix, eigenvalues sorted descending.
 
     Both arrays are read-only: operators cache their decomposition and read
-    every power and logarithm from it.
+    every power and logarithm from it.  The support (``support``) is also
+    computed once, on first use, so a matrix function costs one scaled
+    matmul plus the finiteness check of its values.  Nothing that depends on
+    the function is cached: a per-order cache would grow with every order of
+    a sweep.
     """
 
     eigenvalues: np.ndarray
@@ -82,15 +91,26 @@ class SpectralDecomposition:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
 
+    @cached_property
+    def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The support mask, the kept eigenvalues and the kept eigenvectors.
+
+        When nothing is dropped the kept arrays are the decomposition's own,
+        not copies.
+        """
+        keep = support_mask(self.eigenvalues)
+        if keep.all():
+            return keep, self.eigenvalues, self.eigenvectors
+        return keep, read_only(self.eigenvalues[keep]), read_only(self.eigenvectors[:, keep])
+
     def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """``f`` of the matrix on its support, zero on the kernel.
 
         Kernel eigenvalues are mapped to zero without evaluating ``f``, so
         e.g. f(x) = 1/x yields the pseudo-inverse.
         """
-        keep, fvals = on_support(self.eigenvalues, f)
-        v = self.eigenvectors[:, keep]
-        out = (v * fvals) @ v.conj().T
+        _, kept, v = self.support
+        out = (v * finite_values(kept, f)) @ v.conj().T
         return (out + out.conj().T) / 2
 
     def power(self, p: float) -> np.ndarray:
@@ -99,9 +119,10 @@ class SpectralDecomposition:
 
     def supports(self, a) -> bool:
         """Whether supp(a) lies in the support of this matrix, for PSD ``a``."""
-        kernel = self.eigenvectors[:, ~support_mask(self.eigenvalues)]
-        if kernel.shape[1] == 0:
+        keep = self.support[0]
+        if keep.all():
             return True
+        kernel = self.eigenvectors[:, ~keep]
         weight = float(np.real(np.trace(kernel.conj().T @ a @ kernel)))
         return weight <= POSITIVITY_TOL * max(1.0, float(np.trace(a).real))
 
@@ -248,17 +269,12 @@ def embed_operator(x, dims: Sequence[int], sites: Sequence[int]) -> np.ndarray:
             f"operator shape {a.shape} does not match site dims product {d_sites}"
         )
     rest = [i for i in range(len(dims)) if i not in sites]
-    d_rest = int(np.prod([dims[i] for i in rest])) if rest else 1
-    full = np.kron(a, np.eye(d_rest, dtype=complex))
-    # current factor order is sites + rest; permute back to natural order
-    perm = list(sites) + rest
-    inv = np.argsort(perm)
-    n = len(dims)
-    cur_dims = [dims[p] for p in perm]
-    t = full.reshape(cur_dims + cur_dims)
-    t = np.transpose(t, list(inv) + [n + i for i in inv])
     total = int(np.prod(dims))
-    return np.ascontiguousarray(t.reshape(total, total))
+    # index[s, r]: the natural-order basis index with site part s and rest part r
+    index = np.arange(total).reshape(dims).transpose(list(sites) + rest).reshape(d_sites, -1)
+    out = np.zeros((total, total), dtype=complex)
+    out[index[:, None, :], index[None, :, :]] = a[:, :, None]
+    return out
 
 
 def singular_values(x) -> np.ndarray:

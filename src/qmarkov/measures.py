@@ -20,7 +20,8 @@ outputs are in bits.
 Each operator a formula reads is decomposed at most once per object: rho
 and sigma cache ``spectrum``, and a triple or state caches ``out_rho``,
 ``out_sigma``, ``out_rho_spectrum`` and ``out_sigma_spectrum`` (a state
-also its marginals and the decomposition of rho_AC behind ``sigma_fn``).
+also its marginals and the decomposition of rho_AC behind ``sigma_fn``),
+the recovered N(rho) with its decomposition, and the exp-log operator.
 Every power and logarithm is read from these, so evaluating many orders on
 one object decomposes each operator once.  A cache lives as long as its
 object, and the cached arrays are read-only.
@@ -54,7 +55,8 @@ from .linalg import (
     POSITIVITY_TOL,
     SpectralDecomposition,
     embed_operator,
-    herm_pow,
+    herm_exp,
+    herm_pow,  # noqa: F401  kept bound here: perfbench's tracer test reads it
     hermitian_eig,
     kron,
     log2_power_sum,
@@ -62,7 +64,7 @@ from .linalg import (
     read_only,
     singular_values,
 )
-from .states import DensityOperator, PositiveOperator
+from .states import Decomposed, DensityOperator, PositiveOperator
 
 # Renyi orders used whenever a certified sweep over both sides of 1 is needed.
 PETZ_ALPHA_GRID = (0.25, 0.5, 0.75, 1.25, 1.5, 1.75)
@@ -70,11 +72,14 @@ SANDWICHED_ALPHA_GRID = (0.6, 0.75, 0.9, 1.5, 2.0, 3.0, 5.0)
 
 
 class _CachedSpectra:
-    """Decompositions of the channel outputs, each computed once.
+    """Decompositions of the channel outputs, and the operators built once
+    from them.
 
     Shared by both readings of a triple.  ``out_rho`` and ``out_sigma`` are
-    cached, read-only operators; their decompositions are computed on first
-    use and live as long as the object, like ``rho.spectrum``.
+    cached, read-only operators; their decompositions, the Petz-recovered
+    N(rho) with its decomposition, and exp(log sigma + N†(log N(rho) -
+    log N(sigma))) are computed on first use and live as long as the object,
+    like ``rho.spectrum``.  None of them depends on the order.
     """
 
     @cached_property
@@ -84,6 +89,28 @@ class _CachedSpectra:
     @cached_property
     def out_sigma_spectrum(self) -> SpectralDecomposition:
         return hermitian_eig(self.out_sigma)
+
+    @cached_property
+    def recovered(self) -> np.ndarray:
+        """The Petz-recovered N(rho): the bracket at h = 1/2 with M = N(rho)."""
+        return read_only(_bracket(self, 0.5, self.out_rho))
+
+    @cached_property
+    def recovered_spectrum(self) -> SpectralDecomposition:
+        return hermitian_eig(self.recovered)
+
+    def pulled_log_ratio(self) -> np.ndarray:
+        """N†(log N(rho) - log N(sigma)), natural logarithms."""
+        return self.pull(
+            self.out_rho_spectrum.apply(np.log) - self.out_sigma_spectrum.apply(np.log)
+        )
+
+    @cached_property
+    def exp_log_sum(self) -> np.ndarray:
+        """exp(log sigma + N†(log N(rho) - log N(sigma))), the alpha -> 1
+        limit of the closed Renyi bracket."""
+        m = self.sigma_fn(np.log) + self.pulled_log_ratio()
+        return read_only(herm_exp((m + m.conj().T) / 2))
 
 
 class TripartiteState(_CachedSpectra):
@@ -201,8 +228,8 @@ class ChannelTriple(_CachedSpectra):
         return adjoint_apply(self.channel, x)
 
     def pull_root(self, y) -> np.ndarray:
-        """N†(y y†)^(1/2), a Z with Z Z† = N†(y y†)."""
-        return herm_pow(self.pull(y @ y.conj().T), 0.5)
+        """[K_1† y, ..., K_r† y], a Z with Z Z† = sum_i K_i† y y† K_i = N†(y y†)."""
+        return np.hstack([k.conj().T @ y for k in self.channel.kraus])
 
 
 def cmi_as_triple(state: TripartiteState) -> ChannelTriple:
@@ -374,7 +401,7 @@ def sandwiched_rel_ent_diff(
 
 def _recovery_divergence(x, kind: str) -> float:
     """D_max or D_min between rho and the Petz-recovered N(rho)."""
-    recovered = _bracket(x, 0.5, x.out_rho)
+    recovered = Decomposed(x.recovered, x.recovered_spectrum)
     if kind == "max":
         return max_rel_entropy(x.rho, recovered)
     return min_rel_entropy(x.rho, recovered)

@@ -155,9 +155,22 @@ def perturb_positive(rho: DensityOperator, eps: float) -> DensityOperator:
     return DensityOperator(mixed, rho.dims)
 
 
+@dataclass(frozen=True, eq=False)
+class Decomposed:
+    """A matrix handed to the divergences with its decomposition already made.
+
+    Not validated: it pairs an operator that is positive by construction (a
+    channel output, a recovered operator) with the decomposition its triple
+    or state caches, so the divergences decompose it no second time.
+    """
+
+    matrix: np.ndarray
+    spectrum: SpectralDecomposition
+
+
 def spectrum_of(x) -> SpectralDecomposition:
-    """The cached decomposition of a PositiveOperator, else a fresh one."""
-    if isinstance(x, PositiveOperator):
+    """The cached decomposition of a PositiveOperator or Decomposed, else a fresh one."""
+    if isinstance(x, (PositiveOperator, Decomposed)):
         return x.spectrum
     return hermitian_eig(x.matrix if hasattr(x, "matrix") else x)
 

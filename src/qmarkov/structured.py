@@ -28,7 +28,7 @@ from .channels import (
 from .errors import DimensionMismatchError, RankDeficientError, ValidationError
 from .functionals import log_identity_residual
 from .linalg import kron
-from .measures import ChannelTriple, TripartiteState, _bracket
+from .measures import ChannelTriple, TripartiteState
 from .states import (
     DensityOperator,
     PositiveOperator,
@@ -215,8 +215,7 @@ def is_markov_petz(state: TripartiteState, tol: float = 1e-9) -> tuple[bool, flo
     rho_AC^(1/2) to rho_BC (identity on B) and returns the trace-norm
     distance to the state together with the comparison against ``tol``.
     """
-    recovered = _bracket(state, 0.5, state.out_rho)
-    distance = trace_distance(recovered, state.matrix)
+    distance = trace_distance(state.recovered, state.matrix)
     return distance <= tol, float(distance)
 
 

@@ -56,7 +56,7 @@ from .measures import (
     sandwiched_rel_ent_diff,
     von_neumann_cmi,
 )
-from .states import DensityOperator, PositiveOperator, random_density
+from .states import Decomposed, DensityOperator, PositiveOperator, random_density
 from .structured import (
     build_markov_chain,
     build_sufficiency_triple,
@@ -391,8 +391,9 @@ def inequality_suite(cfg: SuiteConfig) -> VerificationReport:
     for trial, seed_t, rng in _trials(cfg):
         triple = _random_triple(rng)
         rho, sigma = triple.rho, triple.sigma
-        # operators, so each output is decomposed once for all orders
-        out_rho, out_sigma = PositiveOperator(triple.out_rho), PositiveOperator(triple.out_sigma)
+        # the triple's own decompositions, so each output is decomposed once
+        out_rho = Decomposed(triple.out_rho, triple.out_rho_spectrum)
+        out_sigma = Decomposed(triple.out_sigma, triple.out_sigma_spectrum)
         for a in PETZ_ALPHA_GRID:
             rec.lower("dpi-renyi", trial, seed_t, a,
                       renyi_rel_entropy(rho, sigma, a)

@@ -2,18 +2,25 @@
 changes no value.
 
 Operators cache their eigendecomposition on first use (``rho.spectrum``,
-``out_rho_spectrum``, ...).  These tests count the ``eigh`` calls a sweep
-over orders makes, check that evaluation order cannot change a value, and
-check that the cached arrays are read-only.
+``out_rho_spectrum``, ...), a decomposition caches its support, and a triple
+or state caches its recovered operator and its exp-log operator.  These
+tests count the ``eigh``, ``support_mask`` and ``herm_exp`` calls a sweep
+over orders makes, check that evaluation order cannot change a value, check
+the kron-free embedding against the kron formula, and check that the cached
+arrays are read-only.
 """
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 from qmarkov import divergences as dv
+from qmarkov import linalg
+from qmarkov import measures as ms
 from qmarkov.channels import random_strict_channel
+from qmarkov.errors import MatrixFunctionDomainError
 from qmarkov.functionals import (
     channel_trace_value,
     exp_trace_channel_value,
@@ -23,7 +30,7 @@ from qmarkov.functionals import (
     recovery_fixed_point_residual,
     sandwiched_fixed_point_residual,
 )
-from qmarkov.linalg import hermitian_eig
+from qmarkov.linalg import embed_operator, hermitian_eig
 from qmarkov.measures import (
     PETZ_ALPHA_GRID,
     ChannelTriple,
@@ -38,6 +45,7 @@ from qmarkov.measures import (
     von_neumann_cmi,
 )
 from qmarkov.states import PositiveOperator, random_density
+from qmarkov.suites import SUITE_NAMES, SuiteConfig, run_suites
 
 SIX_ORDERS = (0.6, 0.75, 0.9, 1.25, 1.5, 1.75)
 
@@ -77,11 +85,13 @@ class TestDecompositionCounts:
         # rho, sigma, N(rho), N(sigma): once each, whatever the number of orders
         assert len(eigh_calls) == 4
 
-    def test_sandwiched_difference_adds_one_root_per_order(self, eigh_calls):
+    @pytest.mark.parametrize("orders", [(2.0,), SIX_ORDERS])
+    def test_sandwiched_difference_decomposes_four_operators(self, eigh_calls, orders):
         triple = _triple()
-        for a in SIX_ORDERS:
+        for a in orders:
             sandwiched_rel_ent_diff(triple, a)
-        assert len(eigh_calls) == 4 + len(SIX_ORDERS)
+        # the root of N†(y y†) is the stack of K_i† y, so no order adds one
+        assert len(eigh_calls) == 4
 
     @pytest.mark.parametrize("measure", [renyi_cmi, sandwiched_cmi])
     def test_cmi_decomposes_four_operators(self, eigh_calls, measure):
@@ -110,6 +120,110 @@ class TestDecompositionCounts:
         # the three marginals only; rho_ABC's eigenvalues come from validation
         assert len(eigvalsh_calls) == 3
         assert eigh_calls == []
+
+
+    @pytest.mark.parametrize("make", [_triple, _state])
+    def test_recovered_operator_decomposed_once(self, eigh_calls, make):
+        x = make()
+        minmax = minmax_rel_ent_diff if isinstance(x, ChannelTriple) else minmax_cmi
+        minmax(x, "min")
+        minmax(x, "max")
+        # rho, sigma (rho_AC), N(sigma) and the recovered N(rho), once each
+        assert len(eigh_calls) == 4
+
+    def test_one_trial_verify(self, eigh_calls):
+        run_suites(SUITE_NAMES, SuiteConfig(trials=1, seed=42))
+        assert len(eigh_calls) <= 152
+
+
+class TestSupportCache:
+    def test_support_mask_once_per_decomposition(self, eigh_calls, monkeypatch):
+        masks = []
+        original = linalg.support_mask
+        monkeypatch.setattr(
+            linalg, "support_mask", lambda v: masks.append(1) or original(v)
+        )
+        triple = _triple()
+        for a in SIX_ORDERS:
+            renyi_rel_ent_diff(triple, a)
+        assert len(eigh_calls) == 4
+        assert len(masks) == len(eigh_calls)
+
+    def test_full_rank_support_is_the_decomposition(self):
+        dec = hermitian_eig(random_density((4,), seed=8).matrix)
+        keep, values, vectors = dec.support
+        assert keep.all()
+        assert np.shares_memory(vectors, dec.eigenvectors)
+        assert np.shares_memory(values, dec.eigenvalues)
+
+    def test_rank_deficient_support_drops_the_kernel(self):
+        dec = hermitian_eig(random_density((4,), rank=2, seed=9).matrix)
+        keep, values, vectors = dec.support
+        assert keep.tolist() == [True, True, False, False]
+        assert vectors.shape == (4, 2)
+        np.testing.assert_array_equal(vectors, dec.eigenvectors[:, :2])
+        with pytest.raises(ValueError):
+            vectors[0, 0] = 0.0
+        np.testing.assert_allclose(dec.power(0) @ dec.reconstruct(), dec.reconstruct(),
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("values, f, message", [
+        ([1.0, -0.5], np.log, "undefined"),
+        ([1.0, 1e-5], lambda x: x**-100.0, "overflows float64"),
+    ])
+    def test_domain_error_on_every_call(self, values, f, message):
+        dec = hermitian_eig(np.diag(values))
+        for _ in range(2):
+            with pytest.raises(MatrixFunctionDomainError, match=message):
+                dec.apply(f)
+
+
+def _kron_embedding(x, dims, sites):
+    """The kron-and-transpose formula: x tensor I in (sites, rest) order, permuted back."""
+    rest = [i for i in range(len(dims)) if i not in sites]
+    d_rest = int(np.prod([dims[i] for i in rest])) if rest else 1
+    full = np.kron(x, np.eye(d_rest, dtype=complex))
+    perm = list(sites) + rest
+    inv = np.argsort(perm)
+    n = len(dims)
+    cur = [dims[p] for p in perm]
+    t = np.transpose(full.reshape(cur + cur), list(inv) + [n + i for i in inv])
+    total = int(np.prod(dims))
+    return t.reshape(total, total)
+
+
+class TestEmbedding:
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 4), (1, 2, 2)])
+    def test_equals_kron_formula(self, dims):
+        rng = np.random.default_rng(11)
+        # every ascending site set of three factors, including (0, 2) and (1, 2)
+        for k in range(4):
+            for sites in itertools.combinations(range(3), k):
+                d = int(np.prod([dims[s] for s in sites]))
+                x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                assert np.array_equal(
+                    embed_operator(x, dims, sites), _kron_embedding(x, dims, sites)
+                ), sites
+
+
+class TestBuiltOnce:
+    @pytest.mark.parametrize("make", [_triple, _state])
+    def test_exp_log_operator_exponentiated_once(self, make, monkeypatch):
+        exps = []
+        original = ms.herm_exp
+        monkeypatch.setattr(ms, "herm_exp", lambda m: exps.append(1) or original(m))
+        x = make()
+        for a in (0.5, 0.7, 0.9, 0.99, 1.01, 1.1, 1.3, 1.5):
+            lie_trotter_deviation(x, a)
+        exp_trace_channel_value(x)
+        assert len(exps) == 1
+
+    @pytest.mark.parametrize("make", [_triple, _state])
+    def test_pull_root_squares_to_the_pulled_gram(self, make):
+        x = make()
+        y = x.out_sigma_spectrum.power(0.3) @ x.out_rho_spectrum.power(-0.2)
+        z = x.pull_root(y)
+        np.testing.assert_allclose(z @ z.conj().T, x.pull(y @ y.conj().T), atol=1e-12)
 
 
 def _triple_measures():
