@@ -32,7 +32,9 @@ from .divergences import (
     min_rel_entropy,
     rel_entropy,
     renyi_rel_entropy,
+    renyi_rel_entropy_grid,
     sandwiched_rel_entropy,
+    sandwiched_rel_entropy_grid,
     support_contained,
     von_neumann_entropy,
 )
@@ -48,14 +50,19 @@ from .errors import (
 )
 from .functionals import (
     channel_trace_value,
+    channel_trace_value_grid,
     cmi_trace_value,
     exp_trace_channel_value,
     exp_trace_cmi_value,
     lie_trotter_deviation,
+    lie_trotter_deviation_grid,
     log_identity_residual,
     output_fixed_point_residual,
+    output_fixed_point_residual_grid,
     recovery_fixed_point_residual,
+    recovery_fixed_point_residual_grid,
     sandwiched_fixed_point_residual,
+    sandwiched_fixed_point_residual_grid,
 )
 from .linalg import (
     SpectralDecomposition,
@@ -65,6 +72,7 @@ from .linalg import (
     herm_log,
     herm_log2,
     herm_pow,
+    herm_pows,
     hermitian_eig,
     hs_inner,
     kron,
@@ -85,8 +93,10 @@ from .measures import (
     rel_ent_diff,
     renyi_cmi,
     renyi_rel_ent_diff,
+    renyi_rel_ent_diff_grid,
     sandwiched_cmi,
     sandwiched_rel_ent_diff,
+    sandwiched_rel_ent_diff_grid,
     von_neumann_cmi,
 )
 from .serialization import (

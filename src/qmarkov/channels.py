@@ -13,7 +13,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .linalg import herm_pow, hermitian_eig
+from .linalg import SpectralDecomposition, herm_pow, hermitian_eig
 
 TP_TOL = 1e-10
 
@@ -76,26 +76,27 @@ class Channel:
 
 
 def apply_channel(channel: Channel, a) -> np.ndarray:
-    """Schroedinger-picture action sum_i K_i A K_i†."""
+    """Schroedinger-picture action sum_i K_i A K_i†; ``a`` may be a stack."""
     m = np.asarray(a, dtype=complex)
-    if m.shape != (channel.dim_in, channel.dim_in):
+    if m.shape[-2:] != (channel.dim_in, channel.dim_in):
         raise DimensionMismatchError(
             f"input shape {m.shape} does not match dim_in {channel.dim_in}"
         )
-    out = np.zeros((channel.dim_out, channel.dim_out), dtype=complex)
+    out = np.zeros(m.shape[:-2] + (channel.dim_out, channel.dim_out), dtype=complex)
     for k in channel.kraus:
         out += k @ m @ k.conj().T
     return out
 
 
 def adjoint_apply(channel: Channel, b) -> np.ndarray:
-    """Heisenberg-picture action sum_i K_i† B K_i; unital for CPTP maps."""
+    """Heisenberg-picture action sum_i K_i† B K_i, unital for CPTP maps;
+    ``b`` may be a stack."""
     m = np.asarray(b, dtype=complex)
-    if m.shape != (channel.dim_out, channel.dim_out):
+    if m.shape[-2:] != (channel.dim_out, channel.dim_out):
         raise DimensionMismatchError(
             f"input shape {m.shape} does not match dim_out {channel.dim_out}"
         )
-    out = np.zeros((channel.dim_in, channel.dim_in), dtype=complex)
+    out = np.zeros(m.shape[:-2] + (channel.dim_in, channel.dim_in), dtype=complex)
     for k in channel.kraus:
         out += k.conj().T @ m @ k
     return out
@@ -155,13 +156,23 @@ def petz_recovery(sigma, channel: Channel) -> Channel:
         raise DimensionMismatchError(
             f"sigma shape {sig.shape} does not match channel dim_in {channel.dim_in}"
         )
-    if np.linalg.norm(sig, np.inf) == 0.0:
-        raise ValidationError("not-positive", "sigma is the zero operator")
     out_dec = hermitian_eig(apply_channel(channel, sig))
-    sqrt_sigma = herm_pow(sig, 0.5)
-    inv_sqrt_out = out_dec.power(-0.5)
+    return petz_channel(channel, herm_pow(sig, 0.5), out_dec)
+
+
+def petz_channel(
+    channel: Channel, sqrt_sigma: np.ndarray, out_sigma: SpectralDecomposition
+) -> Channel:
+    """The Petz recovery map from sigma^(1/2) and the decomposition of N(sigma).
+
+    For callers that hold both already: ``petz_recovery`` without its own
+    decompositions.
+    """
+    if not sqrt_sigma.any():
+        raise ValidationError("not-positive", "sigma is the zero operator")
+    inv_sqrt_out = out_sigma.power(-0.5)
     ops = tuple(sqrt_sigma @ k.conj().T @ inv_sqrt_out for k in channel.kraus)
-    full_rank = bool(out_dec.support[0].all())
+    full_rank = bool(out_sigma.support[0].all())
     return Channel(ops, tp_on_support=not full_rank)
 
 

@@ -21,8 +21,10 @@ from .linalg import (
     SpectralDecomposition,
     finite_values,
     hermitian_eig,
+    hermitian_part,
     log2_power_sum,
     on_support,
+    real_traces,
     support_mask,
 )
 from .states import PositiveOperator, fidelity, spectrum_of
@@ -93,7 +95,7 @@ def von_neumann_entropy(rho) -> float:
         eigs = rho.eigenvalues
     else:
         mat = rho.matrix if hasattr(rho, "matrix") else np.asarray(rho, dtype=complex)
-        eigs = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
+        eigs = np.linalg.eigvalsh(hermitian_part(mat))
     keep, logs = on_support(eigs, np.log2)
     return float(-np.sum(eigs[keep] * logs))
 
@@ -130,17 +132,22 @@ def renyi_rel_entropy(rho, sigma, a) -> float:
     +inf when alpha > 1 and supp(rho) is not contained in supp(sigma), and
     also when the trace functional vanishes (disjoint supports, alpha < 1).
     """
-    a = as_alpha(a)
-    rho_m, _ = _pair(rho, sigma)
-    dec_sigma = spectrum_of(sigma)
-    if a.alpha > 1.0 and not dec_sigma.supports(rho_m):
-        return math.inf
-    value = np.trace(
-        spectrum_of(rho).power(a.alpha) @ dec_sigma.power(1.0 - a.alpha)
-    ).real
-    if value <= 0.0:
-        return math.inf
-    return float(np.log2(value) / (a.alpha - 1.0))
+    return renyi_rel_entropy_grid(rho, sigma, (a,))[0]
+
+
+def renyi_rel_entropy_grid(rho, sigma, alphas) -> list[float]:
+    """``renyi_rel_entropy`` at each order of ``alphas``, evaluated as one stack."""
+    checked, rho_m, dec_sigma, live = _grid_terms(rho, sigma, alphas)
+    values = [math.inf] * len(checked)
+    if live:
+        traces = real_traces(
+            spectrum_of(rho).powers([checked[i].alpha for i in live])
+            @ dec_sigma.powers([1.0 - checked[i].alpha for i in live])
+        )
+        for i, value in zip(live, traces):
+            if value > 0.0:
+                values[i] = float(np.log2(value) / (checked[i].alpha - 1.0))
+    return values
 
 
 def sandwiched_rel_entropy(rho, sigma, a) -> float:
@@ -148,18 +155,37 @@ def sandwiched_rel_entropy(rho, sigma, a) -> float:
 
     (1/(alpha-1)) log2 Tr{ (sigma^((1-alpha)/2alpha) rho sigma^((1-alpha)/2alpha))^alpha }.
     """
-    a = as_alpha(a)
+    return sandwiched_rel_entropy_grid(rho, sigma, (a,))[0]
+
+
+def sandwiched_rel_entropy_grid(rho, sigma, alphas) -> list[float]:
+    """``sandwiched_rel_entropy`` at each order of ``alphas``, evaluated as one
+    stack."""
+    checked, rho_m, dec_sigma, live = _grid_terms(rho, sigma, alphas)
+    values = [math.inf] * len(checked)
+    if live:
+        wedge = dec_sigma.powers(
+            [(1.0 - checked[i].alpha) / (2.0 * checked[i].alpha) for i in live]
+        )
+        core = hermitian_part(wedge @ rho_m @ wedge)
+        for i, eigs in zip(live, np.linalg.eigvalsh(core)):
+            log_value = log2_power_sum(eigs, checked[i].alpha)
+            if log_value != -math.inf:
+                values[i] = float(log_value / (checked[i].alpha - 1.0))
+    return values
+
+
+def _grid_terms(rho, sigma, alphas):
+    """The checked orders, rho's matrix, sigma's decomposition, and the
+    indices of the orders whose value is not +inf by support alone."""
+    checked = [as_alpha(a) for a in alphas]
     rho_m, _ = _pair(rho, sigma)
     dec_sigma = spectrum_of(sigma)
-    if a.alpha > 1.0 and not dec_sigma.supports(rho_m):
-        return math.inf
-    wedge = dec_sigma.power((1.0 - a.alpha) / (2.0 * a.alpha))
-    core = wedge @ rho_m @ wedge
-    core = (core + core.conj().T) / 2
-    log_value = log2_power_sum(np.linalg.eigvalsh(core), a.alpha)
-    if log_value == -math.inf:
-        return math.inf
-    return float(log_value / (a.alpha - 1.0))
+    if any(a.alpha > 1.0 for a in checked) and not dec_sigma.supports(rho_m):
+        live = [i for i, a in enumerate(checked) if a.alpha <= 1.0]
+    else:
+        live = list(range(len(checked)))
+    return checked, rho_m, dec_sigma, live
 
 
 def min_rel_entropy(rho, sigma) -> float:
@@ -182,7 +208,7 @@ def max_rel_entropy(rho, sigma) -> float:
         return math.inf
     inv_sqrt = dec_sigma.power(-0.5)
     core = inv_sqrt @ rho_m @ inv_sqrt
-    eigs = np.linalg.eigvalsh((core + core.conj().T) / 2)
+    eigs = np.linalg.eigvalsh(hermitian_part(core))
     top = float(eigs[-1])
     if top <= 0.0:
         return math.inf

@@ -5,7 +5,10 @@ by one, the exponential-of-logarithms corollaries of those bounds, and the
 operator identities that characterize exact recoverability.  Powers and
 logarithms of rho, N(rho) and N(sigma) are read from the decompositions the
 triple or state caches, so a sweep over orders decomposes each once, and the
-exp-log operator is read from ``exp_log_sum``, built once per object.
+exp-log operator is read from ``exp_log_sum``, built once per object.  Each
+order-dependent functional has a grid form that closes the brackets of all
+its orders with one stacked ``eigh``; its values equal the one-order
+evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -13,21 +16,18 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import apply_channel
-from .linalg import herm_pow, spectral_norm
-from .measures import ChannelTriple, TripartiteState, _bracket
+from .linalg import herm_pows, hermitian_part, real_traces, spectral_norm, spectral_norms
+from .measures import ChannelTriple, TripartiteState, _bracket, _wedge_power
 
 LN2 = float(np.log(2.0))
 
 
-def _symmetrize(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2
-
-
-def _channel_bracket(x, alpha: float, sandwiched: bool) -> np.ndarray:
-    h = (1.0 - alpha) / 2.0
-    if sandwiched:
-        h /= alpha
-    return _bracket(x, h, x.out_rho_spectrum.power(2.0 * h))
+def _closed_brackets(x, alphas, sandwiched: bool, closings) -> np.ndarray:
+    """The channel-form bracket at each order, h = (1-a)/2 (divided by alpha
+    when ``sandwiched``), raised to the matching closing exponent."""
+    hs = [(1.0 - a) / 2.0 / a if sandwiched else (1.0 - a) / 2.0 for a in alphas]
+    brackets = _bracket(x, hs, x.out_rho_spectrum.powers([2.0 * h for h in hs]))
+    return herm_pows(brackets, closings)
 
 
 def channel_trace_value(
@@ -41,11 +41,17 @@ def channel_trace_value(
     sufficient for rho and sigma.  A TripartiteState is read as its CMI
     triple.
     """
-    closing = 1.0 / (1.0 - alpha)
-    if sandwiched:
-        closing *= alpha
-    bracket = _channel_bracket(triple, alpha, sandwiched)
-    return float(np.trace(herm_pow(bracket, closing)).real)
+    return channel_trace_value_grid(triple, (alpha,), sandwiched)[0]
+
+
+def channel_trace_value_grid(
+    triple: ChannelTriple | TripartiteState, alphas, sandwiched: bool = False
+) -> list[float]:
+    """``channel_trace_value`` at each order of ``alphas``, as one stack."""
+    # 1/(1-a), times a in the sandwiched form; a/(1-a) may round differently
+    closings = [1.0 / (1.0 - a) * (a if sandwiched else 1.0) for a in alphas]
+    closed = _closed_brackets(triple, alphas, sandwiched, closings)
+    return [float(value) for value in real_traces(closed)]
 
 
 def cmi_trace_value(state: TripartiteState, alpha: float, sandwiched: bool = False) -> float:
@@ -82,8 +88,13 @@ def lie_trotter_deviation(x: ChannelTriple | TripartiteState, alpha: float) -> f
     exp(log rho_AC + log rho_BC - log rho_C).  The gap vanishes as alpha
     approaches 1.
     """
-    closed = herm_pow(_channel_bracket(x, alpha, sandwiched=False), 1.0 / (1.0 - alpha))
-    return spectral_norm(closed - x.exp_log_sum)
+    return lie_trotter_deviation_grid(x, (alpha,))[0]
+
+
+def lie_trotter_deviation_grid(x: ChannelTriple | TripartiteState, alphas) -> list[float]:
+    """``lie_trotter_deviation`` at each order of ``alphas``, as one stack."""
+    closed = _closed_brackets(x, alphas, False, [1.0 / (1.0 - a) for a in alphas])
+    return spectral_norms(closed - x.exp_log_sum)
 
 
 def recovery_fixed_point_residual(triple: ChannelTriple, alpha: float) -> float:
@@ -91,29 +102,45 @@ def recovery_fixed_point_residual(triple: ChannelTriple, alpha: float) -> float:
 
     Zero exactly when the plain Renyi relative-entropy difference vanishes.
     """
-    bracket = _channel_bracket(triple, alpha, sandwiched=False)
-    closed = herm_pow(bracket, 1.0 / (1.0 - alpha))
-    return spectral_norm(closed - triple.rho.matrix)
+    return recovery_fixed_point_residual_grid(triple, (alpha,))[0]
+
+
+def recovery_fixed_point_residual_grid(triple: ChannelTriple, alphas) -> list[float]:
+    """``recovery_fixed_point_residual`` at each order of ``alphas``, as one stack."""
+    closed = _closed_brackets(triple, alphas, False, [1.0 / (1.0 - a) for a in alphas])
+    return spectral_norms(closed - triple.rho.matrix)
 
 
 def sandwiched_fixed_point_residual(triple: ChannelTriple, alpha: float) -> float:
     """Spectral-norm residual of rho = [sandwiched bracket]^(alpha/(1-alpha))."""
-    bracket = _channel_bracket(triple, alpha, sandwiched=True)
-    closed = herm_pow(bracket, alpha / (1.0 - alpha))
-    return spectral_norm(closed - triple.rho.matrix)
+    return sandwiched_fixed_point_residual_grid(triple, (alpha,))[0]
+
+
+def sandwiched_fixed_point_residual_grid(triple: ChannelTriple, alphas) -> list[float]:
+    """``sandwiched_fixed_point_residual`` at each order of ``alphas``, as one stack."""
+    closed = _closed_brackets(triple, alphas, True, [a / (1.0 - a) for a in alphas])
+    return spectral_norms(closed - triple.rho.matrix)
 
 
 def output_fixed_point_residual(triple: ChannelTriple, alpha: float) -> float:
     """Residual of [N(sigma)^((a-1)/2) N(sigma^((1-a)/2) rho^a sigma^((1-a)/2))
     N(sigma)^((a-1)/2)]^(1/a) = N(rho), in spectral norm."""
-    h = (1.0 - alpha) / 2.0
-    wedge = triple.sigma_fn(lambda v: v**h)
+    return output_fixed_point_residual_grid(triple, (alpha,))[0]
+
+
+def output_fixed_point_residual_grid(triple: ChannelTriple, alphas) -> list[float]:
+    """``output_fixed_point_residual`` at each order of ``alphas``, as one stack."""
+    hs = [(1.0 - alpha) / 2.0 for alpha in alphas]
+    wedge = triple.sigma_fn([_wedge_power(h) for h in hs])
     pushed = apply_channel(
-        triple.channel, _symmetrize(wedge @ triple.rho.spectrum.power(alpha) @ wedge)
+        triple.channel,
+        hermitian_part(wedge @ triple.rho.spectrum.powers(alphas) @ wedge),
     )
-    out_wedge = triple.out_sigma_spectrum.power(-h)
-    closed = herm_pow(_symmetrize(out_wedge @ pushed @ out_wedge), 1.0 / alpha)
-    return spectral_norm(closed - triple.out_rho)
+    out_wedge = triple.out_sigma_spectrum.powers([-h for h in hs])
+    closed = herm_pows(
+        hermitian_part(out_wedge @ pushed @ out_wedge), [1.0 / alpha for alpha in alphas]
+    )
+    return spectral_norms(closed - triple.out_rho)
 
 
 def log_identity_residual(triple: ChannelTriple) -> float:
@@ -123,5 +150,5 @@ def log_identity_residual(triple: ChannelTriple) -> float:
     sigma; with the conditional-mutual-information substitution it becomes
     log rho_ABC = log rho_AC + log rho_BC - log rho_C.
     """
-    direct = triple.rho.spectrum.apply(np.log) - triple.sigma_fn(np.log)
+    direct = triple.rho.spectrum.apply(np.log) - triple.sigma_fn((np.log,))[0]
     return spectral_norm(triple.pulled_log_ratio() - direct) / LN2

@@ -7,6 +7,15 @@ pure; matrices are never modified in place.
 Conventions: functions of a Hermitian operator act only on its support, as
 ``support_mask`` defines it, so negative powers are pseudo-inverses on the
 support and ``A @ herm_pow(A, -1)`` is the orthogonal projector onto supp(A).
+
+The stacked forms (``SpectralDecomposition.powers``, ``herm_pows``,
+``spectral_norms``, ``stacked_singular_values``) take or return a (k, d, d)
+stack and make one numpy call where the two-dimensional forms would make k.
+numpy's stacked ``matmul``, ``eigh`` and ``svd`` loop over the slices and
+make the same BLAS or LAPACK call on each as on a lone matrix, and every
+scalar function is evaluated per slice, so each slice equals its
+two-dimensional result bit for bit.  The two-dimensional forms are the
+stacks of one.
 """
 
 from __future__ import annotations
@@ -31,18 +40,19 @@ POSITIVITY_TOL = 1e-10  # negative eigenvalues validation accepts as round-off
 HERMITICITY_TOL = 1e-10
 
 
-def support_mask(values) -> np.ndarray:
+def support_mask(values, axis: int | None = None) -> np.ndarray:
     """Which eigenvalues (or singular values, or ratios of them) are nonzero.
 
     A value is kept when it exceeds SUPPORT_CUTOFF * max|value|.  A negative
     value is kept only below -POSITIVITY_TOL * max(1, max|value|), so the
     round-off that positivity validation accepts counts as zero.  This is the
     only support cutoff in the package: every power, logarithm, support test
-    and Schatten functional reads its support from here.
+    and Schatten functional reads its support from here.  With ``axis`` the
+    maximum is taken along that axis, e.g. per row of a stack of spectra.
     """
     values = np.asarray(values)
-    top = float(np.max(np.abs(values))) if values.size else 0.0
-    return (values > SUPPORT_CUTOFF * top) | (values < -POSITIVITY_TOL * max(1.0, top))
+    top = np.max(np.abs(values), axis=axis, keepdims=True, initial=0.0)
+    return (values > SUPPORT_CUTOFF * top) | (values < -POSITIVITY_TOL * np.fmax(1.0, top))
 
 
 def on_support(values, f: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -57,18 +67,28 @@ def finite_values(kept: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np
     Raises MatrixFunctionDomainError if ``f`` is undefined (nan) or
     overflows float64 (+-inf) on a value.
     """
+    return finite_rows((kept,), (f,))[0]
+
+
+def finite_rows(kepts, fs) -> list[np.ndarray]:
+    """``finite_values(kept, f)`` for each pair of ``kepts`` and ``fs``.
+
+    All are evaluated under one error state and checked in order, so the
+    first pair with a non-finite value raises, as a loop over pairs would.
+    """
     with np.errstate(all="ignore"):
-        fvals = np.asarray(f(kept), dtype=float)
-    if not np.isfinite(fvals).all():
-        nan = np.isnan(fvals)
-        if nan.any():
+        rows = [np.asarray(f(kept), dtype=float) for kept, f in zip(kepts, fs)]
+    for kept, fvals in zip(kepts, rows):
+        if not np.isfinite(fvals).all():
+            nan = np.isnan(fvals)
+            if nan.any():
+                raise MatrixFunctionDomainError(
+                    f"function undefined on retained eigenvalue(s) {kept[nan]}"
+                )
             raise MatrixFunctionDomainError(
-                f"function undefined on retained eigenvalue(s) {kept[nan]}"
+                f"function overflows float64 on retained eigenvalue(s) {kept[np.isinf(fvals)]}"
             )
-        raise MatrixFunctionDomainError(
-            f"function overflows float64 on retained eigenvalue(s) {kept[np.isinf(fvals)]}"
-        )
-    return fvals
+    return rows
 
 
 @dataclass(frozen=True)
@@ -109,13 +129,25 @@ class SpectralDecomposition:
         Kernel eigenvalues are mapped to zero without evaluating ``f``, so
         e.g. f(x) = 1/x yields the pseudo-inverse.
         """
+        return self.apply_all((f,))[0]
+
+    def apply_all(self, fs: Sequence[Callable[[np.ndarray], np.ndarray]]) -> np.ndarray:
+        """The (k, d, d) stack of ``f`` of the matrix, for each of the k ``fs``.
+
+        Each slice equals ``apply(f)`` bit for bit: every ``f`` is evaluated
+        on its own, and the k reconstructions are one stacked matmul.
+        """
         _, kept, v = self.support
-        out = (v * finite_values(kept, f)) @ v.conj().T
-        return (out + out.conj().T) / 2
+        fvals = finite_rows([kept] * len(fs), fs)
+        return _reconstruct(v, np.reshape(fvals, (len(fs), kept.size)))
 
     def power(self, p: float) -> np.ndarray:
         """Support-restricted power; ``p = 0`` gives the support projector."""
-        return self.apply(lambda x: np.power(x, p))
+        return self.powers((p,))[0]
+
+    def powers(self, ps: Sequence[float]) -> np.ndarray:
+        """The (k, d, d) stack of support-restricted powers, one per order."""
+        return self.apply_all([_power_of(p) for p in ps])
 
     def supports(self, a) -> bool:
         """Whether supp(a) lies in the support of this matrix, for PSD ``a``."""
@@ -133,10 +165,43 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _power_of(p: float) -> Callable[[np.ndarray], np.ndarray]:
+    # a scalar exponent: numpy takes its sqrt path at p = 0.5, an array of
+    # exponents does not, and the two differ in the last bit
+    return lambda x: np.power(x, p)
+
+
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M†)/2 of a matrix, or of each slice of a (k, d, d) stack."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
+def _reconstruct(v: np.ndarray, fvals: np.ndarray) -> np.ndarray:
+    """Hermitian part of V diag(f) V†, for each row of ``fvals``.
+
+    ``v`` is (d, r) or a (k, d, r) stack and ``fvals`` is (k, r); the
+    result is the (k, d, d) stack, each slice equal bit for bit to its
+    two-dimensional product.
+    """
+    return hermitian_part((v * fvals[:, None, :]) @ v.conj().swapaxes(-1, -2))
+
+
+def real_traces(stack: np.ndarray) -> np.ndarray:
+    """The real part of the trace of each slice of a (k, d, d) stack."""
+    return np.trace(stack, axis1=-2, axis2=-1).real
+
+
 def _as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise DimensionMismatchError(f"expected a matrix, got shape {a.shape}")
+    return a
+
+
+def _as_stack(m) -> np.ndarray:
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 3:
+        raise DimensionMismatchError(f"expected a (k, d, d) stack, got shape {a.shape}")
     return a
 
 
@@ -147,23 +212,36 @@ def hermitian_eig(m) -> SpectralDecomposition:
     relative anti-Hermitian residual above HERMITICITY_TOL raises
     NonHermitianError.
     """
-    a = _as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"matrix is not square: shape {a.shape}")
-    scale = np.linalg.norm(a, np.inf)
-    residual = np.linalg.norm(a - a.conj().T, np.inf)
-    if scale > 0 and residual > HERMITICITY_TOL * scale:
-        raise NonHermitianError(
-            f"anti-Hermitian residual {residual:.3e} exceeds "
-            f"{HERMITICITY_TOL:.1e} * norm {scale:.3e}"
-        )
-    sym = (a + a.conj().T) / 2
-    vals, vecs = np.linalg.eigh(sym)
-    order = np.argsort(-vals, kind="stable")
-    rel = residual / scale if scale > 0 else 0.0
-    return SpectralDecomposition(
-        read_only(vals[order]), read_only(vecs[:, order]), float(rel)
-    )
+    vals, vecs, rel = _sorted_eigh(_as_matrix(m)[None])
+    return SpectralDecomposition(read_only(vals[0]), read_only(vecs[0]), rel[0])
+
+
+def _sorted_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Eigenvalues sorted descending, the matching eigenvectors, and the
+    relative anti-Hermitian residual, of each slice of a (k, d, d) stack.
+
+    Each slice is checked, symmetrized and stably sorted on its own, and one
+    ``eigh`` decomposes the whole stack.
+    """
+    if a.shape[1] != a.shape[2]:
+        raise DimensionMismatchError(f"matrix is not square: shape {a.shape[1:]}")
+    scales = np.linalg.norm(a, np.inf, axis=(1, 2))
+    residuals = np.linalg.norm(a - a.conj().swapaxes(1, 2), np.inf, axis=(1, 2))
+    rel = []
+    for scale, residual in zip(scales, residuals):
+        if scale > 0 and residual > HERMITICITY_TOL * scale:
+            raise NonHermitianError(
+                f"anti-Hermitian residual {residual:.3e} exceeds "
+                f"{HERMITICITY_TOL:.1e} * norm {scale:.3e}"
+            )
+        rel.append(float(residual / scale) if scale > 0 else 0.0)
+    vals, vecs = np.linalg.eigh(hermitian_part(a))
+    order = np.argsort(-vals, axis=1, kind="stable")
+    rows = np.arange(len(a))[:, None]
+    # slice i keeps, as its column j, the column order[i, j] eigh returned
+    vals = vals[rows, order]
+    vecs = vecs[rows[:, :, None], np.arange(a.shape[1])[:, None], order[:, None, :]]
+    return vals, vecs, rel
 
 
 def matrix_function(m, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -181,7 +259,30 @@ def herm_pow(m, p: float) -> np.ndarray:
     ``p = 0`` gives the projector onto the support; negative ``p`` uses the
     support-restricted inverse.
     """
-    return hermitian_eig(m).power(p)
+    return herm_pows(_as_matrix(m)[None], (p,))[0]
+
+
+def herm_pows(stack, ps: Sequence[float]) -> np.ndarray:
+    """``herm_pow`` of slice i of a (k, d, d) stack to ``ps[i]``, stacked.
+
+    One ``eigh`` decomposes the stack; each slice keeps its own support and
+    evaluates its own power, so slice i equals ``herm_pow(stack[i], ps[i])``
+    bit for bit.
+    """
+    a = _as_stack(stack)
+    if len(ps) != len(a):
+        raise DimensionMismatchError(f"{len(ps)} exponents for a stack of {len(a)}")
+    vals, vecs, _ = _sorted_eigh(a)
+    keep = support_mask(vals, axis=1)
+    fvals = finite_rows([v[m] for v, m in zip(vals, keep)], [_power_of(p) for p in ps])
+    if keep.all():
+        return _reconstruct(vecs, np.reshape(fvals, vals.shape))
+    # a slice that drops values is rebuilt from its kept vectors alone, as
+    # herm_pow rebuilds it: zeros in place of the dropped values would change
+    # the inner dimension of the matmul, and with it the summation BLAS uses
+    return np.concatenate([
+        _reconstruct(v[:, m], f[None]) for v, m, f in zip(vecs, keep, fvals)
+    ])
 
 
 def herm_log(m) -> np.ndarray:
@@ -201,9 +302,7 @@ def herm_exp(m) -> np.ndarray:
     which is the behavior needed for exponentials of sums of logarithms.
     """
     dec = hermitian_eig(m)
-    v = dec.eigenvectors
-    out = (v * np.exp(dec.eigenvalues)) @ v.conj().T
-    return (out + out.conj().T) / 2
+    return _reconstruct(dec.eigenvectors, np.exp(dec.eigenvalues)[None])[0]
 
 
 def kron(a, b) -> np.ndarray:
@@ -256,31 +355,38 @@ def embed_operator(x, dims: Sequence[int], sites: Sequence[int]) -> np.ndarray:
     """Extend an operator on a subset of tensor factors by identity elsewhere.
 
     ``sites`` are the (ascending) factor indices that ``x`` acts on; the
-    result acts on the full tensor product in natural factor order.
+    result acts on the full tensor product in natural factor order.  ``x``
+    may also be a (k, d, d) stack, which is embedded slice by slice.
     """
-    a = _as_matrix(x)
+    a = np.asarray(x, dtype=complex)
+    if a.ndim not in (2, 3):
+        raise DimensionMismatchError(f"expected a matrix or a stack, got shape {a.shape}")
     dims = tuple(int(d) for d in dims)
     sites = tuple(int(s) for s in sites)
     if sorted(sites) != list(sites) or len(set(sites)) != len(sites):
         raise DimensionMismatchError(f"sites must be strictly ascending, got {sites}")
     d_sites = int(np.prod([dims[s] for s in sites]))
-    if a.shape != (d_sites, d_sites):
+    if a.shape[-2:] != (d_sites, d_sites):
         raise DimensionMismatchError(
-            f"operator shape {a.shape} does not match site dims product {d_sites}"
+            f"operator shape {a.shape[-2:]} does not match site dims product {d_sites}"
         )
     rest = [i for i in range(len(dims)) if i not in sites]
     total = int(np.prod(dims))
     # index[s, r]: the natural-order basis index with site part s and rest part r
     index = np.arange(total).reshape(dims).transpose(list(sites) + rest).reshape(d_sites, -1)
-    out = np.zeros((total, total), dtype=complex)
-    out[index[:, None, :], index[None, :, :]] = a[:, :, None]
+    out = np.zeros(a.shape[:-2] + (total, total), dtype=complex)
+    out[..., index[:, None, :], index[None, :, :]] = a[..., :, :, None]
     return out
 
 
 def singular_values(x) -> np.ndarray:
     """Singular values on the support, descending."""
-    sv = np.linalg.svd(_as_matrix(x), compute_uv=False)
-    return sv[support_mask(sv)]
+    return stacked_singular_values(_as_matrix(x)[None])[0]
+
+
+def stacked_singular_values(stack) -> list[np.ndarray]:
+    """``singular_values`` of each slice of a (k, m, n) stack, in one ``svd``."""
+    return [sv[support_mask(sv)] for sv in np.linalg.svd(_as_stack(stack), compute_uv=False)]
 
 
 def log2_power_sum(values, p: float) -> float:
@@ -319,8 +425,13 @@ def trace_norm(x) -> float:
 
 def spectral_norm(x) -> float:
     """Schatten infinity-norm (largest singular value)."""
-    sv = np.linalg.svd(_as_matrix(x), compute_uv=False)
-    return float(sv[0]) if sv.size else 0.0
+    return spectral_norms(_as_matrix(x)[None])[0]
+
+
+def spectral_norms(stack) -> list[float]:
+    """``spectral_norm`` of each slice of a (k, m, n) stack, in one ``svd``."""
+    sv = np.linalg.svd(_as_stack(stack), compute_uv=False)
+    return [float(s[0]) if s.size else 0.0 for s in sv]
 
 
 def hs_inner(c, d) -> complex:

@@ -25,6 +25,12 @@ the recovered N(rho) with its decomposition, and the exp-log operator.
 Every power and logarithm is read from these, so evaluating many orders on
 one object decomposes each operator once.  A cache lives as long as its
 object, and the cached arrays are read-only.
+
+Each Renyi family also has a grid form (``renyi_rel_ent_diff_grid``,
+``sandwiched_rel_ent_diff_grid``) that evaluates a tuple of orders as one
+stack: the powers of each decomposition at the k orders form one (k, d, d)
+array.  Its values equal the one-order evaluation bit for bit, and the
+one-order function is the grid of one order.
 """
 
 from __future__ import annotations
@@ -58,11 +64,13 @@ from .linalg import (
     herm_exp,
     herm_pow,  # noqa: F401  kept bound here: perfbench's tracer test reads it
     hermitian_eig,
+    hermitian_part,
     kron,
     log2_power_sum,
     partial_trace,
     read_only,
-    singular_values,
+    real_traces,
+    stacked_singular_values,
 )
 from .states import Decomposed, DensityOperator, PositiveOperator
 
@@ -93,7 +101,7 @@ class _CachedSpectra:
     @cached_property
     def recovered(self) -> np.ndarray:
         """The Petz-recovered N(rho): the bracket at h = 1/2 with M = N(rho)."""
-        return read_only(_bracket(self, 0.5, self.out_rho))
+        return read_only(_bracket(self, (0.5,), self.out_rho)[0])
 
     @cached_property
     def recovered_spectrum(self) -> SpectralDecomposition:
@@ -109,8 +117,8 @@ class _CachedSpectra:
     def exp_log_sum(self) -> np.ndarray:
         """exp(log sigma + N†(log N(rho) - log N(sigma))), the alpha -> 1
         limit of the closed Renyi bracket."""
-        m = self.sigma_fn(np.log) + self.pulled_log_ratio()
-        return read_only(herm_exp((m + m.conj().T) / 2))
+        m = self.sigma_fn((np.log,))[0] + self.pulled_log_ratio()
+        return read_only(herm_exp(hermitian_part(m)))
 
 
 class TripartiteState(_CachedSpectra):
@@ -161,16 +169,17 @@ class TripartiteState(_CachedSpectra):
     def _rho_ac_spectrum(self) -> SpectralDecomposition:
         return hermitian_eig(self.rho_ac)
 
-    def sigma_fn(self, f) -> np.ndarray:
-        """f(rho_AC x I_B) = f(rho_AC) x I_B on the support."""
-        return embed_operator(self._rho_ac_spectrum.apply(f), self.dims, (0, 2))
+    def sigma_fn(self, fs) -> np.ndarray:
+        """The stack of f(rho_AC x I_B) = f(rho_AC) x I_B on the support, one
+        slice per f in ``fs``."""
+        return embed_operator(self._rho_ac_spectrum.apply_all(fs), self.dims, (0, 2))
 
     def sigma_supports_rho(self) -> bool:
         """Always true: supp(rho_ABC) lies in supp(rho_AC x I_B)."""
         return True
 
     def pull(self, x) -> np.ndarray:
-        """Tr_A†(x) = I_A x x for an operator x on B x C."""
+        """Tr_A†(x) = I_A x x for an operator x on B x C, or a stack of them."""
         return embed_operator(x, self.dims, (1, 2))
 
     def pull_root(self, y) -> np.ndarray:
@@ -215,21 +224,22 @@ class ChannelTriple(_CachedSpectra):
             and self.out_sigma_spectrum.eigenvalues[-1] > POSITIVITY_TOL
         )
 
-    def sigma_fn(self, f) -> np.ndarray:
-        """f(sigma) on the support of sigma."""
-        return self.sigma.spectrum.apply(f)
+    def sigma_fn(self, fs) -> np.ndarray:
+        """The stack of f(sigma) on the support of sigma, one slice per f in ``fs``."""
+        return self.sigma.spectrum.apply_all(fs)
 
     def sigma_supports_rho(self) -> bool:
         """Whether supp(rho) lies in supp(sigma)."""
         return self.sigma.spectrum.supports(self.rho.matrix)
 
     def pull(self, x) -> np.ndarray:
-        """N†(x)."""
+        """N†(x), of an operator or of each slice of a stack."""
         return adjoint_apply(self.channel, x)
 
     def pull_root(self, y) -> np.ndarray:
-        """[K_1† y, ..., K_r† y], a Z with Z Z† = sum_i K_i† y y† K_i = N†(y y†)."""
-        return np.hstack([k.conj().T @ y for k in self.channel.kraus])
+        """[K_1† y, ..., K_r† y], a Z with Z Z† = sum_i K_i† y y† K_i = N†(y y†),
+        of an operator or of each slice of a stack."""
+        return np.concatenate([k.conj().T @ y for k in self.channel.kraus], axis=-1)
 
 
 def cmi_as_triple(state: TripartiteState) -> ChannelTriple:
@@ -334,18 +344,24 @@ def rel_ent_diff(triple: ChannelTriple) -> float:
     return first - _rel_entropy_on_support(triple.out_rho_spectrum, out_sigma)
 
 
-def _bracket(x, h: float, middle: np.ndarray) -> np.ndarray:
-    """sigma^h N†(N(sigma)^(-h) M N(sigma)^(-h)) sigma^h, symmetrized.
+def _wedge_power(h: float):
+    """v -> v**h, the function every wedge sigma^h is evaluated with."""
+    return lambda v: v**h
 
-    ``x`` is a ChannelTriple or a TripartiteState.  With M = N(rho)^(2h) this
-    is the bracket of every Renyi formula; at h = 1/2 with M = N(rho) it is
-    the Petz-recovered N(rho).
+
+def _bracket(x, hs, middle: np.ndarray) -> np.ndarray:
+    """sigma^h N†(N(sigma)^(-h) M N(sigma)^(-h)) sigma^h, symmetrized, for
+    each h in ``hs``: a (k, d, d) stack.
+
+    ``x`` is a ChannelTriple or a TripartiteState, and ``middle`` holds the k
+    middle operators M (or one M for every h).  With M = N(rho)^(2h) this is
+    the bracket of every Renyi formula; at h = 1/2 with M = N(rho) it is the
+    Petz-recovered N(rho).
     """
-    out_wedge = x.out_sigma_spectrum.power(-h)
+    out_wedge = x.out_sigma_spectrum.powers([-h for h in hs])
     inner = out_wedge @ middle @ out_wedge
-    wedge = x.sigma_fn(lambda v: v**h)
-    out = wedge @ x.pull((inner + inner.conj().T) / 2) @ wedge
-    return (out + out.conj().T) / 2
+    wedge = x.sigma_fn([_wedge_power(h) for h in hs])
+    return hermitian_part(wedge @ x.pull(hermitian_part(inner)) @ wedge)
 
 
 def renyi_rel_ent_diff(
@@ -361,15 +377,26 @@ def renyi_rel_ent_diff(
     when supp(rho) is not contained in supp(sigma).  A TripartiteState is
     read as its CMI triple.
     """
-    a = _checked_alpha(triple, a, strict)
-    half = (1.0 - a.alpha) / 2.0
-    middle = triple.out_rho_spectrum.power(2.0 * half)
-    value = float(
-        np.trace(triple.rho.spectrum.power(a.alpha) @ _bracket(triple, half, middle)).real
-    )
-    if value <= 0.0:
-        return math.inf
-    return float(np.log2(value) / (a.alpha - 1.0))
+    return renyi_rel_ent_diff_grid(triple, (a,), strict)[0]
+
+
+def renyi_rel_ent_diff_grid(
+    triple: ChannelTriple | TripartiteState, alphas, strict: bool = True
+) -> list[float]:
+    """``renyi_rel_ent_diff`` at each order of ``alphas``, evaluated as one stack.
+
+    Every order is checked before any is evaluated, and each value equals the
+    one-order evaluation bit for bit.
+    """
+    checked = [_checked_alpha(triple, a, strict) for a in alphas]
+    halves = [(1.0 - a.alpha) / 2.0 for a in checked]
+    middle = triple.out_rho_spectrum.powers([2.0 * h for h in halves])
+    rho_powers = triple.rho.spectrum.powers([a.alpha for a in checked])
+    values = real_traces(rho_powers @ _bracket(triple, halves, middle))
+    return [
+        math.inf if value <= 0.0 else float(np.log2(value) / (a.alpha - 1.0))
+        for a, value in zip(checked, values)
+    ]
 
 
 def sandwiched_rel_ent_diff(
@@ -388,15 +415,28 @@ def sandwiched_rel_ent_diff(
     supp(rho) is not contained in supp(sigma).  A TripartiteState is read as
     its CMI triple.
     """
-    a = _checked_alpha(triple, a, strict)
-    h = (1.0 - a.alpha) / (2.0 * a.alpha)
-    y = triple.out_sigma_spectrum.power(-h) @ triple.out_rho_spectrum.power(h)
-    wedge = triple.sigma_fn(lambda v: v**h)
-    product = triple.pull_root(y).conj().T @ wedge @ triple.rho.spectrum.power(0.5)
-    log_value = log2_power_sum(singular_values(product), 2.0 * a.alpha)
-    if log_value == -math.inf:
-        return math.inf
-    return float(log_value / (a.alpha - 1.0))
+    return sandwiched_rel_ent_diff_grid(triple, (a,), strict)[0]
+
+
+def sandwiched_rel_ent_diff_grid(
+    triple: ChannelTriple | TripartiteState, alphas, strict: bool = True
+) -> list[float]:
+    """``sandwiched_rel_ent_diff`` at each order of ``alphas``, evaluated as
+    one stack.
+
+    Every order is checked before any is evaluated, and each value equals the
+    one-order evaluation bit for bit.
+    """
+    checked = [_checked_alpha(triple, a, strict) for a in alphas]
+    hs = [(1.0 - a.alpha) / (2.0 * a.alpha) for a in checked]
+    y = triple.out_sigma_spectrum.powers([-h for h in hs]) @ triple.out_rho_spectrum.powers(hs)
+    wedge = triple.sigma_fn([_wedge_power(h) for h in hs])
+    product = triple.pull_root(y).conj().swapaxes(-1, -2) @ wedge @ triple.rho.spectrum.power(0.5)
+    values = []
+    for a, svs in zip(checked, stacked_singular_values(product)):
+        log_value = log2_power_sum(svs, 2.0 * a.alpha)
+        values.append(math.inf if log_value == -math.inf else float(log_value / (a.alpha - 1.0)))
+    return values
 
 
 def _recovery_divergence(x, kind: str) -> float:

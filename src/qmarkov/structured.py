@@ -21,7 +21,7 @@ import numpy as np
 from .channels import (
     Channel,
     apply_channel,
-    petz_recovery,
+    petz_channel,
     random_strict_channel,
     random_unitary,
 )
@@ -229,7 +229,10 @@ def is_sufficient_petz(
     joint pass flag.  Exact recovery of any pair by any channel implies the
     Petz recovery works, so this certifies sufficiency itself.
     """
-    recovery = petz_recovery(triple.sigma, triple.channel)
+    # sigma and N(sigma) are read from the decompositions the triple caches
+    recovery = petz_channel(
+        triple.channel, triple.sigma.spectrum.power(0.5), triple.out_sigma_spectrum
+    )
     rho_back = apply_channel(recovery, triple.out_rho)
     sigma_back = apply_channel(recovery, triple.out_sigma)
     d_rho = trace_distance(rho_back, triple.rho.matrix)

@@ -12,6 +12,11 @@ SANDWICHED_ALPHA_GRID, random triples map C^4 to C^3 (CHANNEL_DIMS), exact
 inequalities may fail by at most SLACK_FLOOR, and the order-1 limits at
 alpha = 1 +- 1e-4 must hold within LIMIT_TOL.
 
+Each check group evaluates an order grid with one grid call per family and
+object (``renyi_rel_ent_diff_grid`` and the like), which equals the loop over
+orders bit for bit; a state is read as its CMI triple, so the Renyi and
+sandwiched CMI are the difference grids evaluated on the state.
+
 Slack semantics: every record stores the signed margin by which its check is
 satisfied (bound minus value for upper bounds, value minus bound for lower
 bounds), so a negative slack beyond the check's floor is a failure.
@@ -29,19 +34,20 @@ import numpy as np
 from .channels import random_strict_channel
 from .divergences import (
     min_rel_entropy,
-    renyi_rel_entropy,
+    renyi_rel_entropy_grid,
     sandwiched_rel_entropy,
+    sandwiched_rel_entropy_grid,
 )
 from .errors import ValidationError
 from .functionals import (
-    channel_trace_value,
+    channel_trace_value_grid,
     exp_trace_channel_value,
-    lie_trotter_deviation,
-    output_fixed_point_residual,
-    recovery_fixed_point_residual,
-    sandwiched_fixed_point_residual,
+    lie_trotter_deviation_grid,
+    output_fixed_point_residual_grid,
+    recovery_fixed_point_residual_grid,
+    sandwiched_fixed_point_residual_grid,
 )
-from .linalg import hermitian_eig, herm_pow
+from .linalg import herm_pows, hermitian_eig, hermitian_part, real_traces
 from .measures import (
     PETZ_ALPHA_GRID,
     SANDWICHED_ALPHA_GRID,
@@ -50,10 +56,8 @@ from .measures import (
     minmax_cmi,
     minmax_rel_ent_diff,
     rel_ent_diff,
-    renyi_cmi,
-    renyi_rel_ent_diff,
-    sandwiched_cmi,
-    sandwiched_rel_ent_diff,
+    renyi_rel_ent_diff_grid,
+    sandwiched_rel_ent_diff_grid,
     von_neumann_cmi,
 )
 from .states import Decomposed, DensityOperator, PositiveOperator, random_density
@@ -70,6 +74,7 @@ SCREEN_DISTANCE = 1e-3  # random triples closer than this to recoverable are red
 CHANNEL_DIMS = (4, 3)  # input and output dimension of the random triples
 SLACK_FLOOR = 1e-9  # allowed negative margin on exact inequalities
 LIMIT_TOL = 1e-3  # distance to the von Neumann quantities at alpha = 1 +- 1e-4
+LIMIT_ORDERS = (1.0 - 1e-4, 1.0 + 1e-4)
 EXACT_TROTTER_BOUND = 1e-10  # product-formula deviation counted as exact
 MONOTONE_FLOOR = 1e-12  # allowed growth of a shrinking product-formula deviation
 
@@ -267,24 +272,26 @@ def trace_inequality_suite(cfg: SuiteConfig, extra_state: TripartiteState | None
 
 def _trace_bounds(rec, x, kind, trial, seed_t):
     """Trace bounds of a triple, or of a state read as its CMI triple."""
-    for a in PETZ_ALPHA_GRID:
-        rec.upper(f"{kind}-trace-plain", trial, seed_t, a,
-                  channel_trace_value(x, a, sandwiched=False), 1.0, SLACK_FLOOR)
-    for a in SANDWICHED_ALPHA_GRID:
-        rec.upper(f"{kind}-trace-sandwiched", trial, seed_t, a,
-                  channel_trace_value(x, a, sandwiched=True), 1.0, SLACK_FLOOR)
+    plain = channel_trace_value_grid(x, PETZ_ALPHA_GRID, sandwiched=False)
+    for a, value in zip(PETZ_ALPHA_GRID, plain):
+        rec.upper(f"{kind}-trace-plain", trial, seed_t, a, value, 1.0, SLACK_FLOOR)
+    sandwiched = channel_trace_value_grid(x, SANDWICHED_ALPHA_GRID, sandwiched=True)
+    for a, value in zip(SANDWICHED_ALPHA_GRID, sandwiched):
+        rec.upper(f"{kind}-trace-sandwiched", trial, seed_t, a, value, 1.0, SLACK_FLOOR)
     rec.upper(f"exp-trace-{kind}", trial, seed_t, None,
               exp_trace_channel_value(x), 1.0, SLACK_FLOOR)
 
 
 def _trace_equalities(rec, cfg, x, kind, trial, seed_t):
     """The traces of a recoverable triple or Markov chain equal one."""
-    for a in PETZ_ALPHA_GRID:
+    plain = channel_trace_value_grid(x, PETZ_ALPHA_GRID, sandwiched=False)
+    for a, value in zip(PETZ_ALPHA_GRID, plain):
         rec.upper(f"{kind}-trace-equality", trial, seed_t, a,
-                  abs(channel_trace_value(x, a, sandwiched=False) - 1.0), cfg.tol, 0.0)
-    for a in SANDWICHED_ALPHA_GRID:
+                  abs(value - 1.0), cfg.tol, 0.0)
+    sandwiched = channel_trace_value_grid(x, SANDWICHED_ALPHA_GRID, sandwiched=True)
+    for a, value in zip(SANDWICHED_ALPHA_GRID, sandwiched):
         rec.upper(f"{kind}-trace-equality-sandwiched", trial, seed_t, a,
-                  abs(channel_trace_value(x, a, sandwiched=True) - 1.0), cfg.tol, 0.0)
+                  abs(value - 1.0), cfg.tol, 0.0)
 
 
 def characterization_suite(cfg: SuiteConfig) -> VerificationReport:
@@ -301,32 +308,38 @@ def characterization_suite(cfg: SuiteConfig) -> VerificationReport:
         )
         # the plain difference is checked on its certified grid only: beyond
         # alpha = 2 its exponents amplify round-off past any useful tolerance
-        for a in PETZ_ALPHA_GRID:
+        rows = zip(PETZ_ALPHA_GRID, renyi_rel_ent_diff_grid(suff, PETZ_ALPHA_GRID),
+                   output_fixed_point_residual_grid(suff, PETZ_ALPHA_GRID))
+        for a, diff, residual in rows:
             rec.upper("sufficiency-renyi-diff-zero", trial, seed_t, a,
-                      abs(renyi_rel_ent_diff(suff, a)), cfg.tol, 0.0)
+                      abs(diff), cfg.tol, 0.0)
             rec.upper("sufficiency-output-fixed-point", trial, seed_t, a,
-                      output_fixed_point_residual(suff, a), cfg.tol, 0.0)
-        for a in SANDWICHED_ALPHA_GRID:
+                      residual, cfg.tol, 0.0)
+        rows = zip(SANDWICHED_ALPHA_GRID,
+                   sandwiched_rel_ent_diff_grid(suff, SANDWICHED_ALPHA_GRID),
+                   sandwiched_fixed_point_residual_grid(suff, SANDWICHED_ALPHA_GRID))
+        for a, diff, residual in rows:
             rec.upper("sufficiency-sandwiched-diff-zero", trial, seed_t, a,
-                      abs(sandwiched_rel_ent_diff(suff, a)), cfg.tol, 0.0)
+                      abs(diff), cfg.tol, 0.0)
             rec.upper("sufficiency-sandwiched-fixed-point", trial, seed_t, a,
-                      sandwiched_fixed_point_residual(suff, a), cfg.tol, 0.0)
-        for a in PETZ_ALPHA_GRID:
+                      residual, cfg.tol, 0.0)
+        residuals = recovery_fixed_point_residual_grid(suff, PETZ_ALPHA_GRID)
+        for a, residual in zip(PETZ_ALPHA_GRID, residuals):
             rec.upper("sufficiency-recovery-fixed-point", trial, seed_t, a,
-                      recovery_fixed_point_residual(suff, a), cfg.tol, 0.0)
+                      residual, cfg.tol, 0.0)
         for kind in ("min", "max"):
             rec.upper(f"sufficiency-{kind}-diff-zero", trial, seed_t, None,
                       abs(minmax_rel_ent_diff(suff, kind)), cfg.tol, 0.0)
 
         hard = _screened_nonsufficient_triple(cfg, trial)
         rec.lower("nonsufficient-renyi-diff-positive", trial, seed_t, None,
-                  max(renyi_rel_ent_diff(hard, a) for a in PETZ_ALPHA_GRID),
+                  max(renyi_rel_ent_diff_grid(hard, PETZ_ALPHA_GRID)),
                   CONVERSE_FLOOR, 0.0)
         rec.lower("nonsufficient-sandwiched-diff-positive", trial, seed_t, None,
-                  max(sandwiched_rel_ent_diff(hard, a) for a in SANDWICHED_ALPHA_GRID),
+                  max(sandwiched_rel_ent_diff_grid(hard, SANDWICHED_ALPHA_GRID)),
                   CONVERSE_FLOOR, 0.0)
         rec.lower("nonsufficient-fixed-point-positive", trial, seed_t, None,
-                  max(recovery_fixed_point_residual(hard, a) for a in PETZ_ALPHA_GRID),
+                  max(recovery_fixed_point_residual_grid(hard, PETZ_ALPHA_GRID)),
                   CONVERSE_FLOOR, 0.0)
     return rec.report
 
@@ -337,23 +350,24 @@ def limit_suite(cfg: SuiteConfig) -> VerificationReport:
     for trial, seed_t, rng in _trials(cfg):
         state = _random_state(cfg, rng)
         vn = von_neumann_cmi(state)
-        for a in (1.0 - 1e-4, 1.0 + 1e-4):
+        rows = zip(LIMIT_ORDERS, renyi_rel_ent_diff_grid(state, LIMIT_ORDERS),
+                   sandwiched_rel_ent_diff_grid(state, LIMIT_ORDERS))
+        for a, renyi, sandwiched in rows:
             rec.upper("renyi-cmi-limit", trial, seed_t, a,
-                      abs(renyi_cmi(state, a) - vn), LIMIT_TOL, 0.0)
+                      abs(renyi - vn), LIMIT_TOL, 0.0)
             rec.upper("sandwiched-cmi-limit", trial, seed_t, a,
-                      abs(sandwiched_cmi(state, a) - vn), LIMIT_TOL, 0.0)
+                      abs(sandwiched - vn), LIMIT_TOL, 0.0)
 
         triple = _random_triple(rng)
         diff = rel_ent_diff(triple)
-        for a in (1.0 - 1e-4, 1.0 + 1e-4):
+        for a, renyi in zip(LIMIT_ORDERS, renyi_rel_ent_diff_grid(triple, LIMIT_ORDERS)):
             rec.upper("renyi-diff-limit", trial, seed_t, a,
-                      abs(renyi_rel_ent_diff(triple, a) - diff), LIMIT_TOL, 0.0)
+                      abs(renyi - diff), LIMIT_TOL, 0.0)
 
-        for sign in (-1.0, 1.0):
-            deviations = [
-                lie_trotter_deviation(state, 1.0 + sign * 10.0**-k)
-                for k in range(1, 5)
-            ]
+        # 1 -+ 10^-k for k = 1..4, below 1 first
+        trotter_orders = [1.0 + sign * 10.0**-k for sign in (-1.0, 1.0) for k in range(1, 5)]
+        trotter = lie_trotter_deviation_grid(state, trotter_orders)
+        for sign, deviations in ((-1.0, trotter[:4]), (1.0, trotter[4:])):
             if deviations[0] <= EXACT_TROTTER_BOUND:
                 # sigma and N†(...) commute (e.g. a trivial subsystem), so the
                 # formula is exact and the deviations are round-off
@@ -371,9 +385,9 @@ def limit_suite(cfg: SuiteConfig) -> VerificationReport:
             DensityOperator(np.diag(rng.dirichlet(np.ones(int(np.prod(cfg.dims))))),
                             cfg.dims)
         )
-        for a in (0.5, 2.0):
+        for a, deviation in zip((0.5, 2.0), lie_trotter_deviation_grid(diag_state, (0.5, 2.0))):
             rec.upper("diagonal-lie-trotter-exact", trial, seed_t, a,
-                      lie_trotter_deviation(diag_state, a), EXACT_TROTTER_BOUND, 0.0)
+                      deviation, EXACT_TROTTER_BOUND, 0.0)
 
         pair_rho = random_density((CHANNEL_DIMS[0],), seed=rng)
         pair_sigma = random_density((CHANNEL_DIMS[0],), seed=rng)
@@ -394,16 +408,15 @@ def inequality_suite(cfg: SuiteConfig) -> VerificationReport:
         # the triple's own decompositions, so each output is decomposed once
         out_rho = Decomposed(triple.out_rho, triple.out_rho_spectrum)
         out_sigma = Decomposed(triple.out_sigma, triple.out_sigma_spectrum)
-        for a in PETZ_ALPHA_GRID:
-            rec.lower("dpi-renyi", trial, seed_t, a,
-                      renyi_rel_entropy(rho, sigma, a)
-                      - renyi_rel_entropy(out_rho, out_sigma, a),
-                      0.0, SLACK_FLOOR)
-        for a in SANDWICHED_ALPHA_GRID:
-            rec.lower("dpi-sandwiched", trial, seed_t, a,
-                      sandwiched_rel_entropy(rho, sigma, a)
-                      - sandwiched_rel_entropy(out_rho, out_sigma, a),
-                      0.0, SLACK_FLOOR)
+        rows = zip(PETZ_ALPHA_GRID, renyi_rel_entropy_grid(rho, sigma, PETZ_ALPHA_GRID),
+                   renyi_rel_entropy_grid(out_rho, out_sigma, PETZ_ALPHA_GRID))
+        for a, before, after in rows:
+            rec.lower("dpi-renyi", trial, seed_t, a, before - after, 0.0, SLACK_FLOOR)
+        rows = zip(SANDWICHED_ALPHA_GRID,
+                   sandwiched_rel_entropy_grid(rho, sigma, SANDWICHED_ALPHA_GRID),
+                   sandwiched_rel_entropy_grid(out_rho, out_sigma, SANDWICHED_ALPHA_GRID))
+        for a, before, after in rows:
+            rec.lower("dpi-sandwiched", trial, seed_t, a, before - after, 0.0, SLACK_FLOOR)
 
         # concavity of B -> Tr{(A B^p A†)^(1/p)} on two-point mixtures
         dim = CHANNEL_DIMS[0]
@@ -413,32 +426,39 @@ def inequality_suite(cfg: SuiteConfig) -> VerificationReport:
         lam = float(rng.uniform(0.2, 0.8))
         mixed, one, two = (hermitian_eig(b) for b in
                            (lam * b_one + (1.0 - lam) * b_two, b_one, b_two))
-        for p in (0.3, 0.7, -0.3, -0.7):
-            def functional(b):
-                core = a_mat @ b.power(p) @ a_mat.conj().T
-                return float(np.trace(herm_pow((core + core.conj().T) / 2, 1.0 / p)).real)
+        powers = (0.3, 0.7, -0.3, -0.7)
 
-            gap = functional(mixed) - lam * functional(one) - (1.0 - lam) * functional(two)
+        def functional(b):
+            cores = hermitian_part(a_mat @ b.powers(powers) @ a_mat.conj().T)
+            return real_traces(herm_pows(cores, [1.0 / p for p in powers]))
+
+        rows = zip(powers, functional(mixed), functional(one), functional(two))
+        for p, at_mixed, at_one, at_two in rows:
+            gap = float(at_mixed) - lam * float(at_one) - (1.0 - lam) * float(at_two)
             rec.lower("power-trace-concavity", trial, seed_t, p, gap, 0.0, SLACK_FLOOR)
 
-        for a in (1.5, 2.0, 3.0):
-            gamma = (2.0 * a - 1.0) / a
+        # the dominance check reads the sandwiched values at 1.5, 2 and 3 from
+        # the grid the non-negativity check records below
+        sandwiched_diff = dict(zip(
+            SANDWICHED_ALPHA_GRID, sandwiched_rel_ent_diff_grid(triple, SANDWICHED_ALPHA_GRID)
+        ))
+        dominated = (1.5, 2.0, 3.0)
+        gammas = [(2.0 * a - 1.0) / a for a in dominated]
+        for a, substituted in zip(dominated, renyi_rel_ent_diff_grid(triple, gammas)):
             rec.lower("sandwiched-dominates-substituted", trial, seed_t, a,
-                      sandwiched_rel_ent_diff(triple, a)
-                      - renyi_rel_ent_diff(triple, gamma),
-                      0.0, SLACK_FLOOR)
+                      sandwiched_diff[a] - substituted, 0.0, SLACK_FLOOR)
 
         state = _random_state(cfg, rng)
-        for a in PETZ_ALPHA_GRID:
-            rec.lower("nonneg-renyi-cmi", trial, seed_t, a,
-                      renyi_cmi(state, a), 0.0, SLACK_FLOOR)
-            rec.lower("nonneg-renyi-diff", trial, seed_t, a,
-                      renyi_rel_ent_diff(triple, a), 0.0, SLACK_FLOOR)
-        for a in SANDWICHED_ALPHA_GRID:
-            rec.lower("nonneg-sandwiched-cmi", trial, seed_t, a,
-                      sandwiched_cmi(state, a), 0.0, SLACK_FLOOR)
+        rows = zip(PETZ_ALPHA_GRID, renyi_rel_ent_diff_grid(state, PETZ_ALPHA_GRID),
+                   renyi_rel_ent_diff_grid(triple, PETZ_ALPHA_GRID))
+        for a, cmi, diff in rows:
+            rec.lower("nonneg-renyi-cmi", trial, seed_t, a, cmi, 0.0, SLACK_FLOOR)
+            rec.lower("nonneg-renyi-diff", trial, seed_t, a, diff, 0.0, SLACK_FLOOR)
+        cmis = sandwiched_rel_ent_diff_grid(state, SANDWICHED_ALPHA_GRID)
+        for a, cmi in zip(SANDWICHED_ALPHA_GRID, cmis):
+            rec.lower("nonneg-sandwiched-cmi", trial, seed_t, a, cmi, 0.0, SLACK_FLOOR)
             rec.lower("nonneg-sandwiched-diff", trial, seed_t, a,
-                      sandwiched_rel_ent_diff(triple, a), 0.0, SLACK_FLOOR)
+                      sandwiched_diff[a], 0.0, SLACK_FLOOR)
         for kind in ("min", "max"):
             rec.lower(f"nonneg-{kind}-cmi", trial, seed_t, None,
                       minmax_cmi(state, kind), 0.0, SLACK_FLOOR)

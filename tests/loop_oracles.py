@@ -1,0 +1,153 @@
+"""The order-grid families evaluated one order, and one matrix, at a time.
+
+The library evaluates a grid of Renyi orders as one stack: the powers of a
+cached decomposition at k orders form one (k, d, d) array, and the k closing
+powers are decomposed by one stacked ``eigh``.  The functions here evaluate
+one order at a time with two-dimensional numpy calls only, in the order the
+per-order formulas read, and decompose every closing bracket with its own
+``eigh``.  A stacked grid must equal them bit for bit (``==``), not merely
+within a tolerance.  They read the operators' cached decompositions, the
+channel, the embedding and the order checks from the library, which a grid
+does not change.  All outputs are in bits.
+"""
+
+import math
+
+import numpy as np
+
+from qmarkov.channels import apply_channel
+from qmarkov.divergences import _pair, as_alpha
+from qmarkov.linalg import embed_operator, finite_values, log2_power_sum, support_mask
+from qmarkov.measures import ChannelTriple, _checked_alpha
+from qmarkov.states import spectrum_of
+
+
+def _symmetrize(m):
+    return (m + m.conj().T) / 2
+
+
+def _function_of(vals, vecs, f):
+    """f on the support of the eigensystem (vals descending, vecs columns)."""
+    keep = support_mask(vals)
+    if not keep.all():
+        vals, vecs = vals[keep], vecs[:, keep]
+    return _symmetrize((vecs * finite_values(vals, f)) @ vecs.conj().T)
+
+
+def power(dec, p):
+    """One support power of a decomposition, as a d x d matrix."""
+    return _function_of(dec.eigenvalues, dec.eigenvectors, lambda x: np.power(x, p))
+
+
+def herm_pow(m, p):
+    """The support power of m, from its own two-dimensional ``eigh``."""
+    vals, vecs = np.linalg.eigh(_symmetrize(m))
+    order = np.argsort(-vals, kind="stable")
+    return _function_of(vals[order], vecs[:, order], lambda x: np.power(x, p))
+
+
+def spectral_norm(m):
+    return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+def _sigma_fn(x, f):
+    if isinstance(x, ChannelTriple):
+        return _function_of(x.sigma.spectrum.eigenvalues, x.sigma.spectrum.eigenvectors, f)
+    dec = x._rho_ac_spectrum
+    return embed_operator(_function_of(dec.eigenvalues, dec.eigenvectors, f), x.dims, (0, 2))
+
+
+def _bracket(x, h, middle):
+    out_wedge = power(x.out_sigma_spectrum, -h)
+    inner = out_wedge @ middle @ out_wedge
+    wedge = _sigma_fn(x, lambda v: v**h)
+    return _symmetrize(wedge @ x.pull(_symmetrize(inner)) @ wedge)
+
+
+def renyi_rel_ent_diff(x, a, strict=True):
+    a = _checked_alpha(x, a, strict)
+    half = (1.0 - a.alpha) / 2.0
+    middle = power(x.out_rho_spectrum, 2.0 * half)
+    value = float(np.trace(power(x.rho.spectrum, a.alpha) @ _bracket(x, half, middle)).real)
+    if value <= 0.0:
+        return math.inf
+    return float(np.log2(value) / (a.alpha - 1.0))
+
+
+def sandwiched_rel_ent_diff(x, a, strict=True):
+    a = _checked_alpha(x, a, strict)
+    h = (1.0 - a.alpha) / (2.0 * a.alpha)
+    y = power(x.out_sigma_spectrum, -h) @ power(x.out_rho_spectrum, h)
+    wedge = _sigma_fn(x, lambda v: v**h)
+    product = x.pull_root(y).conj().T @ wedge @ power(x.rho.spectrum, 0.5)
+    sv = np.linalg.svd(product, compute_uv=False)
+    log_value = log2_power_sum(sv[support_mask(sv)], 2.0 * a.alpha)
+    if log_value == -math.inf:
+        return math.inf
+    return float(log_value / (a.alpha - 1.0))
+
+
+def _closed_bracket(x, alpha, sandwiched, closing):
+    h = (1.0 - alpha) / 2.0
+    if sandwiched:
+        h /= alpha
+    return herm_pow(_bracket(x, h, power(x.out_rho_spectrum, 2.0 * h)), closing)
+
+
+def channel_trace_value(x, alpha, sandwiched=False):
+    closing = 1.0 / (1.0 - alpha)
+    if sandwiched:
+        closing *= alpha
+    return float(np.trace(_closed_bracket(x, alpha, sandwiched, closing)).real)
+
+
+def lie_trotter_deviation(x, alpha):
+    closed = _closed_bracket(x, alpha, False, 1.0 / (1.0 - alpha))
+    return spectral_norm(closed - x.exp_log_sum)
+
+
+def recovery_fixed_point_residual(triple, alpha):
+    closed = _closed_bracket(triple, alpha, False, 1.0 / (1.0 - alpha))
+    return spectral_norm(closed - triple.rho.matrix)
+
+
+def sandwiched_fixed_point_residual(triple, alpha):
+    closed = _closed_bracket(triple, alpha, True, alpha / (1.0 - alpha))
+    return spectral_norm(closed - triple.rho.matrix)
+
+
+def output_fixed_point_residual(triple, alpha):
+    h = (1.0 - alpha) / 2.0
+    wedge = _sigma_fn(triple, lambda v: v**h)
+    pushed = apply_channel(
+        triple.channel, _symmetrize(wedge @ power(triple.rho.spectrum, alpha) @ wedge)
+    )
+    out_wedge = power(triple.out_sigma_spectrum, -h)
+    closed = herm_pow(_symmetrize(out_wedge @ pushed @ out_wedge), 1.0 / alpha)
+    return spectral_norm(closed - triple.out_rho)
+
+
+def renyi_rel_entropy(rho, sigma, a):
+    a = as_alpha(a)
+    rho_m, _ = _pair(rho, sigma)
+    dec_sigma = spectrum_of(sigma)
+    if a.alpha > 1.0 and not dec_sigma.supports(rho_m):
+        return math.inf
+    value = np.trace(power(spectrum_of(rho), a.alpha) @ power(dec_sigma, 1.0 - a.alpha)).real
+    if value <= 0.0:
+        return math.inf
+    return float(np.log2(value) / (a.alpha - 1.0))
+
+
+def sandwiched_rel_entropy(rho, sigma, a):
+    a = as_alpha(a)
+    rho_m, _ = _pair(rho, sigma)
+    dec_sigma = spectrum_of(sigma)
+    if a.alpha > 1.0 and not dec_sigma.supports(rho_m):
+        return math.inf
+    wedge = power(dec_sigma, (1.0 - a.alpha) / (2.0 * a.alpha))
+    core = _symmetrize(wedge @ rho_m @ wedge)
+    log_value = log2_power_sum(np.linalg.eigvalsh(core), a.alpha)
+    if log_value == -math.inf:
+        return math.inf
+    return float(log_value / (a.alpha - 1.0))

@@ -4,8 +4,9 @@ changes no value.
 Operators cache their eigendecomposition on first use (``rho.spectrum``,
 ``out_rho_spectrum``, ...), a decomposition caches its support, and a triple
 or state caches its recovered operator and its exp-log operator.  These
-tests count the ``eigh``, ``support_mask`` and ``herm_exp`` calls a sweep
-over orders makes, check that evaluation order cannot change a value, check
+tests count the matrices ``eigh`` decomposes (a stack of k counts k), the
+``eigh`` calls, and the ``support_mask`` and ``herm_exp`` calls a sweep over
+orders makes, check that evaluation order cannot change a value, check
 the kron-free embedding against the kron formula, and check that the cached
 arrays are read-only.
 """
@@ -23,6 +24,7 @@ from qmarkov.channels import random_strict_channel
 from qmarkov.errors import MatrixFunctionDomainError
 from qmarkov.functionals import (
     channel_trace_value,
+    channel_trace_value_grid,
     exp_trace_channel_value,
     lie_trotter_deviation,
     log_identity_residual,
@@ -62,18 +64,29 @@ def _state(seed=0):
     return TripartiteState(random_density((2, 3, 2), seed=seed))
 
 
+class EighCalls(list):
+    """One entry (the matrix shape) per matrix decomposed; ``calls`` counts
+    the ``eigh`` calls, so a call on a (k, d, d) stack adds k entries and one
+    call."""
+
+    calls = 0
+
+
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """Counts the numpy eigh calls made after the fixture is requested."""
-    calls = []
+    """Counts the matrices numpy's eigh decomposes after the fixture is
+    requested, and the calls it takes."""
+    counted_calls = EighCalls()
     original = np.linalg.eigh
 
     def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
+        shape = np.shape(a)
+        counted_calls.calls += 1
+        counted_calls.extend([shape[-2:]] * int(np.prod(shape[:-2], dtype=int)))
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    return calls
+    return counted_calls
 
 
 class TestDecompositionCounts:
@@ -133,7 +146,16 @@ class TestDecompositionCounts:
 
     def test_one_trial_verify(self, eigh_calls):
         run_suites(SUITE_NAMES, SuiteConfig(trials=1, seed=42))
-        assert len(eigh_calls) <= 152
+        # each order grid closes its brackets with one stacked eigh
+        assert len(eigh_calls) <= 150
+        assert eigh_calls.calls <= 68
+
+    def test_grid_closes_its_brackets_in_one_call(self, eigh_calls):
+        state = _state()
+        channel_trace_value_grid(state, SIX_ORDERS)
+        # rho_AC, rho_BC and I_B x rho_C, then one call on the six brackets
+        assert len(eigh_calls) == 3 + 6
+        assert eigh_calls.calls == 3 + 1
 
 
 class TestSupportCache:
