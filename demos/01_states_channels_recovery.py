@@ -27,27 +27,12 @@ print("partial trace is trace preserving:",
 print("adjoint unitality:",
       np.allclose(qm.adjoint_apply(trace_a, np.eye(2)), np.eye(4)))
 
-# Heisenberg-Weyl twirling: averaging over all d^2 shift-and-clock unitaries
-# flattens any operator to a multiple of the identity.
-ops = qm.heisenberg_weyl(3)
-x = np.diag([1.0, 2.0, 3.0]).astype(complex)
-print("twirl of diag(1,2,3):\n", np.round(qm.twirl(x, ops).real, 6))
-
-# Every channel dilates to an isometry into a larger space.
-chan = qm.random_channel(3, 2, seed=rng_seed)
-v, env = qm.stinespring(chan)
-print("dilation is an isometry:", np.allclose(v.conj().T @ v, np.eye(3)))
-print("dilation reproduces the channel:",
-      np.allclose(qm.dilation_apply(v, env, x), qm.apply_channel(chan, x)))
-
 # The Petz recovery map of (sigma, N) undoes N on sigma always, and on
-# everything else exactly when N keeps enough information.
+# everything else exactly when N keeps enough information.  It is read from
+# a ChannelTriple (rho, sigma, N): triple.recovered is R(N(rho)), and
+# is_sufficient_petz returns both round-trip distances.
 sigma = qm.random_density((2, 2), seed=rng_seed + 1)
-recovery = qm.petz_recovery(sigma, trace_a)
-back = qm.apply_channel(recovery, qm.apply_channel(trace_a, sigma.matrix))
-print("recovery restores its own reference:",
-      qm.trace_distance(back, sigma.matrix) < 1e-10)
-
-back_rho = qm.apply_channel(recovery, qm.apply_channel(trace_a, rho.matrix))
-print("but a generic state is damaged, trace distance:",
-      round(qm.trace_distance(back_rho, rho.matrix), 4))
+ok, d_rho, d_sigma = qm.is_sufficient_petz(qm.ChannelTriple(rho, sigma, trace_a))
+print("recovery restores its own reference:", d_sigma < 1e-10)
+print("but a generic state is damaged, trace distance:", round(d_rho, 4))
+print("so tracing out A is not sufficient for (rho, sigma):", not ok)

@@ -2,7 +2,7 @@
 
 A numpy-backed toolkit for conditional mutual information and
 relative-entropy differences in von Neumann, Renyi, sandwiched, and min/max
-flavors, the Petz recovery channel, constructors for exactly recoverable
+flavors, the Petz recovery map, constructors for exactly recoverable
 instances, and verification suites that certify the trace inequalities and
 equality characterizations these measures satisfy.  All entropic quantities
 are in bits.
@@ -12,22 +12,14 @@ from .channels import (
     Channel,
     adjoint_apply,
     apply_channel,
-    depolarizing_channel,
-    dilation_apply,
-    heisenberg_weyl,
-    identity_channel,
     is_strict_cptp,
     partial_trace_channel,
-    petz_recovery,
     random_channel,
     random_strict_channel,
     random_unitary,
-    stinespring,
-    twirl,
 )
 from .divergences import (
     AlphaParameter,
-    f_divergence,
     max_rel_entropy,
     min_rel_entropy,
     rel_entropy,

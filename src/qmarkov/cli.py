@@ -202,6 +202,8 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"bad --alpha-grid value {text!r}") from exc
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise UsageError(f"--alpha-grid start, stop and step must be finite, got {text!r}")
     if step <= 0:
         raise UsageError("--alpha-grid step must be positive")
     grid = []

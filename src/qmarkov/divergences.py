@@ -1,8 +1,7 @@
 """Scalar divergences between positive operators, all in bits.
 
 Implements the quantum relative entropy, the alpha-Renyi and sandwiched
-alpha-Renyi relative entropies, the min/max relative entropies, and the
-operator f-divergence.  When a support condition fails the value is the
+alpha-Renyi relative entropies, and the min/max relative entropies.  When a support condition fails the value is the
 explicit float +inf, never an error.  An operand handed in as a
 PositiveOperator is read through its cached decomposition, so evaluating
 many orders on the same operators decomposes each of them once.
@@ -12,22 +11,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import ValidationError
 from .linalg import (
     SpectralDecomposition,
     finite_values,
-    hermitian_eig,
     hermitian_part,
     log2_power_sum,
     on_support,
     real_traces,
-    support_mask,
 )
-from .states import PositiveOperator, fidelity, spectrum_of
+from .states import PositiveOperator, as_matrix, fidelity, matrix_pair, spectrum_of
 
 ALPHA_ONE_GUARD = 1e-6
 
@@ -71,17 +67,9 @@ def as_alpha(a) -> AlphaParameter:
     return a if isinstance(a, AlphaParameter) else AlphaParameter(float(a))
 
 
-def _pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
-    a = rho.matrix if hasattr(rho, "matrix") else np.asarray(rho, dtype=complex)
-    b = sigma.matrix if hasattr(sigma, "matrix") else np.asarray(sigma, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    return a, b
-
-
 def support_contained(rho, sigma) -> bool:
     """Whether supp(rho) is contained in supp(sigma)."""
-    a, _ = _pair(rho, sigma)
+    a, _ = matrix_pair(rho, sigma)
     return spectrum_of(sigma).supports(a)
 
 
@@ -94,8 +82,7 @@ def von_neumann_entropy(rho) -> float:
     if isinstance(rho, PositiveOperator):
         eigs = rho.eigenvalues
     else:
-        mat = rho.matrix if hasattr(rho, "matrix") else np.asarray(rho, dtype=complex)
-        eigs = np.linalg.eigvalsh(hermitian_part(mat))
+        eigs = np.linalg.eigvalsh(hermitian_part(as_matrix(rho)))
     keep, logs = on_support(eigs, np.log2)
     return float(-np.sum(eigs[keep] * logs))
 
@@ -105,7 +92,7 @@ def rel_entropy(rho, sigma) -> float:
 
     Returns +inf when supp(rho) is not contained in supp(sigma).
     """
-    a, _ = _pair(rho, sigma)
+    a, _ = matrix_pair(rho, sigma)
     dec_b = spectrum_of(sigma)
     if not dec_b.supports(a):
         return math.inf
@@ -179,7 +166,7 @@ def _grid_terms(rho, sigma, alphas):
     """The checked orders, rho's matrix, sigma's decomposition, and the
     indices of the orders whose value is not +inf by support alone."""
     checked = [as_alpha(a) for a in alphas]
-    rho_m, _ = _pair(rho, sigma)
+    rho_m, _ = matrix_pair(rho, sigma)
     dec_sigma = spectrum_of(sigma)
     if any(a.alpha > 1.0 for a in checked) and not dec_sigma.supports(rho_m):
         live = [i for i, a in enumerate(checked) if a.alpha <= 1.0]
@@ -202,7 +189,7 @@ def max_rel_entropy(rho, sigma) -> float:
     Equals log2 of the largest eigenvalue of sigma^(-1/2) rho sigma^(-1/2)
     when supp(rho) is contained in supp(sigma); +inf otherwise.
     """
-    rho_m, _ = _pair(rho, sigma)
+    rho_m, _ = matrix_pair(rho, sigma)
     dec_sigma = spectrum_of(sigma)
     if not dec_sigma.supports(rho_m):
         return math.inf
@@ -213,29 +200,3 @@ def max_rel_entropy(rho, sigma) -> float:
     if top <= 0.0:
         return math.inf
     return float(np.log2(top))
-
-
-def f_divergence(a, b, f: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Operator f-divergence of A with respect to positive definite B.
-
-    Evaluates <G| (sqrt(B) x I) f(B^(-1) x A^T) (sqrt(B) x I) |G> where |G> is
-    the unnormalized maximally entangled vector in the computational basis
-    (the basis in which the transpose is taken).  The Kronecker factor is
-    never formed: the spectrum of B^(-1) x A^T is the set of ratios of the
-    two spectra, and f is applied there, on the support only.
-    """
-    a_m, b_m = _pair(a, b)
-    dec_b = hermitian_eig(b_m)
-    if dec_b.eigenvalues[-1] <= 0.0:
-        raise ValidationError("not-positive", "B must be positive definite")
-    dec_a = hermitian_eig(a_m)
-    ratios = dec_a.eigenvalues[None, :] / dec_b.eigenvalues[:, None]
-    keep = support_mask(ratios)
-    with np.errstate(all="ignore"):
-        fvals = np.where(keep, f(np.where(keep, ratios, 1.0)), 0.0)
-    if not np.all(np.isfinite(fvals)):
-        raise ValidationError("bad-spec", "f undefined on a retained spectral ratio")
-    # <G| (sqrt(B) x I) (u_i x conj(v_j))  =  sqrt(b_i) u_i^T conj(v_j)
-    weights = np.abs(dec_b.eigenvectors.T @ dec_a.eigenvectors.conj()) ** 2
-    weights = dec_b.eigenvalues[:, None] * weights
-    return float(np.sum(fvals * weights))

@@ -61,6 +61,13 @@ def _dump_json(path, obj: dict):
         handle.write("\n")
 
 
+def _int_field(value, what: str, path) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError("bad-spec", f"{path}: {what} must be an integer") from exc
+
+
 def _expect_kind(obj: dict, kind: str, path):
     if obj.get("kind") != kind:
         raise ValidationError(
@@ -87,7 +94,10 @@ def load_state(path, normalized: bool = True):
     obj = _load_json(path)
     _expect_kind(obj, "state", path)
     matrix = _matrix_from_obj(obj, str(path))
-    dims = tuple(int(d) for d in obj.get("dims", [matrix.shape[0]]))
+    dims = obj.get("dims", [matrix.shape[0]])
+    if not isinstance(dims, list):
+        raise ValidationError("bad-spec", f"{path}: dims must be a list of integers")
+    dims = tuple(_int_field(d, "dims", path) for d in dims)
     if normalized:
         return DensityOperator(matrix, dims)
     return PositiveOperator(matrix, dims)
@@ -114,7 +124,11 @@ def load_channel(path) -> Channel:
     if not isinstance(kraus_objs, list) or not kraus_objs:
         raise ValidationError("bad-spec", f"{path}: channel needs a kraus list")
     ops = tuple(_matrix_from_obj(k, str(path)) for k in kraus_objs)
-    return Channel(ops, dim_in=int(obj.get("dim_in", 0)), dim_out=int(obj.get("dim_out", 0)))
+    return Channel(
+        ops,
+        dim_in=_int_field(obj.get("dim_in", 0), "dim_in", path),
+        dim_out=_int_field(obj.get("dim_out", 0), "dim_out", path),
+    )
 
 
 def markov_spec_to_dict(spec: MarkovBlockSpec) -> dict:

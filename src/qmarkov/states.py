@@ -90,8 +90,8 @@ class PositiveOperator:
         """The eigendecomposition of ``matrix``, computed once."""
         return hermitian_eig(self.matrix)
 
-    def is_positive_definite(self, tol: float = POSITIVITY_TOL) -> bool:
-        return bool(self._eigs[0] > tol)
+    def is_positive_definite(self) -> bool:
+        return bool(self._eigs[0] > POSITIVITY_TOL)
 
     @property
     def rank_deficient(self) -> bool:
@@ -168,27 +168,34 @@ class Decomposed:
     spectrum: SpectralDecomposition
 
 
+def as_matrix(x) -> np.ndarray:
+    """The matrix of an operand: an operator's ``matrix``, else a complex array."""
+    return x.matrix if hasattr(x, "matrix") else np.asarray(x, dtype=complex)
+
+
+def matrix_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices of two operands, which must have the same shape."""
+    am, bm = as_matrix(a), as_matrix(b)
+    if am.shape != bm.shape:
+        raise DimensionMismatchError(f"shape mismatch {am.shape} vs {bm.shape}")
+    return am, bm
+
+
 def spectrum_of(x) -> SpectralDecomposition:
     """The cached decomposition of a PositiveOperator or Decomposed, else a fresh one."""
     if isinstance(x, (PositiveOperator, Decomposed)):
         return x.spectrum
-    return hermitian_eig(x.matrix if hasattr(x, "matrix") else x)
+    return hermitian_eig(as_matrix(x))
 
 
 def fidelity(rho, sigma) -> float:
     """Fidelity ||sqrt(rho) sqrt(sigma)||_1^2, in [0, 1] for states."""
-    a = rho.matrix if hasattr(rho, "matrix") else np.asarray(rho, dtype=complex)
-    b = sigma.matrix if hasattr(sigma, "matrix") else np.asarray(sigma, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
+    matrix_pair(rho, sigma)
     product = spectrum_of(rho).power(0.5) @ spectrum_of(sigma).power(0.5)
     return float(alpha_norm(product, 1.0) ** 2)
 
 
 def trace_distance(a, b) -> float:
     """Trace-norm distance ||A - B||_1 (not halved)."""
-    am = a.matrix if hasattr(a, "matrix") else np.asarray(a, dtype=complex)
-    bm = b.matrix if hasattr(b, "matrix") else np.asarray(b, dtype=complex)
-    if am.shape != bm.shape:
-        raise DimensionMismatchError(f"shape mismatch {am.shape} vs {bm.shape}")
+    am, bm = matrix_pair(a, b)
     return alpha_norm(am - bm, 1.0)

@@ -18,17 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    Channel,
-    apply_channel,
-    petz_channel,
-    random_strict_channel,
-    random_unitary,
-)
+from .channels import Channel, random_strict_channel, random_unitary
 from .errors import DimensionMismatchError, RankDeficientError, ValidationError
 from .functionals import log_identity_residual
 from .linalg import kron
-from .measures import ChannelTriple, TripartiteState
+from .measures import ChannelTriple, TripartiteState, _bracket
 from .states import (
     DensityOperator,
     PositiveOperator,
@@ -224,18 +218,16 @@ def is_sufficient_petz(
 ) -> tuple[bool, float, float]:
     """Petz round-trip test for channel sufficiency.
 
-    Builds the recovery map for (sigma, channel) and returns the trace-norm
-    distances ||R(N(rho)) - rho||_1 and ||R(N(sigma)) - sigma||_1 with a
-    joint pass flag.  Exact recovery of any pair by any channel implies the
-    Petz recovery works, so this certifies sufficiency itself.
+    Recovers N(rho) and N(sigma) with the Petz map of (sigma, channel) and
+    returns the trace-norm distances ||R(N(rho)) - rho||_1 and
+    ||R(N(sigma)) - sigma||_1 with a joint pass flag.  Exact recovery of any
+    pair by any channel implies the Petz recovery works, so this certifies
+    sufficiency itself.  R(N(rho)) is the triple's cached ``recovered``, and
+    R(N(sigma)) is the same bracket with N(sigma) in the middle, so both are
+    read from the cached decompositions of sigma and N(sigma).
     """
-    # sigma and N(sigma) are read from the decompositions the triple caches
-    recovery = petz_channel(
-        triple.channel, triple.sigma.spectrum.power(0.5), triple.out_sigma_spectrum
-    )
-    rho_back = apply_channel(recovery, triple.out_rho)
-    sigma_back = apply_channel(recovery, triple.out_sigma)
-    d_rho = trace_distance(rho_back, triple.rho.matrix)
+    sigma_back = _bracket(triple, (0.5,), triple.out_sigma)[0]
+    d_rho = trace_distance(triple.recovered, triple.rho.matrix)
     d_sigma = trace_distance(sigma_back, triple.sigma.matrix)
     return (d_rho <= tol and d_sigma <= tol), float(d_rho), float(d_sigma)
 

@@ -227,10 +227,8 @@ def _sufficiency_block_menu(rng) -> tuple[tuple[int, int, int], ...]:
     return choices[int(rng.integers(len(choices)))]
 
 
-def _screened_nonsufficient_triple(
-    cfg: SuiteConfig, trial: int, min_distance: float = SCREEN_DISTANCE
-) -> ChannelTriple:
-    """Random triple whose Petz round trip fails by at least ``min_distance``.
+def _screened_nonsufficient_triple(cfg: SuiteConfig, trial: int) -> ChannelTriple:
+    """Random triple whose Petz round trip fails by at least SCREEN_DISTANCE.
 
     Triples that happen to be (nearly) recoverable are discarded and redrawn
     from a deterministic per-attempt stream.
@@ -241,7 +239,7 @@ def _screened_nonsufficient_triple(
         )
         triple = _random_triple(rng)
         _, d_rho, _ = is_sufficient_petz(triple)
-        if d_rho >= min_distance:
+        if d_rho >= SCREEN_DISTANCE:
             return triple
     raise ValidationError("bad-spec", "could not draw a non-sufficient triple")
 

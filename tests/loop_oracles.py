@@ -9,6 +9,10 @@ per-order formulas read, and decompose every closing bracket with its own
 within a tolerance.  They read the operators' cached decompositions, the
 channel, the embedding and the order checks from the library, which a grid
 does not change.  All outputs are in bits.
+
+``petz_round_trip`` applies the Petz recovery map in its Kraus form, the
+independent reading of the bracket at h = 1/2 that ``is_sufficient_petz``
+reads; the two agree within round-off, not bit for bit.
 """
 
 import math
@@ -16,10 +20,10 @@ import math
 import numpy as np
 
 from qmarkov.channels import apply_channel
-from qmarkov.divergences import _pair, as_alpha
+from qmarkov.divergences import as_alpha
 from qmarkov.linalg import embed_operator, finite_values, log2_power_sum, support_mask
 from qmarkov.measures import ChannelTriple, _checked_alpha
-from qmarkov.states import spectrum_of
+from qmarkov.states import matrix_pair, spectrum_of
 
 
 def _symmetrize(m):
@@ -129,7 +133,7 @@ def output_fixed_point_residual(triple, alpha):
 
 def renyi_rel_entropy(rho, sigma, a):
     a = as_alpha(a)
-    rho_m, _ = _pair(rho, sigma)
+    rho_m, _ = matrix_pair(rho, sigma)
     dec_sigma = spectrum_of(sigma)
     if a.alpha > 1.0 and not dec_sigma.supports(rho_m):
         return math.inf
@@ -141,7 +145,7 @@ def renyi_rel_entropy(rho, sigma, a):
 
 def sandwiched_rel_entropy(rho, sigma, a):
     a = as_alpha(a)
-    rho_m, _ = _pair(rho, sigma)
+    rho_m, _ = matrix_pair(rho, sigma)
     dec_sigma = spectrum_of(sigma)
     if a.alpha > 1.0 and not dec_sigma.supports(rho_m):
         return math.inf
@@ -151,3 +155,25 @@ def sandwiched_rel_entropy(rho, sigma, a):
     if log_value == -math.inf:
         return math.inf
     return float(log_value / (a.alpha - 1.0))
+
+
+def petz_kraus(triple):
+    """The Petz recovery map of (sigma, channel) as Kraus operators
+    sigma^(1/2) K_i† N(sigma)^(-1/2), powers taken on the support."""
+    sqrt_sigma = power(triple.sigma.spectrum, 0.5)
+    inv_sqrt_out = power(triple.out_sigma_spectrum, -0.5)
+    return [sqrt_sigma @ k.conj().T @ inv_sqrt_out for k in triple.channel.kraus]
+
+
+def petz_round_trip(triple):
+    """||R(N(rho)) - rho||_1 and ||R(N(sigma)) - sigma||_1 with R applied
+    operator by operator in Kraus form."""
+    ops = petz_kraus(triple)
+
+    def recover(m):
+        return sum(r @ m @ r.conj().T for r in ops)
+
+    return tuple(
+        float(np.sum(np.abs(np.linalg.eigvalsh(_symmetrize(recover(out) - x.matrix)))))
+        for out, x in ((triple.out_rho, triple.rho), (triple.out_sigma, triple.sigma))
+    )

@@ -5,32 +5,40 @@ from qmarkov.channels import (
     Channel,
     adjoint_apply,
     apply_channel,
-    depolarizing_channel,
-    dilation_apply,
-    heisenberg_weyl,
-    identity_channel,
     is_strict_cptp,
     partial_trace_channel,
-    petz_recovery,
     random_channel,
     random_strict_channel,
     random_unitary,
-    stinespring,
-    twirl,
 )
 from qmarkov.errors import DimensionMismatchError, ValidationError
 from qmarkov.linalg import embed_operator, herm_pow, hs_inner, kron, partial_trace
-from qmarkov.states import random_density
+from qmarkov.measures import ChannelTriple, _bracket
+from qmarkov.states import DensityOperator, PositiveOperator, random_density
+from qmarkov.structured import is_sufficient_petz
 
 from conftest import random_hermitian
+from simple_channels import depolarizing_channel, identity_channel
 
 
-def matrix_basis(dim):
+def hermitian_basis(dim):
+    """A basis of the Hermitian d x d matrices: E_ii, E_ij + E_ji and
+    i(E_ij - E_ji).  The Petz bracket symmetrizes its output, so it is
+    checked on Hermitian operators, on which it is the linear map itself."""
     for i in range(dim):
-        for j in range(dim):
+        for j in range(i, dim):
             e = np.zeros((dim, dim), dtype=complex)
             e[i, j] = 1.0
-            yield e
+            if i == j:
+                yield e
+            else:
+                yield e + e.T
+                yield 1j * (e - e.T)
+
+
+def petz(triple, x):
+    """The Petz map of the triple's (sigma, channel) applied to x."""
+    return _bracket(triple, (0.5,), x)[0]
 
 
 class TestChannelBasics:
@@ -112,11 +120,16 @@ class TestStrictness:
 
 
 class TestPetzRecovery:
+    """The Petz map is the bracket at h = 1/2: sigma^(1/2) N†(N(sigma)^(-1/2)
+    X N(sigma)^(-1/2)) sigma^(1/2)."""
+
     def test_identity_channel_full_rank(self):
         sigma = random_density((3,), seed=0)
-        recovery = petz_recovery(sigma, identity_channel(3))
-        x = random_hermitian(3, seed=1)
-        np.testing.assert_allclose(apply_channel(recovery, x), x, atol=1e-10)
+        triple = ChannelTriple(
+            rho=random_density((3,), seed=2), sigma=sigma, channel=identity_channel(3)
+        )
+        for x in hermitian_basis(3):
+            np.testing.assert_allclose(petz(triple, x), x, atol=1e-10)
 
     def test_special_case_partial_trace(self):
         # recovery of trace-out-A from sigma = rho_AC x I_B, matched entrywise
@@ -125,15 +138,18 @@ class TestPetzRecovery:
         rho_ac = partial_trace(rho.matrix, dims, {1})
         rho_c = partial_trace(rho.matrix, dims, {0, 1})
         sigma = embed_operator(rho_ac, dims, (0, 2))
-        chan = partial_trace_channel(dims, {0})
-        recovery = petz_recovery(sigma, chan)
+        triple = ChannelTriple(
+            rho=DensityOperator(rho.matrix),
+            sigma=PositiveOperator(sigma),
+            channel=partial_trace_channel(dims, {0}),
+        )
 
         s_ac = embed_operator(herm_pow(rho_ac, 0.5), dims, (0, 2))
         s_c = embed_operator(herm_pow(rho_c, -0.5), dims, (2,))
-        for x in matrix_basis(4):  # operators on B x C
+        for x in hermitian_basis(4):  # operators on B x C
             x_full = embed_operator(x, dims, (1, 2))
             expected = s_ac @ s_c @ x_full @ s_c @ s_ac
-            np.testing.assert_allclose(apply_channel(recovery, x), expected, atol=1e-9)
+            np.testing.assert_allclose(petz(triple, x), expected, atol=1e-9)
 
     def test_classical_bayes_reverse(self):
         # diagonal sigma and a stochastic-matrix channel reduce to Bayes' rule
@@ -145,86 +161,33 @@ class TestPetzRecovery:
             for y in range(2)
             for x in range(3)
         )
-        chan = Channel(kraus)
-        recovery = petz_recovery(np.diag(q), chan)
+        triple = ChannelTriple(
+            rho=DensityOperator(np.diag(q)),
+            sigma=PositiveOperator(np.diag(q)),
+            channel=Channel(kraus),
+        )
         tq = t @ q
         for y in range(2):
             v = np.zeros(2)
             v[y] = 1.0
-            recovered = apply_channel(recovery, np.diag(v))
+            recovered = petz(triple, np.diag(v))
             expected = q * (t.T @ (v / tq))
             np.testing.assert_allclose(np.diag(recovered).real, expected, atol=1e-10)
             np.testing.assert_allclose(recovered, np.diag(np.diag(recovered)), atol=1e-10)
 
-    def test_rank_deficient_reference(self):
-        sigma = np.diag([1.0, 0.0])
-        recovery = petz_recovery(sigma, identity_channel(2))
-        assert recovery.tp_on_support
-        comp = sum(k.conj().T @ k for k in recovery.kraus)
-        np.testing.assert_allclose(comp, np.diag([1.0, 0.0]), atol=1e-10)
-
-    def test_zero_sigma_rejected(self):
-        with pytest.raises(ValidationError):
-            petz_recovery(np.zeros((2, 2)), identity_channel(2))
-
-
-class TestStinespring:
-    def test_identity(self):
-        v, env = stinespring(identity_channel(2))
-        assert env == 1
-        np.testing.assert_allclose(v, np.eye(2))
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_isometry(self, seed):
-        chan = random_channel(3, 4, seed=seed)
-        v, env = stinespring(chan)
-        np.testing.assert_allclose(v.conj().T @ v, np.eye(3), atol=1e-10)
-        assert env <= 3 * 4
-
-    def test_reproduces_channel_on_basis(self):
-        chan = partial_trace_channel((2, 2), {0})
-        v, env = stinespring(chan)
-        for x in matrix_basis(4):
-            np.testing.assert_allclose(
-                dilation_apply(v, env, x), apply_channel(chan, x), atol=1e-12
-            )
-
-
-class TestHeisenbergWeyl:
-    def test_dimension_one(self):
-        ops = heisenberg_weyl(1)
-        assert len(ops) == 1
-        np.testing.assert_allclose(ops[0], np.eye(1))
-
-    def test_qubit_set(self):
-        ops = heisenberg_weyl(2)
-        assert len(ops) == 4
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        z = np.diag([1.0, -1.0]).astype(complex)
-        expected = [np.eye(2), z, x, x @ z]
-        for want in expected:
-            assert any(np.allclose(op, want) for op in ops)
-        np.testing.assert_allclose(
-            twirl(np.diag([1.0, 0.0]), ops), np.eye(2) / 2, atol=1e-14
+    def test_zero_sigma_recovers_nothing(self):
+        # the Petz map of sigma = 0 is the zero map: sigma comes back exactly,
+        # rho not at all
+        triple = ChannelTriple(
+            rho=random_density((2,), seed=3),
+            sigma=PositiveOperator(np.zeros((2, 2))),
+            channel=identity_channel(2),
         )
-
-    def test_qutrit_twirl_random(self):
-        ops = heisenberg_weyl(3)
-        x = random_hermitian(3, seed=6).astype(complex)
-        np.testing.assert_allclose(
-            twirl(x, ops), np.trace(x) * np.eye(3) / 3, atol=1e-12
-        )
-
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
-    def test_twirl_on_complete_basis(self, dim):
-        ops = heisenberg_weyl(dim)
-        assert len(ops) == dim * dim
-        for u in ops:
-            np.testing.assert_allclose(u.conj().T @ u, np.eye(dim), atol=1e-12)
-        for e in matrix_basis(dim):
-            np.testing.assert_allclose(
-                twirl(e, ops), np.trace(e) * np.eye(dim) / dim, atol=1e-12
-            )
+        ok, d_rho, d_sigma = is_sufficient_petz(triple)
+        assert not ok
+        assert d_rho == pytest.approx(1.0, abs=1e-12)
+        assert d_sigma == 0.0
+        np.testing.assert_array_equal(triple.recovered, np.zeros((2, 2)))
 
 
 class TestRandomChannels:

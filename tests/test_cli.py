@@ -1,5 +1,8 @@
 import json
 import math
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -50,8 +53,8 @@ def identity_triple_files(tmp_path):
     rho = random_density((3,), seed=1)
     save_state(tmp_path / "rho.json", rho)
     save_state(tmp_path / "sigma.json", random_density((3,), seed=2))
-    from qmarkov.channels import identity_channel
     from qmarkov.serialization import save_channel
+    from simple_channels import identity_channel
 
     save_channel(tmp_path / "chan.json", identity_channel(3))
     return {
@@ -266,6 +269,32 @@ class TestEdgeInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "overflows float64" in err
 
+    @pytest.mark.parametrize("dims", [5, ["a", 2, 2], None, "222", [2, 2, float("inf")]])
+    def test_malformed_dims_exit_two(self, tmp_path, capsys, dims):
+        path = tmp_path / "state.json"
+        save_state(path, random_density((2, 2, 2), seed=1))
+        obj = json.loads(path.read_text())
+        obj["dims"] = dims
+        path.write_text(json.dumps(obj))
+        assert main(["compute", "--measure", "cmi", "--state", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "dims" in err
+
+    @pytest.mark.parametrize("field", ["dim_in", "dim_out"])
+    @pytest.mark.parametrize("value", ["a", None, [3]])
+    def test_malformed_channel_dims_exit_two(self, identity_triple_files, capsys, field, value):
+        path = identity_triple_files["channel"]
+        with open(path) as handle:
+            obj = json.load(handle)
+        obj[field] = value
+        with open(path, "w") as handle:
+            json.dump(obj, handle)
+        argv = ["compute", "--measure", "red", "--rho", identity_triple_files["rho"],
+                "--sigma", identity_triple_files["sigma"], "--channel", path]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
     def test_infinite_alpha_exits_two(self, correlated_state_file, capsys):
         assert main(["compute", "--measure", "sand-cmi", "--alpha", "inf",
                      "--state", correlated_state_file]) == 2
@@ -407,6 +436,26 @@ class TestSweep:
         assert main(["sweep", "--measure", "renyi-cmi", "--state", correlated_state_file,
                      "--alpha-grid", "2.0:1.0:0.5",
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("grid", ["0.5:1.5:nan", "0.5:inf:0.5", "nan:1.5:0.5"])
+    def test_non_finite_grid_exits_two(self, correlated_state_file, tmp_path, src_env, grid):
+        # a grid with no last point would grow without end, so the sweep runs
+        # in a subprocess with a deadline and a capped address space
+        out = tmp_path / "x.csv"
+        result = subprocess.run(
+            [sys.executable, "-m", "qmarkov.cli", "sweep", "--measure", "renyi-cmi",
+             "--state", correlated_state_file, "--alpha-grid", grid, "--out", str(out)],
+            capture_output=True, text=True, timeout=20, preexec_fn=_cap_address_space,
+            env=dict(src_env, OPENBLAS_NUM_THREADS="1"),
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error:") and "finite" in result.stderr
+        assert not out.exists()
+
+
+def _cap_address_space():
+    cap = 512 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 
 class TestUsage:

@@ -7,7 +7,6 @@ import classical_oracles as co
 from qmarkov.channels import apply_channel, random_channel
 from qmarkov.divergences import (
     AlphaParameter,
-    f_divergence,
     max_rel_entropy,
     min_rel_entropy,
     rel_entropy,
@@ -236,33 +235,3 @@ class TestDataProcessing:
             assert renyi_rel_entropy(rho, sigma, a) == pytest.approx(
                 renyi_rel_entropy(rho.matrix, sigma.matrix, a), abs=1e-12
             )
-
-
-class TestFDivergence:
-    def test_x_log_x_matches_relative_entropy(self):
-        value = f_divergence(HALF, SKEW, lambda x: x * np.log2(x))
-        assert value == pytest.approx(KL_HALF_SKEW, abs=1e-12)
-
-    def test_x_squared_trace_value(self):
-        # Tr{rho^2 sigma^(-1)} = 4/3 for the standard diagonal pair
-        assert f_divergence(HALF, SKEW, np.square) == pytest.approx(4.0 / 3.0, abs=1e-12)
-
-    def test_linear_gives_trace(self, rng):
-        a = random_density((3,), seed=1).matrix
-        b = random_density((3,), seed=2).matrix
-        assert f_divergence(a, b, lambda x: x) == pytest.approx(
-            np.trace(a).real, abs=1e-10
-        )
-
-    @pytest.mark.parametrize("alpha", [1.3, 1.7, 2.0])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_powers_match_renyi_trace(self, alpha, seed):
-        a = random_density((3,), seed=seed).matrix
-        b = random_density((3,), seed=seed + 60).matrix
-        value = f_divergence(a, b, lambda x: x**alpha)
-        expected = 2.0 ** ((alpha - 1.0) * renyi_rel_entropy(a, b, alpha))
-        assert value == pytest.approx(expected, rel=1e-9)
-
-    def test_singular_reference_rejected(self):
-        with pytest.raises(ValidationError):
-            f_divergence(HALF, KET0, np.square)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmarkov.channels import identity_channel, random_strict_channel
+from qmarkov.channels import random_strict_channel
 from qmarkov.functionals import (
     channel_trace_value,
     cmi_trace_value,
@@ -22,6 +22,7 @@ from qmarkov.structured import (
     random_markov_spec,
     random_sufficiency_spec,
 )
+from simple_channels import identity_channel
 
 PETZ_ORDERS = (0.25, 0.5, 0.75, 1.25, 1.5, 1.75)
 SANDWICHED_ORDERS = (0.6, 0.75, 0.9, 1.5, 2.0, 3.0, 5.0)

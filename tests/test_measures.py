@@ -3,12 +3,7 @@ import pytest
 
 import classical_oracles as co
 import marginal_oracles as mo
-from qmarkov.channels import (
-    Channel,
-    identity_channel,
-    random_strict_channel,
-    random_unitary,
-)
+from qmarkov.channels import Channel, random_strict_channel, random_unitary
 from qmarkov.errors import (
     InfiniteTermError,
     MatrixFunctionDomainError,
@@ -39,6 +34,7 @@ from qmarkov.measures import (
     von_neumann_cmi,
 )
 from qmarkov.states import DensityOperator, PositiveOperator, random_density
+from simple_channels import identity_channel
 
 
 def product_state(seed=0):

@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 
 import classical_oracles as co
-from qmarkov.channels import (
-    apply_channel,
-    depolarizing_channel,
-    identity_channel,
-    is_strict_cptp,
-)
+import loop_oracles as lo
+from qmarkov.channels import apply_channel, is_strict_cptp, random_strict_channel
 from qmarkov.errors import RankDeficientError, ValidationError
 from qmarkov.linalg import kron
 from qmarkov.measures import (
@@ -42,6 +38,8 @@ from qmarkov.structured import (
     random_markov_spec,
     random_sufficiency_spec,
 )
+from qmarkov.suites import SuiteConfig, _screened_nonsufficient_triple
+from simple_channels import depolarizing_channel, identity_channel
 
 
 class TestMarkovSpec:
@@ -242,6 +240,36 @@ class TestIsSufficientPetz:
         assert d_sigma <= 1e-10  # Petz recovery always restores sigma here
         assert d_rho > 0.05
 
+    @staticmethod
+    def assert_matches_kraus_oracle(triple):
+        _, d_rho, d_sigma = is_sufficient_petz(triple)
+        oracle_rho, oracle_sigma = lo.petz_round_trip(triple)
+        assert abs(d_rho - oracle_rho) <= 1e-12
+        assert abs(d_sigma - oracle_sigma) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("menu", [((2, 2, 2), (1, 2, 2)), ((1, 2, 3), (2, 2, 2))])
+    def test_kraus_oracle_on_sufficiency_triples(self, menu, seed):
+        self.assert_matches_kraus_oracle(
+            build_sufficiency_triple(random_sufficiency_spec(menu, seed=seed))
+        )
+
+    @pytest.mark.parametrize("trial", range(6))
+    def test_kraus_oracle_on_screened_triples(self, trial):
+        cfg = SuiteConfig(trials=1, seed=42)
+        self.assert_matches_kraus_oracle(_screened_nonsufficient_triple(cfg, trial))
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_kraus_oracle_on_rank_deficient_sigma(self, rank):
+        # through a strict channel N(sigma) may be full rank; through the
+        # identity it keeps sigma's rank, so both inverse roots cut a support
+        sigma = PositiveOperator(random_density((4,), rank=rank, seed=rank + 10).matrix)
+        for channel in (random_strict_channel(4, 3, seed=rank), identity_channel(4)):
+            triple = ChannelTriple(
+                rho=random_density((4,), seed=rank), sigma=sigma, channel=channel
+            )
+            self.assert_matches_kraus_oracle(triple)
+
 
 class TestLogIdentity:
     def test_identity_channel(self):
@@ -290,8 +318,6 @@ class TestLogIdentity:
 class TestConverseDirection:
     @pytest.mark.parametrize("seed", range(5))
     def test_nonsufficient_triples_have_positive_measures(self, seed):
-        from qmarkov.channels import random_strict_channel
-
         rho = random_density((4,), seed=seed)
         sigma = PositiveOperator(random_density((4,), seed=seed + 100).matrix)
         chan = random_strict_channel(4, 3, seed=seed)
