@@ -1,8 +1,10 @@
+import base64
 import json
 import math
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,7 +271,8 @@ class TestEdgeInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "overflows float64" in err
 
-    @pytest.mark.parametrize("dims", [5, ["a", 2, 2], None, "222", [2, 2, float("inf")]])
+    @pytest.mark.parametrize("dims", [5, ["a", 2, 2], None, "222", [2, 2, float("inf")],
+                                      [2.5, 2, 2], [True, 8, 1], ["2", 2, 2]])
     def test_malformed_dims_exit_two(self, tmp_path, capsys, dims):
         path = tmp_path / "state.json"
         save_state(path, random_density((2, 2, 2), seed=1))
@@ -281,7 +284,7 @@ class TestEdgeInputs:
         assert err.startswith("error:") and "dims" in err
 
     @pytest.mark.parametrize("field", ["dim_in", "dim_out"])
-    @pytest.mark.parametrize("value", ["a", None, [3]])
+    @pytest.mark.parametrize("value", ["a", None, [3], 3.9, True])
     def test_malformed_channel_dims_exit_two(self, identity_triple_files, capsys, field, value):
         path = identity_triple_files["channel"]
         with open(path) as handle:
@@ -300,6 +303,82 @@ class TestEdgeInputs:
                      "--state", correlated_state_file]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite" in err
+
+
+def _b64_doubles(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+# each edit turns a version-2 file of an 8x8 state into one that compute refuses
+BAD_MATRIX_EDITS = {
+    "non-alphabet character": lambda obj: obj.update(re="*" + obj["re"][1:]),
+    "non-ascii character": lambda obj: obj.update(re="\u00e9" + obj["re"][1:]),
+    "payload too short": lambda obj: obj.update(re=obj["re"][:-4]),
+    "payload too long": lambda obj: obj.update(im=_b64_doubles(np.zeros(65))),
+    "missing shape": lambda obj: obj.pop("shape"),
+    "negative shape": lambda obj: obj.update(shape=[-8, -8]),
+    "one negative dimension": lambda obj: obj.update(shape=[8, -8]),
+    "shape not a pair": lambda obj: obj.update(shape=[64]),
+    "fractional shape": lambda obj: obj.update(shape=[8.5, 8]),
+    "re and im lists of different shapes": lambda obj: obj.update(
+        re=np.zeros((8, 8)).tolist(), im=np.zeros((7, 8)).tolist()),
+    "im list against an 8x8 payload": lambda obj: obj.update(im=np.zeros((8, 7)).tolist()),
+    "nan in payload": lambda obj: obj.update(re=_b64_doubles([np.nan] + [0.0] * 63)),
+    "inf in payload": lambda obj: obj.update(im=_b64_doubles(np.full((8, 8), np.inf))),
+    "version 3": lambda obj: obj.update(version=3),
+    "boolean version": lambda obj: obj.update(version=True),
+}
+
+
+class TestFileEncoding:
+    @pytest.mark.parametrize("edit", list(BAD_MATRIX_EDITS))
+    def test_bad_matrix_exits_two(self, tmp_path, capsys, edit):
+        path = tmp_path / "state.json"
+        save_state(path, random_density((2, 2, 2), seed=1))
+        obj = json.loads(path.read_text())
+        BAD_MATRIX_EDITS[edit](obj)
+        path.write_text(json.dumps(obj))
+        assert main(["compute", "--measure", "cmi", "--state", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        if edit in ("nan in payload", "inf in payload"):
+            assert "finite" in err
+        if "version" in edit:
+            assert "version" in err
+
+    @pytest.mark.parametrize(
+        "inputs,measure,alpha,expected",
+        [g for g in GOLDEN if g[0] in ("state", "4to3")],
+    )
+    def test_version_one_file_prints_as_its_rewrite(
+        self, tmp_path, capsys, inputs, measure, alpha, expected
+    ):
+        # tests/golden holds the golden state and the golden 4 -> 3 channel
+        # as the version-1 writer wrote them (decimal nested lists)
+        golden = Path(__file__).parent / "golden"
+        new = tmp_path / "v2.json"
+        if inputs == "state":
+            old = golden / "state_222_seed7_v1.json"
+            save_state(new, load_state(old))
+            flag, others = "--state", []
+        else:
+            old = golden / "channel_4to3_seed13_v1.json"
+            save_channel(new, load_channel(old))
+            save_state(tmp_path / "rho.json", random_density((4,), seed=11))
+            save_state(tmp_path / "sigma.json", random_density((4,), seed=12))
+            flag = "--channel"
+            others = ["--rho", str(tmp_path / "rho.json"),
+                      "--sigma", str(tmp_path / "sigma.json")]
+        outputs = []
+        for path in (old, new):
+            argv = ["compute", "--measure", measure, flag, str(path)] + others
+            if alpha is not None:
+                argv += ["--alpha", alpha]
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert float(outputs[0]) == pytest.approx(expected, abs=1e-12)
+
 
 class TestGenerate:
     def test_random_state_deterministic(self, tmp_path):
@@ -340,6 +419,47 @@ class TestGenerate:
         path.write_text("not json at all")
         assert main(["generate", "--kind", "markov", "--spec", str(path),
                      "--out", str(tmp_path / "x.json")]) == 2
+
+    @pytest.mark.parametrize("edit", [
+        {"dim_a": 2.7}, {"dim_b": True}, {"dim_a": "2"},
+        {"block": {"dim_cl": "a"}}, {"block": {"dim_cr": 1.5}},
+        {"block": {"weight": "x"}}, {"block": {"weight": None}},
+        {"block": {"rho_left": [[1.0]]}},
+    ])
+    def test_bad_markov_spec_field_exits_two(self, tmp_path, capsys, edit):
+        spec_path = tmp_path / "spec.json"
+        save_markov_spec(spec_path, random_markov_spec(2, 2, ((2, 1), (1, 2)), seed=3))
+        spec = json.loads(spec_path.read_text())
+        for key, value in edit.items():
+            if key == "block":
+                spec["blocks"][0].update(value)
+            else:
+                spec[key] = value
+        spec_path.write_text(json.dumps(spec))
+        assert main(["generate", "--kind", "markov", "--spec", str(spec_path),
+                     "--out", str(tmp_path / "markov.json")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("edit", [
+        {"prob": "x"}, {"weight": "x"}, {"prob": True}, {"unitary": "oops"},
+        {"channel_right": {"dim_in": 1.5}}, {"channel_right": "oops"},
+    ])
+    def test_bad_sufficiency_spec_field_exits_two(self, tmp_path, capsys, edit):
+        spec_path = tmp_path / "spec.json"
+        save_sufficiency_spec(
+            spec_path, random_sufficiency_spec(((2, 2, 2), (1, 2, 2)), seed=4)
+        )
+        spec = json.loads(spec_path.read_text())
+        block = spec["blocks"][0]
+        for key, value in edit.items():
+            if isinstance(value, dict):
+                block[key].update(value)
+            else:
+                block[key] = value
+        spec_path.write_text(json.dumps(spec))
+        assert main(["generate", "--kind", "sufficiency", "--spec", str(spec_path),
+                     "--out", str(tmp_path / "suff")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestVerify:
