@@ -24,7 +24,12 @@ also its marginals and the decomposition of rho_AC behind ``sigma_fn``),
 the recovered N(rho) with its decomposition, and the exp-log operator.
 Every power and logarithm is read from these, so evaluating many orders on
 one object decomposes each operator once.  A cache lives as long as its
-object, and the cached arrays are read-only.
+object, and the cached arrays are read-only.  The sandwiched formulas read
+rho only through a square-root factor, ``rho.root()``, which is a Cholesky
+factor when rho is full rank, so they do not decompose rho at all.  The min
+measures are the sandwiched difference at alpha = 1/2, which equals
+-log2 F(rho, R(N(rho))), so only the max measures decompose the recovered
+operator.
 
 Each Renyi family also has a grid form (``renyi_rel_ent_diff_grid``,
 ``sandwiched_rel_ent_diff_grid``) that evaluates a tuple of orders as one
@@ -47,7 +52,6 @@ from .divergences import (
     _rel_entropy_on_support,
     as_alpha,
     max_rel_entropy,
-    min_rel_entropy,
     rel_entropy,
     von_neumann_entropy,
 )
@@ -320,7 +324,9 @@ def minmax_cmi(state: TripartiteState, kind: str, strict: bool = True) -> float:
 
     Both compare rho_ABC against the recovered operator
     rho_AC^(1/2) rho_C^(-1/2) rho_BC rho_C^(-1/2) rho_AC^(1/2): ``max`` is the
-    max-relative entropy to it, ``min`` the min-relative entropy.
+    max-relative entropy to it, ``min`` the min-relative entropy
+    -log2 F(rho_ABC, recovered), evaluated as the sandwiched CMI at
+    alpha = 1/2, to which it is equal.
     """
     if kind not in ("min", "max"):
         raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
@@ -410,10 +416,11 @@ def sandwiched_rel_ent_diff(
     rho^(1/2).  The middle factor is N†(y y†) with
     y = N(sigma)^((alpha-1)/2alpha) N(rho)^((1-alpha)/2alpha), so the
     functional is evaluated from the singular values of
-    Z† sigma^((1-alpha)/2alpha) rho^(1/2), where Z Z† = N†(y y†); large
-    orders do not overflow.  For alpha > 1, InfiniteTermError is raised when
-    supp(rho) is not contained in supp(sigma).  A TripartiteState is read as
-    its CMI triple.
+    Z† sigma^((1-alpha)/2alpha) G, where Z Z† = N†(y y†) and G G† = rho
+    (``rho.root()``, which need not be rho^(1/2): the singular values are
+    the same for every such G); large orders do not overflow.  For
+    alpha > 1, InfiniteTermError is raised when supp(rho) is not contained
+    in supp(sigma).  A TripartiteState is read as its CMI triple.
     """
     return sandwiched_rel_ent_diff_grid(triple, (a,), strict)[0]
 
@@ -431,7 +438,7 @@ def sandwiched_rel_ent_diff_grid(
     hs = [(1.0 - a.alpha) / (2.0 * a.alpha) for a in checked]
     y = triple.out_sigma_spectrum.powers([-h for h in hs]) @ triple.out_rho_spectrum.powers(hs)
     wedge = triple.sigma_fn([_wedge_power(h) for h in hs])
-    product = triple.pull_root(y).conj().swapaxes(-1, -2) @ wedge @ triple.rho.spectrum.power(0.5)
+    product = triple.pull_root(y).conj().swapaxes(-1, -2) @ wedge @ triple.rho.root()
     values = []
     for a, svs in zip(checked, stacked_singular_values(product)):
         log_value = log2_power_sum(svs, 2.0 * a.alpha)
@@ -440,11 +447,16 @@ def sandwiched_rel_ent_diff_grid(
 
 
 def _recovery_divergence(x, kind: str) -> float:
-    """D_max or D_min between rho and the Petz-recovered N(rho)."""
-    recovered = Decomposed(x.recovered, x.recovered_spectrum)
-    if kind == "max":
-        return max_rel_entropy(x.rho, recovered)
-    return min_rel_entropy(x.rho, recovered)
+    """D_max or D_min between rho and the Petz-recovered N(rho).
+
+    D_min = -log2 F(rho, R(N(rho))) is the sandwiched difference at
+    alpha = 1/2: there R(N(rho)) = sigma^(1/2) Z Z† sigma^(1/2), so the
+    product Z† sigma^(1/2) G has the trace norm of R(N(rho))^(1/2) rho^(1/2),
+    and the recovered operator is never decomposed.
+    """
+    if kind == "min":
+        return sandwiched_rel_ent_diff_grid(x, (0.5,), strict=False)[0]
+    return max_rel_entropy(x.rho, Decomposed(x.recovered, x.recovered_spectrum))
 
 
 def minmax_rel_ent_diff(triple: ChannelTriple, kind: str, strict: bool = True) -> float:
@@ -452,7 +464,8 @@ def minmax_rel_ent_diff(triple: ChannelTriple, kind: str, strict: bool = True) -
 
     D_min or D_max between rho and the Petz-recovered channel output
     R_{sigma,N}(N(rho)); zero exactly when the channel is sufficient for
-    rho and sigma.
+    rho and sigma.  D_min = -log2 F(rho, R_{sigma,N}(N(rho))) is evaluated
+    as the sandwiched difference at alpha = 1/2, to which it is equal.
     """
     if kind not in ("min", "max"):
         raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")

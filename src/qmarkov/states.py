@@ -3,7 +3,10 @@
 An operator is validated once, on construction, and caches its full
 eigendecomposition on first use, so every power and logarithm of it is read
 from one ``hermitian_eig``.  The cache lives as long as the object; the
-matrix, the eigenvalues and the decomposition are read-only.
+matrix, the eigenvalues and the decomposition are read-only.  The
+square-root factor (``root``) of a full-rank operator is its Cholesky
+factor, so a formula that reads the operator only through such a factor
+does not decompose it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ from .linalg import (
     SpectralDecomposition,
     alpha_norm,
     hermitian_eig,
+    hermitian_part,
     read_only,
+    support_mask,
 )
 
 TRACE_TOL = 1e-10
@@ -61,6 +66,9 @@ class PositiveOperator:
 
     Validation computes the eigenvalues only (``eigenvalues``); the full
     decomposition (``spectrum``) is computed on first use and cached.
+    ``root`` returns a square-root factor G with G G† = matrix: the Cholesky
+    factor when the support keeps every eigenvalue, which needs no
+    decomposition, else the support power ``spectrum.power(0.5)``.
     """
 
     matrix: np.ndarray
@@ -89,6 +97,22 @@ class PositiveOperator:
     def spectrum(self) -> SpectralDecomposition:
         """The eigendecomposition of ``matrix``, computed once."""
         return hermitian_eig(self.matrix)
+
+    def root(self) -> np.ndarray:
+        """A factor G with G G† = ``matrix``, not cached.
+
+        When ``support_mask`` keeps every eigenvalue validation computed,
+        this is the lower-triangular Cholesky factor of the Hermitian part;
+        otherwise, or if Cholesky fails, it is ``spectrum.power(0.5)``, the
+        square root on the support.  Two such factors differ by a unitary on
+        the right, so a product X G has the same singular values with either.
+        """
+        if support_mask(self._eigs).all():
+            try:
+                return np.linalg.cholesky(hermitian_part(self.matrix))
+            except np.linalg.LinAlgError:
+                pass
+        return self.spectrum.power(0.5)
 
     def is_positive_definite(self) -> bool:
         return bool(self._eigs[0] > POSITIVITY_TOL)

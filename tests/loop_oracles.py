@@ -12,7 +12,10 @@ does not change.  All outputs are in bits.
 
 ``petz_round_trip`` applies the Petz recovery map in its Kraus form, the
 independent reading of the bracket at h = 1/2 that ``is_sufficient_petz``
-reads; the two agree within round-off, not bit for bit.
+reads; the two agree within round-off, not bit for bit.  Likewise
+``min_recovery_divergence`` reads the min measures as -log2 of the fidelity
+between rho and the decomposed recovered operator, which the library
+evaluates as the sandwiched difference at alpha = 1/2 instead.
 """
 
 import math
@@ -23,7 +26,7 @@ from qmarkov.channels import apply_channel
 from qmarkov.divergences import as_alpha
 from qmarkov.linalg import embed_operator, finite_values, log2_power_sum, support_mask
 from qmarkov.measures import ChannelTriple, _checked_alpha
-from qmarkov.states import matrix_pair, spectrum_of
+from qmarkov.states import Decomposed, fidelity, matrix_pair, spectrum_of
 
 
 def _symmetrize(m):
@@ -83,12 +86,21 @@ def sandwiched_rel_ent_diff(x, a, strict=True):
     h = (1.0 - a.alpha) / (2.0 * a.alpha)
     y = power(x.out_sigma_spectrum, -h) @ power(x.out_rho_spectrum, h)
     wedge = _sigma_fn(x, lambda v: v**h)
-    product = x.pull_root(y).conj().T @ wedge @ power(x.rho.spectrum, 0.5)
+    product = x.pull_root(y).conj().T @ wedge @ x.rho.root()
     sv = np.linalg.svd(product, compute_uv=False)
     log_value = log2_power_sum(sv[support_mask(sv)], 2.0 * a.alpha)
     if log_value == -math.inf:
         return math.inf
     return float(log_value / (a.alpha - 1.0))
+
+
+def min_recovery_divergence(x):
+    """D_min(rho || R(N(rho))) = -log2 F(rho, R(N(rho))), with R(N(rho)) the
+    cached recovered operator read through its own decomposition."""
+    value = fidelity(x.rho, Decomposed(x.recovered, x.recovered_spectrum))
+    if value <= 0.0:
+        return math.inf
+    return float(-np.log2(value))
 
 
 def _closed_bracket(x, alpha, sandwiched, closing):

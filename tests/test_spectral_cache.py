@@ -103,16 +103,30 @@ class TestDecompositionCounts:
         triple = _triple()
         for a in orders:
             sandwiched_rel_ent_diff(triple, a)
-        # the root of N†(y y†) is the stack of K_i† y, so no order adds one
-        assert len(eigh_calls) == 4
+        # of the four operators read, sigma, N(rho) and N(sigma) are
+        # decomposed: rho is read through its Cholesky factor, and the root
+        # of N†(y y†) is the stack of K_i† y, so no order adds one
+        assert len(eigh_calls) == 3
 
     @pytest.mark.parametrize("measure", [renyi_cmi, sandwiched_cmi])
     def test_cmi_decomposes_four_operators(self, eigh_calls, measure):
         state = _state()
         for a in SIX_ORDERS:
             measure(state, a)
-        # rho_ABC, rho_AC, rho_BC and I_B x rho_C
-        assert len(eigh_calls) == 4
+        # rho_AC, rho_BC and I_B x rho_C; rho_ABC only for the plain Renyi
+        # CMI, since the sandwiched one reads it through its Cholesky factor
+        assert len(eigh_calls) == {renyi_cmi: 4, sandwiched_cmi: 3}[measure]
+
+    @pytest.mark.parametrize("measure", [
+        lambda s: minmax_cmi(s, "min"),
+        lambda s: sandwiched_cmi(s, 0.75),
+        lambda s: sandwiched_cmi(s, 2.0),
+    ], ids=["min", "sandwiched-0.75", "sandwiched-2"])
+    def test_full_rank_state_is_not_decomposed(self, eigh_calls, measure):
+        state = TripartiteState(random_density((4, 4, 4), seed=1))
+        measure(state)
+        # neither rho_ABC nor the recovered operator, both 64 x 64
+        assert sorted(eigh_calls) == [(16, 16), (16, 16), (16, 16)]
 
     def test_relative_entropy_difference_reuses_the_sweep(self, eigh_calls):
         triple = _triple()
@@ -141,7 +155,7 @@ class TestDecompositionCounts:
         minmax = minmax_rel_ent_diff if isinstance(x, ChannelTriple) else minmax_cmi
         minmax(x, "min")
         minmax(x, "max")
-        # rho, sigma (rho_AC), N(sigma) and the recovered N(rho), once each
+        # sigma (rho_AC), N(rho), N(sigma) and the recovered N(rho), once each
         assert len(eigh_calls) == 4
 
     def test_one_trial_verify(self, eigh_calls):
