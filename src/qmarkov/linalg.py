@@ -225,8 +225,9 @@ def _sorted_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """
     if a.shape[1] != a.shape[2]:
         raise DimensionMismatchError(f"matrix is not square: shape {a.shape[1:]}")
-    scales = np.linalg.norm(a, np.inf, axis=(1, 2))
-    residuals = np.linalg.norm(a - a.conj().swapaxes(1, 2), np.inf, axis=(1, 2))
+    # infinity norms: the largest absolute row sum of each slice
+    scales = np.abs(a).sum(-1).max(-1)
+    residuals = np.abs(a - a.conj().swapaxes(1, 2)).sum(-1).max(-1)
     rel = []
     for scale, residual in zip(scales, residuals):
         if scale > 0 and residual > HERMITICITY_TOL * scale:
@@ -237,10 +238,9 @@ def _sorted_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
         rel.append(float(residual / scale) if scale > 0 else 0.0)
     vals, vecs = np.linalg.eigh(hermitian_part(a))
     order = np.argsort(-vals, axis=1, kind="stable")
-    rows = np.arange(len(a))[:, None]
     # slice i keeps, as its column j, the column order[i, j] eigh returned
-    vals = vals[rows, order]
-    vecs = vecs[rows[:, :, None], np.arange(a.shape[1])[:, None], order[:, None, :]]
+    vals = np.take_along_axis(vals, order, axis=1)
+    vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
     return vals, vecs, rel
 
 

@@ -10,17 +10,21 @@ The first family is the second evaluated on the CMI triple
 (rho_ABC, rho_AC x I_B, trace-out-A), as in arXiv:1501.05636: each Renyi,
 sandwiched and min/max CMI is a call to its difference counterpart.  The
 difference formulas read only a few members of their argument (N(rho),
-N(sigma), functions of sigma, N†, and a square root of N† on a Gram
-matrix), and a ``TripartiteState`` answers each from its marginals, so the
-triple is never built.  ``cmi_as_triple`` builds it densely, so the
-reduction can be tested against an independent evaluation.  Sandwiched
-values are summed in log space, so alpha may be arbitrarily large.  All
-outputs are in bits.
+N(sigma), the spectrum of sigma, and two products:
+f(sigma) N†(inner) f(sigma), and Z† f(sigma) for a Z with
+Z Z† = N†(y y†)), and a ``TripartiteState`` answers each from its
+marginals, so the triple is never built.  The state's products are
+structured: f(sigma) = f(rho_AC) x I_B and N†(x) = I_A x x are applied by
+reshaped matmuls, and neither factor is formed on A x B x C.
+``cmi_as_triple`` builds the triple densely, so the reduction can be
+tested against an independent evaluation; apart from it only the log sums
+embed an operator.  Sandwiched values are summed in log space, so alpha
+may be arbitrarily large.  All outputs are in bits.
 
 Each operator a formula reads is decomposed at most once per object: rho
 and sigma cache ``spectrum``, and a triple or state caches ``out_rho``,
 ``out_sigma``, ``out_rho_spectrum`` and ``out_sigma_spectrum`` (a state
-also its marginals and the decomposition of rho_AC behind ``sigma_fn``),
+also its marginals and the decomposition of rho_AC, ``sigma_spectrum``),
 the recovered N(rho) with its decomposition, and the exp-log operator.
 Every power and logarithm is read from these, so evaluating many orders on
 one object decomposes each operator once.  A cache lives as long as its
@@ -28,8 +32,10 @@ object, and the cached arrays are read-only.  The sandwiched formulas read
 rho only through a square-root factor, ``rho.root()``, which is a Cholesky
 factor when rho is full rank, so they do not decompose rho at all.  The min
 measures are the sandwiched difference at alpha = 1/2, which equals
--log2 F(rho, R(N(rho))), so only the max measures decompose the recovered
-operator.
+-log2 F(rho, R(N(rho))).  The max measures read the recovered operator R
+through its Cholesky factor whenever the cached spectra bound cond(R) by
+1/SUPPORT_CUTOFF, so no measure decomposes R on full-rank inputs; only
+when R may be rank deficient or ill conditioned do they decompose it.
 
 Each Renyi family also has a grid form (``renyi_rel_ent_diff_grid``,
 ``sandwiched_rel_ent_diff_grid``) that evaluates a tuple of orders as one
@@ -63,6 +69,7 @@ from .errors import (
 )
 from .linalg import (
     POSITIVITY_TOL,
+    SUPPORT_CUTOFF,
     SpectralDecomposition,
     embed_operator,
     herm_exp,
@@ -109,7 +116,24 @@ class _CachedSpectra:
 
     @cached_property
     def recovered_spectrum(self) -> SpectralDecomposition:
+        """Decomposed only when the max measures cannot read ``recovered``
+        through a Cholesky factor (``recovered_is_well_conditioned``)."""
         return hermitian_eig(self.recovered)
+
+    def recovered_is_well_conditioned(self) -> bool:
+        """Whether the recovered N(rho) is full rank with condition number at
+        most 1/SUPPORT_CUTOFF, decided from the cached spectra.
+
+        With M = N(sigma)^(-1/2) N(rho) N(sigma)^(-1/2), cond(M) is at most
+        cond(N(rho)) cond(N(sigma)); N† is unital and positive, so
+        lambda_min(M) I <= N†(M) <= lambda_max(M) I; hence the recovered
+        operator sigma^(1/2) N†(M) sigma^(1/2) has condition number at most
+        cond(sigma) cond(N(rho)) cond(N(sigma)).
+        """
+        bound = 1.0
+        for dec in (self.sigma_spectrum, self.out_rho_spectrum, self.out_sigma_spectrum):
+            bound *= _condition_number(dec)
+        return bound <= 1.0 / SUPPORT_CUTOFF
 
     def pulled_log_ratio(self) -> np.ndarray:
         """N†(log N(rho) - log N(sigma)), natural logarithms."""
@@ -170,13 +194,16 @@ class TripartiteState(_CachedSpectra):
         return read_only(kron(np.eye(self.dims[1]), self.rho_c))
 
     @cached_property
-    def _rho_ac_spectrum(self) -> SpectralDecomposition:
+    def sigma_spectrum(self) -> SpectralDecomposition:
+        """The decomposition of rho_AC, from which f(rho_AC x I_B) is read."""
         return hermitian_eig(self.rho_ac)
 
     def sigma_fn(self, fs) -> np.ndarray:
         """The stack of f(rho_AC x I_B) = f(rho_AC) x I_B on the support, one
-        slice per f in ``fs``."""
-        return embed_operator(self._rho_ac_spectrum.apply_all(fs), self.dims, (0, 2))
+        slice per f in ``fs``, as dense operators on A x B x C.  Only the log
+        sums read it; the Renyi products take f(rho_AC) x I_B in factored
+        form (``wedged_pull``, ``pull_root_wedge``)."""
+        return embed_operator(self.sigma_spectrum.apply_all(fs), self.dims, (0, 2))
 
     def sigma_supports_rho(self) -> bool:
         """Always true: supp(rho_ABC) lies in supp(rho_AC x I_B)."""
@@ -186,9 +213,41 @@ class TripartiteState(_CachedSpectra):
         """Tr_A†(x) = I_A x x for an operator x on B x C, or a stack of them."""
         return embed_operator(x, self.dims, (1, 2))
 
-    def pull_root(self, y) -> np.ndarray:
-        """I_A x y, a Z with Z Z† = Tr_A†(y y†): Tr_A† is a *-homomorphism."""
-        return self.pull(y)
+    def wedged_pull(self, fs, inner) -> np.ndarray:
+        """The stack (w x I_B)(I_A x inner)(w x I_B) with w = f(rho_AC), one
+        slice per f in ``fs``; ``inner`` is a stack on B x C with one slice
+        per f, or one slice for all.  No factor is formed on A x B x C."""
+        wedge = self.sigma_spectrum.apply_all(fs)
+        return self._times_wedge(self._wedge_times_pulled(wedge, inner), wedge)
+
+    def pull_root_wedge(self, y, fs) -> np.ndarray:
+        """(I_A x y)† (w x I_B) with w = f(rho_AC), one slice per f in ``fs``
+        and per slice of ``y``.  Tr_A† is a *-homomorphism, so Z = I_A x y
+        has Z Z† = Tr_A†(y y†); the product is the adjoint of
+        (w x I_B)(I_A x y), since w is Hermitian."""
+        wedge = self.sigma_spectrum.apply_all(fs)
+        return self._wedge_times_pulled(wedge, y).conj().swapaxes(-1, -2)
+
+    def _wedge_times_pulled(self, w, m) -> np.ndarray:
+        """(w x I_B)(I_A x m) for stacks w on A x C and m on B x C.
+
+        Entry (abc, a'b'c') is sum_e w[ac, a'e] m[be, b'c'], a sum over C
+        only: one batched matmul of w, read as (a c a', e), with m, read as
+        (e, b b' c'), then one transpose into A x B x C order.
+        """
+        d_a, d_b, d_c = self.dims
+        k = len(w)
+        m = m.reshape(-1, d_b, d_c, d_b * d_c).swapaxes(1, 2).reshape(-1, d_c, d_b * d_b * d_c)
+        t = (w.reshape(k, d_a * d_c * d_a, d_c) @ m).reshape(k, d_a, d_c, d_a, d_b, d_b * d_c)
+        return t.transpose(0, 1, 4, 2, 3, 5).reshape(k, self.rho.dim, self.rho.dim)
+
+    def _times_wedge(self, x, w) -> np.ndarray:
+        """x (w x I_B) for a (k, n, d) stack x and a stack w on A x C: the
+        columns of x swap their A and B indices around one batched matmul."""
+        d_a, d_b, d_c = self.dims
+        k, n = x.shape[:2]
+        t = x.reshape(k, n, d_a, d_b, d_c).swapaxes(2, 3).reshape(k, n * d_b, d_a * d_c) @ w
+        return t.reshape(k, n, d_b, d_a, d_c).swapaxes(2, 3).reshape(k, n, self.rho.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,9 +287,13 @@ class ChannelTriple(_CachedSpectra):
             and self.out_sigma_spectrum.eigenvalues[-1] > POSITIVITY_TOL
         )
 
+    @property
+    def sigma_spectrum(self) -> SpectralDecomposition:
+        return self.sigma.spectrum
+
     def sigma_fn(self, fs) -> np.ndarray:
         """The stack of f(sigma) on the support of sigma, one slice per f in ``fs``."""
-        return self.sigma.spectrum.apply_all(fs)
+        return self.sigma_spectrum.apply_all(fs)
 
     def sigma_supports_rho(self) -> bool:
         """Whether supp(rho) lies in supp(sigma)."""
@@ -240,10 +303,17 @@ class ChannelTriple(_CachedSpectra):
         """N†(x), of an operator or of each slice of a stack."""
         return adjoint_apply(self.channel, x)
 
-    def pull_root(self, y) -> np.ndarray:
-        """[K_1† y, ..., K_r† y], a Z with Z Z† = sum_i K_i† y y† K_i = N†(y y†),
-        of an operator or of each slice of a stack."""
-        return np.concatenate([k.conj().T @ y for k in self.channel.kraus], axis=-1)
+    def wedged_pull(self, fs, inner) -> np.ndarray:
+        """The stack f(sigma) N†(inner) f(sigma), one slice per f in ``fs``;
+        ``inner`` is a stack with one slice per f, or one slice for all."""
+        wedge = self.sigma_fn(fs)
+        return wedge @ self.pull(inner) @ wedge
+
+    def pull_root_wedge(self, y, fs) -> np.ndarray:
+        """Z† f(sigma), one slice per f in ``fs`` and per slice of ``y``, with
+        Z = [K_1† y, ..., K_r† y], so Z Z† = sum_i K_i† y y† K_i = N†(y y†)."""
+        z = np.concatenate([k.conj().T @ y for k in self.channel.kraus], axis=-1)
+        return z.conj().swapaxes(-1, -2) @ self.sigma_fn(fs)
 
 
 def cmi_as_triple(state: TripartiteState) -> ChannelTriple:
@@ -350,6 +420,15 @@ def rel_ent_diff(triple: ChannelTriple) -> float:
     return first - _rel_entropy_on_support(triple.out_rho_spectrum, out_sigma)
 
 
+def _condition_number(dec: SpectralDecomposition) -> float:
+    """lambda_max / lambda_min when the support keeps every eigenvalue and
+    all are positive, else +inf."""
+    values = dec.eigenvalues
+    if not dec.support[0].all() or values[-1] <= 0.0:
+        return math.inf
+    return float(values[0] / values[-1])
+
+
 def _wedge_power(h: float):
     """v -> v**h, the function every wedge sigma^h is evaluated with."""
     return lambda v: v**h
@@ -366,8 +445,7 @@ def _bracket(x, hs, middle: np.ndarray) -> np.ndarray:
     """
     out_wedge = x.out_sigma_spectrum.powers([-h for h in hs])
     inner = out_wedge @ middle @ out_wedge
-    wedge = x.sigma_fn([_wedge_power(h) for h in hs])
-    return hermitian_part(wedge @ x.pull(hermitian_part(inner)) @ wedge)
+    return hermitian_part(x.wedged_pull([_wedge_power(h) for h in hs], hermitian_part(inner)))
 
 
 def renyi_rel_ent_diff(
@@ -437,8 +515,7 @@ def sandwiched_rel_ent_diff_grid(
     checked = [_checked_alpha(triple, a, strict) for a in alphas]
     hs = [(1.0 - a.alpha) / (2.0 * a.alpha) for a in checked]
     y = triple.out_sigma_spectrum.powers([-h for h in hs]) @ triple.out_rho_spectrum.powers(hs)
-    wedge = triple.sigma_fn([_wedge_power(h) for h in hs])
-    product = triple.pull_root(y).conj().swapaxes(-1, -2) @ wedge @ triple.rho.root()
+    product = triple.pull_root_wedge(y, [_wedge_power(h) for h in hs]) @ triple.rho.root()
     values = []
     for a, svs in zip(checked, stacked_singular_values(product)):
         log_value = log2_power_sum(svs, 2.0 * a.alpha)
@@ -456,7 +533,27 @@ def _recovery_divergence(x, kind: str) -> float:
     """
     if kind == "min":
         return sandwiched_rel_ent_diff_grid(x, (0.5,), strict=False)[0]
+    if x.recovered_is_well_conditioned():
+        try:
+            return _max_divergence_by_cholesky(x)
+        except np.linalg.LinAlgError:
+            pass
     return max_rel_entropy(x.rho, Decomposed(x.recovered, x.recovered_spectrum))
+
+
+def _max_divergence_by_cholesky(x) -> float:
+    """D_max(rho || R) for a full-rank recovered operator R = L L†.
+
+    With G G† = rho and Y = L^(-1) G, Y† Y has the nonzero eigenvalues of
+    R^(-1/2) rho R^(-1/2), so D_max = log2 lambda_max(Y† Y): one Cholesky,
+    one solve and one ``eigvalsh``, and R is never decomposed.  Raises
+    LinAlgError when the Cholesky factorization fails.
+    """
+    y = np.linalg.solve(np.linalg.cholesky(x.recovered), x.rho.root())
+    top = float(np.linalg.eigvalsh(hermitian_part(y.conj().T @ y))[-1])
+    if top <= 0.0:
+        return math.inf
+    return float(np.log2(top))
 
 
 def minmax_rel_ent_diff(triple: ChannelTriple, kind: str, strict: bool = True) -> float:

@@ -7,8 +7,10 @@ one order at a time with two-dimensional numpy calls only, in the order the
 per-order formulas read, and decompose every closing bracket with its own
 ``eigh``.  A stacked grid must equal them bit for bit (``==``), not merely
 within a tolerance.  They read the operators' cached decompositions, the
-channel, the embedding and the order checks from the library, which a grid
-does not change.  All outputs are in bits.
+channel and the order checks from the library, which a grid does not
+change.  On a state they form the products with f(rho_AC) x I_B and
+I_A x x as the library does, by reshaped matmuls that never build a factor
+on A x B x C, one order at a time.  All outputs are in bits.
 
 ``petz_round_trip`` applies the Petz recovery map in its Kraus form, the
 independent reading of the bracket at h = 1/2 that ``is_sufficient_petz``
@@ -24,7 +26,7 @@ import numpy as np
 
 from qmarkov.channels import apply_channel
 from qmarkov.divergences import as_alpha
-from qmarkov.linalg import embed_operator, finite_values, log2_power_sum, support_mask
+from qmarkov.linalg import finite_values, log2_power_sum, support_mask
 from qmarkov.measures import ChannelTriple, _checked_alpha
 from qmarkov.states import Decomposed, fidelity, matrix_pair, spectrum_of
 
@@ -57,18 +59,55 @@ def spectral_norm(m):
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
-def _sigma_fn(x, f):
+def _sigma_fn(triple, f):
+    dec = triple.sigma.spectrum
+    return _function_of(dec.eigenvalues, dec.eigenvectors, f)
+
+
+def _wedge_times_pulled(dims, w, m):
+    """(w x I_B)(I_A x m) on A x B x C: the sum over C as one matmul, then
+    one transpose into A x B x C order."""
+    d_a, d_b, d_c = dims
+    d = d_a * d_b * d_c
+    m = m.reshape(d_b, d_c, d_b * d_c).swapaxes(0, 1).reshape(d_c, d_b * d_b * d_c)
+    t = (w.reshape(d_a * d_c * d_a, d_c) @ m).reshape(d_a, d_c, d_a, d_b, d_b * d_c)
+    return t.transpose(0, 3, 1, 2, 4).reshape(d, d)
+
+
+def _times_wedge(dims, x, w):
+    """x (w x I_B): the columns of x swap their A and B indices around one matmul."""
+    d_a, d_b, d_c = dims
+    n = x.shape[0]
+    t = x.reshape(n, d_a, d_b, d_c).swapaxes(1, 2).reshape(n * d_b, d_a * d_c) @ w
+    return t.reshape(n, d_b, d_a, d_c).swapaxes(1, 2).reshape(n, d_a * d_b * d_c)
+
+
+def _wedged_pull(x, f, inner):
+    """f(sigma) N†(inner) f(sigma); on a state, with f(sigma) = w x I_B and
+    N†(inner) = I_A x inner never formed."""
     if isinstance(x, ChannelTriple):
-        return _function_of(x.sigma.spectrum.eigenvalues, x.sigma.spectrum.eigenvectors, f)
-    dec = x._rho_ac_spectrum
-    return embed_operator(_function_of(dec.eigenvalues, dec.eigenvectors, f), x.dims, (0, 2))
+        wedge = _sigma_fn(x, f)
+        return wedge @ x.pull(inner) @ wedge
+    dec = x.sigma_spectrum
+    w = _function_of(dec.eigenvalues, dec.eigenvectors, f)
+    return _times_wedge(x.dims, _wedge_times_pulled(x.dims, w, inner), w)
+
+
+def _pull_root_wedge(x, y, f):
+    """Z† f(sigma) with Z Z† = N†(y y†): Z = [K_1† y, ...] on a triple,
+    I_A x y on a state."""
+    if isinstance(x, ChannelTriple):
+        z = np.concatenate([k.conj().T @ y for k in x.channel.kraus], axis=1)
+        return z.conj().T @ _sigma_fn(x, f)
+    dec = x.sigma_spectrum
+    w = _function_of(dec.eigenvalues, dec.eigenvectors, f)
+    return _wedge_times_pulled(x.dims, w, y).conj().T
 
 
 def _bracket(x, h, middle):
     out_wedge = power(x.out_sigma_spectrum, -h)
     inner = out_wedge @ middle @ out_wedge
-    wedge = _sigma_fn(x, lambda v: v**h)
-    return _symmetrize(wedge @ x.pull(_symmetrize(inner)) @ wedge)
+    return _symmetrize(_wedged_pull(x, lambda v: v**h, _symmetrize(inner)))
 
 
 def renyi_rel_ent_diff(x, a, strict=True):
@@ -85,8 +124,7 @@ def sandwiched_rel_ent_diff(x, a, strict=True):
     a = _checked_alpha(x, a, strict)
     h = (1.0 - a.alpha) / (2.0 * a.alpha)
     y = power(x.out_sigma_spectrum, -h) @ power(x.out_rho_spectrum, h)
-    wedge = _sigma_fn(x, lambda v: v**h)
-    product = x.pull_root(y).conj().T @ wedge @ x.rho.root()
+    product = _pull_root_wedge(x, y, lambda v: v**h) @ x.rho.root()
     sv = np.linalg.svd(product, compute_uv=False)
     log_value = log2_power_sum(sv[support_mask(sv)], 2.0 * a.alpha)
     if log_value == -math.inf:
