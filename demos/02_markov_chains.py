@@ -42,5 +42,5 @@ print("  Petz recovery error:", round(distance, 3), "-> recoverable:", ok)
 
 # The log identity is another face of the same structure:
 # log rho_ABC = log rho_AC + log rho_BC - log rho_C exactly on chains.
-ok, residual = qm.log_identity_check(qm.cmi_as_triple(chain))
+residual = qm.log_identity_residual(qm.cmi_as_triple(chain))
 print("\nlogarithm identity residual on the chain:", f"{residual:.2e}")

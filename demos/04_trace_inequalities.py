@@ -10,12 +10,7 @@
 import numpy as np
 
 import qmarkov as qm
-from qmarkov.functionals import (
-    channel_trace_value,
-    cmi_trace_value,
-    exp_trace_channel_value,
-    exp_trace_cmi_value,
-)
+from qmarkov.functionals import channel_trace_value, exp_trace_channel_value
 
 ORDERS = (0.25, 0.5, 0.75, 1.25, 1.5, 1.75)
 TRIALS = 200
@@ -24,7 +19,7 @@ print(f"{TRIALS} random three-qubit states, marginal-chain trace:")
 values = []
 for seed in range(TRIALS):
     state = qm.TripartiteState(qm.random_density((2, 2, 2), seed=seed))
-    values.extend(cmi_trace_value(state, a) for a in ORDERS)
+    values.extend(channel_trace_value(state, a) for a in ORDERS)
 values = np.array(values)
 print(f"  max {values.max():.6f}  mean {values.mean():.4f}  (bound: 1)")
 
@@ -42,7 +37,7 @@ print(f"  max {values.max():.6f}  mean {values.mean():.4f}  (bound: 1)")
 
 # The alpha -> 1 limit of the same bound is an exponential-of-logs trace.
 state = qm.TripartiteState(qm.random_density((2, 2, 2), seed=0))
-print("\nexponential trace, marginal form:  ", f"{exp_trace_cmi_value(state):.6f}")
+print("\nexponential trace, marginal form:  ", f"{exp_trace_channel_value(state):.6f}")
 triple = qm.ChannelTriple(
     rho=qm.random_density((4,), seed=1),
     sigma=qm.PositiveOperator(qm.random_density((4,), seed=2).matrix),
@@ -52,5 +47,5 @@ print("exponential trace, channel form:   ", f"{exp_trace_channel_value(triple):
 
 # Markov chains pin every one of these traces exactly at one.
 chain = qm.build_markov_chain(qm.random_markov_spec(2, 2, ((2, 1), (1, 2)), seed=4))
-gaps = [abs(cmi_trace_value(chain, a) - 1.0) for a in ORDERS]
+gaps = [abs(channel_trace_value(chain, a) - 1.0) for a in ORDERS]
 print("\nMarkov chain saturation, worst |trace - 1|:", f"{max(gaps):.2e}")

@@ -27,7 +27,6 @@ from .divergences import (
     renyi_rel_entropy_grid,
     sandwiched_rel_entropy,
     sandwiched_rel_entropy_grid,
-    support_contained,
     von_neumann_entropy,
 )
 from .errors import (
@@ -43,9 +42,7 @@ from .errors import (
 from .functionals import (
     channel_trace_value,
     channel_trace_value_grid,
-    cmi_trace_value,
     exp_trace_channel_value,
-    exp_trace_cmi_value,
     lie_trotter_deviation,
     lie_trotter_deviation_grid,
     log_identity_residual,
@@ -61,18 +58,12 @@ from .linalg import (
     alpha_norm,
     embed_operator,
     herm_exp,
-    herm_log,
-    herm_log2,
     herm_pow,
     herm_pows,
     hermitian_eig,
-    hs_inner,
     kron,
-    kron_all,
-    matrix_function,
     partial_trace,
     spectral_norm,
-    trace_norm,
 )
 from .measures import (
     PETZ_ALPHA_GRID,
@@ -108,7 +99,6 @@ from .states import (
     perturb_positive,
     random_density,
     trace_distance,
-    validate_density,
 )
 from .structured import (
     MarkovBlock,
@@ -119,7 +109,6 @@ from .structured import (
     build_sufficiency_triple,
     is_markov_petz,
     is_sufficient_petz,
-    log_identity_check,
     random_markov_spec,
     random_sufficiency_spec,
 )

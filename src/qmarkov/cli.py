@@ -229,7 +229,7 @@ def cmd_sweep(args) -> int:
     for alpha in grid:
         if abs(alpha - 1.0) < 1e-9:
             # the Renyi family is undefined at 1; report the von Neumann value
-            if args.measure in ("renyi-cmi", "sand-cmi"):
+            if args.measure in STATE_MEASURES:
                 value = von_neumann_cmi(target)
             else:
                 value = rel_ent_diff(target)

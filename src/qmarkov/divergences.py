@@ -10,18 +10,18 @@ many orders on the same operators decomposes each of them once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .linalg import (
     SpectralDecomposition,
-    finite_values,
+    finite_rows,
     hermitian_part,
     log2_power_sum,
-    on_support,
     real_traces,
+    support_mask,
 )
 from .states import PositiveOperator, as_matrix, fidelity, matrix_pair, spectrum_of
 
@@ -30,7 +30,7 @@ ALPHA_ONE_GUARD = 1e-6
 
 @dataclass(frozen=True)
 class AlphaParameter:
-    """Renyi order with its derived substitution gamma = (2 alpha - 1) / alpha.
+    """A Renyi order, checked on construction.
 
     ``petz_ok`` marks the interval (0,1) u (1,2) on which the non-sandwiched
     quantities are certified, ``sandwiched_ok`` the interval (1/2,1) u (1,inf)
@@ -41,7 +41,6 @@ class AlphaParameter:
     """
 
     alpha: float
-    gamma: float = field(init=False)
 
     def __post_init__(self):
         a = float(self.alpha)
@@ -52,7 +51,6 @@ class AlphaParameter:
                 "bad-spec", f"alpha within {ALPHA_ONE_GUARD} of 1 is not evaluable"
             )
         object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "gamma", (2.0 * a - 1.0) / a)
 
     @property
     def petz_ok(self) -> bool:
@@ -67,12 +65,6 @@ def as_alpha(a) -> AlphaParameter:
     return a if isinstance(a, AlphaParameter) else AlphaParameter(float(a))
 
 
-def support_contained(rho, sigma) -> bool:
-    """Whether supp(rho) is contained in supp(sigma)."""
-    a, _ = matrix_pair(rho, sigma)
-    return spectrum_of(sigma).supports(a)
-
-
 def von_neumann_entropy(rho) -> float:
     """Entropy -Tr{rho log2 rho} over the support.
 
@@ -83,7 +75,8 @@ def von_neumann_entropy(rho) -> float:
         eigs = rho.eigenvalues
     else:
         eigs = np.linalg.eigvalsh(hermitian_part(as_matrix(rho)))
-    keep, logs = on_support(eigs, np.log2)
+    keep = support_mask(eigs)
+    (logs,) = finite_rows((eigs[keep],), (np.log2,))
     return float(-np.sum(eigs[keep] * logs))
 
 
@@ -108,7 +101,7 @@ def _rel_entropy_on_support(
     """
     _, p, va = dec_a.support
     _, q, vb = dec_b.support
-    log_p, log_q = finite_values(p, np.log2), finite_values(q, np.log2)
+    log_p, log_q = finite_rows((p, q), (np.log2, np.log2))
     overlaps = np.abs(va.conj().T @ vb) ** 2  # |<a_i|b_j>|^2
     return float(np.sum(p * log_p) - np.sum((p[:, None] * overlaps) * log_q[None, :]))
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import apply_channel
+from .errors import RankDeficientError
 from .linalg import herm_pows, hermitian_part, real_traces, spectral_norm, spectral_norms
 from .measures import ChannelTriple, TripartiteState, _bracket, _wedge_power
 
@@ -39,7 +40,9 @@ def channel_trace_value(
     with h = (1-a)/2 (or h divided by alpha and closing exponent alpha/(1-a)
     in the sandwiched form); at most 1, with equality iff the channel is
     sufficient for rho and sigma.  A TripartiteState is read as its CMI
-    triple.
+    triple, whose bracket is rho_AC^((1-a)/2) rho_C^((a-1)/2) rho_BC^(1-a)
+    rho_C^((a-1)/2) rho_AC^((1-a)/2), with equality exactly on short Markov
+    chains.
     """
     return channel_trace_value_grid(triple, (alpha,), sandwiched)[0]
 
@@ -54,28 +57,12 @@ def channel_trace_value_grid(
     return [float(value) for value in real_traces(closed)]
 
 
-def cmi_trace_value(state: TripartiteState, alpha: float, sandwiched: bool = False) -> float:
-    """Trace of the recovered-marginal chain raised to its closing exponent.
-
-    Plain form: Tr{(rho_AC^((1-a)/2) rho_C^((a-1)/2) rho_BC^(1-a)
-    rho_C^((a-1)/2) rho_AC^((1-a)/2))^(1/(1-a))}, at most 1.  The sandwiched
-    form divides the inner exponents by alpha and closes with alpha/(1-alpha).
-    Equality at 1 holds exactly on short Markov chains.
-    """
-    return channel_trace_value(state, alpha, sandwiched)
-
-
 def exp_trace_channel_value(triple: ChannelTriple | TripartiteState) -> float:
     """Tr{exp(log sigma + N†(log N(rho) - log N(sigma)))}; at most 1.
 
     A TripartiteState is read as its CMI triple.
     """
     return float(np.trace(triple.exp_log_sum).real)
-
-
-def exp_trace_cmi_value(state: TripartiteState) -> float:
-    """Tr{exp(log rho_AC + log rho_BC - log rho_C)}; at most 1."""
-    return exp_trace_channel_value(state)
 
 
 def lie_trotter_deviation(x: ChannelTriple | TripartiteState, alpha: float) -> float:
@@ -148,7 +135,13 @@ def log_identity_residual(triple: ChannelTriple) -> float:
 
     The identity holds exactly when the channel is sufficient for rho and
     sigma; with the conditional-mutual-information substitution it becomes
-    log rho_ABC = log rho_AC + log rho_BC - log rho_C.
+    log rho_ABC = log rho_AC + log rho_BC - log rho_C.  All four operators
+    must be positive definite for the logarithms to be full rank; otherwise
+    RankDeficientError is raised.
     """
+    if not triple.is_positive_definite():
+        raise RankDeficientError(
+            "log identity requires rho, sigma, and channel outputs positive definite"
+        )
     direct = triple.rho.spectrum.apply(np.log) - triple.sigma_fn((np.log,))[0]
     return spectral_norm(triple.pulled_log_ratio() - direct) / LN2

@@ -55,26 +55,13 @@ def support_mask(values, axis: int | None = None) -> np.ndarray:
     return (values > SUPPORT_CUTOFF * top) | (values < -POSITIVITY_TOL * np.fmax(1.0, top))
 
 
-def on_support(values, f: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The support mask of ``values`` and ``f`` evaluated on the kept values."""
-    keep = support_mask(values)
-    return keep, finite_values(values[keep], f)
-
-
-def finite_values(kept: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """``f`` evaluated on ``kept``, which must give finite values.
-
-    Raises MatrixFunctionDomainError if ``f`` is undefined (nan) or
-    overflows float64 (+-inf) on a value.
-    """
-    return finite_rows((kept,), (f,))[0]
-
-
 def finite_rows(kepts, fs) -> list[np.ndarray]:
-    """``finite_values(kept, f)`` for each pair of ``kepts`` and ``fs``.
+    """``f(kept)`` for each pair of ``kepts`` and ``fs``; each must be finite.
 
-    All are evaluated under one error state and checked in order, so the
-    first pair with a non-finite value raises, as a loop over pairs would.
+    Raises MatrixFunctionDomainError if an ``f`` is undefined (nan) or
+    overflows float64 (+-inf) on a value.  All are evaluated under one error
+    state and checked in order, so the first pair with a non-finite value
+    raises, as a loop over pairs would.
     """
     with np.errstate(all="ignore"):
         rows = [np.asarray(f(kept), dtype=float) for kept, f in zip(kepts, fs)]
@@ -106,10 +93,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns, aligned with eigenvalues
     hermiticity_residual: float
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
 
     @cached_property
     def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -244,15 +227,6 @@ def _sorted_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
     return vals, vecs, rel
 
 
-def matrix_function(m, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix on its support only.
-
-    Raises MatrixFunctionDomainError if ``f`` is undefined (nan/inf) on a
-    retained eigenvalue.
-    """
-    return hermitian_eig(m).apply(f)
-
-
 def herm_pow(m, p: float) -> np.ndarray:
     """Fractional power of a Hermitian matrix, restricted to the support.
 
@@ -285,21 +259,12 @@ def herm_pows(stack, ps: Sequence[float]) -> np.ndarray:
     ])
 
 
-def herm_log(m) -> np.ndarray:
-    """Natural logarithm on the support of a Hermitian PSD matrix."""
-    return matrix_function(m, np.log)
-
-
-def herm_log2(m) -> np.ndarray:
-    """Base-2 logarithm on the support of a Hermitian PSD matrix."""
-    return matrix_function(m, np.log2)
-
-
 def herm_exp(m) -> np.ndarray:
     """Exponential of a Hermitian matrix over the full spectrum.
 
-    Unlike matrix_function this does not drop the kernel (exp(0) = 1 there),
-    which is the behavior needed for exponentials of sums of logarithms.
+    Unlike SpectralDecomposition.apply this does not drop the kernel
+    (exp(0) = 1 there), which is the behavior needed for exponentials of
+    sums of logarithms.
     """
     dec = hermitian_eig(m)
     return _reconstruct(dec.eigenvectors, np.exp(dec.eigenvalues)[None])[0]
@@ -308,13 +273,6 @@ def herm_exp(m) -> np.ndarray:
 def kron(a, b) -> np.ndarray:
     """Kronecker product; dimensions multiply."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def kron_all(*ops) -> np.ndarray:
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
-    return out
 
 
 def partial_trace(m, dims: Sequence[int], traced_out: Iterable[int]) -> np.ndarray:
@@ -400,7 +358,7 @@ def log2_power_sum(values, p: float) -> float:
     top = float(np.max(values)) if values.size else 0.0
     if top <= 0.0:
         return -math.inf
-    _, scaled = on_support(values, lambda v: (v / top) ** p)
+    (scaled,) = finite_rows((values[support_mask(values)],), (lambda v: (v / top) ** p,))
     total = float(np.sum(scaled))
     if total <= 0.0:
         return -math.inf
@@ -418,11 +376,6 @@ def alpha_norm(x, alpha: float) -> float:
     return float(2.0 ** (log2_power_sum(singular_values(x), alpha) / alpha))
 
 
-def trace_norm(x) -> float:
-    """Schatten 1-norm (sum of singular values)."""
-    return alpha_norm(x, 1.0)
-
-
 def spectral_norm(x) -> float:
     """Schatten infinity-norm (largest singular value)."""
     return spectral_norms(_as_matrix(x)[None])[0]
@@ -432,11 +385,3 @@ def spectral_norms(stack) -> list[float]:
     """``spectral_norm`` of each slice of a (k, m, n) stack, in one ``svd``."""
     sv = np.linalg.svd(_as_stack(stack), compute_uv=False)
     return [float(s[0]) if s.size else 0.0 for s in sv]
-
-
-def hs_inner(c, d) -> complex:
-    """Hilbert-Schmidt inner product Tr{C† D}."""
-    cm, dm = _as_matrix(c), _as_matrix(d)
-    if cm.shape != dm.shape:
-        raise DimensionMismatchError(f"shape mismatch {cm.shape} vs {dm.shape}")
-    return complex(np.vdot(cm, dm))

@@ -172,10 +172,6 @@ class TripartiteState(_CachedSpectra):
         self.rho_bc = read_only(partial_trace(m, self.dims, {0}))
         self.rho_c = read_only(partial_trace(m, self.dims, {0, 1}))
 
-    @classmethod
-    def from_matrix(cls, matrix, dims) -> "TripartiteState":
-        return cls(DensityOperator(np.asarray(matrix, dtype=complex), tuple(dims)))
-
     @property
     def matrix(self) -> np.ndarray:
         return self.rho.matrix
@@ -396,7 +392,9 @@ def minmax_cmi(state: TripartiteState, kind: str, strict: bool = True) -> float:
     rho_AC^(1/2) rho_C^(-1/2) rho_BC rho_C^(-1/2) rho_AC^(1/2): ``max`` is the
     max-relative entropy to it, ``min`` the min-relative entropy
     -log2 F(rho_ABC, recovered), evaluated as the sandwiched CMI at
-    alpha = 1/2, to which it is equal.
+    alpha = 1/2, to which it is equal.  ``max`` raises RankDeficientError
+    when rho_ABC is positive definite but the computed recovered operator
+    is numerically singular.
     """
     if kind not in ("min", "max"):
         raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
@@ -538,7 +536,15 @@ def _recovery_divergence(x, kind: str) -> float:
             return _max_divergence_by_cholesky(x)
         except np.linalg.LinAlgError:
             pass
-    return max_rel_entropy(x.rho, Decomposed(x.recovered, x.recovered_spectrum))
+    value = max_rel_entropy(x.rho, Decomposed(x.recovered, x.recovered_spectrum))
+    if math.isinf(value) and x.is_positive_definite():
+        # R of positive definite inputs is positive definite, so a kernel
+        # holding rho's weight is round-off, not a support condition
+        raise RankDeficientError(
+            "the recovered operator is numerically singular: its computed "
+            "kernel holds weight of the positive definite rho"
+        )
+    return value
 
 
 def _max_divergence_by_cholesky(x) -> float:
@@ -563,6 +569,8 @@ def minmax_rel_ent_diff(triple: ChannelTriple, kind: str, strict: bool = True) -
     R_{sigma,N}(N(rho)); zero exactly when the channel is sufficient for
     rho and sigma.  D_min = -log2 F(rho, R_{sigma,N}(N(rho))) is evaluated
     as the sandwiched difference at alpha = 1/2, to which it is equal.
+    ``max`` raises RankDeficientError when the inputs are positive definite
+    but the computed R_{sigma,N}(N(rho)) is numerically singular.
     """
     if kind not in ("min", "max"):
         raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")

@@ -43,17 +43,17 @@ def _check_dims(matrix: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
     return dims
 
 
-def _validated_eigs(matrix: np.ndarray, tol: float) -> np.ndarray:
+def _validated_eigs(matrix: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(matrix)):
         raise ValidationError("not-finite", "matrix entries must be finite")
     scale = np.linalg.norm(matrix, np.inf)
     residual = np.linalg.norm(matrix - matrix.conj().T, np.inf)
-    if scale > 0 and residual > tol * scale:
+    if scale > 0 and residual > POSITIVITY_TOL * scale:
         raise ValidationError(
             "not-hermitian", f"Hermiticity residual {residual:.3e} above tolerance"
         )
     eigs = np.linalg.eigvalsh((matrix + matrix.conj().T) / 2)
-    if eigs.size and eigs[0] < -tol * max(1.0, abs(eigs[-1])):
+    if eigs.size and eigs[0] < -POSITIVITY_TOL * max(1.0, abs(eigs[-1])):
         raise ValidationError(
             "not-positive", f"negative eigenvalue {eigs[0]:.3e} below tolerance"
         )
@@ -73,13 +73,12 @@ class PositiveOperator:
 
     matrix: np.ndarray
     dims: tuple[int, ...] = field(default=())
-    atol: float = POSITIVITY_TOL
 
     def __post_init__(self):
         m = np.ascontiguousarray(np.asarray(self.matrix, dtype=complex))
         dims = self.dims if self.dims else (m.shape[0],)
         dims = _check_dims(m, dims)
-        eigs = _validated_eigs(m, self.atol)
+        eigs = _validated_eigs(m)
         object.__setattr__(self, "matrix", read_only(m.view()))
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "_eigs", read_only(eigs))
@@ -117,10 +116,6 @@ class PositiveOperator:
     def is_positive_definite(self) -> bool:
         return bool(self._eigs[0] > POSITIVITY_TOL)
 
-    @property
-    def rank_deficient(self) -> bool:
-        return not self.is_positive_definite()
-
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator(PositiveOperator):
@@ -129,28 +124,16 @@ class DensityOperator(PositiveOperator):
     def __post_init__(self):
         super().__post_init__()
         tr = float(np.trace(self.matrix).real)
-        if abs(tr - 1.0) > max(self.atol, TRACE_TOL):
+        if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError("not-normalized", f"trace is {tr!r}, expected 1")
-
-
-def validate_density(matrix, dims=None, tol: float = POSITIVITY_TOL) -> DensityOperator:
-    """Check Hermiticity, positivity, and normalization; return the typed state.
-
-    Raises ValidationError with ``reason`` identifying the failed check.  The
-    returned object reports positive definiteness (all eigenvalues > tol)
-    through ``is_positive_definite``.
-    """
-    m = np.asarray(matrix, dtype=complex)
-    if dims is None:
-        dims = (m.shape[0],)
-    return DensityOperator(m, tuple(dims), atol=tol)
 
 
 def random_density(dims, rank: int | None = None, seed=0) -> DensityOperator:
     """Seeded random state G G† / Tr{G G†} with G complex Gaussian dim x rank.
 
     Deterministic per seed; rank defaults to the full dimension, which gives
-    a positive definite state almost surely.
+    a positive definite state almost surely.  ``seed`` is a non-negative
+    integer or a numpy Generator.
     """
     dims = tuple(int(d) for d in dims)
     dim = int(np.prod(dims))
@@ -158,6 +141,8 @@ def random_density(dims, rank: int | None = None, seed=0) -> DensityOperator:
         rank = dim
     if not 1 <= rank <= dim:
         raise ValidationError("bad-rank", f"rank must be in [1, {dim}], got {rank}")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValidationError("bad-spec", f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     rho = g @ g.conj().T

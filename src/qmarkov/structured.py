@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, random_strict_channel, random_unitary
-from .errors import DimensionMismatchError, RankDeficientError, ValidationError
-from .functionals import log_identity_residual
+from .errors import DimensionMismatchError, ValidationError
 from .linalg import kron
 from .measures import ChannelTriple, TripartiteState, _bracket
 from .states import (
@@ -230,20 +229,6 @@ def is_sufficient_petz(
     d_rho = trace_distance(triple.recovered, triple.rho.matrix)
     d_sigma = trace_distance(sigma_back, triple.sigma.matrix)
     return (d_rho <= tol and d_sigma <= tol), float(d_rho), float(d_sigma)
-
-
-def log_identity_check(triple: ChannelTriple, tol: float = 1e-8) -> tuple[bool, float]:
-    """Check N†[log2 N(rho) - log2 N(sigma)] = log2 rho - log2 sigma.
-
-    All four operators must be positive definite for the logarithms to be
-    full rank; otherwise RankDeficientError is raised.
-    """
-    if not triple.is_positive_definite():
-        raise RankDeficientError(
-            "log identity requires rho, sigma, and channel outputs positive definite"
-        )
-    residual = log_identity_residual(triple)
-    return residual <= tol, float(residual)
 
 
 def random_markov_spec(

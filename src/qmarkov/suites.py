@@ -94,6 +94,8 @@ class SuiteConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValidationError("bad-spec", "trials must be at least 1")
+        if self.seed < 0:
+            raise ValidationError("bad-spec", f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.tol < math.inf:
             raise ValidationError("bad-spec", f"tol must be positive and finite, got {self.tol}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))

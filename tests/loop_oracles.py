@@ -26,7 +26,7 @@ import numpy as np
 
 from qmarkov.channels import apply_channel
 from qmarkov.divergences import as_alpha
-from qmarkov.linalg import finite_values, log2_power_sum, support_mask
+from qmarkov.linalg import finite_rows, log2_power_sum, support_mask
 from qmarkov.measures import ChannelTriple, _checked_alpha
 from qmarkov.states import Decomposed, fidelity, matrix_pair, spectrum_of
 
@@ -40,7 +40,7 @@ def _function_of(vals, vecs, f):
     keep = support_mask(vals)
     if not keep.all():
         vals, vecs = vals[keep], vecs[:, keep]
-    return _symmetrize((vecs * finite_values(vals, f)) @ vecs.conj().T)
+    return _symmetrize((vecs * finite_rows((vals,), (f,))[0]) @ vecs.conj().T)
 
 
 def power(dec, p):

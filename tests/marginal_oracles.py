@@ -16,7 +16,6 @@ from qmarkov.linalg import (
     alpha_norm,
     embed_operator,
     herm_exp,
-    herm_log,
     herm_pow,
     spectral_norm,
 )
@@ -24,6 +23,14 @@ from qmarkov.linalg import (
 
 def _symmetrize(m):
     return (m + m.conj().T) / 2
+
+
+def _log(m):
+    """Natural logarithm on the eigenvalues above 1e-12 of the largest,
+    straight from ``np.linalg.eigh``."""
+    vals, vecs = np.linalg.eigh(_symmetrize(m))
+    keep = vals > 1e-12 * vals.max()
+    return (vecs[:, keep] * np.log(vals[keep])) @ vecs[:, keep].conj().T
 
 
 def _ac(state, x):
@@ -117,9 +124,9 @@ def cmi_trace_value(state, alpha, sandwiched=False):
 def exp_log_marginals(state):
     """exp(log rho_AC + log rho_BC - log rho_C), embedded in A x B x C."""
     exponent = (
-        _ac(state, herm_log(state.rho_ac))
-        + _bc(state, herm_log(state.rho_bc))
-        - _c(state, herm_log(state.rho_c))
+        _ac(state, _log(state.rho_ac))
+        + _bc(state, _log(state.rho_bc))
+        - _c(state, _log(state.rho_c))
     )
     return herm_exp(_symmetrize(exponent))
 

@@ -15,9 +15,7 @@ import classical_oracles as co
 import qmarkov as qm
 from qmarkov.functionals import (
     channel_trace_value,
-    cmi_trace_value,
     exp_trace_channel_value,
-    exp_trace_cmi_value,
     lie_trotter_deviation,
     output_fixed_point_residual,
     recovery_fixed_point_residual,
@@ -70,9 +68,9 @@ def test_criterion_1_trace_inequalities():
     for seed in range(100):
         state = _random_state(seed)
         for a in PETZ_GRID:
-            worst = max(worst, cmi_trace_value(state, a, sandwiched=False) - 1.0)
+            worst = max(worst, channel_trace_value(state, a, sandwiched=False) - 1.0)
         for a in SAND_GRID:
-            worst = max(worst, cmi_trace_value(state, a, sandwiched=True) - 1.0)
+            worst = max(worst, channel_trace_value(state, a, sandwiched=True) - 1.0)
     for seed in range(100):
         triple = _random_triple(seed)
         for a in PETZ_GRID:
@@ -91,7 +89,7 @@ def test_criterion_1_trace_inequalities():
 def test_criterion_2_exp_trace_corollaries():
     worst = -np.inf
     for seed in range(100):
-        worst = max(worst, exp_trace_cmi_value(_random_state(seed)) - 1.0)
+        worst = max(worst, exp_trace_channel_value(_random_state(seed)) - 1.0)
     for seed in range(100):
         worst = max(worst, exp_trace_channel_value(_random_triple(seed)) - 1.0)
     _criterion(

@@ -12,7 +12,7 @@ from qmarkov.channels import (
     random_unitary,
 )
 from qmarkov.errors import DimensionMismatchError, ValidationError
-from qmarkov.linalg import embed_operator, herm_pow, hs_inner, kron, partial_trace
+from qmarkov.linalg import embed_operator, herm_pow, kron, partial_trace
 from qmarkov.measures import ChannelTriple, _bracket
 from qmarkov.states import DensityOperator, PositiveOperator, random_density
 from qmarkov.structured import is_sufficient_petz
@@ -93,8 +93,8 @@ class TestAdjoint:
         chan = random_channel(3, 4, seed=seed)
         a = random_hermitian(3, seed=seed + 20)
         b = random_hermitian(4, seed=seed + 40)
-        lhs = hs_inner(b, apply_channel(chan, a))
-        rhs = hs_inner(adjoint_apply(chan, b), a)
+        lhs = np.vdot(b, apply_channel(chan, a))
+        rhs = np.vdot(adjoint_apply(chan, b), a)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(3))

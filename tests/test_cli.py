@@ -21,7 +21,7 @@ from qmarkov.serialization import (
     save_state,
     save_sufficiency_spec,
 )
-from qmarkov.states import DensityOperator, PositiveOperator, random_density
+from qmarkov.states import DensityOperator, PositiveOperator, perturb_positive, random_density
 from qmarkov.structured import (
     ChannelTriple,
     is_markov_petz,
@@ -215,6 +215,22 @@ class TestEdgeInputs:
                 values.append(float(capsys.readouterr().out))
             assert values[0] == pytest.approx(values[1], abs=1e-8)
 
+    @pytest.mark.parametrize("measure", ["imax", "delta-max"])
+    def test_numerically_singular_recovered_operator_exits_two(self, tmp_path, capsys, measure):
+        state = TripartiteState(
+            perturb_positive(random_density((2, 2, 2), rank=1, seed=0), 1e-8)
+        )
+        if measure == "imax":
+            save_state(tmp_path / "state.json", state.rho)
+            args = ["--state", str(tmp_path / "state.json")]
+        else:
+            _save_triple(tmp_path / "t", cmi_as_triple(state))
+            args = _triple_args(tmp_path / "t")
+        assert main(["compute", "--measure", measure] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "numerically singular" in captured.err
+
     @pytest.mark.parametrize("measure", ["delta", "delta-tilde"])
     def test_difference_off_the_support_exits_two(self, tmp_path, capsys, measure):
         _save_triple(tmp_path / "t", ChannelTriple(
@@ -380,7 +396,21 @@ class TestFileEncoding:
         assert float(outputs[0]) == pytest.approx(expected, abs=1e-12)
 
 
+def _assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "seed" in lines[0]
+
+
 class TestGenerate:
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        assert main(["generate", "--kind", "random-state", "--dims", "2,2,2",
+                     "--seed", "-1", "--out", str(out)]) == 2
+        _assert_one_error_line(capsys)
+        assert not out.exists()
+
     def test_random_state_deterministic(self, tmp_path):
         one, two = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         assert main(["generate", "--kind", "random-state", "--dims", "2,2,2",
@@ -486,6 +516,10 @@ class TestVerify:
                      "--seed", "0", "--tol", "1e-18"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_negative_seed_exits_two(self, capsys):
+        assert main(["verify", "--suite", "limits", "--trials", "1", "--seed", "-1"]) == 2
+        _assert_one_error_line(capsys)
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tolerance_exits_two(self, tol, capsys):

@@ -19,7 +19,8 @@ import pytest
 
 from qmarkov.channels import random_strict_channel
 from qmarkov.divergences import max_rel_entropy
-from qmarkov.linalg import SUPPORT_CUTOFF, embed_operator, kron_all
+from qmarkov.errors import RankDeficientError
+from qmarkov.linalg import SUPPORT_CUTOFF, embed_operator, kron
 from qmarkov.measures import (
     ChannelTriple,
     TripartiteState,
@@ -27,7 +28,13 @@ from qmarkov.measures import (
     minmax_cmi,
     minmax_rel_ent_diff,
 )
-from qmarkov.states import Decomposed, DensityOperator, PositiveOperator, random_density
+from qmarkov.states import (
+    Decomposed,
+    DensityOperator,
+    PositiveOperator,
+    perturb_positive,
+    random_density,
+)
 
 
 def _max(x, strict=True):
@@ -73,13 +80,19 @@ def _sigma_inside_triple(seed):
     )
 
 
+def _near_pure_state():
+    """A pure 2x2x2 state mixed with 1e-8 of the flat state: positive
+    definite, with a numerically singular recovered operator."""
+    return TripartiteState(perturb_positive(random_density((2, 2, 2), rank=1, seed=0), 1e-8))
+
+
 def _skewed_state(seed):
     """rho_A x rho_B x diag(1 - 1e-5, 1e-5), mixed with 1e-7 of a random state:
     full rank, with a condition-number product of about 2e16 to 4e16 while
     the recovered operator's own is below 4e6."""
     rho_a = random_density((2,), seed=seed).matrix
     rho_b = random_density((2,), seed=seed + 1).matrix
-    product = kron_all(rho_a, rho_b, np.diag([1.0 - 1e-5, 1e-5]))
+    product = kron(kron(rho_a, rho_b), np.diag([1.0 - 1e-5, 1e-5]))
     m = (1.0 - 1e-7) * product + 1e-7 * random_density((8,), seed=seed + 2).matrix
     return TripartiteState(DensityOperator(m, (2, 2, 2)))
 
@@ -113,6 +126,19 @@ class TestMaxGuard:
         )
         assert not x.recovered_is_well_conditioned()
         assert _max(x, strict=False) == _eigen_path(x) == np.inf
+
+    def test_positive_definite_rho_outside_a_singular_recovered_operator_raises(self):
+        # rho is positive definite, but the computed R has a round-off
+        # eigenvalue below zero that the support drops, and rho has weight
+        # there: R is numerically singular, and D_max is not +inf
+        state = _near_pure_state()
+        for x in (state, cmi_as_triple(state)):
+            assert x.is_positive_definite()
+            assert not x.recovered_is_well_conditioned()
+            assert _eigen_path(x) == np.inf
+            for strict in (True, False):
+                with pytest.raises(RankDeficientError, match="numerically singular"):
+                    _max(x, strict)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_ill_conditioned_full_rank_input_takes_the_eigen_path(self, seed, cholesky_calls):

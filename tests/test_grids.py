@@ -29,7 +29,7 @@ from qmarkov.linalg import (
     herm_pow,
     herm_pows,
     hermitian_eig,
-    kron_all,
+    kron,
     spectral_norm,
     spectral_norms,
     stacked_singular_values,
@@ -154,7 +154,7 @@ def _product_state():
     u = random_unitary(2, seed=1)
     rho_a = u @ np.diag([1.0 - 1e-7, 1e-7]) @ u.conj().T
     rho_c = random_density((2,), seed=3).matrix
-    matrix = kron_all(rho_a, np.diag([1.0, 0.0]), rho_c)
+    matrix = kron(kron(rho_a, np.diag([1.0, 0.0])), rho_c)
     return TripartiteState(DensityOperator(matrix, (2, 2, 2)))
 
 

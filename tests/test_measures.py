@@ -12,12 +12,10 @@ from qmarkov.errors import (
 )
 from qmarkov.functionals import (
     channel_trace_value,
-    cmi_trace_value,
     exp_trace_channel_value,
-    exp_trace_cmi_value,
     lie_trotter_deviation,
 )
-from qmarkov.linalg import kron, kron_all
+from qmarkov.linalg import kron
 from qmarkov.measures import (
     PETZ_ALPHA_GRID,
     SANDWICHED_ALPHA_GRID,
@@ -41,7 +39,7 @@ def product_state(seed=0):
     a = random_density((2,), seed=seed).matrix
     b = random_density((2,), seed=seed + 1).matrix
     c = random_density((2,), seed=seed + 2).matrix
-    return TripartiteState(DensityOperator(kron_all(a, b, c), (2, 2, 2)))
+    return TripartiteState(DensityOperator(kron(kron(a, b), c), (2, 2, 2)))
 
 
 def correlated_ab_state():
@@ -224,7 +222,7 @@ class TestMarginalOracle:
         state = TripartiteState(random_density(dims, seed=sum(dims)))
         for a in PETZ_ALPHA_GRID:
             assert renyi_cmi(state, a) == pytest.approx(mo.renyi_cmi(state, a), abs=1e-9)
-            assert cmi_trace_value(state, a) == pytest.approx(
+            assert channel_trace_value(state, a) == pytest.approx(
                 mo.cmi_trace_value(state, a), abs=1e-9
             )
             assert lie_trotter_deviation(state, a) == pytest.approx(
@@ -234,14 +232,14 @@ class TestMarginalOracle:
             assert sandwiched_cmi(state, a) == pytest.approx(
                 mo.sandwiched_cmi(state, a), abs=1e-9
             )
-            assert cmi_trace_value(state, a, sandwiched=True) == pytest.approx(
+            assert channel_trace_value(state, a, sandwiched=True) == pytest.approx(
                 mo.cmi_trace_value(state, a, sandwiched=True), abs=1e-9
             )
         for kind in ("min", "max"):
             assert minmax_cmi(state, kind) == pytest.approx(
                 mo.minmax_cmi(state, kind), abs=1e-9
             )
-        assert exp_trace_cmi_value(state) == pytest.approx(
+        assert exp_trace_channel_value(state) == pytest.approx(
             float(np.trace(mo.exp_log_marginals(state)).real), abs=1e-9
         )
 
@@ -443,17 +441,17 @@ class TestAsymmetricDimensions:
                 minmax_rel_ent_diff(triple, kind), abs=1e-9
             )
         for a in (0.25, 1.75):
-            assert cmi_trace_value(state, a) == pytest.approx(
+            assert channel_trace_value(state, a) == pytest.approx(
                 channel_trace_value(triple, a), abs=1e-9
             )
             assert lie_trotter_deviation(state, a) == pytest.approx(
                 lie_trotter_deviation(triple, a), abs=1e-9
             )
         for a in (0.6, 3.0):
-            assert cmi_trace_value(state, a, sandwiched=True) == pytest.approx(
+            assert channel_trace_value(state, a, sandwiched=True) == pytest.approx(
                 channel_trace_value(triple, a, sandwiched=True), abs=1e-9
             )
-        assert exp_trace_cmi_value(state) == pytest.approx(
+        assert exp_trace_channel_value(state) == pytest.approx(
             exp_trace_channel_value(triple), abs=1e-9
         )
 
@@ -471,9 +469,8 @@ class TestLocalUnitaryInvariance:
     @pytest.mark.parametrize("seed", range(2))
     def test_all_cmi_measures(self, seed):
         state = TripartiteState(random_density((2, 2, 2), seed=seed))
-        u = kron_all(
-            random_unitary(2, seed=seed),
-            random_unitary(2, seed=seed + 1),
+        u = kron(
+            kron(random_unitary(2, seed=seed), random_unitary(2, seed=seed + 1)),
             random_unitary(2, seed=seed + 2),
         )
         rotated = TripartiteState(

@@ -197,15 +197,15 @@ class TestSupportCache:
         assert np.shares_memory(values, dec.eigenvalues)
 
     def test_rank_deficient_support_drops_the_kernel(self):
-        dec = hermitian_eig(random_density((4,), rank=2, seed=9).matrix)
+        m = random_density((4,), rank=2, seed=9).matrix
+        dec = hermitian_eig(m)
         keep, values, vectors = dec.support
         assert keep.tolist() == [True, True, False, False]
         assert vectors.shape == (4, 2)
         np.testing.assert_array_equal(vectors, dec.eigenvectors[:, :2])
         with pytest.raises(ValueError):
             vectors[0, 0] = 0.0
-        np.testing.assert_allclose(dec.power(0) @ dec.reconstruct(), dec.reconstruct(),
-                                   atol=1e-12)
+        np.testing.assert_allclose(dec.power(0) @ m, m, atol=1e-12)
 
     @pytest.mark.parametrize("values, f, message", [
         ([1.0, -0.5], np.log, "undefined"),
@@ -331,7 +331,6 @@ class TestEvaluationOrder:
         assert dv.rel_entropy(rho, sigma) == dv.rel_entropy(m_rho, m_sigma)
         assert dv.max_rel_entropy(rho, sigma) == dv.max_rel_entropy(m_rho, m_sigma)
         assert dv.min_rel_entropy(rho, sigma) == dv.min_rel_entropy(m_rho, m_sigma)
-        assert dv.support_contained(rho, sigma) == dv.support_contained(m_rho, m_sigma)
         assert dv.von_neumann_entropy(rho) == dv.von_neumann_entropy(m_rho)
         for a in (0.5, 1.5, 3.0):
             assert dv.renyi_rel_entropy(rho, sigma, a) == dv.renyi_rel_entropy(m_rho, m_sigma, a)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qmarkov.errors import DimensionMismatchError, ValidationError
+from qmarkov.errors import DimensionMismatchError, NonHermitianError, ValidationError
+from qmarkov.linalg import hermitian_eig
 from qmarkov.states import (
     DensityOperator,
     PositiveOperator,
@@ -9,7 +10,6 @@ from qmarkov.states import (
     perturb_positive,
     random_density,
     trace_distance,
-    validate_density,
 )
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -18,29 +18,36 @@ PLUS = np.full((2, 2), 0.5, dtype=complex)
 
 class TestValidateDensity:
     def test_maximally_mixed(self):
-        state = validate_density(np.eye(2) / 2)
-        assert state.is_positive_definite()
-        assert not state.rank_deficient
+        assert DensityOperator(np.eye(2) / 2).is_positive_definite()
 
     def test_pure_state_rank_deficient(self):
-        state = validate_density(KET0)
-        assert state.rank_deficient
-        assert not state.is_positive_definite()
+        assert not DensityOperator(KET0).is_positive_definite()
 
     def test_not_normalized(self):
         with pytest.raises(ValidationError) as err:
-            validate_density(np.diag([0.6, 0.6]))
+            DensityOperator(np.diag([0.6, 0.6]))
         assert err.value.reason == "not-normalized"
 
     def test_not_positive(self):
         with pytest.raises(ValidationError) as err:
-            validate_density(np.diag([1.5, -0.5]))
+            DensityOperator(np.diag([1.5, -0.5]))
+        assert err.value.reason == "not-positive"
+        with pytest.raises(ValidationError) as err:
+            DensityOperator(np.diag([1.0 + 1e-7, -1e-7]))
         assert err.value.reason == "not-positive"
 
     def test_not_hermitian(self):
         m = np.array([[0.5, 0.5], [0.0, 0.5]])
         with pytest.raises(ValidationError) as err:
-            validate_density(m)
+            DensityOperator(m)
+        assert err.value.reason == "not-hermitian"
+        # a residual the decomposition would reject is rejected on construction
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[0, 1] = 1e-8
+        with pytest.raises(NonHermitianError):
+            hermitian_eig(m)
+        with pytest.raises(ValidationError) as err:
+            PositiveOperator(m)
         assert err.value.reason == "not-hermitian"
 
     def test_dims_mismatch(self):
@@ -55,13 +62,6 @@ class TestValidateDensity:
     def test_positive_operator_skips_trace(self):
         op = PositiveOperator(np.diag([0.6, 0.6]))
         assert op.dim == 2
-
-    def test_loosened_tolerance(self):
-        slightly_negative = np.diag([1.0 + 1e-7, -1e-7])
-        with pytest.raises(ValidationError):
-            validate_density(slightly_negative)
-        state = validate_density(slightly_negative, tol=1e-6)
-        assert state.rank_deficient
 
 
 class TestRandomDensity:
@@ -90,6 +90,12 @@ class TestRandomDensity:
         with pytest.raises(ValidationError) as err:
             random_density((2,), rank=5, seed=0)
         assert err.value.reason == "bad-rank"
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3)])
+    def test_negative_seed(self, seed):
+        with pytest.raises(ValidationError) as err:
+            random_density((2,), seed=seed)
+        assert err.value.reason == "bad-spec"
 
 
 class TestPerturbPositive:

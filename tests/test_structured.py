@@ -5,6 +5,7 @@ import classical_oracles as co
 import loop_oracles as lo
 from qmarkov.channels import apply_channel, is_strict_cptp, random_strict_channel
 from qmarkov.errors import RankDeficientError, ValidationError
+from qmarkov.functionals import log_identity_residual
 from qmarkov.linalg import kron
 from qmarkov.measures import (
     PETZ_ALPHA_GRID,
@@ -34,7 +35,6 @@ from qmarkov.structured import (
     build_sufficiency_triple,
     is_markov_petz,
     is_sufficient_petz,
-    log_identity_check,
     random_markov_spec,
     random_sufficiency_spec,
 )
@@ -278,31 +278,27 @@ class TestLogIdentity:
             sigma=PositiveOperator(random_density((3,), seed=1).matrix),
             channel=identity_channel(3),
         )
-        ok, residual = log_identity_check(triple)
-        assert ok and residual <= 1e-10
+        assert log_identity_residual(triple) <= 1e-10
 
     @pytest.mark.parametrize("seed", range(3))
     def test_sufficiency_triple(self, seed):
         triple = build_sufficiency_triple(
             random_sufficiency_spec(((2, 2, 2), (1, 2, 2)), seed=seed)
         )
-        ok, residual = log_identity_check(triple)
-        assert ok and residual <= 1e-8
+        assert log_identity_residual(triple) <= 1e-8
 
     def test_markov_chain_choice(self):
         # with the CMI substitution the identity reads
         # log rho_ABC = log rho_AC + log rho_BC - log rho_C
         chain = build_markov_chain(random_markov_spec(2, 2, ((2, 1), (1, 2)), seed=23))
-        ok, residual = log_identity_check(cmi_as_triple(chain))
-        assert ok and residual <= 1e-8
+        assert log_identity_residual(cmi_as_triple(chain)) <= 1e-8
 
     def test_perturbation_scaling(self):
         # mixing a definite chain with the flat state at eps = 1e-8 moves the
         # residual off zero but keeps it far below 1e-4
         chain = build_markov_chain(random_markov_spec(2, 2, ((2, 1), (1, 2)), seed=23))
         pert = TripartiteState(perturb_positive(chain.rho, 1e-8))
-        _, residual = log_identity_check(cmi_as_triple(pert))
-        assert 0.0 < residual <= 1e-4
+        assert 0.0 < log_identity_residual(cmi_as_triple(pert)) <= 1e-4
 
     def test_rank_deficient_rejected(self):
         rho = DensityOperator(np.diag([1.0, 0.0]))
@@ -312,7 +308,7 @@ class TestLogIdentity:
             channel=identity_channel(2),
         )
         with pytest.raises(RankDeficientError):
-            log_identity_check(triple)
+            log_identity_residual(triple)
 
 
 class TestConverseDirection:

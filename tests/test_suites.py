@@ -69,6 +69,9 @@ class TestSuiteConfig:
             SuiteConfig(trials=0)
         with pytest.raises(ValidationError):
             SuiteConfig(tol=0.0)
+        with pytest.raises(ValidationError) as info:
+            SuiteConfig(seed=-1)
+        assert info.value.reason == "bad-spec"
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
     def test_non_finite_tol(self, tol):
