@@ -15,6 +15,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
+from .states import seeded_rng
 
 TP_TOL = 1e-10
 STRICT_ATTEMPTS = 16  # draws random_strict_channel makes before it gives up
@@ -55,9 +56,6 @@ class Channel:
         object.__setattr__(self, "kraus", ops)
         object.__setattr__(self, "dim_in", d_in)
         object.__setattr__(self, "dim_out", d_out)
-
-    def __call__(self, a) -> np.ndarray:
-        return apply_channel(self, a)
 
 
 def apply_channel(channel: Channel, a) -> np.ndarray:
@@ -112,14 +110,18 @@ def partial_trace_channel(dims, traced_out) -> Channel:
     return Channel(tuple(ops))
 
 
-def random_unitary(dim: int, seed=0) -> np.ndarray:
-    """Haar-random unitary from the QR decomposition of a Ginibre matrix."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def _haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """Haar-random isometry: the Q of a Ginibre matrix, times the phases of R's diagonal."""
+    g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     q, r = np.linalg.qr(g)
     phases = np.diag(r).copy()
     phases /= np.abs(phases)
     return q * phases
+
+
+def random_unitary(dim: int, seed=0) -> np.ndarray:
+    """Haar-random unitary from the QR decomposition of a Ginibre matrix."""
+    return _haar_isometry(seeded_rng(seed), dim, dim)
 
 
 def random_channel(dim_in: int, dim_out: int, kraus_rank: int = 2, seed=0) -> Channel:
@@ -132,14 +134,7 @@ def random_channel(dim_in: int, dim_out: int, kraus_rank: int = 2, seed=0) -> Ch
             "bad-spec",
             f"dim_out * kraus_rank = {dim_out * kraus_rank} < dim_in = {dim_in}",
         )
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim_out * kraus_rank, dim_in)) + 1j * rng.standard_normal(
-        (dim_out * kraus_rank, dim_in)
-    )
-    q, r = np.linalg.qr(g)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    q = q * phases
+    q = _haar_isometry(seeded_rng(seed), dim_out * kraus_rank, dim_in)
     ops = tuple(q[i * dim_out : (i + 1) * dim_out, :] for i in range(kraus_rank))
     return Channel(ops)
 
@@ -147,6 +142,7 @@ def random_channel(dim_in: int, dim_out: int, kraus_rank: int = 2, seed=0) -> Ch
 def random_strict_channel(dim_in: int, dim_out: int, kraus_rank: int = 2, seed=0) -> Channel:
     """Random channel guaranteed strict (N(I) positive definite), from at most
     STRICT_ATTEMPTS seeded draws."""
+    seeded_rng(seed)  # rejects a negative seed before SeedSequence does
     for attempt in range(STRICT_ATTEMPTS):
         candidate = random_channel(
             dim_in, dim_out, kraus_rank, seed=np.random.SeedSequence((seed, attempt))

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 from .divergences import AlphaParameter
 from .errors import QmarkovError
@@ -44,9 +45,31 @@ from .suites import SUITE_NAMES, SuiteConfig, run_suites
 
 LN2 = math.log(2.0)
 
-STATE_MEASURES = ("cmi", "renyi-cmi", "sand-cmi", "imax", "imin")
-TRIPLE_MEASURES = ("red", "delta", "delta-tilde", "delta-min", "delta-max")
-ALPHA_MEASURES = ("renyi-cmi", "sand-cmi", "delta", "delta-tilde")
+
+class Measure(NamedTuple):
+    """What one ``--measure`` name reads and which library call it makes."""
+
+    on_state: bool  # a tripartite --state, else the --rho/--sigma/--channel triple
+    certified: str | None  # the AlphaParameter property naming its certified orders
+    evaluate: Callable[..., float]  # (target, alpha) -> bits
+
+
+# The CLI evaluates on the support rather than refusing rank-deficient inputs;
+# the verify command is where the certified claims are checked.
+MEASURES = {
+    "cmi": Measure(True, None, lambda t, a: von_neumann_cmi(t)),
+    "renyi-cmi": Measure(True, "petz_ok", lambda t, a: renyi_cmi(t, a, strict=False)),
+    "sand-cmi": Measure(True, "sandwiched_ok",
+                        lambda t, a: sandwiched_cmi(t, a, strict=False)),
+    "imax": Measure(True, None, lambda t, a: minmax_cmi(t, "max", strict=False)),
+    "imin": Measure(True, None, lambda t, a: minmax_cmi(t, "min", strict=False)),
+    "red": Measure(False, None, lambda t, a: rel_ent_diff(t)),
+    "delta": Measure(False, "petz_ok", lambda t, a: renyi_rel_ent_diff(t, a, strict=False)),
+    "delta-tilde": Measure(False, "sandwiched_ok",
+                           lambda t, a: sandwiched_rel_ent_diff(t, a, strict=False)),
+    "delta-min": Measure(False, None, lambda t, a: minmax_rel_ent_diff(t, "min", strict=False)),
+    "delta-max": Measure(False, None, lambda t, a: minmax_rel_ent_diff(t, "max", strict=False)),
+}
 
 
 class UsageError(Exception):
@@ -63,14 +86,8 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _certified(measure: str, alpha: AlphaParameter) -> bool:
-    if measure in ("renyi-cmi", "delta"):
-        return alpha.petz_ok
-    return alpha.sandwiched_ok
-
-
 def _load_inputs(args):
-    if args.measure in STATE_MEASURES:
+    if MEASURES[args.measure].on_state:
         if not args.state:
             raise UsageError(f"--measure {args.measure} needs --state FILE")
         state = load_state(args.state)
@@ -90,43 +107,18 @@ def _load_inputs(args):
 
 
 def _alpha_for(args) -> AlphaParameter | None:
-    if args.measure not in ALPHA_MEASURES:
+    certified = MEASURES[args.measure].certified
+    if certified is None:
         return None
     if args.alpha is None:
         raise UsageError(f"--measure {args.measure} needs --alpha")
     alpha = AlphaParameter(args.alpha)
-    if not args.allow_uncertified and not _certified(args.measure, alpha):
+    if not args.allow_uncertified and not getattr(alpha, certified):
         raise UsageError(
             f"alpha {alpha.alpha} is outside the certified range of "
             f"{args.measure}; pass --allow-uncertified to evaluate anyway"
         )
     return alpha
-
-
-def _evaluate(measure: str, target, alpha) -> float:
-    # the CLI evaluates on the support rather than refusing rank-deficient
-    # inputs; the verify command is where the certified claims are checked
-    if measure == "cmi":
-        return von_neumann_cmi(target)
-    if measure == "renyi-cmi":
-        return renyi_cmi(target, alpha, strict=False)
-    if measure == "sand-cmi":
-        return sandwiched_cmi(target, alpha, strict=False)
-    if measure == "imax":
-        return minmax_cmi(target, "max", strict=False)
-    if measure == "imin":
-        return minmax_cmi(target, "min", strict=False)
-    if measure == "red":
-        return rel_ent_diff(target)
-    if measure == "delta":
-        return renyi_rel_ent_diff(target, alpha, strict=False)
-    if measure == "delta-tilde":
-        return sandwiched_rel_ent_diff(target, alpha, strict=False)
-    if measure == "delta-min":
-        return minmax_rel_ent_diff(target, "min", strict=False)
-    if measure == "delta-max":
-        return minmax_rel_ent_diff(target, "max", strict=False)
-    raise UsageError(f"unknown measure {measure!r}")
 
 
 def _format_value(value: float, nats: bool) -> str:
@@ -141,7 +133,7 @@ def _format_value(value: float, nats: bool) -> str:
 def cmd_compute(args) -> int:
     target = _load_inputs(args)
     alpha = _alpha_for(args)
-    value = _evaluate(args.measure, target, alpha)
+    value = MEASURES[args.measure].evaluate(target, alpha)
     print(_format_value(value, args.nats))
     return 0
 
@@ -220,22 +212,20 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
-    if args.measure not in ALPHA_MEASURES:
-        raise UsageError(f"sweep supports {ALPHA_MEASURES}, got {args.measure!r}")
+    measure = MEASURES[args.measure]
+    if measure.certified is None:
+        raise UsageError(f"sweep needs a measure with a Renyi order, got {args.measure!r}")
     target = _load_inputs(args)
     grid = _parse_grid(args.alpha_grid)
+    # the Renyi family is undefined at 1; that row reports the von Neumann value
+    von_neumann = MEASURES["cmi" if measure.on_state else "red"]
     header = "alpha,value_nats" if args.nats else "alpha,value_bits"
     rows = [header]
     for alpha in grid:
         if abs(alpha - 1.0) < 1e-9:
-            # the Renyi family is undefined at 1; report the von Neumann value
-            if args.measure in STATE_MEASURES:
-                value = von_neumann_cmi(target)
-            else:
-                value = rel_ent_diff(target)
-            rows.append(f"1.0,{_format_value(value, args.nats)}")
+            rows.append(f"1.0,{_format_value(von_neumann.evaluate(target, None), args.nats)}")
             continue
-        value = _evaluate(args.measure, target, AlphaParameter(alpha))
+        value = measure.evaluate(target, AlphaParameter(alpha))
         rows.append(f"{alpha!r},{_format_value(value, args.nats)}")
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(rows) + "\n")
@@ -249,17 +239,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    compute = sub.add_parser("compute", help="evaluate one measure on input files")
-    compute.add_argument("--measure", required=True,
-                         choices=STATE_MEASURES + TRIPLE_MEASURES)
-    compute.add_argument("--state", help="tripartite state file (CMI measures)")
-    compute.add_argument("--rho", help="state file (difference measures)")
-    compute.add_argument("--sigma", help="reference operator file")
-    compute.add_argument("--channel", help="channel file")
+    # compute and sweep read the same measure names and input files
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--measure", required=True, choices=tuple(MEASURES))
+    inputs.add_argument("--state", help="tripartite state file (CMI measures)")
+    inputs.add_argument("--rho", help="state file (difference measures)")
+    inputs.add_argument("--sigma", help="reference operator file")
+    inputs.add_argument("--channel", help="channel file")
+    inputs.add_argument("--nats", action="store_true", help="output in nats")
+
+    compute = sub.add_parser("compute", parents=[inputs],
+                             help="evaluate one measure on input files")
     compute.add_argument("--alpha", type=float, help="Renyi order")
     compute.add_argument("--allow-uncertified", action="store_true",
                          help="evaluate outside the certified alpha range")
-    compute.add_argument("--nats", action="store_true", help="output in nats")
     compute.set_defaults(func=cmd_compute)
 
     generate = sub.add_parser("generate", help="write state/channel/triple files")
@@ -283,14 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--state", help="tripartite state file to include as a fixed instance")
     verify.set_defaults(func=cmd_verify)
 
-    sweep = sub.add_parser("sweep", help="tabulate a measure over a Renyi-order grid")
-    sweep.add_argument("--measure", required=True)
-    sweep.add_argument("--state")
-    sweep.add_argument("--rho")
-    sweep.add_argument("--sigma")
-    sweep.add_argument("--channel")
+    sweep = sub.add_parser("sweep", parents=[inputs],
+                           help="tabulate a measure over a Renyi-order grid")
     sweep.add_argument("--alpha-grid", required=True, help="start:stop:step")
-    sweep.add_argument("--nats", action="store_true")
     sweep.add_argument("--out", required=True)
     sweep.set_defaults(func=cmd_sweep)
 

@@ -128,6 +128,13 @@ class DensityOperator(PositiveOperator):
             raise ValidationError("not-normalized", f"trace is {tr!r}, expected 1")
 
 
+def seeded_rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``; a negative integer seed is a ValidationError."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValidationError("bad-spec", f"seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def random_density(dims, rank: int | None = None, seed=0) -> DensityOperator:
     """Seeded random state G G† / Tr{G G†} with G complex Gaussian dim x rank.
 
@@ -141,9 +148,7 @@ def random_density(dims, rank: int | None = None, seed=0) -> DensityOperator:
         rank = dim
     if not 1 <= rank <= dim:
         raise ValidationError("bad-rank", f"rank must be in [1, {dim}], got {rank}")
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise ValidationError("bad-spec", f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     rho = g @ g.conj().T
     rho = (rho + rho.conj().T) / 2

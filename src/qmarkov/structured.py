@@ -25,12 +25,13 @@ from .measures import ChannelTriple, TripartiteState, _bracket
 from .states import (
     DensityOperator,
     PositiveOperator,
-    perturb_positive,
     random_density,
+    seeded_rng,
     trace_distance,
 )
 
 WEIGHT_TOL = 1e-12
+PETZ_TOL = 1e-9  # trace distance at which a Petz round trip counts as exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,20 +202,18 @@ def build_sufficiency_triple(spec: SufficiencyBlockSpec) -> ChannelTriple:
     )
 
 
-def is_markov_petz(state: TripartiteState, tol: float = 1e-9) -> tuple[bool, float]:
+def is_markov_petz(state: TripartiteState) -> tuple[bool, float]:
     """Petz round-trip test for the Markov property.
 
     Applies the recovery map rho_AC^(1/2) rho_C^(-1/2) (.) rho_C^(-1/2)
     rho_AC^(1/2) to rho_BC (identity on B) and returns the trace-norm
-    distance to the state together with the comparison against ``tol``.
+    distance to the state together with the comparison against ``PETZ_TOL``.
     """
     distance = trace_distance(state.recovered, state.matrix)
-    return distance <= tol, float(distance)
+    return distance <= PETZ_TOL, float(distance)
 
 
-def is_sufficient_petz(
-    triple: ChannelTriple, tol: float = 1e-9
-) -> tuple[bool, float, float]:
+def is_sufficient_petz(triple: ChannelTriple) -> tuple[bool, float, float]:
     """Petz round-trip test for channel sufficiency.
 
     Recovers N(rho) and N(sigma) with the Petz map of (sigma, channel) and
@@ -228,36 +227,27 @@ def is_sufficient_petz(
     sigma_back = _bracket(triple, (0.5,), triple.out_sigma)[0]
     d_rho = trace_distance(triple.recovered, triple.rho.matrix)
     d_sigma = trace_distance(sigma_back, triple.sigma.matrix)
-    return (d_rho <= tol and d_sigma <= tol), float(d_rho), float(d_sigma)
+    return (d_rho <= PETZ_TOL and d_sigma <= PETZ_TOL), float(d_rho), float(d_sigma)
 
 
-def random_markov_spec(
-    dim_a: int, dim_b: int, block_dims, seed=0, eps: float = 0.0
-) -> MarkovBlockSpec:
+def random_markov_spec(dim_a: int, dim_b: int, block_dims, seed=0) -> MarkovBlockSpec:
     """Random Markov block spec with full-rank block factors.
 
     ``block_dims`` is a sequence of (dim_cl, dim_cr) pairs.  Full-rank
-    factors make the assembled chain positive definite; ``eps`` optionally
-    mixes each factor toward the maximally mixed state, raising its smallest
-    eigenvalue to at least eps over the factor dimension.
+    factors make the assembled chain positive definite.
     """
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     block_dims = tuple((int(l), int(r)) for l, r in block_dims)
     weights = rng.dirichlet(np.ones(len(block_dims)))
     blocks = []
     for (dcl, dcr), w in zip(block_dims, weights):
-        left = random_density((dim_a, dcl), seed=rng)
-        right = random_density((dcr, dim_b), seed=rng)
-        if eps > 0.0:
-            left = perturb_positive(left, eps)
-            right = perturb_positive(right, eps)
         blocks.append(
             MarkovBlock(
                 weight=float(w),
                 dim_cl=dcl,
                 dim_cr=dcr,
-                rho_left=left.matrix,
-                rho_right=right.matrix,
+                rho_left=random_density((dim_a, dcl), seed=rng).matrix,
+                rho_right=random_density((dcr, dim_b), seed=rng).matrix,
             )
         )
     return MarkovBlockSpec(dim_a=dim_a, dim_b=dim_b, blocks=tuple(blocks))
@@ -268,7 +258,7 @@ def random_sufficiency_spec(block_dims, seed=0) -> SufficiencyBlockSpec:
 
     ``block_dims`` is a sequence of (dim_l, dim_r_in, dim_r_out) triples.
     """
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     block_dims = tuple((int(l), int(ri), int(ro)) for l, ri, ro in block_dims)
     probs = rng.dirichlet(np.ones(len(block_dims)))
     blocks = []

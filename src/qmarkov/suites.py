@@ -78,8 +78,6 @@ LIMIT_ORDERS = (1.0 - 1e-4, 1.0 + 1e-4)
 EXACT_TROTTER_BOUND = 1e-10  # product-formula deviation counted as exact
 MONOTONE_FLOOR = 1e-12  # allowed growth of a shrinking product-formula deviation
 
-SUITE_NAMES = ("trace", "characterization", "limits", "inequalities")
-
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -473,6 +471,7 @@ _SUITES: dict[str, Callable[..., VerificationReport]] = {
     "limits": limit_suite,
     "inequalities": inequality_suite,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, cfg: SuiteConfig, extra_state=None) -> VerificationReport:

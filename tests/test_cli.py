@@ -10,9 +10,15 @@ import numpy as np
 import pytest
 
 from qmarkov.channels import random_strict_channel, random_unitary
-from qmarkov.cli import main
+from qmarkov.cli import _format_value, main
 from qmarkov.linalg import kron
-from qmarkov.measures import TripartiteState, cmi_as_triple, renyi_cmi
+from qmarkov.measures import (
+    TripartiteState,
+    cmi_as_triple,
+    renyi_cmi,
+    renyi_rel_ent_diff,
+    sandwiched_rel_ent_diff,
+)
 from qmarkov.serialization import (
     load_channel,
     load_state,
@@ -580,6 +586,36 @@ class TestSweep:
               "--alpha-grid", "0.5:0.75:0.25", "--out", out])
         raw = open(out, "rb").read()
         assert b"\r" not in raw and raw.endswith(b"\n")
+
+    @pytest.mark.parametrize("measure,library", [
+        ("delta", renyi_rel_ent_diff),
+        ("delta-tilde", sandwiched_rel_ent_diff),
+    ])
+    def test_triple_rows_are_the_library_values(self, golden_inputs, tmp_path, capsys,
+                                                measure, library):
+        # alpha = 1/2 is outside delta-tilde's certified range: sweep evaluates it anyway
+        files = golden_inputs["cmi"]
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--measure", measure, "--alpha-grid", "0.5:1.5:0.5",
+                     "--out", str(out)] + files) == 0
+        assert main(["compute", "--measure", "red"] + files) == 0
+        red = capsys.readouterr().out.strip()
+        triple = ChannelTriple(
+            rho=load_state(files[1]),
+            sigma=load_state(files[3], normalized=False),
+            channel=load_channel(files[5]),
+        )
+        expected = [f"{a!r},{_format_value(library(triple, a, strict=False), False)}"
+                    for a in (0.5, 1.5)]
+        lines = out.read_text().splitlines()
+        assert lines == ["alpha,value_bits", expected[0], f"1.0,{red}", expected[1]]
+
+    def test_unknown_measure_exits_two(self, correlated_state_file, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--measure", "nope", "--state", correlated_state_file,
+                     "--alpha-grid", "0.5:1.5:0.5", "--out", str(out)]) == 2
+        assert "nope" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_alpha_free_measure_rejected(self, correlated_state_file, tmp_path):
         assert main(["sweep", "--measure", "cmi", "--state", correlated_state_file,

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import qmarkov
-import qmarkov.cli  # noqa: F401  workloads.py imports it, and reads it as qmarkov.cli
+import qmarkov.cli  # workloads.py imports it, and reads it as qmarkov.cli
 from qmarkov.channels import Channel
 from qmarkov.states import DensityOperator, PositiveOperator
 
@@ -32,13 +32,27 @@ TIMED_SPANS = (
 )
 
 
-def _run_py_constant(name):
-    tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
-    for node in tree.body:
+def _literal(body, name, where):
+    for node in body:
         targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
         if targets == [name]:
             return ast.literal_eval(node.value)
-    raise AssertionError(f"perfbench/run.py assigns no {name}")
+    raise AssertionError(f"{where} assigns no {name}")
+
+
+def _module(filename):
+    return ast.parse((PERFBENCH / filename).read_text(encoding="utf-8"))
+
+
+def _run_py_constant(name):
+    return _literal(_module("run.py").body, name, "perfbench/run.py")
+
+
+def _workload_constant(cls, name):
+    for node in _module("workloads.py").body:
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            return _literal(node.body, name, f"perfbench/workloads.py {cls}")
+    raise AssertionError(f"perfbench/workloads.py defines no class {cls}")
 
 
 def _function(dotted):
@@ -71,3 +85,21 @@ def test_timed_spans_are_functions():
     spans = [f"measures.{name}" for name in measures] + list(TIMED_SPANS)
     missing = [span for span in spans if not callable(_function(span))]
     assert missing == []
+
+
+def _workload_measures():
+    """(subcommand, --measure) of every op the compute-512 and triple-216 workloads run."""
+    compute_512 = [measure for measure, _ in _workload_constant("Compute512", "CONFIGS")]
+    computes = compute_512 + list(_workload_constant("Triple216", "COMPUTES"))
+    sweeps = list(_workload_constant("Triple216", "SWEEPS"))
+    return [("compute", m) for m in dict.fromkeys(computes)] + [("sweep", m) for m in sweeps]
+
+
+@pytest.mark.parametrize("command,measure", _workload_measures())
+def test_workload_measures_are_accepted(command, measure):
+    argv = [command, "--measure", measure]
+    if command == "sweep":
+        argv += ["--alpha-grid", "0.5:1.5:0.1", "--out", "sweep.csv"]
+    # argparse exits on a name outside the subcommand's choices
+    args = qmarkov.cli.build_parser().parse_args(argv)
+    assert (args.command, args.measure) == (command, measure)

@@ -3,7 +3,13 @@ import pytest
 
 import classical_oracles as co
 import loop_oracles as lo
-from qmarkov.channels import apply_channel, is_strict_cptp, random_strict_channel
+from qmarkov.channels import (
+    apply_channel,
+    is_strict_cptp,
+    random_channel,
+    random_strict_channel,
+    random_unitary,
+)
 from qmarkov.errors import RankDeficientError, ValidationError
 from qmarkov.functionals import log_identity_residual
 from qmarkov.linalg import kron
@@ -40,6 +46,23 @@ from qmarkov.structured import (
 )
 from qmarkov.suites import SuiteConfig, _screened_nonsufficient_triple
 from simple_channels import depolarizing_channel, identity_channel
+
+
+SEEDED_GENERATORS = {
+    "random_unitary": lambda seed: random_unitary(2, seed=seed),
+    "random_channel": lambda seed: random_channel(2, 2, seed=seed),
+    "random_strict_channel": lambda seed: random_strict_channel(2, 2, seed=seed),
+    "random_markov_spec": lambda seed: random_markov_spec(2, 2, ((1, 1),), seed=seed),
+    "random_sufficiency_spec": lambda seed: random_sufficiency_spec(((1, 2, 2),), seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-1)], ids=["int", "int64"])
+@pytest.mark.parametrize("name", sorted(SEEDED_GENERATORS))
+def test_negative_seed_is_a_validation_error(name, seed):
+    with pytest.raises(ValidationError) as err:
+        SEEDED_GENERATORS[name](seed)
+    assert err.value.reason == "bad-spec"
 
 
 class TestMarkovSpec:
