@@ -141,12 +141,17 @@ def random_channel(dim_in: int, dim_out: int, kraus_rank: int = 2, seed=0) -> Ch
 
 def random_strict_channel(dim_in: int, dim_out: int, kraus_rank: int = 2, seed=0) -> Channel:
     """Random channel guaranteed strict (N(I) positive definite), from at most
-    STRICT_ATTEMPTS seeded draws."""
-    seeded_rng(seed)  # rejects a negative seed before SeedSequence does
+    STRICT_ATTEMPTS seeded draws.
+
+    Attempt k of an integer seed s is seeded by SeedSequence((s, k)); any
+    other seed, such as a numpy Generator, gives one generator that every
+    attempt draws from.
+    """
+    rng = seeded_rng(seed)  # rejects a bad seed before SeedSequence does
+    per_attempt = isinstance(seed, (int, np.integer))
     for attempt in range(STRICT_ATTEMPTS):
-        candidate = random_channel(
-            dim_in, dim_out, kraus_rank, seed=np.random.SeedSequence((seed, attempt))
-        )
+        draw = np.random.SeedSequence((seed, attempt)) if per_attempt else rng
+        candidate = random_channel(dim_in, dim_out, kraus_rank, seed=draw)
         if is_strict_cptp(candidate, tol=1e-8):
             return candidate
     raise ValidationError("bad-spec", "could not draw a strict channel")

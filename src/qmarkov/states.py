@@ -1,12 +1,20 @@
 """Density operators and positive operators with subsystem structure.
 
-An operator is validated once, on construction, and caches its full
-eigendecomposition on first use, so every power and logarithm of it is read
-from one ``hermitian_eig``.  The cache lives as long as the object; the
-matrix, the eigenvalues and the decomposition are read-only.  The
-square-root factor (``root``) of a full-rank operator is its Cholesky
-factor, so a formula that reads the operator only through such a factor
-does not decompose it.
+An operator is validated once, on construction.  Positivity is certified
+by one Cholesky factorization of the shifted Hermitian part H - tau I, with
+tau = POSITIVITY_TOL * max(1, ||M||_inf).  A factor proves lambda_min > tau
+(up to the factorization's round-off, of the order of eigvalsh's own), and
+since ||M||_inf >= lambda_max that passes validation, makes the operator
+positive definite and keeps every eigenvalue in the support.  Only when
+the factorization fails does validation compute the eigenvalues and apply
+the eigenvalue rule to them.  Otherwise the eigenvalues are computed on
+first read.  The full eigendecomposition is cached on first use, so every
+power and logarithm of the operator is read from one ``hermitian_eig``.
+The caches live as long as the object; the matrix, the eigenvalues and the
+decomposition are read-only.  The square-root factor (``root``) of a
+full-rank operator is its Cholesky factor, so a formula that reads the
+operator only through such a factor computes neither its eigenvalues nor
+its decomposition.
 """
 
 from __future__ import annotations
@@ -43,7 +51,9 @@ def _check_dims(matrix: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
     return dims
 
 
-def _validated_eigs(matrix: np.ndarray) -> np.ndarray:
+def _validated_eigs(matrix: np.ndarray) -> np.ndarray | None:
+    """None when a Cholesky factor of H - tau I certifies positivity, else
+    the eigenvalues of H, which the eigenvalue rule accepted."""
     if not np.all(np.isfinite(matrix)):
         raise ValidationError("not-finite", "matrix entries must be finite")
     scale = np.linalg.norm(matrix, np.inf)
@@ -52,23 +62,31 @@ def _validated_eigs(matrix: np.ndarray) -> np.ndarray:
         raise ValidationError(
             "not-hermitian", f"Hermiticity residual {residual:.3e} above tolerance"
         )
-    eigs = np.linalg.eigvalsh((matrix + matrix.conj().T) / 2)
-    if eigs.size and eigs[0] < -POSITIVITY_TOL * max(1.0, abs(eigs[-1])):
-        raise ValidationError(
-            "not-positive", f"negative eigenvalue {eigs[0]:.3e} below tolerance"
-        )
-    return eigs
+    shifted = hermitian_part(matrix)
+    shifted[np.diag_indices_from(shifted)] -= POSITIVITY_TOL * max(1.0, scale)
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        eigs = np.linalg.eigvalsh(hermitian_part(matrix))
+        if eigs[0] < -POSITIVITY_TOL * max(1.0, abs(eigs[-1])):
+            raise ValidationError(
+                "not-positive", f"negative eigenvalue {eigs[0]:.3e} below tolerance"
+            )
+        return eigs
+    return None
 
 
 @dataclass(frozen=True, eq=False)
 class PositiveOperator:
     """Hermitian positive semidefinite operator; trace is unconstrained.
 
-    Validation computes the eigenvalues only (``eigenvalues``); the full
-    decomposition (``spectrum``) is computed on first use and cached.
-    ``root`` returns a square-root factor G with G G† = matrix: the Cholesky
-    factor when the support keeps every eigenvalue, which needs no
-    decomposition, else the support power ``spectrum.power(0.5)``.
+    Validation factors the shifted Hermitian part (see the module
+    docstring), or, when that fails, computes the eigenvalues.  The
+    eigenvalues (``eigenvalues``) and the full decomposition (``spectrum``)
+    are otherwise computed on first use and cached.  ``root`` returns a
+    square-root factor G with G G† = matrix: the Cholesky factor when the
+    support keeps every eigenvalue, which needs no decomposition, else the
+    support power ``spectrum.power(0.5)``.
     """
 
     matrix: np.ndarray
@@ -81,16 +99,23 @@ class PositiveOperator:
         eigs = _validated_eigs(m)
         object.__setattr__(self, "matrix", read_only(m.view()))
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "_eigs", read_only(eigs))
+        # certified: lambda_min > POSITIVITY_TOL * max(1, ||M||_inf)
+        object.__setattr__(self, "_certified", eigs is None)
+        if eigs is not None:
+            self.__dict__["eigenvalues"] = read_only(eigs)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
+    @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues, ascending, as validation computed them."""
-        return self._eigs
+        """Eigenvalues of (M + M†)/2, ascending, computed once.
+
+        Validation computes them when the Cholesky certificate fails;
+        otherwise the first read does, with the same ``eigvalsh``.
+        """
+        return read_only(np.linalg.eigvalsh(hermitian_part(self.matrix)))
 
     @cached_property
     def spectrum(self) -> SpectralDecomposition:
@@ -100,13 +125,14 @@ class PositiveOperator:
     def root(self) -> np.ndarray:
         """A factor G with G G† = ``matrix``, not cached.
 
-        When ``support_mask`` keeps every eigenvalue validation computed,
-        this is the lower-triangular Cholesky factor of the Hermitian part;
+        When ``support_mask`` keeps every eigenvalue (always, when the
+        validation certificate holds, so no eigenvalue is computed), this is
+        the lower-triangular Cholesky factor of the Hermitian part;
         otherwise, or if Cholesky fails, it is ``spectrum.power(0.5)``, the
         square root on the support.  Two such factors differ by a unitary on
         the right, so a product X G has the same singular values with either.
         """
-        if support_mask(self._eigs).all():
+        if self._certified or support_mask(self.eigenvalues).all():
             try:
                 return np.linalg.cholesky(hermitian_part(self.matrix))
             except np.linalg.LinAlgError:
@@ -114,7 +140,8 @@ class PositiveOperator:
         return self.spectrum.power(0.5)
 
     def is_positive_definite(self) -> bool:
-        return bool(self._eigs[0] > POSITIVITY_TOL)
+        """Whether lambda_min > POSITIVITY_TOL; the certificate implies it."""
+        return self._certified or bool(self.eigenvalues[0] > POSITIVITY_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,10 +156,14 @@ class DensityOperator(PositiveOperator):
 
 
 def seeded_rng(seed) -> np.random.Generator:
-    """``np.random.default_rng(seed)``; a negative integer seed is a ValidationError."""
+    """``np.random.default_rng(seed)``; a seed it rejects, such as a negative
+    integer or a float, is a ValidationError."""
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise ValidationError("bad-spec", f"seed must be non-negative, got {seed}")
-    return np.random.default_rng(seed)
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("bad-spec", f"invalid seed {seed!r}: {exc}") from None
 
 
 def random_density(dims, rank: int | None = None, seed=0) -> DensityOperator:

@@ -104,13 +104,16 @@ class TestMaxGuard:
     SKEWED_CMI_TRIPLE = ["0x1.5b755a329e3a6p-5", "0x1.051ede0da8873p-5", "0x1.a1e59f22410eep-5"]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_rank_deficient_recovered_operator_takes_the_eigen_path(self, seed, cholesky_calls):
+    def test_rank_deficient_recovered_operator_takes_the_eigen_path(self, seed, request):
         # a pure 2x2x2 state has rank-2 marginals rho_AC and rho_BC on C^4,
         # so sigma = rho_AC x I_B and the recovered operator are rank deficient
         state = TripartiteState(random_density((2, 2, 2), rank=1, seed=seed))
-        for x, expected in ((cmi_as_triple(state), self.PURE_CMI_TRIPLE[seed]),
-                            (_sigma_inside_triple(seed), self.SIGMA_INSIDE[seed]),
-                            (state, None)):
+        inputs = ((cmi_as_triple(state), self.PURE_CMI_TRIPLE[seed]),
+                  (_sigma_inside_triple(seed), self.SIGMA_INSIDE[seed]),
+                  (state, None))
+        # validation may factor the inputs; D_max itself must not
+        cholesky_calls = request.getfixturevalue("cholesky_calls")
+        for x, expected in inputs:
             assert not x.recovered_is_well_conditioned()
             value = _max(x, strict=False)
             assert value == _eigen_path(x)
@@ -141,9 +144,11 @@ class TestMaxGuard:
                     _max(x, strict)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_ill_conditioned_full_rank_input_takes_the_eigen_path(self, seed, cholesky_calls):
+    def test_ill_conditioned_full_rank_input_takes_the_eigen_path(self, seed, request):
         state = _skewed_state(seed)
         triple = cmi_as_triple(state)
+        # validation may factor the inputs; D_max itself must not
+        cholesky_calls = request.getfixturevalue("cholesky_calls")
         for x in (state, triple):
             assert x.is_positive_definite()
             assert all(dec.support[0].all() for dec in

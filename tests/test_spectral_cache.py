@@ -64,6 +64,29 @@ def _state(seed=0):
     return TripartiteState(random_density((2, 3, 2), seed=seed))
 
 
+def _spy(monkeypatch, name):
+    """Record a copy of the matrix (or stack) passed to each later call of
+    ``np.linalg.<name>``."""
+    args = []
+    original = getattr(np.linalg, name)
+
+    def recorded(a, *rest, **kwargs):
+        args.append(np.array(a))
+        return original(a, *rest, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recorded)
+    return args
+
+
+def _slices_equal_to(args, m):
+    """How many recorded matrices, or slices of stacks, equal (M + M†)/2."""
+    h = linalg.hermitian_part(m)
+    return sum(
+        np.array_equal(x, h) for a in args if a.shape[-2:] == h.shape
+        for x in a.reshape(-1, *h.shape)
+    )
+
+
 class EighCalls(list):
     """One entry (the matrix shape) per matrix decomposed; ``calls`` counts
     the ``eigh`` calls, so a call on a (k, d, d) stack adds k entries and one
@@ -138,17 +161,31 @@ class TestDecompositionCounts:
         assert len(eigh_calls) == 4
 
     def test_von_neumann_cmi_reuses_validation(self, eigh_calls, monkeypatch):
+        eigvalsh_args = _spy(monkeypatch, "eigvalsh")
         state = _state()
-        eigvalsh_calls = []
-        original = np.linalg.eigvalsh
-        monkeypatch.setattr(
-            np.linalg, "eigvalsh",
-            lambda a, *r, **k: eigvalsh_calls.append(1) or original(a, *r, **k),
-        )
         von_neumann_cmi(state)
-        # the three marginals only; rho_ABC's eigenvalues come from validation
-        assert len(eigvalsh_calls) == 3
+        # rho_ABC (12 x 12) once, whether validation or the entropy computes
+        # its eigenvalues, and the marginals rho_C, rho_AC and rho_BC
+        assert sorted(a.shape for a in eigvalsh_args) == [(2, 2), (4, 4), (6, 6), (12, 12)]
         assert eigh_calls == []
+
+    @pytest.mark.parametrize("measure, rho_eighs", [
+        (lambda s: sandwiched_cmi(s, 0.75), 0),
+        (lambda s: minmax_cmi(s, "min"), 0),
+        (lambda s: minmax_cmi(s, "max"), 0),
+        (lambda s: renyi_cmi(s, 0.5), 1),
+    ], ids=["sand-cmi", "imin", "imax", "renyi-cmi"])
+    def test_full_rank_state_is_validated_by_one_cholesky(self, monkeypatch, measure, rho_eighs):
+        args = {name: _spy(monkeypatch, name) for name in ("cholesky", "eigvalsh", "eigh")}
+        rho = random_density((2, 3, 2), seed=3)
+        assert [a.shape for a in args["cholesky"]] == [(12, 12)]
+        assert args["eigvalsh"] == [] and args["eigh"] == []
+        state = TripartiteState(rho)
+        measure(state)
+        # only the plain Renyi CMI decomposes rho_ABC, and nothing computes
+        # its eigenvalues alone
+        assert _slices_equal_to(args["eigvalsh"], rho.matrix) == 0
+        assert _slices_equal_to(args["eigh"], rho.matrix) == rho_eighs
 
 
     @pytest.mark.parametrize("make", [_triple, _state])

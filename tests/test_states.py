@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from qmarkov.channels import random_unitary
 from qmarkov.errors import DimensionMismatchError, NonHermitianError, ValidationError
-from qmarkov.linalg import hermitian_eig
+from qmarkov.linalg import POSITIVITY_TOL, hermitian_eig, hermitian_part, support_mask
+from qmarkov.measures import TripartiteState, cmi_as_triple
 from qmarkov.states import (
     DensityOperator,
     PositiveOperator,
@@ -62,6 +64,93 @@ class TestValidateDensity:
     def test_positive_operator_skips_trace(self):
         op = PositiveOperator(np.diag([0.6, 0.6]))
         assert op.dim == 2
+
+
+def _with_spectrum(values, seed=0):
+    """U diag(values) U† for a Haar-random U: a Hermitian matrix whose
+    eigenvalues are ``values`` up to round-off of order 1e-16 * max|value|."""
+    u = random_unitary(len(values), seed=seed)
+    return hermitian_part((u * np.asarray(values)) @ u.conj().T)
+
+
+def _threshold_matrix(threshold, top, side):
+    """Eigenvalues top, ..., lambda_min, with lambda_min 1% of |threshold|
+    above (side +1) or below (side -1) the threshold."""
+    lam_min = threshold + side * 1e-2 * abs(threshold)
+    return _with_spectrum(np.r_[top, np.linspace(top / 2, top / 8, 6), lam_min])
+
+
+THRESHOLDS = {
+    # validation rejects below -POSITIVITY_TOL * max(1, lambda_max)
+    "negative": lambda top: -POSITIVITY_TOL * max(1.0, top),
+    # positive definite above POSITIVITY_TOL
+    "definite": lambda top: POSITIVITY_TOL,
+    # the support keeps values above 1e-12 * lambda_max
+    "support": lambda top: 1e-12 * top,
+}
+
+
+class TestPositivityCertificate:
+    """Validation certifies positivity with a Cholesky factor of the shifted
+    Hermitian part and computes eigenvalues only when that fails.  Each
+    decision must be the one the eigenvalue rule makes, computed here with
+    ``np.linalg.eigvalsh`` of (M + M†)/2, on matrices whose smallest
+    eigenvalue sits 1% either side of each threshold; lambda_max = 0.1 has
+    ||M||_inf < 1, so the shift is exactly POSITIVITY_TOL, and
+    lambda_max = 4 exceeds 1."""
+
+    @staticmethod
+    def _assert_as_the_eigenvalue_rule(m):
+        eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        if eigs[0] < -POSITIVITY_TOL * max(1.0, abs(eigs[-1])):
+            with pytest.raises(ValidationError) as err:
+                PositiveOperator(m)
+            assert err.value.reason == "not-positive"
+            assert str(err.value) == f"negative eigenvalue {eigs[0]:.3e} below tolerance"
+            return eigs
+        op = PositiveOperator(m)
+        assert op.is_positive_definite() == bool(eigs[0] > POSITIVITY_TOL)
+        expected_root = None
+        if support_mask(eigs).all():
+            try:
+                expected_root = np.linalg.cholesky(hermitian_part(m))
+            except np.linalg.LinAlgError:
+                pass
+        if expected_root is None:
+            expected_root = hermitian_eig(m).power(0.5)
+        assert np.array_equal(op.root(), expected_root)
+        assert (op.eigenvalues == eigs).all()
+        return eigs
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+    @pytest.mark.parametrize("top", [0.1, 4.0])
+    @pytest.mark.parametrize("threshold", sorted(THRESHOLDS))
+    def test_threshold(self, threshold, top, side):
+        t = THRESHOLDS[threshold](top)
+        m = _threshold_matrix(t, top, side)
+        assert top > 1.0 or np.linalg.norm(m, np.inf) < 1.0
+        eigs = self._assert_as_the_eigenvalue_rule(m)
+        # round-off left lambda_min on the intended side
+        assert (eigs[0] > t) == (side > 0)
+
+    @pytest.mark.parametrize("rank", [1, 8])
+    def test_marginal_times_identity(self, rank):
+        # sigma = rho_AC x I_B of the CMI triple, of a pure and a full-rank state
+        for seed in range(3):
+            state = TripartiteState(random_density((2, 2, 2), rank=rank, seed=seed))
+            self._assert_as_the_eigenvalue_rule(cmi_as_triple(state).sigma.matrix)
+
+    def test_certified_operator_computes_no_eigenvalues(self, monkeypatch):
+        m = _with_spectrum(np.linspace(4.0, 0.5, 8))
+
+        def failing(*args, **kwargs):
+            raise AssertionError("eigenvalues computed")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        op = PositiveOperator(m)
+        assert op.is_positive_definite()
+        assert np.allclose(op.root() @ op.root().conj().T, op.matrix)
 
 
 class TestRandomDensity:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,7 @@ from simple_channels import depolarizing_channel, identity_channel
 
 
 SEEDED_GENERATORS = {
+    "random_density": lambda seed: random_density((2,), seed=seed),
     "random_unitary": lambda seed: random_unitary(2, seed=seed),
     "random_channel": lambda seed: random_channel(2, 2, seed=seed),
     "random_strict_channel": lambda seed: random_strict_channel(2, 2, seed=seed),
@@ -63,6 +66,34 @@ def test_negative_seed_is_a_validation_error(name, seed):
     with pytest.raises(ValidationError) as err:
         SEEDED_GENERATORS[name](seed)
     assert err.value.reason == "bad-spec"
+
+
+@pytest.mark.parametrize("seed", [1.5, np.float64(2.0), "0"], ids=["float", "float64", "str"])
+@pytest.mark.parametrize("name", sorted(SEEDED_GENERATORS))
+def test_non_integer_seed_is_a_validation_error(name, seed):
+    with pytest.raises(ValidationError) as err:
+        SEEDED_GENERATORS[name](seed)
+    assert err.value.reason == "bad-spec"
+
+
+def _arrays(x):
+    """The arrays a generator's result is made of, in field order."""
+    if dataclasses.is_dataclass(x):
+        return [a for f in dataclasses.fields(x) for a in _arrays(getattr(x, f.name))]
+    if isinstance(x, tuple):
+        return [a for item in x for a in _arrays(item)]
+    return [np.asarray(x)]
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_GENERATORS))
+def test_generator_seed_draws_from_the_generator(name):
+    rng = np.random.default_rng(5)
+    first = _arrays(SEEDED_GENERATORS[name](rng))
+    second = _arrays(SEEDED_GENERATORS[name](rng))
+    again = _arrays(SEEDED_GENERATORS[name](np.random.default_rng(5)))
+    # the same generator state gives the same draw, and the generator advances
+    assert len(first) == len(again) and all(map(np.array_equal, first, again))
+    assert not all(map(np.array_equal, first, second))
 
 
 class TestMarkovSpec:
