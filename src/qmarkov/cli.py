@@ -221,6 +221,11 @@ def cmd_sweep(args) -> int:
     von_neumann = MEASURES["cmi" if measure.on_state else "red"]
     header = "alpha,value_nats" if args.nats else "alpha,value_bits"
     rows = [header]
+    # one library call per order: a stacked grid holds several (k, d, d)
+    # temporaries, 7.5 MB each for 10 orders at d = 216, and gains little.
+    # On a 216-dimensional triple (one BLAS thread) an 11-point delta sweep
+    # took 0.09-0.11 s either way; a delta-tilde grid saves only the
+    # per-order root of rho and U† G (0.14-0.20 s against 0.20-0.24 s)
     for alpha in grid:
         if abs(alpha - 1.0) < 1e-9:
             rows.append(f"1.0,{_format_value(von_neumann.evaluate(target, None), args.nats)}")

@@ -9,28 +9,36 @@ Two families, each in von Neumann, Renyi, sandwiched, and min/max flavors:
 The first family is the second evaluated on the CMI triple
 (rho_ABC, rho_AC x I_B, trace-out-A), as in arXiv:1501.05636: each Renyi,
 sandwiched and min/max CMI is a call to its difference counterpart.  The
-difference formulas read only a few members of their argument (N(rho),
-N(sigma), the spectrum of sigma, and two products:
-f(sigma) N†(inner) f(sigma), and Z† f(sigma) for a Z with
-Z Z† = N†(y y†)), and a ``TripartiteState`` answers each from its
-marginals, so the triple is never built.  The state's products are
-structured: f(sigma) = f(rho_AC) x I_B and N†(x) = I_A x x are applied by
-reshaped matmuls, and neither factor is formed on A x B x C.
-``cmi_as_triple`` builds the triple densely, so the reduction can be
-tested against an independent evaluation; apart from it only the log sums
-embed an operator.  Sandwiched values are summed in log space, so alpha
-may be arbitrarily large.  All outputs are in bits.
+difference formulas read only a few members of their argument: N(rho),
+N(sigma), the spectrum of sigma, f(sigma) N†(inner) f(sigma)
+(``wedged_pull``, for the recovered operator and the closed brackets), and
+the Kraus blocks [K_i f(sigma) v]_i (``kraus_wedge``), through which both
+Renyi differences read the channel and sigma.  A ``TripartiteState``
+answers each from its marginals, so the triple is never built.  The
+state's products are structured: f(sigma) = f(rho_AC) x I_B and
+N†(x) = I_A x x are applied by reshaped matmuls, and neither factor is
+formed on A x B x C.  ``kraus_wedge`` forms no f(sigma) at all, on either
+reading: it applies U†, the values f(s) and then U (K U on a triple) in
+turn, with U and s sigma's kept eigenpairs.  ``cmi_as_triple`` builds the
+triple densely, so the reduction can be tested against an independent
+evaluation; apart from it only the log sums embed an operator.  Sandwiched
+values are summed in log space, so alpha may be arbitrarily large.  All
+outputs are in bits.
 
 Each operator a formula reads is decomposed at most once per object: rho
 and sigma cache ``spectrum``, and a triple or state caches ``out_rho``,
 ``out_sigma``, ``out_rho_spectrum`` and ``out_sigma_spectrum`` (a state
 also its marginals and the decomposition of rho_AC, ``sigma_spectrum``),
-the recovered N(rho) with its decomposition, and the exp-log operator.
-Every power and logarithm is read from these, so evaluating many orders on
-one object decomposes each operator once.  A cache lives as long as its
-object, and the cached arrays are read-only.  The sandwiched formulas read
-rho only through a square-root factor, ``rho.root()``, which is a Cholesky
-factor when rho is full rank, so they do not decompose rho at all.  The min
+the recovered N(rho) with its decomposition, and the exp-log operator; a
+triple also caches the Kraus operators in sigma's eigenbasis,
+``kraus_sigma_basis``.  Every power and logarithm is read from these, so
+evaluating many orders on one object decomposes each operator once.  A
+cache lives as long as its object, and the cached arrays are read-only.
+The Renyi difference reads rho through its kept eigenpairs, as
+sum_j lambda_j^alpha times a sum of squares, so rho^alpha is never formed.
+The sandwiched formulas read rho only through a square-root factor,
+``rho.root()``, which is a Cholesky factor when rho is full rank, so they
+do not decompose rho at all.  The min
 measures are the sandwiched difference at alpha = 1/2, which equals
 -log2 F(rho, R(N(rho))).  The max measures read the recovered operator R
 through its Cholesky factor whenever the cached spectra bound cond(R) by
@@ -39,9 +47,9 @@ when R may be rank deficient or ill conditioned do they decompose it.
 
 Each Renyi family also has a grid form (``renyi_rel_ent_diff_grid``,
 ``sandwiched_rel_ent_diff_grid``) that evaluates a tuple of orders as one
-stack: the powers of each decomposition at the k orders form one (k, d, d)
-array.  Its values equal the one-order evaluation bit for bit, and the
-one-order function is the grid of one order.
+stack: the powers of each output decomposition and the Kraus blocks at the
+k orders form one array each.  Its values equal the one-order evaluation
+bit for bit, and the one-order function is the grid of one order.
 """
 
 from __future__ import annotations
@@ -71,7 +79,9 @@ from .linalg import (
     POSITIVITY_TOL,
     SUPPORT_CUTOFF,
     SpectralDecomposition,
+    _power_of,
     embed_operator,
+    finite_rows,
     herm_exp,
     herm_pow,  # noqa: F401  kept bound here: perfbench's tracer test reads it
     hermitian_eig,
@@ -80,7 +90,6 @@ from .linalg import (
     log2_power_sum,
     partial_trace,
     read_only,
-    real_traces,
     stacked_singular_values,
 )
 from .states import Decomposed, DensityOperator, PositiveOperator
@@ -198,7 +207,7 @@ class TripartiteState(_CachedSpectra):
         """The stack of f(rho_AC x I_B) = f(rho_AC) x I_B on the support, one
         slice per f in ``fs``, as dense operators on A x B x C.  Only the log
         sums read it; the Renyi products take f(rho_AC) x I_B in factored
-        form (``wedged_pull``, ``pull_root_wedge``)."""
+        form (``wedged_pull``, ``kraus_wedge``)."""
         return embed_operator(self.sigma_spectrum.apply_all(fs), self.dims, (0, 2))
 
     def sigma_supports_rho(self) -> bool:
@@ -216,13 +225,23 @@ class TripartiteState(_CachedSpectra):
         wedge = self.sigma_spectrum.apply_all(fs)
         return self._times_wedge(self._wedge_times_pulled(wedge, inner), wedge)
 
-    def pull_root_wedge(self, y, fs) -> np.ndarray:
-        """(I_A x y)† (w x I_B) with w = f(rho_AC), one slice per f in ``fs``
-        and per slice of ``y``.  Tr_A† is a *-homomorphism, so Z = I_A x y
-        has Z Z† = Tr_A†(y y†); the product is the adjoint of
-        (w x I_B)(I_A x y), since w is Hermitian."""
-        wedge = self.sigma_spectrum.apply_all(fs)
-        return self._wedge_times_pulled(wedge, y).conj().swapaxes(-1, -2)
+    def kraus_wedge(self, fs, v) -> np.ndarray:
+        """The stack [K_i f(sigma) v]_i for a (d, n) ``v``, shape
+        (k, d_A, d_B d_C, n) with one slice per f in ``fs``.
+
+        The Kraus operators of Tr_A are K_i = <i|_A x I_BC, so the stack is
+        (f(rho_AC) x I_B) v with its rows read as (A, B C).  It is formed as
+        (U f(s) U† x I_B) v, U and s the kept eigenpairs of rho_AC, by
+        batched matmuls on v read as (a c, b n) and one transpose, so
+        f(rho_AC) is not formed either: a dense f(rho_AC) carries the
+        round-off of its largest values into every direction.
+        """
+        d_a, d_b, d_c = self.dims
+        k, n = len(fs), v.shape[-1]
+        v = v.reshape(d_a, d_b, d_c, n).swapaxes(1, 2).reshape(d_a * d_c, d_b * n)
+        u = self.sigma_spectrum.support[2]
+        t = (u @ _kept_coefficients(self.sigma_spectrum, fs, v)).reshape(k, d_a, d_c, d_b, n)
+        return t.swapaxes(2, 3).reshape(k, d_a, d_b * d_c, n)
 
     def _wedge_times_pulled(self, w, m) -> np.ndarray:
         """(w x I_B)(I_A x m) for stacks w on A x C and m on B x C.
@@ -305,11 +324,31 @@ class ChannelTriple(_CachedSpectra):
         wedge = self.sigma_fn(fs)
         return wedge @ self.pull(inner) @ wedge
 
-    def pull_root_wedge(self, y, fs) -> np.ndarray:
-        """Z† f(sigma), one slice per f in ``fs`` and per slice of ``y``, with
-        Z = [K_1† y, ..., K_r† y], so Z Z† = sum_i K_i† y y† K_i = N†(y y†)."""
-        z = np.concatenate([k.conj().T @ y for k in self.channel.kraus], axis=-1)
-        return z.conj().swapaxes(-1, -2) @ self.sigma_fn(fs)
+    @cached_property
+    def kraus_sigma_basis(self) -> np.ndarray:
+        """K U: the stacked Kraus operators [K_1; ...; K_r] times sigma's kept
+        eigenvectors U, an (r d_out, rank) array that no order changes."""
+        u = self.sigma_spectrum.support[2]
+        return read_only(np.concatenate(self.channel.kraus) @ u)
+
+    def kraus_wedge(self, fs, v) -> np.ndarray:
+        """The stack [K_i f(sigma) v]_i for a (d, n) ``v``, shape
+        (k, r, d_out, n) with one slice per f in ``fs``.
+
+        With U and s sigma's kept eigenvectors and eigenvalues this is
+        (K U) f(s) (U† v), so f(sigma) is never formed.
+        """
+        t = self.kraus_sigma_basis @ _kept_coefficients(self.sigma_spectrum, fs, v)
+        return t.reshape(len(fs), len(self.channel.kraus), self.channel.dim_out, v.shape[-1])
+
+
+def _kept_coefficients(dec: SpectralDecomposition, fs, v) -> np.ndarray:
+    """f(s) U† v for the kept eigenvalues s and eigenvectors U of ``dec``:
+    a (k, rank, n) stack, one slice per f in ``fs``, so that U f(s) U† v is
+    one more matmul."""
+    _, kept, u = dec.support
+    fvals = np.reshape(finite_rows([kept] * len(fs), fs), (len(fs), kept.size, 1))
+    return fvals * (u.conj().T @ v)
 
 
 def cmi_as_triple(state: TripartiteState) -> ChannelTriple:
@@ -467,14 +506,19 @@ def renyi_rel_ent_diff_grid(
 ) -> list[float]:
     """``renyi_rel_ent_diff`` at each order of ``alphas``, evaluated as one stack.
 
-    Every order is checked before any is evaluated, and each value equals the
-    one-order evaluation bit for bit.
+    With (lambda_j, v_j) the kept eigenpairs of rho and h = (1-alpha)/2,
+    the trace is sum_j lambda_j^alpha sum_i |Y† K_i sigma^h v_j|^2, where
+    Y Y† = N(sigma)^(-h) N(rho)^(2h) N(sigma)^(-h) (``_kraus_products``):
+    rho^alpha, sigma^h and the bracket are never formed, and every term of
+    the sum is non-negative.  Every order is checked before any is
+    evaluated, and each value equals the one-order evaluation bit for bit.
     """
     checked = [_checked_alpha(triple, a, strict) for a in alphas]
-    halves = [(1.0 - a.alpha) / 2.0 for a in checked]
-    middle = triple.out_rho_spectrum.powers([2.0 * h for h in halves])
-    rho_powers = triple.rho.spectrum.powers([a.alpha for a in checked])
-    values = real_traces(rho_powers @ _bracket(triple, halves, middle))
+    _, kept, v = triple.rho.spectrum.support
+    weights = finite_rows([kept] * len(checked), [_power_of(a.alpha) for a in checked])
+    products = _kraus_products(triple, [(1.0 - a.alpha) / 2.0 for a in checked], v)
+    squares = (products * products.conj()).real
+    values = np.sum(squares * np.reshape(weights, (len(checked), 1, kept.size)), axis=(1, 2))
     return [
         math.inf if value <= 0.0 else float(np.log2(value) / (a.alpha - 1.0))
         for a, value in zip(checked, values)
@@ -491,12 +535,12 @@ def sandwiched_rel_ent_diff(
     N(rho)^((1-alpha)/alpha) N(sigma)^((alpha-1)/2alpha)) sigma^((1-alpha)/2alpha)
     rho^(1/2).  The middle factor is N†(y y†) with
     y = N(sigma)^((alpha-1)/2alpha) N(rho)^((1-alpha)/2alpha), so the
-    functional is evaluated from the singular values of
-    Z† sigma^((1-alpha)/2alpha) G, where Z Z† = N†(y y†) and G G† = rho
-    (``rho.root()``, which need not be rho^(1/2): the singular values are
-    the same for every such G); large orders do not overflow.  For
-    alpha > 1, InfiniteTermError is raised when supp(rho) is not contained
-    in supp(sigma).  A TripartiteState is read as its CMI triple.
+    functional is evaluated from the singular values of the stacked
+    y† K_i sigma^((1-alpha)/2alpha) G, where G G† = rho (``rho.root()``,
+    which need not be rho^(1/2): the singular values are the same for
+    every such G); large orders do not overflow.  For alpha > 1,
+    InfiniteTermError is raised when supp(rho) is not contained in
+    supp(sigma).  A TripartiteState is read as its CMI triple.
     """
     return sandwiched_rel_ent_diff_grid(triple, (a,), strict)[0]
 
@@ -512,13 +556,26 @@ def sandwiched_rel_ent_diff_grid(
     """
     checked = [_checked_alpha(triple, a, strict) for a in alphas]
     hs = [(1.0 - a.alpha) / (2.0 * a.alpha) for a in checked]
-    y = triple.out_sigma_spectrum.powers([-h for h in hs]) @ triple.out_rho_spectrum.powers(hs)
-    product = triple.pull_root_wedge(y, [_wedge_power(h) for h in hs]) @ triple.rho.root()
+    products = _kraus_products(triple, hs, triple.rho.root())
     values = []
-    for a, svs in zip(checked, stacked_singular_values(product)):
+    for a, svs in zip(checked, stacked_singular_values(products)):
         log_value = log2_power_sum(svs, 2.0 * a.alpha)
         values.append(math.inf if log_value == -math.inf else float(log_value / (a.alpha - 1.0)))
     return values
+
+
+def _kraus_products(x, hs, v) -> np.ndarray:
+    """The (k, r d_out, n) stack of Y† K_i sigma^h v, blocks i stacked by
+    rows, with Y = N(sigma)^(-h) N(rho)^h, one slice per h in ``hs``.
+
+    Both Renyi differences read the channel and sigma only through this:
+    for Z = [K_1† Y, ..., K_r† Y], Z Z† = N†(Y Y†), and the slice is
+    Z† sigma^h v.  ``x`` is a ChannelTriple or a TripartiteState.
+    """
+    y = x.out_sigma_spectrum.powers([-h for h in hs]) @ x.out_rho_spectrum.powers(hs)
+    wedged = x.kraus_wedge([_wedge_power(h) for h in hs], v)
+    k, r, d_out, n = wedged.shape
+    return (y.conj().swapaxes(-1, -2)[:, None] @ wedged).reshape(k, r * d_out, n)
 
 
 def _recovery_divergence(x, kind: str) -> float:

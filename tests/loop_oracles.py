@@ -12,6 +12,12 @@ change.  On a state they form the products with f(rho_AC) x I_B and
 I_A x x as the library does, by reshaped matmuls that never build a factor
 on A x B x C, one order at a time.  All outputs are in bits.
 
+The two Renyi differences read the channel and sigma through the blocks
+Y† K_i f(sigma) v, as the library does.  ``renyi_rel_ent_diff_by_bracket``
+is the independent reading: the trace of rho^alpha times the dense bracket
+sigma^h N†(N(sigma)^(-h) N(rho)^(2h) N(sigma)^(-h)) sigma^h, which agrees
+within round-off, not bit for bit.
+
 ``petz_round_trip`` applies the Petz recovery map in its Kraus form, the
 independent reading of the bracket at h = 1/2 that ``is_sufficient_petz``
 reads; the two agree within round-off, not bit for bit.  Likewise
@@ -93,15 +99,31 @@ def _wedged_pull(x, f, inner):
     return _times_wedge(x.dims, _wedge_times_pulled(x.dims, w, inner), w)
 
 
-def _pull_root_wedge(x, y, f):
-    """Z† f(sigma) with Z Z† = N†(y y†): Z = [K_1† y, ...] on a triple,
-    I_A x y on a state."""
-    if isinstance(x, ChannelTriple):
-        z = np.concatenate([k.conj().T @ y for k in x.channel.kraus], axis=1)
-        return z.conj().T @ _sigma_fn(x, f)
+def _kraus_wedge(x, f, v):
+    """The blocks K_i f(sigma) v, each d_out x n: (K U) f(s) (U† v) with U
+    and s sigma's kept eigenvectors and eigenvalues on a triple, the rows of
+    (w x I_B) v read as (A, B C) on a state."""
     dec = x.sigma_spectrum
-    w = _function_of(dec.eigenvalues, dec.eigenvectors, f)
-    return _wedge_times_pulled(x.dims, w, y).conj().T
+    vals, vecs = dec.eigenvalues, dec.eigenvectors
+    keep = support_mask(vals)
+    if not keep.all():
+        vals, vecs = vals[keep], vecs[:, keep]
+    f_vals = finite_rows((vals,), (f,))[0][:, None]
+    if isinstance(x, ChannelTriple):
+        t = np.concatenate(x.channel.kraus) @ vecs @ (f_vals * (vecs.conj().T @ v))
+        return np.split(t, len(x.channel.kraus))
+    d_a, d_b, d_c = x.dims
+    n = v.shape[1]
+    v = v.reshape(d_a, d_b, d_c, n).swapaxes(1, 2).reshape(d_a * d_c, d_b * n)
+    t = vecs @ (f_vals * (vecs.conj().T @ v))
+    return list(t.reshape(d_a, d_c, d_b, n).swapaxes(1, 2).reshape(d_a, d_b * d_c, n))
+
+
+def _kraus_products(x, h, v):
+    """Y† K_i sigma^h v for each i, stacked by rows, with
+    Y = N(sigma)^(-h) N(rho)^h."""
+    y = power(x.out_sigma_spectrum, -h) @ power(x.out_rho_spectrum, h)
+    return np.concatenate([y.conj().T @ b for b in _kraus_wedge(x, lambda s: s**h, v)])
 
 
 def _bracket(x, h, middle):
@@ -111,6 +133,22 @@ def _bracket(x, h, middle):
 
 
 def renyi_rel_ent_diff(x, a, strict=True):
+    a = _checked_alpha(x, a, strict)
+    vals, vecs = x.rho.spectrum.eigenvalues, x.rho.spectrum.eigenvectors
+    keep = support_mask(vals)
+    if not keep.all():
+        vals, vecs = vals[keep], vecs[:, keep]
+    weights = finite_rows((vals,), (lambda s: np.power(s, a.alpha),))[0]
+    products = _kraus_products(x, (1.0 - a.alpha) / 2.0, vecs)
+    value = np.sum((products * products.conj()).real * weights)
+    if value <= 0.0:
+        return math.inf
+    return float(np.log2(value) / (a.alpha - 1.0))
+
+
+def renyi_rel_ent_diff_by_bracket(x, a, strict=True):
+    """The Renyi difference from Tr{rho^alpha bracket}, the dense bracket of
+    the closing-power families."""
     a = _checked_alpha(x, a, strict)
     half = (1.0 - a.alpha) / 2.0
     middle = power(x.out_rho_spectrum, 2.0 * half)
@@ -123,9 +161,7 @@ def renyi_rel_ent_diff(x, a, strict=True):
 def sandwiched_rel_ent_diff(x, a, strict=True):
     a = _checked_alpha(x, a, strict)
     h = (1.0 - a.alpha) / (2.0 * a.alpha)
-    y = power(x.out_sigma_spectrum, -h) @ power(x.out_rho_spectrum, h)
-    product = _pull_root_wedge(x, y, lambda v: v**h) @ x.rho.root()
-    sv = np.linalg.svd(product, compute_uv=False)
+    sv = np.linalg.svd(_kraus_products(x, h, x.rho.root()), compute_uv=False)
     log_value = log2_power_sum(sv[support_mask(sv)], 2.0 * a.alpha)
     if log_value == -math.inf:
         return math.inf

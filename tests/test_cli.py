@@ -203,6 +203,35 @@ def test_golden_value(golden_inputs, capsys, inputs, measure, alpha, expected):
     assert float(capsys.readouterr().out) == pytest.approx(expected, abs=1e-12)
 
 
+class TestMarkovChain:
+    """The CMI triple of a rank-deficient Markov chain (rho_AC has a 1e-7
+    eigenvalue): its Renyi differences are zero, and a dense bracket made
+    them -0.0200 at alpha = 3 and -2.8e-11 at alpha = 1.75."""
+
+    @pytest.fixture
+    def chain_files(self, tmp_path):
+        u = random_unitary(2, seed=1)
+        rho_a = u @ np.diag([1.0 - 1e-7, 1e-7]) @ u.conj().T
+        rho_c = random_density((2,), seed=3).matrix
+        state = TripartiteState(DensityOperator(
+            kron(kron(rho_a, np.diag([1.0, 0.0])), rho_c), (2, 2, 2)))
+        save_state(tmp_path / "state.json", state.rho)
+        _save_triple(tmp_path / "t", cmi_as_triple(state))
+        return {"state": ["--state", str(tmp_path / "state.json")],
+                "triple": _triple_args(tmp_path / "t")}
+
+    def test_uncertified_order_is_zero(self, chain_files, capsys):
+        argv = ["compute", "--measure", "delta", "--alpha", "3", "--allow-uncertified"]
+        assert main(argv + chain_files["triple"]) == 0
+        assert abs(float(capsys.readouterr().out)) <= 1e-9
+
+    @pytest.mark.parametrize("measure, inputs", [("delta", "triple"), ("renyi-cmi", "state")])
+    def test_certified_order_prints_zero(self, chain_files, capsys, measure, inputs):
+        argv = ["compute", "--measure", measure, "--alpha", "1.75"] + chain_files[inputs]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "0.000000000000\n"
+
+
 class TestEdgeInputs:
     def test_validated_round_off_is_evaluable(self, tmp_path, capsys):
         # load_state accepts the eigenvalue -5e-11; every measure treats it as

@@ -9,9 +9,9 @@ These tests pin that guard: inputs whose R is rank deficient or whose bound
 is too large give the eigen path's value exactly (``==``, and the values a
 ChannelTriple gave before the Cholesky path existed, as hex literals), and
 on well-conditioned inputs the two paths agree within 1e-12.  A
-TripartiteState forms (w x I_B)(I_A x m)(w x I_B) and (I_A x y)† (w x I_B)
-by reshaped matmuls; they must equal the dense products of the embedded
-factors.
+TripartiteState forms (w x I_B)(I_A x m)(w x I_B) and the Kraus blocks
+<i|_A (w x I_B) v by reshaped matmuls; they must equal the dense products
+of the embedded factors, and the blocks of the CMI triple.
 """
 
 import numpy as np
@@ -237,14 +237,15 @@ class TestStructuredProducts:
             assert _close(got, expected)
 
     @pytest.mark.parametrize("dims", PRODUCT_DIMS)
-    def test_pull_root_wedge_equals_the_dense_product(self, dims):
+    def test_kraus_wedge_equals_the_dense_product(self, dims):
         state = TripartiteState(random_density(dims, seed=2))
         rng = np.random.default_rng(4)
-        d_bc = dims[1] * dims[2]
-        y = rng.standard_normal((3, d_bc, d_bc)) + 1j * rng.standard_normal((3, d_bc, d_bc))
+        d = state.rho.dim
+        v = rng.standard_normal((d, 5)) + 1j * rng.standard_normal((d, 5))
         wedge = embed_operator(state.sigma_spectrum.apply_all(self.FS), dims, (0, 2))
-        expected = embed_operator(y, dims, (1, 2)).conj().swapaxes(-1, -2) @ wedge
-        got = state.pull_root_wedge(y, self.FS)
+        # K_i = <i|_A x I_BC picks the rows whose A index is i
+        expected = (wedge @ v).reshape(len(self.FS), dims[0], dims[1] * dims[2], 5)
+        got = state.kraus_wedge(self.FS, v)
         assert got.shape == expected.shape
         assert _close(got, expected)
 
@@ -256,8 +257,6 @@ class TestStructuredProducts:
         d_bc = dims[1] * dims[2]
         inner = _hermitian_stack(rng, 3, d_bc)
         assert _close(state.wedged_pull(self.FS, inner), triple.wedged_pull(self.FS, inner))
-        root_state = state.pull_root_wedge(inner, self.FS)
-        root_triple = triple.pull_root_wedge(inner, self.FS)
-        # the two roots of Tr_A†(y y†) differ by an isometry, so compare Gram matrices
-        assert _close(root_state.conj().swapaxes(-1, -2) @ root_state,
-                      root_triple.conj().swapaxes(-1, -2) @ root_triple)
+        v = rng.standard_normal((state.rho.dim, 4)) + 1j * rng.standard_normal((state.rho.dim, 4))
+        # the triple's Kraus operators of Tr_A are <i|_A x I_BC in the same order
+        assert _close(state.kraus_wedge(self.FS, v), triple.kraus_wedge(self.FS, v))

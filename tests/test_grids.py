@@ -4,7 +4,9 @@ Every grid family must return, at each order, a value ``==`` to the per-order
 evaluation in ``loop_oracles`` (two-dimensional numpy calls, one ``eigh`` per
 closing bracket): on both readings of a triple, on the four dims of the
 embedding tests, on rank-deficient inputs whose closing brackets keep
-different ranks at different orders, and on the errors a grid raises.
+different ranks at different orders, and on the errors a grid raises.  The
+Renyi difference also stays within 1e-12 of the dense bracket formula, and
+is zero on a rank-deficient Markov chain where that formula was not.
 """
 
 import math
@@ -44,6 +46,7 @@ from qmarkov.measures import (
     cmi_as_triple,
 )
 from qmarkov.states import DensityOperator, PositiveOperator, random_density
+from qmarkov.suites import SLACK_FLOOR
 
 DIMS = [(2, 2, 2), (2, 3, 2), (3, 2, 4), (1, 2, 2)]
 LIMIT_ORDERS = (1.0 - 1e-4, 1.0 + 1e-4)
@@ -216,6 +219,42 @@ class TestRankDeficient:
             assert grid(x, orders) == [oracle(x, a) for a in orders]
 
 
+class TestAgainstTheBracket:
+    """The dense formula Tr{rho^alpha bracket} is an independent reading of
+    the Renyi difference; on full-rank inputs the two agree within 1e-12."""
+
+    @staticmethod
+    def _gap(x, orders):
+        got = ms.renyi_rel_ent_diff_grid(x, orders)
+        return max(abs(g - lo.renyi_rel_ent_diff_by_bracket(x, a)) for g, a in zip(got, orders))
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_full_rank_states(self, dims):
+        for seed in (0, 1):
+            for x in _both_readings(dims, seed):
+                assert self._gap(x, PETZ_ALPHA_GRID) <= 1e-12
+
+    def test_channel_triples(self):
+        for seed in range(4):
+            assert self._gap(_triple(seed), PETZ_ALPHA_GRID) <= 1e-12
+
+
+class TestMarkovChainIsZero:
+    """rho_A x |0><0| x rho_C is a Markov chain, so every Renyi difference of
+    its CMI triple is zero, on either reading.  Its rho_AC has a 1e-7
+    eigenvalue; formed densely, sigma^h carries the round-off of the largest
+    values into every direction, and the bracket formula returned -0.02 on
+    the triple at alpha = 3."""
+
+    @pytest.mark.parametrize("reading", ["state", "triple"])
+    @pytest.mark.parametrize("family", DIFFERENCE_FAMILIES, ids=_grid_ids(DIFFERENCE_FAMILIES))
+    def test_rank_deficient_chain(self, family, reading):
+        state = _product_state()
+        x = state if reading == "state" else cmi_as_triple(state)
+        values = family[0](x, (0.5, 1.5, 1.75, 3.0), strict=False)
+        assert max(abs(v) for v in values) <= SLACK_FLOOR
+
+
 def _loop_error(oracle, x, orders, **kwargs):
     with pytest.raises(Exception) as loop:
         for a in orders:
@@ -248,13 +287,15 @@ class TestGridErrors:
 
     def test_orders_are_checked_before_evaluation(self, monkeypatch):
         x = _state((2, 2, 2), 2, rank=3)
-        powers = []
-        original = type(x.rho.spectrum).powers
-        monkeypatch.setattr(type(x.rho.spectrum), "powers",
-                            lambda self, ps: powers.append(ps) or original(self, ps))
+        wedges = []
+        original = type(x).kraus_wedge
+        monkeypatch.setattr(type(x), "kraus_wedge",
+                            lambda self, fs, v: wedges.append(fs) or original(self, fs, v))
         with pytest.raises(RankDeficientError):
             ms.renyi_rel_ent_diff_grid(x, (0.5, 1.5))
-        assert powers == []
+        assert wedges == []
+        ms.renyi_rel_ent_diff_grid(x, (0.5, 0.75))
+        assert len(wedges) == 1
 
 
 class TestOneOrder:

@@ -296,17 +296,79 @@ class TestBuiltOnce:
         assert len(exps) == 1
 
     @pytest.mark.parametrize("make", [_triple, _state])
-    def test_pull_root_squares_to_the_pulled_gram(self, make):
-        # (Z† w)† (Z† w) = w Z Z† w = w N†(y y†) w, for Z Z† = N†(y y†)
+    def test_kraus_wedge_squares_to_the_wedged_pull(self, make):
+        # sum_i (K_i w v)† y y† (K_i w v) = v† w N†(y y†) w v
         x = make()
         y = x.out_sigma_spectrum.powers([0.3]) @ x.out_rho_spectrum.powers([-0.2])
         fs = [lambda v: v**0.4]
-        product = x.pull_root_wedge(y, fs)
+        v = x.rho.root()
+        blocks = y.conj().swapaxes(-1, -2)[:, None] @ x.kraus_wedge(fs, v)
         np.testing.assert_allclose(
-            product.conj().swapaxes(-1, -2) @ product,
-            x.wedged_pull(fs, y @ y.conj().swapaxes(-1, -2)),
+            np.sum(blocks.conj().swapaxes(-1, -2) @ blocks, axis=1),
+            v.conj().T @ x.wedged_pull(fs, y @ y.conj().swapaxes(-1, -2)) @ v,
             atol=1e-12,
         )
+
+
+class TestKrausWedge:
+    """Both Renyi differences read the channel and sigma through
+    ``kraus_wedge``: rho through its kept eigenpairs or its root factor,
+    sigma through its kept eigenpairs, and on a triple through the cached
+    K U, so f(sigma) and the powers of rho are never formed."""
+
+    GRIDS = [ms.renyi_rel_ent_diff_grid, ms.sandwiched_rel_ent_diff_grid]
+
+    @pytest.mark.parametrize("make", [_triple, _state])
+    def test_petz_grid_reads_no_power_of_rho(self, make, monkeypatch):
+        x = make()
+        read = []
+        for name in ("apply_all", "powers"):
+            original = getattr(linalg.SpectralDecomposition, name)
+
+            def spy(self, fs, _original=original, _name=name):
+                if self is x.rho.spectrum:
+                    read.append(_name)
+                return _original(self, fs)
+
+            monkeypatch.setattr(linalg.SpectralDecomposition, name, spy)
+        ms.renyi_rel_ent_diff_grid(x, SIX_ORDERS)
+        assert read == []
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["renyi", "sandwiched"])
+    def test_triple_never_forms_f_of_sigma(self, grid, monkeypatch):
+        calls = []
+        original = ChannelTriple.sigma_fn
+        monkeypatch.setattr(ChannelTriple, "sigma_fn",
+                            lambda self, fs: calls.append(fs) or original(self, fs))
+        grid(_triple(), SIX_ORDERS)
+        assert calls == []
+
+    def test_one_kraus_basis_for_every_order(self, monkeypatch):
+        built = []
+        descriptor = ChannelTriple.__dict__["kraus_sigma_basis"]
+        original = descriptor.func
+        monkeypatch.setattr(descriptor, "func", lambda self: built.append(1) or original(self))
+        triple = _triple()
+        bases = []
+        for a in np.linspace(0.55, 2.5, 10):
+            sandwiched_rel_ent_diff(triple, a)
+            bases.append(triple.kraus_sigma_basis)
+        assert len(built) == 1
+        assert all(b is bases[0] for b in bases)
+        assert not bases[0].flags.writeable
+
+    @pytest.mark.parametrize("make", [_triple, _state])
+    def test_decomposition_counts_are_unchanged(self, make, monkeypatch):
+        args = {name: _spy(monkeypatch, name) for name in ("eigh", "svd")}
+        x = make()
+        for a in SIX_ORDERS:
+            renyi_rel_ent_diff(x, a)
+            sandwiched_rel_ent_diff(x, a)
+        for grid in self.GRIDS:
+            grid(x, SIX_ORDERS)
+        # rho, sigma, N(rho) and N(sigma) once each; one svd per call
+        assert len(args["eigh"]) == 4
+        assert len(args["svd"]) == len(SIX_ORDERS) + 1
 
 
 def _triple_measures():
