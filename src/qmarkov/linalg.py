@@ -51,6 +51,10 @@ def support_mask(values, axis: int | None = None) -> np.ndarray:
     maximum is taken along that axis, e.g. per row of a stack of spectra.
     """
     values = np.asarray(values)
+    if axis is None:
+        # a scalar maximum: the same comparisons without the reduction's dispatch
+        top = float(np.abs(values).max()) if values.size else 0.0
+        return (values > SUPPORT_CUTOFF * top) | (values < -POSITIVITY_TOL * max(1.0, top))
     top = np.max(np.abs(values), axis=axis, keepdims=True, initial=0.0)
     return (values > SUPPORT_CUTOFF * top) | (values < -POSITIVITY_TOL * np.fmax(1.0, top))
 
@@ -199,6 +203,13 @@ def hermitian_eig(m) -> SpectralDecomposition:
     return SpectralDecomposition(read_only(vals[0]), read_only(vecs[0]), rel[0])
 
 
+def _inf_norms(a: np.ndarray):
+    """The infinity norm, the largest absolute row sum, of a matrix or of each
+    slice of a stack: ``np.linalg.norm(m, np.inf)``'s arithmetic, without its
+    dispatch."""
+    return np.abs(a).sum(-1).max(-1)
+
+
 def _sorted_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Eigenvalues sorted descending, the matching eigenvectors, and the
     relative anti-Hermitian residual, of each slice of a (k, d, d) stack.
@@ -208,9 +219,9 @@ def _sorted_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """
     if a.shape[1] != a.shape[2]:
         raise DimensionMismatchError(f"matrix is not square: shape {a.shape[1:]}")
-    # infinity norms: the largest absolute row sum of each slice
-    scales = np.abs(a).sum(-1).max(-1)
-    residuals = np.abs(a - a.conj().swapaxes(1, 2)).sum(-1).max(-1)
+    adjoint = a.conj().swapaxes(1, 2)
+    scales = _inf_norms(a).tolist()
+    residuals = _inf_norms(a - adjoint).tolist()
     rel = []
     for scale, residual in zip(scales, residuals):
         if scale > 0 and residual > HERMITICITY_TOL * scale:
@@ -218,8 +229,11 @@ def _sorted_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
                 f"anti-Hermitian residual {residual:.3e} exceeds "
                 f"{HERMITICITY_TOL:.1e} * norm {scale:.3e}"
             )
-        rel.append(float(residual / scale) if scale > 0 else 0.0)
-    vals, vecs = np.linalg.eigh(hermitian_part(a))
+        rel.append(residual / scale if scale > 0 else 0.0)
+    vals, vecs = np.linalg.eigh((a + adjoint) / 2)  # hermitian_part(a)
+    if (vals[:, 1:] > vals[:, :-1]).all():
+        # no ties: the stable descending order is the reverse of eigh's
+        return vals[:, ::-1].copy(), vecs[:, :, ::-1].copy(), rel
     order = np.argsort(-vals, axis=1, kind="stable")
     # slice i keeps, as its column j, the column order[i, j] eigh returned;
     # one take per slice costs a third of take_along_axis on a small stack
@@ -288,7 +302,7 @@ def partial_trace(m, dims: Sequence[int], traced_out: Iterable[int]) -> np.ndarr
     a = _as_matrix(m)
     dims = tuple(int(d) for d in dims)
     n = len(dims)
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if a.shape != (total, total):
         raise DimensionMismatchError(
             f"dims {dims} imply shape {(total, total)}, got {a.shape}"
@@ -308,7 +322,7 @@ def partial_trace(m, dims: Sequence[int], traced_out: Iterable[int]) -> np.ndarr
     src = "".join(row) + "".join(col)
     dst = "".join(row[i] for i in kept) + "".join(col[i] for i in kept)
     reduced = np.einsum(f"{src}->{dst}", t)
-    d_kept = int(np.prod([dims[i] for i in kept]))
+    d_kept = math.prod(dims[i] for i in kept)
     return reduced.reshape(d_kept, d_kept)
 
 
@@ -326,13 +340,13 @@ def embed_operator(x, dims: Sequence[int], sites: Sequence[int]) -> np.ndarray:
     sites = tuple(int(s) for s in sites)
     if sorted(sites) != list(sites) or len(set(sites)) != len(sites):
         raise DimensionMismatchError(f"sites must be strictly ascending, got {sites}")
-    d_sites = int(np.prod([dims[s] for s in sites]))
+    d_sites = math.prod(dims[s] for s in sites)
     if a.shape[-2:] != (d_sites, d_sites):
         raise DimensionMismatchError(
             f"operator shape {a.shape[-2:]} does not match site dims product {d_sites}"
         )
     rest = [i for i in range(len(dims)) if i not in sites]
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     # index[s, r]: the natural-order basis index with site part s and rest part r
     index = np.arange(total).reshape(dims).transpose(list(sites) + rest).reshape(d_sites, -1)
     out = np.zeros(a.shape[:-2] + (total, total), dtype=complex)
@@ -347,7 +361,8 @@ def singular_values(x) -> np.ndarray:
 
 def stacked_singular_values(stack) -> list[np.ndarray]:
     """``singular_values`` of each slice of a (k, m, n) stack, in one ``svd``."""
-    return [sv[support_mask(sv)] for sv in np.linalg.svd(_as_stack(stack), compute_uv=False)]
+    svs = np.linalg.svd(_as_stack(stack), compute_uv=False)
+    return [sv[keep] for sv, keep in zip(svs, support_mask(svs, axis=-1))]
 
 
 def log2_power_sum(values, p: float) -> float:
@@ -358,11 +373,11 @@ def log2_power_sum(values, p: float) -> float:
     Raises MatrixFunctionDomainError where v^p is undefined on a kept value.
     """
     values = np.asarray(values, dtype=float)
-    top = float(np.max(values)) if values.size else 0.0
+    top = float(values.max()) if values.size else 0.0
     if top <= 0.0:
         return -math.inf
     (scaled,) = finite_rows((values[support_mask(values)],), (lambda v: (v / top) ** p,))
-    total = float(np.sum(scaled))
+    total = float(scaled.sum())
     if total <= 0.0:
         return -math.inf
     return p * math.log2(top) + math.log2(total)

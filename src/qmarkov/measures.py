@@ -72,6 +72,7 @@ from .divergences import (
 from .errors import (
     DimensionMismatchError,
     InfiniteTermError,
+    MatrixFunctionDomainError,
     NotStrictError,
     RankDeficientError,
 )
@@ -512,13 +513,21 @@ def renyi_rel_ent_diff_grid(
     rho^alpha, sigma^h and the bracket are never formed, and every term of
     the sum is non-negative.  Every order is checked before any is
     evaluated, and each value equals the one-order evaluation bit for bit.
+    A trace that overflows float64 (a large order) raises
+    MatrixFunctionDomainError.
     """
     checked = [_checked_alpha(triple, a, strict) for a in alphas]
     _, kept, v = triple.rho.spectrum.support
     weights = finite_rows([kept] * len(checked), [_power_of(a.alpha) for a in checked])
-    products = _kraus_products(triple, [(1.0 - a.alpha) / 2.0 for a in checked], v)
-    squares = (products * products.conj()).real
-    values = np.sum(squares * np.reshape(weights, (len(checked), 1, kept.size)), axis=(1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = _kraus_products(triple, [(1.0 - a.alpha) / 2.0 for a in checked], v)
+        squares = (products * products.conj()).real
+        values = np.sum(squares * np.reshape(weights, (len(checked), 1, kept.size)), axis=(1, 2))
+    for a, value in zip(checked, values):
+        if not math.isfinite(value):
+            raise MatrixFunctionDomainError(
+                f"the Renyi trace at alpha {a.alpha} overflows float64"
+            )
     return [
         math.inf if value <= 0.0 else float(np.log2(value) / (a.alpha - 1.0))
         for a, value in zip(checked, values)

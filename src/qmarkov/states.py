@@ -19,6 +19,7 @@ its decomposition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -29,6 +30,7 @@ from .errors import DimensionMismatchError, ValidationError
 from .linalg import (
     POSITIVITY_TOL,
     SpectralDecomposition,
+    _inf_norms,
     alpha_norm,
     hermitian_eig,
     hermitian_part,
@@ -43,7 +45,7 @@ def _check_dims(matrix: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise DimensionMismatchError(f"subsystem dimensions must be >= 1, got {dims}")
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if matrix.shape != (total, total):
         raise DimensionMismatchError(
             f"dims {dims} imply shape {(total, total)}, got {matrix.shape}"
@@ -54,16 +56,16 @@ def _check_dims(matrix: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
 def _validated_eigs(matrix: np.ndarray) -> np.ndarray | None:
     """None when a Cholesky factor of H - tau I certifies positivity, else
     the eigenvalues of H, which the eigenvalue rule accepted."""
-    if not np.all(np.isfinite(matrix)):
+    if not np.isfinite(matrix).all():
         raise ValidationError("not-finite", "matrix entries must be finite")
-    scale = np.linalg.norm(matrix, np.inf)
-    residual = np.linalg.norm(matrix - matrix.conj().T, np.inf)
+    scale = _inf_norms(matrix)
+    residual = _inf_norms(matrix - matrix.conj().T)
     if scale > 0 and residual > POSITIVITY_TOL * scale:
         raise ValidationError(
             "not-hermitian", f"Hermiticity residual {residual:.3e} above tolerance"
         )
     shifted = hermitian_part(matrix)
-    shifted[np.diag_indices_from(shifted)] -= POSITIVITY_TOL * max(1.0, scale)
+    shifted.reshape(-1)[:: shifted.shape[0] + 1] -= POSITIVITY_TOL * max(1.0, scale)  # the diagonal
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
@@ -150,7 +152,7 @@ class DensityOperator(PositiveOperator):
 
     def __post_init__(self):
         super().__post_init__()
-        tr = float(np.trace(self.matrix).real)
+        tr = float(self.matrix.trace().real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError("not-normalized", f"trace is {tr!r}, expected 1")
 
@@ -174,7 +176,7 @@ def random_density(dims, rank: int | None = None, seed=0) -> DensityOperator:
     integer or a numpy Generator.
     """
     dims = tuple(int(d) for d in dims)
-    dim = int(np.prod(dims))
+    dim = math.prod(dims)
     if rank is None:
         rank = dim
     if not 1 <= rank <= dim:
@@ -183,7 +185,7 @@ def random_density(dims, rank: int | None = None, seed=0) -> DensityOperator:
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     rho = g @ g.conj().T
     rho = (rho + rho.conj().T) / 2
-    rho /= np.trace(rho).real
+    rho /= rho.trace().real
     return DensityOperator(rho, dims)
 
 

@@ -6,6 +6,15 @@ deterministic functions of (config, suite name): per-trial randomness is
 derived from ``seed + trial`` so trial order and parallelism cannot change
 the outcome.
 
+Suites run together by ``run_suites`` share their draws.  The trace and
+limits suites both open a trial with the same two draws from that stream, a
+random state and then a random triple, and in a one-trial run the
+characterization suite's first screened triple is the inequality suite's
+first draw.  Such a draw is made once per ``run_suites`` call: every later
+suite gets the same object, with the decompositions it has cached, and its
+generator is moved past the draw, so the rest of the trial draws the same
+stream as a suite run alone.  Nothing is shared between calls.
+
 The protocol is fixed apart from the four ``SuiteConfig`` values: the plain
 Renyi families are checked at PETZ_ALPHA_GRID, the sandwiched ones at
 SANDWICHED_ALPHA_GRID, random triples map C^4 to C^3 (CHANNEL_DIMS), exact
@@ -200,6 +209,25 @@ def _trials(cfg: SuiteConfig):
         yield trial, cfg.seed + trial, np.random.default_rng(cfg.seed + trial)
 
 
+def _drawn(draws: dict | None, rng, draw, *args):
+    """``draw(*args, rng)``, made once per function, arguments and generator state.
+
+    ``draws`` maps each draw to its result and the generator state after it.
+    On a hit the stored object is returned and ``rng`` is set to that state,
+    so later draws from ``rng`` are the same as after a fresh draw.  With
+    ``draws`` None nothing is stored.
+    """
+    if draws is None:
+        return draw(*args, rng)
+    key = (draw, args, repr(rng.bit_generator.state))
+    if key in draws:
+        made, rng.bit_generator.state = draws[key]
+        return made
+    made = draw(*args, rng)
+    draws[key] = (made, rng.bit_generator.state)
+    return made
+
+
 def _random_state(cfg: SuiteConfig, rng) -> TripartiteState:
     return TripartiteState(random_density(cfg.dims, seed=rng))
 
@@ -227,7 +255,7 @@ def _sufficiency_block_menu(rng) -> tuple[tuple[int, int, int], ...]:
     return choices[int(rng.integers(len(choices)))]
 
 
-def _screened_nonsufficient_triple(cfg: SuiteConfig, trial: int) -> ChannelTriple:
+def _screened_nonsufficient_triple(cfg: SuiteConfig, trial: int, draws=None) -> ChannelTriple:
     """Random triple whose Petz round trip fails by at least SCREEN_DISTANCE.
 
     Triples that happen to be (nearly) recoverable are discarded and redrawn
@@ -237,14 +265,16 @@ def _screened_nonsufficient_triple(cfg: SuiteConfig, trial: int) -> ChannelTripl
         rng = np.random.default_rng(
             np.random.SeedSequence((cfg.seed, trial, attempt))
         )
-        triple = _random_triple(rng)
+        triple = _drawn(draws, rng, _random_triple)
         _, d_rho, _ = is_sufficient_petz(triple)
         if d_rho >= SCREEN_DISTANCE:
             return triple
     raise ValidationError("bad-spec", "could not draw a non-sufficient triple")
 
 
-def trace_inequality_suite(cfg: SuiteConfig, extra_state: TripartiteState | None = None) -> VerificationReport:
+def trace_inequality_suite(
+    cfg: SuiteConfig, extra_state: TripartiteState | None = None, *, _draws=None
+) -> VerificationReport:
     """Certify the four trace bounds and their exponential limits.
 
     On random states and triples the recovered-chain traces stay at or below
@@ -254,8 +284,8 @@ def trace_inequality_suite(cfg: SuiteConfig, extra_state: TripartiteState | None
     if extra_state is not None:
         _trace_bounds(rec, extra_state, "cmi", -1, cfg.seed)
     for trial, seed_t, rng in _trials(cfg):
-        _trace_bounds(rec, _random_state(cfg, rng), "cmi", trial, seed_t)
-        _trace_bounds(rec, _random_triple(rng), "channel", trial, seed_t)
+        _trace_bounds(rec, _drawn(_draws, rng, _random_state, cfg), "cmi", trial, seed_t)
+        _trace_bounds(rec, _drawn(_draws, rng, _random_triple), "channel", trial, seed_t)
         # equality cases: constructed recoverable instances sit exactly at 1
         markov = build_markov_chain(
             random_markov_spec(2, 2, _markov_block_menu(rng), seed=rng)
@@ -292,7 +322,7 @@ def _trace_equalities(rec, cfg, x, kind, trial, seed_t):
                   abs(value - 1.0), cfg.tol, 0.0)
 
 
-def characterization_suite(cfg: SuiteConfig) -> VerificationReport:
+def characterization_suite(cfg: SuiteConfig, *, _draws=None) -> VerificationReport:
     """Certify the zero-iff-recoverable characterizations in both directions.
 
     Constructed sufficiency triples must drive every difference measure and
@@ -329,7 +359,7 @@ def characterization_suite(cfg: SuiteConfig) -> VerificationReport:
             rec.upper(f"sufficiency-{kind}-diff-zero", trial, seed_t, None,
                       abs(minmax_rel_ent_diff(suff, kind)), cfg.tol, 0.0)
 
-        hard = _screened_nonsufficient_triple(cfg, trial)
+        hard = _screened_nonsufficient_triple(cfg, trial, _draws)
         rec.lower("nonsufficient-renyi-diff-positive", trial, seed_t, None,
                   max(renyi_rel_ent_diff_grid(hard, PETZ_ALPHA_GRID)),
                   CONVERSE_FLOOR, 0.0)
@@ -342,11 +372,11 @@ def characterization_suite(cfg: SuiteConfig) -> VerificationReport:
     return rec.report
 
 
-def limit_suite(cfg: SuiteConfig) -> VerificationReport:
+def limit_suite(cfg: SuiteConfig, *, _draws=None) -> VerificationReport:
     """Certify alpha -> 1 limits and the product-formula convergence."""
     rec = _Recorder("limits", cfg)
     for trial, seed_t, rng in _trials(cfg):
-        state = _random_state(cfg, rng)
+        state = _drawn(_draws, rng, _random_state, cfg)
         vn = von_neumann_cmi(state)
         rows = zip(LIMIT_ORDERS, renyi_rel_ent_diff_grid(state, LIMIT_ORDERS),
                    sandwiched_rel_ent_diff_grid(state, LIMIT_ORDERS))
@@ -356,7 +386,7 @@ def limit_suite(cfg: SuiteConfig) -> VerificationReport:
             rec.upper("sandwiched-cmi-limit", trial, seed_t, a,
                       abs(sandwiched - vn), LIMIT_TOL, 0.0)
 
-        triple = _random_triple(rng)
+        triple = _drawn(_draws, rng, _random_triple)
         diff = rel_ent_diff(triple)
         for a, renyi in zip(LIMIT_ORDERS, renyi_rel_ent_diff_grid(triple, LIMIT_ORDERS)):
             rec.upper("renyi-diff-limit", trial, seed_t, a,
@@ -396,12 +426,12 @@ def limit_suite(cfg: SuiteConfig) -> VerificationReport:
     return rec.report
 
 
-def inequality_suite(cfg: SuiteConfig) -> VerificationReport:
+def inequality_suite(cfg: SuiteConfig, *, _draws=None) -> VerificationReport:
     """Certify data processing, concavity, the order relation between the two
     Renyi difference families, and non-negativity of all eight measures."""
     rec = _Recorder("inequalities", cfg)
     for trial, seed_t, rng in _trials(cfg):
-        triple = _random_triple(rng)
+        triple = _drawn(_draws, rng, _random_triple)
         rho, sigma = triple.rho, triple.sigma
         # the triple's own decompositions, so each output is decomposed once
         out_rho = Decomposed(triple.out_rho, triple.out_rho_spectrum)
@@ -476,12 +506,19 @@ SUITE_NAMES = tuple(_SUITES)
 
 def run_suite(name: str, cfg: SuiteConfig, extra_state=None) -> VerificationReport:
     """Run one suite; ``extra_state`` is a fixed instance the trace suite adds."""
-    if name not in _SUITES:
-        raise ValidationError("bad-spec", f"unknown suite {name!r}")
-    if name == "trace":
-        return _SUITES[name](cfg, extra_state=extra_state)
-    return _SUITES[name](cfg)
+    return run_suites((name,), cfg, extra_state)[0]
 
 
 def run_suites(names: Iterable[str], cfg: SuiteConfig, extra_state=None) -> list[VerificationReport]:
-    return [run_suite(name, cfg, extra_state) for name in names]
+    """Run the named suites in order, sharing their draws (see the module
+    docstring); the reports equal those of each suite run alone."""
+    names = list(names)
+    for name in names:
+        if name not in _SUITES:
+            raise ValidationError("bad-spec", f"unknown suite {name!r}")
+    draws: dict = {}  # lives for this call only
+    return [
+        _SUITES[name](cfg, extra_state, _draws=draws) if name == "trace"
+        else _SUITES[name](cfg, _draws=draws)
+        for name in names
+    ]

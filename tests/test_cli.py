@@ -314,6 +314,17 @@ class TestEdgeInputs:
                      "--out", str(tmp_path / "markov.json")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("alpha", ["300", "500"])
+    @pytest.mark.parametrize("inputs, measure", [("state", "renyi-cmi"), ("cmi", "delta")])
+    def test_overflowing_trace_exits_two(self, golden_inputs, capsys, inputs, measure, alpha):
+        # the powers are finite but their products overflow; this printed nan
+        argv = ["compute", "--measure", measure, "--alpha", alpha,
+                "--allow-uncertified"] + golden_inputs[inputs]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "overflows float64" in captured.err
+
     def test_overflowing_power_exits_two(self, tmp_path, capsys):
         path = tmp_path / "state.json"
         save_state(path, random_density((2, 2, 2), seed=7))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,16 @@ class TestRenyiCmi:
         state = TripartiteState(random_density((2, 2, 2), seed=7))
         with pytest.raises(MatrixFunctionDomainError, match="overflows float64"):
             renyi_cmi(state, 1000, strict=False)
+
+    @pytest.mark.parametrize("alpha", [300, 500])
+    def test_overflowing_trace_is_named(self, alpha):
+        # every power is finite, but N(rho)^h with h = (1 - alpha)/2 makes
+        # the products overflow; it used to return nan with a RuntimeWarning
+        state = TripartiteState(random_density((2, 2, 2), seed=7))
+        for x in (state, cmi_as_triple(state)):
+            with pytest.raises(MatrixFunctionDomainError, match="overflows float64"):
+                renyi_rel_ent_diff(x, alpha, strict=False)
+            assert math.isfinite(renyi_rel_ent_diff(x, 100, strict=False))
 
 
 class TestSandwichedCmi:

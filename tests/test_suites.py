@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from qmarkov.cli import main
@@ -168,6 +170,54 @@ class TestScreening:
             triple = _screened_nonsufficient_triple(SMALL, trial)
             _, d_rho, _ = is_sufficient_petz(triple)
             assert d_rho >= SCREEN_DISTANCE
+
+
+def _eigh_inputs(monkeypatch):
+    """Digests of every np.linalg.eigh input, in call order."""
+    digests = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        arr = np.ascontiguousarray(a)
+        digests.append((arr.shape, arr.dtype.str, hashlib.sha256(arr.tobytes()).hexdigest()))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return digests
+
+
+class TestSharedDraws:
+    """``run_suites`` makes each shared draw once and decomposes it once."""
+
+    @pytest.mark.parametrize("seed", [42, 43, 44])
+    def test_no_input_is_decomposed_twice(self, monkeypatch, seed):
+        digests = _eigh_inputs(monkeypatch)
+        run_suites(SUITE_NAMES, SuiteConfig(trials=1, seed=seed))
+        assert digests and len(digests) == len(set(digests))
+
+    def test_nothing_is_shared_between_calls(self, monkeypatch):
+        digests = _eigh_inputs(monkeypatch)
+        run_suites(SUITE_NAMES, SuiteConfig(trials=1, seed=42))
+        first = list(digests)
+        run_suites(SUITE_NAMES, SuiteConfig(trials=1, seed=42))
+        assert digests[len(first):] == first
+
+    def test_reports_do_not_depend_on_order_or_company(self):
+        cfg = SuiteConfig(trials=2, seed=42)
+        forward = {r.suite: r.to_json() for r in run_suites(SUITE_NAMES, cfg)}
+        backward = {r.suite: r.to_json() for r in run_suites(SUITE_NAMES[::-1], cfg)}
+        alone = {name: run_suite(name, cfg).to_json() for name in SUITE_NAMES}
+        direct = {r.suite: r.to_json() for r in (
+            trace_inequality_suite(cfg), characterization_suite(cfg),
+            limit_suite(cfg), inequality_suite(cfg))}
+        assert list(forward) == list(SUITE_NAMES)
+        assert forward == backward == alone == direct
+
+    def test_unknown_name_runs_nothing(self, monkeypatch):
+        digests = _eigh_inputs(monkeypatch)
+        with pytest.raises(ValidationError):
+            run_suites(("trace", "nope"), SMALL)
+        assert digests == []
 
 
 class TestRunners:
