@@ -37,13 +37,18 @@ class AlphaParameter:
     for the sandwiched ones.  Non-finite orders are rejected, and so are
     orders within 1e-6 of 1: the 1/(alpha-1) prefactor amplifies round-off
     beyond usefulness there, and callers should use the von Neumann
-    quantities instead.
+    quantities instead.  An order that is not a number is rejected as well.
     """
 
     alpha: float
 
     def __post_init__(self):
-        a = float(self.alpha)
+        try:
+            a = float(self.alpha)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                "bad-spec", f"alpha must be a number, got {self.alpha!r}"
+            ) from None
         if not 0.0 < a < math.inf:
             raise ValidationError("bad-spec", f"alpha must be positive and finite, got {a}")
         if abs(a - 1.0) < ALPHA_ONE_GUARD:
@@ -62,7 +67,7 @@ class AlphaParameter:
 
 
 def as_alpha(a) -> AlphaParameter:
-    return a if isinstance(a, AlphaParameter) else AlphaParameter(float(a))
+    return a if isinstance(a, AlphaParameter) else AlphaParameter(a)
 
 
 def von_neumann_entropy(rho) -> float:

@@ -6,29 +6,32 @@ operator identities that characterize exact recoverability.  Powers and
 logarithms of rho, N(rho) and N(sigma) are read from the decompositions the
 triple or state caches, so a sweep over orders decomposes each once, and the
 exp-log operator is read from ``exp_log_sum``, built once per object.  Each
-order-dependent functional has a grid form that closes the brackets of all
-its orders with one stacked ``eigh``; its values equal the one-order
-evaluation bit for bit.
+order-dependent functional has a grid form that closes the operators of all
+its orders with one stacked ``svd`` of their Kraus-block factors, so no
+bracket is formed; its values equal the one-order evaluation bit for bit.
+Every order is checked by ``as_alpha`` before any is evaluated.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channels import apply_channel
+from .divergences import as_alpha
 from .errors import RankDeficientError
-from .linalg import herm_pows, hermitian_part, real_traces, spectral_norm, spectral_norms
-from .measures import ChannelTriple, TripartiteState, _bracket, _wedge_power
+from .linalg import _power_of, finite_rows, gram_pows, real_traces, spectral_norm, spectral_norms
+from .measures import ChannelTriple, TripartiteState, _kraus_products
 
 LN2 = float(np.log(2.0))
 
 
-def _closed_brackets(x, alphas, sandwiched: bool, closings) -> np.ndarray:
-    """The channel-form bracket at each order, h = (1-a)/2 (divided by alpha
-    when ``sandwiched``), raised to the matching closing exponent."""
+def _closed_brackets(x, alphas, sandwiched: bool, closing) -> np.ndarray:
+    """The channel-form bracket at each order a, h = (1-a)/2 (divided by a
+    when ``sandwiched``), raised to ``closing(a)``: the bracket is W W† for
+    W† = ``_kraus_products(x, hs, I)``, closed from W's singular values."""
+    alphas = [as_alpha(a).alpha for a in alphas]
     hs = [(1.0 - a) / 2.0 / a if sandwiched else (1.0 - a) / 2.0 for a in alphas]
-    brackets = _bracket(x, hs, x.out_rho_spectrum.powers([2.0 * h for h in hs]))
-    return herm_pows(brackets, closings)
+    factors = _kraus_products(x, hs, np.eye(x.rho.dim))
+    return gram_pows(factors.conj().swapaxes(-1, -2), [closing(a) for a in alphas])
 
 
 def channel_trace_value(
@@ -52,8 +55,9 @@ def channel_trace_value_grid(
 ) -> list[float]:
     """``channel_trace_value`` at each order of ``alphas``, as one stack."""
     # 1/(1-a), times a in the sandwiched form; a/(1-a) may round differently
-    closings = [1.0 / (1.0 - a) * (a if sandwiched else 1.0) for a in alphas]
-    closed = _closed_brackets(triple, alphas, sandwiched, closings)
+    closed = _closed_brackets(
+        triple, alphas, sandwiched, lambda a: 1.0 / (1.0 - a) * (a if sandwiched else 1.0)
+    )
     return [float(value) for value in real_traces(closed)]
 
 
@@ -80,7 +84,7 @@ def lie_trotter_deviation(x: ChannelTriple | TripartiteState, alpha: float) -> f
 
 def lie_trotter_deviation_grid(x: ChannelTriple | TripartiteState, alphas) -> list[float]:
     """``lie_trotter_deviation`` at each order of ``alphas``, as one stack."""
-    closed = _closed_brackets(x, alphas, False, [1.0 / (1.0 - a) for a in alphas])
+    closed = _closed_brackets(x, alphas, False, lambda a: 1.0 / (1.0 - a))
     return spectral_norms(closed - x.exp_log_sum)
 
 
@@ -94,7 +98,7 @@ def recovery_fixed_point_residual(triple: ChannelTriple, alpha: float) -> float:
 
 def recovery_fixed_point_residual_grid(triple: ChannelTriple, alphas) -> list[float]:
     """``recovery_fixed_point_residual`` at each order of ``alphas``, as one stack."""
-    closed = _closed_brackets(triple, alphas, False, [1.0 / (1.0 - a) for a in alphas])
+    closed = _closed_brackets(triple, alphas, False, lambda a: 1.0 / (1.0 - a))
     return spectral_norms(closed - triple.rho.matrix)
 
 
@@ -105,7 +109,7 @@ def sandwiched_fixed_point_residual(triple: ChannelTriple, alpha: float) -> floa
 
 def sandwiched_fixed_point_residual_grid(triple: ChannelTriple, alphas) -> list[float]:
     """``sandwiched_fixed_point_residual`` at each order of ``alphas``, as one stack."""
-    closed = _closed_brackets(triple, alphas, True, [a / (1.0 - a) for a in alphas])
+    closed = _closed_brackets(triple, alphas, True, lambda a: a / (1.0 - a))
     return spectral_norms(closed - triple.rho.matrix)
 
 
@@ -116,18 +120,22 @@ def output_fixed_point_residual(triple: ChannelTriple, alpha: float) -> float:
 
 
 def output_fixed_point_residual_grid(triple: ChannelTriple, alphas) -> list[float]:
-    """``output_fixed_point_residual`` at each order of ``alphas``, as one stack."""
-    hs = [(1.0 - alpha) / 2.0 for alpha in alphas]
-    wedge = triple.sigma_fn([_wedge_power(h) for h in hs])
-    pushed = apply_channel(
-        triple.channel,
-        hermitian_part(wedge @ triple.rho.spectrum.powers(alphas) @ wedge),
-    )
-    out_wedge = triple.out_sigma_spectrum.powers([-h for h in hs])
-    closed = herm_pows(
-        hermitian_part(out_wedge @ pushed @ out_wedge), [1.0 / alpha for alpha in alphas]
-    )
-    return spectral_norms(closed - triple.out_rho)
+    """``output_fixed_point_residual`` at each order of ``alphas``, as one stack.
+
+    The closed operator is (V V†)^(1/a) for the blocks K_i sigma^h v lambda^(a/2)
+    side by side, times N(sigma)^(-h): h = (1-a)/2, (lambda, v) rho's kept
+    eigenpairs.  It is read from V's singular values.
+    """
+    alphas = [as_alpha(a).alpha for a in alphas]
+    hs = [(1.0 - a) / 2.0 for a in alphas]
+    _, kept, v = triple.rho.spectrum.support
+    weights = finite_rows([kept] * len(alphas), [_power_of(a / 2.0) for a in alphas])
+    blocks = triple.kraus_wedge([_power_of(h) for h in hs], v)
+    k, r, d_out, n = blocks.shape
+    blocks = blocks * np.reshape(weights, (k, 1, 1, n))
+    factors = triple.out_sigma_spectrum.powers([-h for h in hs])[:, None] @ blocks
+    factors = factors.swapaxes(1, 2).reshape(k, d_out, r * n)
+    return spectral_norms(gram_pows(factors, [1.0 / a for a in alphas]) - triple.out_rho)
 
 
 def log_identity_residual(triple: ChannelTriple) -> float:

@@ -7,10 +7,12 @@ pure; matrices are never modified in place.
 Conventions: functions of a Hermitian operator act only on its support, as
 ``support_mask`` defines it, so negative powers are pseudo-inverses on the
 support and ``A @ herm_pow(A, -1)`` is the orthogonal projector onto supp(A).
+A power of W W† (``gram_pows``) takes its support on W's singular values s,
+so it keeps the eigenvalues s^2 above SUPPORT_CUTOFF^2 times the largest.
 
 The stacked forms (``SpectralDecomposition.powers``, ``herm_pows``,
-``spectral_norms``, ``stacked_singular_values``) take or return a (k, d, d)
-stack and make one numpy call where the two-dimensional forms would make k.
+``gram_pows``, ``spectral_norms``, ``stacked_singular_values``) take or
+return a (k, d, d) stack and make one numpy call where the two-dimensional forms would make k.
 numpy's stacked ``matmul``, ``eigh`` and ``svd`` loop over the slices and
 make the same BLAS or LAPACK call on each as on a lone matrix, and every
 scalar function is evaluated per slice, so each slice equals its
@@ -260,19 +262,32 @@ def herm_pows(stack, ps: Sequence[float]) -> np.ndarray:
     evaluates its own power, so slice i equals ``herm_pow(stack[i], ps[i])``
     bit for bit.
     """
-    a = _as_stack(stack)
-    if len(ps) != len(a):
-        raise DimensionMismatchError(f"{len(ps)} exponents for a stack of {len(a)}")
-    vals, vecs, _ = _sorted_eigh(a)
-    keep = support_mask(vals, axis=1)
-    fvals = finite_rows([v[m] for v, m in zip(vals, keep)], [_power_of(p) for p in ps])
+    vals, vecs, _ = _sorted_eigh(_as_stack(stack))
+    return _support_powers(vals, vecs, ps)
+
+
+def gram_pows(w, ps: Sequence[float]) -> np.ndarray:
+    """(W W†)^p for slice i of a (k, d, n) stack W and p = ``ps[i]``, stacked:
+    U diag(s^(2p)) U† from one ``svd`` W = U S V†, on the support of the
+    singular values s, so W W† is never formed."""
+    u, s, _ = np.linalg.svd(_as_stack(w), full_matrices=False)
+    return _support_powers(s, u, [2.0 * p for p in ps])
+
+
+def _support_powers(values, vectors, ps: Sequence[float]) -> np.ndarray:
+    """V diag(v^p) V† for row i of the (k, r) ``values`` and slice i of the
+    (k, d, r) ``vectors``, p = ``ps[i]``, on that row's own support."""
+    if len(ps) != len(values):
+        raise DimensionMismatchError(f"{len(ps)} exponents for a stack of {len(values)}")
+    keep = support_mask(values, axis=1)
+    fvals = finite_rows([v[m] for v, m in zip(values, keep)], [_power_of(p) for p in ps])
     if keep.all():
-        return _reconstruct(vecs, np.reshape(fvals, vals.shape))
+        return _reconstruct(vectors, np.reshape(fvals, values.shape))
     # a slice that drops values is rebuilt from its kept vectors alone, as
     # herm_pow rebuilds it: zeros in place of the dropped values would change
     # the inner dimension of the matmul, and with it the summation BLAS uses
     return np.concatenate([
-        _reconstruct(v[:, m], f[None]) for v, m, f in zip(vecs, keep, fvals)
+        _reconstruct(v[:, m], f[None]) for v, m, f in zip(vectors, keep, fvals)
     ])
 
 

@@ -11,12 +11,12 @@ The first family is the second evaluated on the CMI triple
 sandwiched and min/max CMI is a call to its difference counterpart.  The
 difference formulas read only a few members of their argument: N(rho),
 N(sigma), the spectrum of sigma, f(sigma) N†(inner) f(sigma)
-(``wedged_pull``, for the recovered operator and the closed brackets), and
-the Kraus blocks [K_i f(sigma) v]_i (``kraus_wedge``), through which both
-Renyi differences read the channel and sigma.  A ``TripartiteState``
-answers each from its marginals, so the triple is never built.  The
-state's products are structured: f(sigma) = f(rho_AC) x I_B and
-N†(x) = I_A x x are applied by reshaped matmuls, and neither factor is
+(``wedged_pull``, for the Petz map alone), and the Kraus blocks
+[K_i f(sigma) v]_i (``kraus_wedge``), through which both Renyi differences
+and every closed bracket of ``functionals`` read the channel and sigma.  A
+``TripartiteState`` answers each from its marginals, so the triple is never
+built.  The state's products are structured: f(sigma) = f(rho_AC) x I_B
+and N†(x) = I_A x x are applied by reshaped matmuls, and neither factor is
 formed on A x B x C.  ``kraus_wedge`` forms no f(sigma) at all, on either
 reading: it applies U†, the values f(s) and then U (K U on a triple) in
 turn, with U and s sigma's kept eigenpairs.  ``cmi_as_triple`` builds the
@@ -121,8 +121,8 @@ class _CachedSpectra:
 
     @cached_property
     def recovered(self) -> np.ndarray:
-        """The Petz-recovered N(rho): the bracket at h = 1/2 with M = N(rho)."""
-        return read_only(_bracket(self, (0.5,), self.out_rho)[0])
+        """The Petz-recovered N(rho), the Petz map applied to N(rho)."""
+        return read_only(_petz(self, self.out_rho))
 
     @cached_property
     def recovered_spectrum(self) -> SpectralDecomposition:
@@ -219,12 +219,21 @@ class TripartiteState(_CachedSpectra):
         """Tr_A†(x) = I_A x x for an operator x on B x C, or a stack of them."""
         return embed_operator(x, self.dims, (1, 2))
 
-    def wedged_pull(self, fs, inner) -> np.ndarray:
-        """The stack (w x I_B)(I_A x inner)(w x I_B) with w = f(rho_AC), one
-        slice per f in ``fs``; ``inner`` is a stack on B x C with one slice
-        per f, or one slice for all.  No factor is formed on A x B x C."""
-        wedge = self.sigma_spectrum.apply_all(fs)
-        return self._times_wedge(self._wedge_times_pulled(wedge, inner), wedge)
+    def wedged_pull(self, f, inner) -> np.ndarray:
+        """(w x I_B)(I_A x inner)(w x I_B) with w = f(rho_AC), for ``inner`` on
+        B x C.  Entry (abc, a'b'c') of x = (w x I_B)(I_A x inner) is
+        sum_e w[ac, a'e] inner[be, b'c'], one matmul of w read as (a c a', e)
+        with inner read as (e, b b' c'); the columns of x then swap their A
+        and B indices around one matmul with w.  Nothing is formed on A x B x C.
+        """
+        d_a, d_b, d_c = self.dims
+        d = self.rho.dim
+        w = self.sigma_spectrum.apply(f)
+        m = inner.reshape(d_b, d_c, d_b * d_c).swapaxes(0, 1).reshape(d_c, d_b * d_b * d_c)
+        t = (w.reshape(d_a * d_c * d_a, d_c) @ m).reshape(d_a, d_c, d_a, d_b, d_b * d_c)
+        x = t.transpose(0, 3, 1, 2, 4).reshape(d, d)
+        t = x.reshape(d, d_a, d_b, d_c).swapaxes(1, 2).reshape(d * d_b, d_a * d_c) @ w
+        return t.reshape(d, d_b, d_a, d_c).swapaxes(1, 2).reshape(d, d)
 
     def kraus_wedge(self, fs, v) -> np.ndarray:
         """The stack [K_i f(sigma) v]_i for a (d, n) ``v``, shape
@@ -243,27 +252,6 @@ class TripartiteState(_CachedSpectra):
         u = self.sigma_spectrum.support[2]
         t = (u @ _kept_coefficients(self.sigma_spectrum, fs, v)).reshape(k, d_a, d_c, d_b, n)
         return t.swapaxes(2, 3).reshape(k, d_a, d_b * d_c, n)
-
-    def _wedge_times_pulled(self, w, m) -> np.ndarray:
-        """(w x I_B)(I_A x m) for stacks w on A x C and m on B x C.
-
-        Entry (abc, a'b'c') is sum_e w[ac, a'e] m[be, b'c'], a sum over C
-        only: one batched matmul of w, read as (a c a', e), with m, read as
-        (e, b b' c'), then one transpose into A x B x C order.
-        """
-        d_a, d_b, d_c = self.dims
-        k = len(w)
-        m = m.reshape(-1, d_b, d_c, d_b * d_c).swapaxes(1, 2).reshape(-1, d_c, d_b * d_b * d_c)
-        t = (w.reshape(k, d_a * d_c * d_a, d_c) @ m).reshape(k, d_a, d_c, d_a, d_b, d_b * d_c)
-        return t.transpose(0, 1, 4, 2, 3, 5).reshape(k, self.rho.dim, self.rho.dim)
-
-    def _times_wedge(self, x, w) -> np.ndarray:
-        """x (w x I_B) for a (k, n, d) stack x and a stack w on A x C: the
-        columns of x swap their A and B indices around one batched matmul."""
-        d_a, d_b, d_c = self.dims
-        k, n = x.shape[:2]
-        t = x.reshape(k, n, d_a, d_b, d_c).swapaxes(2, 3).reshape(k, n * d_b, d_a * d_c) @ w
-        return t.reshape(k, n, d_b, d_a, d_c).swapaxes(2, 3).reshape(k, n, self.rho.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,10 +307,9 @@ class ChannelTriple(_CachedSpectra):
         """N†(x), of an operator or of each slice of a stack."""
         return adjoint_apply(self.channel, x)
 
-    def wedged_pull(self, fs, inner) -> np.ndarray:
-        """The stack f(sigma) N†(inner) f(sigma), one slice per f in ``fs``;
-        ``inner`` is a stack with one slice per f, or one slice for all."""
-        wedge = self.sigma_fn(fs)
+    def wedged_pull(self, f, inner) -> np.ndarray:
+        """f(sigma) N†(inner) f(sigma) for an operator ``inner`` on the output."""
+        wedge = self.sigma_spectrum.apply(f)
         return wedge @ self.pull(inner) @ wedge
 
     @cached_property
@@ -467,23 +454,13 @@ def _condition_number(dec: SpectralDecomposition) -> float:
     return float(values[0] / values[-1])
 
 
-def _wedge_power(h: float):
-    """v -> v**h, the function every wedge sigma^h is evaluated with."""
-    return lambda v: v**h
-
-
-def _bracket(x, hs, middle: np.ndarray) -> np.ndarray:
-    """sigma^h N†(N(sigma)^(-h) M N(sigma)^(-h)) sigma^h, symmetrized, for
-    each h in ``hs``: a (k, d, d) stack.
-
-    ``x`` is a ChannelTriple or a TripartiteState, and ``middle`` holds the k
-    middle operators M (or one M for every h).  With M = N(rho)^(2h) this is
-    the bracket of every Renyi formula; at h = 1/2 with M = N(rho) it is the
-    Petz-recovered N(rho).
-    """
-    out_wedge = x.out_sigma_spectrum.powers([-h for h in hs])
-    inner = out_wedge @ middle @ out_wedge
-    return hermitian_part(x.wedged_pull([_wedge_power(h) for h in hs], hermitian_part(inner)))
+def _petz(x, m: np.ndarray) -> np.ndarray:
+    """The Petz map of a ChannelTriple's or TripartiteState's (sigma, N) at M,
+    sigma^(1/2) N†(N(sigma)^(-1/2) M N(sigma)^(-1/2)) sigma^(1/2), symmetrized;
+    ``recovered`` is its value at M = N(rho)."""
+    out_wedge = x.out_sigma_spectrum.power(-0.5)
+    inner = hermitian_part(out_wedge @ m @ out_wedge)
+    return hermitian_part(x.wedged_pull(_power_of(0.5), inner))
 
 
 def renyi_rel_ent_diff(
@@ -577,12 +554,13 @@ def _kraus_products(x, hs, v) -> np.ndarray:
     """The (k, r d_out, n) stack of Y† K_i sigma^h v, blocks i stacked by
     rows, with Y = N(sigma)^(-h) N(rho)^h, one slice per h in ``hs``.
 
-    Both Renyi differences read the channel and sigma only through this:
-    for Z = [K_1† Y, ..., K_r† Y], Z Z† = N†(Y Y†), and the slice is
-    Z† sigma^h v.  ``x`` is a ChannelTriple or a TripartiteState.
+    Both Renyi differences and every closed bracket read the channel and
+    sigma only through this: for Z = [K_1† Y, ..., K_r† Y], Z Z† = N†(Y Y†),
+    and the slice is Z† sigma^h v.  ``x`` is a ChannelTriple or a
+    TripartiteState.
     """
     y = x.out_sigma_spectrum.powers([-h for h in hs]) @ x.out_rho_spectrum.powers(hs)
-    wedged = x.kraus_wedge([_wedge_power(h) for h in hs], v)
+    wedged = x.kraus_wedge([_power_of(h) for h in hs], v)
     k, r, d_out, n = wedged.shape
     return (y.conj().swapaxes(-1, -2)[:, None] @ wedged).reshape(k, r * d_out, n)
 

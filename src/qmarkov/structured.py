@@ -21,7 +21,7 @@ import numpy as np
 from .channels import Channel, random_strict_channel, random_unitary
 from .errors import DimensionMismatchError, ValidationError
 from .linalg import kron
-from .measures import ChannelTriple, TripartiteState, _bracket
+from .measures import ChannelTriple, TripartiteState, _petz
 from .states import (
     DensityOperator,
     PositiveOperator,
@@ -221,10 +221,10 @@ def is_sufficient_petz(triple: ChannelTriple) -> tuple[bool, float, float]:
     ||R(N(sigma)) - sigma||_1 with a joint pass flag.  Exact recovery of any
     pair by any channel implies the Petz recovery works, so this certifies
     sufficiency itself.  R(N(rho)) is the triple's cached ``recovered``, and
-    R(N(sigma)) is the same bracket with N(sigma) in the middle, so both are
-    read from the cached decompositions of sigma and N(sigma).
+    R(N(sigma)) is the same Petz map applied to N(sigma), so both are read
+    from the cached decompositions of sigma and N(sigma).
     """
-    sigma_back = _bracket(triple, (0.5,), triple.out_sigma)[0]
+    sigma_back = _petz(triple, triple.out_sigma)
     d_rho = trace_distance(triple.recovered, triple.rho.matrix)
     d_sigma = trace_distance(sigma_back, triple.sigma.matrix)
     return (d_rho <= PETZ_TOL and d_sigma <= PETZ_TOL), float(d_rho), float(d_sigma)

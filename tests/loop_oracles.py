@@ -2,24 +2,30 @@
 
 The library evaluates a grid of Renyi orders as one stack: the powers of a
 cached decomposition at k orders form one (k, d, d) array, and the k closing
-powers are decomposed by one stacked ``eigh``.  The functions here evaluate
-one order at a time with two-dimensional numpy calls only, in the order the
-per-order formulas read, and decompose every closing bracket with its own
-``eigh``.  A stacked grid must equal them bit for bit (``==``), not merely
-within a tolerance.  They read the operators' cached decompositions, the
-channel and the order checks from the library, which a grid does not
-change.  On a state they form the products with f(rho_AC) x I_B and
-I_A x x as the library does, by reshaped matmuls that never build a factor
-on A x B x C, one order at a time.  All outputs are in bits.
+powers are read from one stacked ``svd`` of their Kraus-block factors.  The
+functions here evaluate one order at a time with two-dimensional numpy
+calls only, in the order the per-order formulas read, and close every
+bracket from its own factor's ``svd``.  A stacked grid must equal them bit
+for bit (``==``), not merely within a tolerance.  They read the operators'
+cached decompositions, the channel and the order checks from the library,
+which a grid does not change.  On a state they form the products with
+f(rho_AC) x I_B and I_A x x as the library does, by reshaped matmuls that
+never build a factor on A x B x C, one order at a time.  All outputs are in
+bits.
 
 The two Renyi differences read the channel and sigma through the blocks
-Y† K_i f(sigma) v, as the library does.  ``renyi_rel_ent_diff_by_bracket``
-is the independent reading: the trace of rho^alpha times the dense bracket
-sigma^h N†(N(sigma)^(-h) N(rho)^(2h) N(sigma)^(-h)) sigma^h, which agrees
-within round-off, not bit for bit.
+Y† K_i f(sigma) v, as the library does, and so do the closed brackets: the
+bracket sigma^h N†(N(sigma)^(-h) N(rho)^(2h) N(sigma)^(-h)) sigma^h is W W†
+for W† the stacked blocks at v = I, and its power is rebuilt from W's
+singular vectors and values.  The dense bracket is the independent reading:
+``renyi_rel_ent_diff_by_bracket`` is the trace of rho^alpha times it, and
+the closing families with ``dense=True`` raise it to the closing power
+through its own ``eigh``.  These agree within round-off on full-rank inputs,
+not bit for bit; where the bracket has eigenvalues below SUPPORT_CUTOFF
+times its largest, the dense reading drops directions the factor keeps.
 
 ``petz_round_trip`` applies the Petz recovery map in its Kraus form, the
-independent reading of the bracket at h = 1/2 that ``is_sufficient_petz``
+independent reading of the dense Petz map that ``is_sufficient_petz``
 reads; the two agree within round-off, not bit for bit.  Likewise
 ``min_recovery_divergence`` reads the min measures as -log2 of the fidelity
 between rho and the decomposed recovered operator, which the library
@@ -103,11 +109,7 @@ def _kraus_wedge(x, f, v):
     """The blocks K_i f(sigma) v, each d_out x n: (K U) f(s) (U† v) with U
     and s sigma's kept eigenvectors and eigenvalues on a triple, the rows of
     (w x I_B) v read as (A, B C) on a state."""
-    dec = x.sigma_spectrum
-    vals, vecs = dec.eigenvalues, dec.eigenvectors
-    keep = support_mask(vals)
-    if not keep.all():
-        vals, vecs = vals[keep], vecs[:, keep]
+    vals, vecs = _kept(x.sigma_spectrum)
     f_vals = finite_rows((vals,), (f,))[0][:, None]
     if isinstance(x, ChannelTriple):
         t = np.concatenate(x.channel.kraus) @ vecs @ (f_vals * (vecs.conj().T @ v))
@@ -132,12 +134,16 @@ def _bracket(x, h, middle):
     return _symmetrize(_wedged_pull(x, lambda v: v**h, _symmetrize(inner)))
 
 
+def _kept(dec):
+    """The kept eigenvalues and eigenvectors of a decomposition."""
+    vals, vecs = dec.eigenvalues, dec.eigenvectors
+    keep = support_mask(vals)
+    return (vals, vecs) if keep.all() else (vals[keep], vecs[:, keep])
+
+
 def renyi_rel_ent_diff(x, a, strict=True):
     a = _checked_alpha(x, a, strict)
-    vals, vecs = x.rho.spectrum.eigenvalues, x.rho.spectrum.eigenvectors
-    keep = support_mask(vals)
-    if not keep.all():
-        vals, vecs = vals[keep], vecs[:, keep]
+    vals, vecs = _kept(x.rho.spectrum)
     weights = finite_rows((vals,), (lambda s: np.power(s, a.alpha),))[0]
     products = _kraus_products(x, (1.0 - a.alpha) / 2.0, vecs)
     value = np.sum((products * products.conj()).real * weights)
@@ -177,44 +183,68 @@ def min_recovery_divergence(x):
     return float(-np.log2(value))
 
 
-def _closed_bracket(x, alpha, sandwiched, closing):
+def gram_pow(w, p):
+    """(W W†)^p from W's own two-dimensional ``svd``, on the support of its
+    singular values."""
+    u, s, _ = np.linalg.svd(w, full_matrices=False)
+    return _function_of(s, u, lambda x: np.power(x, 2.0 * p))
+
+
+def _closed_bracket(x, alpha, sandwiched, closing, dense):
     h = (1.0 - alpha) / 2.0
     if sandwiched:
         h /= alpha
-    return herm_pow(_bracket(x, h, power(x.out_rho_spectrum, 2.0 * h)), closing)
+    if dense:
+        return herm_pow(_bracket(x, h, power(x.out_rho_spectrum, 2.0 * h)), closing)
+    return gram_pow(_kraus_products(x, h, np.eye(x.rho.dim)).conj().T, closing)
 
 
-def channel_trace_value(x, alpha, sandwiched=False):
+def channel_trace_value(x, alpha, sandwiched=False, dense=False):
     closing = 1.0 / (1.0 - alpha)
     if sandwiched:
         closing *= alpha
-    return float(np.trace(_closed_bracket(x, alpha, sandwiched, closing)).real)
+    return float(np.trace(_closed_bracket(x, alpha, sandwiched, closing, dense)).real)
 
 
-def lie_trotter_deviation(x, alpha):
-    closed = _closed_bracket(x, alpha, False, 1.0 / (1.0 - alpha))
+def lie_trotter_deviation(x, alpha, dense=False):
+    closed = _closed_bracket(x, alpha, False, 1.0 / (1.0 - alpha), dense)
     return spectral_norm(closed - x.exp_log_sum)
 
 
-def recovery_fixed_point_residual(triple, alpha):
-    closed = _closed_bracket(triple, alpha, False, 1.0 / (1.0 - alpha))
+def recovery_fixed_point_residual(triple, alpha, dense=False):
+    closed = _closed_bracket(triple, alpha, False, 1.0 / (1.0 - alpha), dense)
     return spectral_norm(closed - triple.rho.matrix)
 
 
-def sandwiched_fixed_point_residual(triple, alpha):
-    closed = _closed_bracket(triple, alpha, True, alpha / (1.0 - alpha))
+def sandwiched_fixed_point_residual(triple, alpha, dense=False):
+    closed = _closed_bracket(triple, alpha, True, alpha / (1.0 - alpha), dense)
     return spectral_norm(closed - triple.rho.matrix)
 
 
-def output_fixed_point_residual(triple, alpha):
+def output_fixed_point_residual(triple, alpha, dense=False):
     h = (1.0 - alpha) / 2.0
-    wedge = _sigma_fn(triple, lambda v: v**h)
-    pushed = apply_channel(
-        triple.channel, _symmetrize(wedge @ power(triple.rho.spectrum, alpha) @ wedge)
-    )
-    out_wedge = power(triple.out_sigma_spectrum, -h)
-    closed = herm_pow(_symmetrize(out_wedge @ pushed @ out_wedge), 1.0 / alpha)
+    if dense:
+        out_wedge = power(triple.out_sigma_spectrum, -h)
+        wedge = _sigma_fn(triple, lambda v: v**h)
+        pushed = apply_channel(
+            triple.channel, _symmetrize(wedge @ power(triple.rho.spectrum, alpha) @ wedge)
+        )
+        closed = herm_pow(_symmetrize(out_wedge @ pushed @ out_wedge), 1.0 / alpha)
+    else:
+        closed = gram_pow(output_factor(triple, alpha), 1.0 / alpha)
     return spectral_norm(closed - triple.out_rho)
+
+
+def output_factor(triple, alpha):
+    """V = N(sigma)^(-h) [K_1 sigma^h v lambda^(a/2), ..., K_r sigma^h v lambda^(a/2)],
+    h = (1-a)/2 and (lambda, v) the kept eigenpairs of rho: V V† is the
+    operator the output fixed point closes."""
+    h = (1.0 - alpha) / 2.0
+    out_wedge = power(triple.out_sigma_spectrum, -h)
+    vals, vecs = _kept(triple.rho.spectrum)
+    weights = finite_rows((vals,), (lambda s: np.power(s, alpha / 2.0),))[0]
+    blocks = _kraus_wedge(triple, lambda s: s**h, vecs)
+    return np.concatenate([out_wedge @ (b * weights) for b in blocks], axis=1)
 
 
 def renyi_rel_entropy(rho, sigma, a):

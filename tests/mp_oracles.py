@@ -1,4 +1,5 @@
-"""The Renyi differences of a dense triple at 50 significant digits.
+"""The Renyi differences and trace functionals of a dense triple at 50
+significant digits.
 
 An independent evaluation for small inputs (d <= 8): the float64 entries of
 rho, sigma and the Kraus operators are taken as exact, and every channel
@@ -7,8 +8,11 @@ output, decomposition, power and trace is computed with mpmath at 50 digits
 an eigenvalue is kept when it exceeds SUPPORT_CUTOFF times the largest
 magnitude.  The formulas are the dense ones of the definitions, with the
 bracket sigma^h N†(N(sigma)^(-h) N(rho)^(2h) N(sigma)^(-h)) sigma^h formed
-explicitly, so they share no product order with the library's.  The values
-are returned as floats, in bits.
+explicitly, so they share no product order with the library's.  An operator
+the library reads through a factor W, as W W† from W's singular values s,
+is kept above SUPPORT_CUTOFF^2 times its largest eigenvalue, the support
+that s defines: the sandwiched core and every closed bracket.  Differences
+are returned in bits, and every value as a float.
 """
 
 from functools import cached_property
@@ -30,13 +34,16 @@ def _dagger(m):
 
 class _Decomposition:
     """Kept eigenvalues and eigenvectors of a Hermitian mp matrix: those
-    above ``cutoff`` times the largest magnitude."""
+    above ``cutoff`` times the largest magnitude, or all of them when
+    ``cutoff`` is None."""
 
     def __init__(self, m, cutoff=SUPPORT_CUTOFF):
         values, vectors = mp.eighe((m + _dagger(m)) / 2)
         n = m.rows
         top = max(abs(values[j]) for j in range(n))
-        self.pairs = [(values[j], vectors[:, j]) for j in range(n) if values[j] > cutoff * top]
+        self.values = [values[j] for j in range(n)]
+        self.pairs = [(values[j], vectors[:, j]) for j in range(n)
+                      if cutoff is None or values[j] > cutoff * top]
 
     def apply(self, f):
         n = self.pairs[0][1].rows
@@ -57,6 +64,7 @@ class MpTriple:
             self.rho = _matrix(triple.rho.matrix)
             self.sigma = _matrix(triple.sigma.matrix)
             self.kraus = [_matrix(k) for k in triple.channel.kraus]
+        self._brackets = {}
 
     def apply(self, m):
         return sum((k * m * _dagger(k) for k in self.kraus[1:]),
@@ -79,9 +87,70 @@ class MpTriple:
         wedge = sigma.power(h)
         return wedge * self.pull(out_wedge * out_rho.power(2 * h) * out_wedge) * wedge
 
+    def closed_bracket(self, h, p):
+        """The bracket at h raised to p, on the support its factor defines;
+        the decomposition is kept for the next closing at the same h."""
+        if h not in self._brackets:
+            self._brackets[h] = _Decomposition(self.bracket(h), SUPPORT_CUTOFF**2)
+        return self._brackets[h].power(p)
+
+    @cached_property
+    def exp_log_sum(self):
+        """exp(log sigma + N†(log N(rho) - log N(sigma))), the logarithms on
+        their supports and the exponential over the full spectrum."""
+        with mp.workdps(DIGITS):
+            _, sigma, out_rho, out_sigma = self.spectra
+            m = sigma.apply(mp.log) + self.pull(out_rho.apply(mp.log) - out_sigma.apply(mp.log))
+            return _Decomposition(m, None).apply(mp.exp)
+
 
 def _trace(m):
     return mp.re(sum(m[j, j] for j in range(m.rows)))
+
+
+def _spectral_norm(m):
+    """The largest eigenvalue magnitude of a Hermitian matrix."""
+    return max(abs(v) for v in _Decomposition(m, None).values)
+
+
+def _closing(alpha, sandwiched):
+    """h and the closing exponent: (1-a)/2 and 1/(1-a), or (1-a)/(2a) and
+    a/(1-a) in the sandwiched form."""
+    a = mp.mpf(alpha)
+    if sandwiched:
+        return (1 - a) / (2 * a), a / (1 - a)
+    return (1 - a) / 2, 1 / (1 - a)
+
+
+def channel_trace_value(x: MpTriple, alpha, sandwiched=False) -> float:
+    """Tr{bracket^closing}."""
+    with mp.workdps(DIGITS):
+        return float(_trace(x.closed_bracket(*_closing(alpha, sandwiched))))
+
+
+def lie_trotter_deviation(x: MpTriple, alpha) -> float:
+    """||bracket^(1/(1-a)) - exp(log sigma + N†(log N(rho) - log N(sigma)))||."""
+    with mp.workdps(DIGITS):
+        return float(_spectral_norm(x.closed_bracket(*_closing(alpha, False)) - x.exp_log_sum))
+
+
+def fixed_point_residual(x: MpTriple, alpha, sandwiched=False) -> float:
+    """||bracket^closing - rho||: the recovery fixed point, or the sandwiched one."""
+    with mp.workdps(DIGITS):
+        return float(_spectral_norm(x.closed_bracket(*_closing(alpha, sandwiched)) - x.rho))
+
+
+def output_fixed_point_residual(x: MpTriple, alpha) -> float:
+    """||[N(sigma)^(-h) N(sigma^h rho^a sigma^h) N(sigma)^(-h)]^(1/a) - N(rho)||,
+    h = (1-a)/2, the operator kept on the support of its factor."""
+    with mp.workdps(DIGITS):
+        a = mp.mpf(alpha)
+        h = (1 - a) / 2
+        rho, sigma, _, out_sigma = x.spectra
+        wedge, out_wedge = sigma.power(h), out_sigma.power(-h)
+        m = out_wedge * x.apply(wedge * rho.power(a) * wedge) * out_wedge
+        closed = _Decomposition(m, SUPPORT_CUTOFF**2).power(1 / a)
+        return float(_spectral_norm(closed - x.apply(x.rho)))
 
 
 def renyi_rel_ent_diff(x: MpTriple, alpha) -> float:

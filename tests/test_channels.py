@@ -13,7 +13,7 @@ from qmarkov.channels import (
 )
 from qmarkov.errors import DimensionMismatchError, ValidationError
 from qmarkov.linalg import embed_operator, herm_pow, kron, partial_trace
-from qmarkov.measures import ChannelTriple, _bracket
+from qmarkov.measures import ChannelTriple, _petz
 from qmarkov.states import DensityOperator, PositiveOperator, random_density
 from qmarkov.structured import is_sufficient_petz
 
@@ -38,7 +38,7 @@ def hermitian_basis(dim):
 
 def petz(triple, x):
     """The Petz map of the triple's (sigma, channel) applied to x."""
-    return _bracket(triple, (0.5,), x)[0]
+    return _petz(triple, x)
 
 
 class TestChannelBasics:

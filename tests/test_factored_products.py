@@ -229,10 +229,10 @@ class TestStructuredProducts:
         state = TripartiteState(random_density(dims, seed=2))
         rng = np.random.default_rng(3)
         d_bc = dims[1] * dims[2]
-        wedge = embed_operator(state.sigma_spectrum.apply_all(self.FS), dims, (0, 2))
-        for inner in (_hermitian_stack(rng, 3, d_bc), _hermitian_stack(rng, 1, d_bc)):
+        for f, inner in zip(self.FS, _hermitian_stack(rng, 3, d_bc)):
+            wedge = embed_operator(state.sigma_spectrum.apply(f), dims, (0, 2))
             expected = wedge @ embed_operator(inner, dims, (1, 2)) @ wedge
-            got = state.wedged_pull(self.FS, inner)
+            got = state.wedged_pull(f, inner)
             assert got.shape == expected.shape
             assert _close(got, expected)
 
@@ -255,8 +255,8 @@ class TestStructuredProducts:
         triple = cmi_as_triple(state)
         rng = np.random.default_rng(6)
         d_bc = dims[1] * dims[2]
-        inner = _hermitian_stack(rng, 3, d_bc)
-        assert _close(state.wedged_pull(self.FS, inner), triple.wedged_pull(self.FS, inner))
+        for f, inner in zip(self.FS, _hermitian_stack(rng, 3, d_bc)):
+            assert _close(state.wedged_pull(f, inner), triple.wedged_pull(f, inner))
         v = rng.standard_normal((state.rho.dim, 4)) + 1j * rng.standard_normal((state.rho.dim, 4))
         # the triple's Kraus operators of Tr_A are <i|_A x I_BC in the same order
         assert _close(state.kraus_wedge(self.FS, v), triple.kraus_wedge(self.FS, v))

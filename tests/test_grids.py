@@ -1,12 +1,14 @@
 """Order grids are evaluated as one stack and equal the loop over orders.
 
 Every grid family must return, at each order, a value ``==`` to the per-order
-evaluation in ``loop_oracles`` (two-dimensional numpy calls, one ``eigh`` per
-closing bracket): on both readings of a triple, on the four dims of the
-embedding tests, on rank-deficient inputs whose closing brackets keep
+evaluation in ``loop_oracles`` (two-dimensional numpy calls, one ``svd`` per
+closing factor): on both readings of a triple, on the four dims of the
+embedding tests, on rank-deficient inputs whose closing factors keep
 different ranks at different orders, and on the errors a grid raises.  The
-Renyi difference also stays within 1e-12 of the dense bracket formula, and
-is zero on a rank-deficient Markov chain where that formula was not.
+Renyi difference and the closings also stay within 1e-12 of the dense
+bracket on full-rank inputs.  On a rank-deficient Markov chain the
+differences are zero and the trace values one, where the dense bracket was
+not.
 """
 
 import math
@@ -64,7 +66,7 @@ TRACE_FAMILIES = [
      PETZ_ALPHA_GRID),
     (lambda x, orders: fn.channel_trace_value_grid(x, orders, sandwiched=True),
      lambda x, a: fn.channel_trace_value(x, a, sandwiched=True),
-     lambda x, a: lo.channel_trace_value(x, a, sandwiched=True),
+     lambda x, a, **kwargs: lo.channel_trace_value(x, a, sandwiched=True, **kwargs),
      SANDWICHED_ALPHA_GRID),
     (fn.lie_trotter_deviation_grid, fn.lie_trotter_deviation, lo.lie_trotter_deviation,
      TROTTER_ORDERS),
@@ -151,9 +153,11 @@ class TestGridEqualsLoop:
 
 
 def _product_state():
-    """rho_A x |0><0| x rho_C with a 1e-7 eigenvalue of rho_A: rank deficient,
-    and the closing bracket at alpha = 3 drops the small eigenvalues that the
-    brackets at 0.5 and 1.5 keep."""
+    """rho_A x |0><0| x rho_C with a 1e-7 eigenvalue of rho_A: rank deficient.
+    Its closing factors keep 4 singular values at alpha = 0.5, 1.5 and 3 and
+    2 at alpha = 5; the dense bracket at alpha = 3 keeps only 2 of its 4
+    nonzero eigenvalues, because they are the squares of the singular
+    values."""
     u = random_unitary(2, seed=1)
     rho_a = u @ np.diag([1.0 - 1e-7, 1e-7]) @ u.conj().T
     rho_c = random_density((2,), seed=3).matrix
@@ -162,32 +166,33 @@ def _product_state():
 
 
 def _identity_triple():
-    """N(rho) = rho with a 1e-8 eigenvalue: the output fixed point's operator
-    at alpha = 1.75 drops it, the ones at the lower orders keep it."""
+    """N(rho) = rho with a 1e-8 eigenvalue, under the identity channel, which
+    is sufficient for any pair: every fixed-point residual is round-off."""
     v = random_unitary(4, seed=5)
     rho = DensityOperator(v @ np.diag([0.5, 0.3, 0.2 - 1e-8, 1e-8]) @ v.conj().T)
     sigma = PositiveOperator(random_density((4,), seed=6).matrix)
     return ChannelTriple(rho=rho, sigma=sigma, channel=Channel((np.eye(4),)))
 
 
+def _kept_count(w):
+    return int(support_mask(np.linalg.svd(w, compute_uv=False)).sum())
+
+
 def _closing_ranks(x, orders):
-    ranks = []
-    for a in orders:
-        h = (1.0 - a) / 2.0
-        bracket = lo._bracket(x, h, lo.power(x.out_rho_spectrum, 2.0 * h))
-        ranks.append(int(support_mask(np.linalg.eigvalsh(bracket)).sum()))
-    return ranks
+    """How many singular values each order's closing factor keeps."""
+    eye = np.eye(x.rho.dim)
+    return [_kept_count(lo._kraus_products(x, (1.0 - a) / 2.0, eye)) for a in orders]
 
 
 class TestRankDeficient:
-    ORDERS = (0.5, 1.5, 3.0)
+    ORDERS = (0.5, 1.5, 3.0, 5.0)
 
     @pytest.mark.parametrize("reading", ["state", "triple"])
     def test_supports_differ_between_slices(self, reading):
         state = _product_state()
         x = state if reading == "state" else cmi_as_triple(state)
         assert not state.is_positive_definite()
-        assert _closing_ranks(x, self.ORDERS) == [4, 4, 2]
+        assert _closing_ranks(x, self.ORDERS) == [4, 4, 4, 2]
         assert fn.channel_trace_value_grid(x, self.ORDERS) == [
             lo.channel_trace_value(x, a) for a in self.ORDERS
         ]
@@ -199,14 +204,15 @@ class TestRankDeficient:
                 oracle(x, a, strict=False) for a in orders + self.ORDERS
             ]
 
-    def test_output_fixed_point_drops_a_value_at_one_order(self):
+    def test_output_fixed_point_keeps_a_small_value_at_every_order(self):
+        # rho^1.75 has a 1e-14 eigenvalue, which a cutoff on the formed
+        # operator dropped at that order; V's singular value is 1e-7
         x = _identity_triple()
-        ranks = [int(support_mask(np.linalg.eigvalsh(lo.power(x.rho.spectrum, a))).sum())
-                 for a in PETZ_ALPHA_GRID]
-        assert ranks == [4, 4, 4, 4, 4, 3]
-        assert fn.output_fixed_point_residual_grid(x, PETZ_ALPHA_GRID) == [
-            lo.output_fixed_point_residual(x, a) for a in PETZ_ALPHA_GRID
-        ]
+        ranks = [_kept_count(lo.output_factor(x, a)) for a in PETZ_ALPHA_GRID]
+        assert ranks == [4] * 6
+        residuals = fn.output_fixed_point_residual_grid(x, PETZ_ALPHA_GRID)
+        assert residuals == [lo.output_fixed_point_residual(x, a) for a in PETZ_ALPHA_GRID]
+        assert max(residuals) <= 1e-14
 
     def test_rank_deficient_triple_off_strict(self):
         x = _triple(7, rho_rank=2, sigma_rank=3)
@@ -220,8 +226,10 @@ class TestRankDeficient:
 
 
 class TestAgainstTheBracket:
-    """The dense formula Tr{rho^alpha bracket} is an independent reading of
-    the Renyi difference; on full-rank inputs the two agree within 1e-12."""
+    """The dense bracket is an independent reading: of the Renyi difference
+    through Tr{rho^alpha bracket}, and of every closing family through the
+    bracket's own eigh.  On full-rank inputs they agree with the library
+    within 1e-12 (times the closing exponent, for the closings)."""
 
     @staticmethod
     def _gap(x, orders):
@@ -238,6 +246,22 @@ class TestAgainstTheBracket:
         for seed in range(4):
             assert self._gap(_triple(seed), PETZ_ALPHA_GRID) <= 1e-12
 
+    @pytest.mark.parametrize("family", TRACE_FAMILIES + TRIPLE_FAMILIES,
+                             ids=_grid_ids(TRACE_FAMILIES + TRIPLE_FAMILIES))
+    def test_closings_against_the_dense_bracket(self, family):
+        # the dense bracket raised to its closing power through its own eigh;
+        # the closing exponent, up to 1e4 at 1 +- 1e-4, scales its round-off
+        grid, _, oracle, orders = family
+        xs = [_triple(seed) for seed in range(4)]
+        if family in TRACE_FAMILIES:
+            xs += [x for dims in DIMS for x in _both_readings(dims, 0)]
+        else:
+            xs += [cmi_as_triple(_state(dims, 5)) for dims in DIMS]
+        for x in xs:
+            for got, a in zip(grid(x, orders), orders):
+                budget = 1e-12 * max(1.0, 1.0 / abs(1.0 - a))
+                assert abs(got - oracle(x, a, dense=True)) <= budget
+
 
 class TestMarkovChainIsZero:
     """rho_A x |0><0| x rho_C is a Markov chain, so every Renyi difference of
@@ -253,6 +277,21 @@ class TestMarkovChainIsZero:
         x = state if reading == "state" else cmi_as_triple(state)
         values = family[0](x, (0.5, 1.5, 1.75, 3.0), strict=False)
         assert max(abs(v) for v in values) <= SLACK_FLOOR
+
+
+class TestMarkovChainTraceIsOne:
+    """The same chain's trace values are one, on either reading and in
+    either form.  Closed through the dense bracket they were 1e-7 at
+    alpha = 3: the cutoff on the bracket's eigenvalues, the squares of the
+    factor's singular values, dropped two of its four directions."""
+
+    @pytest.mark.parametrize("reading", ["state", "triple"])
+    @pytest.mark.parametrize("sandwiched", [False, True], ids=["plain", "sandwiched"])
+    def test_rank_deficient_chain(self, reading, sandwiched):
+        state = _product_state()
+        x = state if reading == "state" else cmi_as_triple(state)
+        values = fn.channel_trace_value_grid(x, (1.75, 3.0), sandwiched=sandwiched)
+        assert max(abs(v - 1.0) for v in values) <= 1e-8
 
 
 def _loop_error(oracle, x, orders, **kwargs):

@@ -201,16 +201,18 @@ class TestDecompositionCounts:
 
     def test_one_trial_verify(self, eigh_calls):
         run_suites(SUITE_NAMES, SuiteConfig(trials=1, seed=42))
-        # each order grid closes its brackets with one stacked eigh
+        # each order grid closes its brackets with one stacked svd
         assert len(eigh_calls) <= 150
         assert eigh_calls.calls <= 68
 
-    def test_grid_closes_its_brackets_in_one_call(self, eigh_calls):
+    def test_grid_closes_its_brackets_in_one_svd(self, eigh_calls, monkeypatch):
+        svd_args = _spy(monkeypatch, "svd")
         state = _state()
         channel_trace_value_grid(state, SIX_ORDERS)
-        # rho_AC, rho_BC and I_B x rho_C, then one call on the six brackets
-        assert len(eigh_calls) == 3 + 6
-        assert eigh_calls.calls == 3 + 1
+        # rho_AC, rho_BC and I_B x rho_C, then one svd of the six closing
+        # factors; no bracket is decomposed by eigh
+        assert len(eigh_calls) == eigh_calls.calls == 3
+        assert [a.shape for a in svd_args] == [(6, 12, 12)]
 
 
 class TestSupportCache:
@@ -299,13 +301,13 @@ class TestBuiltOnce:
     def test_kraus_wedge_squares_to_the_wedged_pull(self, make):
         # sum_i (K_i w v)† y y† (K_i w v) = v† w N†(y y†) w v
         x = make()
-        y = x.out_sigma_spectrum.powers([0.3]) @ x.out_rho_spectrum.powers([-0.2])
-        fs = [lambda v: v**0.4]
+        y = x.out_sigma_spectrum.power(0.3) @ x.out_rho_spectrum.power(-0.2)
+        f = lambda v: v**0.4  # noqa: E731
         v = x.rho.root()
-        blocks = y.conj().swapaxes(-1, -2)[:, None] @ x.kraus_wedge(fs, v)
+        blocks = y.conj().T @ x.kraus_wedge([f], v)[0]
         np.testing.assert_allclose(
-            np.sum(blocks.conj().swapaxes(-1, -2) @ blocks, axis=1),
-            v.conj().T @ x.wedged_pull(fs, y @ y.conj().swapaxes(-1, -2)) @ v,
+            np.sum(blocks.conj().swapaxes(-1, -2) @ blocks, axis=0),
+            v.conj().T @ x.wedged_pull(f, y @ y.conj().T) @ v,
             atol=1e-12,
         )
 

@@ -122,6 +122,15 @@ class TestTrivialSubsystem:
         assert sum(int(line.split("(")[1].split()[0]) for line in counts) == 152
 
 
+def test_output_fixed_point_of_seed_872(capsys):
+    """A one-trial verify on seed 872 failed sufficiency-output-fixed-point
+    (worst slack -3.33e-08): the operator closed through its formed product
+    dropped an eigenvalue that its factor keeps."""
+    assert main(["verify", "--suite", "all", "--dims", "2,2,2", "--trials", "1",
+                 "--seed", "872"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "suite_fn",
     [trace_inequality_suite, characterization_suite, limit_suite, inequality_suite],
