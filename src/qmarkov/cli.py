@@ -25,10 +25,8 @@ from .measures import (
     minmax_cmi,
     minmax_rel_ent_diff,
     rel_ent_diff,
-    renyi_cmi,
-    renyi_rel_ent_diff,
-    sandwiched_cmi,
-    sandwiched_rel_ent_diff,
+    renyi_rel_ent_diff_grid,
+    sandwiched_rel_ent_diff_grid,
     von_neumann_cmi,
 )
 from .serialization import (
@@ -51,24 +49,30 @@ class Measure(NamedTuple):
 
     on_state: bool  # a tripartite --state, else the --rho/--sigma/--channel triple
     certified: str | None  # the AlphaParameter property naming its certified orders
-    evaluate: Callable[..., float]  # (target, alpha) -> bits
+    # (target, orders) -> bits at each order; an order-free measure is given
+    # one order, which it ignores
+    evaluate: Callable[..., list[float]]
 
 
 # The CLI evaluates on the support rather than refusing rank-deficient inputs;
 # the verify command is where the certified claims are checked.
 MEASURES = {
-    "cmi": Measure(True, None, lambda t, a: von_neumann_cmi(t)),
-    "renyi-cmi": Measure(True, "petz_ok", lambda t, a: renyi_cmi(t, a, strict=False)),
+    "cmi": Measure(True, None, lambda t, alphas: [von_neumann_cmi(t)]),
+    "renyi-cmi": Measure(True, "petz_ok",
+                         lambda t, alphas: renyi_rel_ent_diff_grid(t, alphas, strict=False)),
     "sand-cmi": Measure(True, "sandwiched_ok",
-                        lambda t, a: sandwiched_cmi(t, a, strict=False)),
-    "imax": Measure(True, None, lambda t, a: minmax_cmi(t, "max", strict=False)),
-    "imin": Measure(True, None, lambda t, a: minmax_cmi(t, "min", strict=False)),
-    "red": Measure(False, None, lambda t, a: rel_ent_diff(t)),
-    "delta": Measure(False, "petz_ok", lambda t, a: renyi_rel_ent_diff(t, a, strict=False)),
+                        lambda t, alphas: sandwiched_rel_ent_diff_grid(t, alphas, strict=False)),
+    "imax": Measure(True, None, lambda t, alphas: [minmax_cmi(t, "max", strict=False)]),
+    "imin": Measure(True, None, lambda t, alphas: [minmax_cmi(t, "min", strict=False)]),
+    "red": Measure(False, None, lambda t, alphas: [rel_ent_diff(t)]),
+    "delta": Measure(False, "petz_ok",
+                     lambda t, alphas: renyi_rel_ent_diff_grid(t, alphas, strict=False)),
     "delta-tilde": Measure(False, "sandwiched_ok",
-                           lambda t, a: sandwiched_rel_ent_diff(t, a, strict=False)),
-    "delta-min": Measure(False, None, lambda t, a: minmax_rel_ent_diff(t, "min", strict=False)),
-    "delta-max": Measure(False, None, lambda t, a: minmax_rel_ent_diff(t, "max", strict=False)),
+                           lambda t, alphas: sandwiched_rel_ent_diff_grid(t, alphas, strict=False)),
+    "delta-min": Measure(False, None,
+                         lambda t, alphas: [minmax_rel_ent_diff(t, "min", strict=False)]),
+    "delta-max": Measure(False, None,
+                         lambda t, alphas: [minmax_rel_ent_diff(t, "max", strict=False)]),
 }
 
 
@@ -133,7 +137,7 @@ def _format_value(value: float, nats: bool) -> str:
 def cmd_compute(args) -> int:
     target = _load_inputs(args)
     alpha = _alpha_for(args)
-    value = MEASURES[args.measure].evaluate(target, alpha)
+    (value,) = MEASURES[args.measure].evaluate(target, (alpha,))
     print(_format_value(value, args.nats))
     return 0
 
@@ -218,20 +222,16 @@ def cmd_sweep(args) -> int:
     target = _load_inputs(args)
     grid = _parse_grid(args.alpha_grid)
     # the Renyi family is undefined at 1; that row reports the von Neumann value
+    orders = [AlphaParameter(a) for a in grid if abs(a - 1.0) >= 1e-9]
+    values = iter(measure.evaluate(target, orders))
     von_neumann = MEASURES["cmi" if measure.on_state else "red"]
-    header = "alpha,value_nats" if args.nats else "alpha,value_bits"
-    rows = [header]
-    # one library call per order: a stacked grid holds several (k, d, d)
-    # temporaries, 7.5 MB each for 10 orders at d = 216, and gains little.
-    # On a 216-dimensional triple (one BLAS thread) an 11-point delta sweep
-    # took 0.09-0.11 s either way; a delta-tilde grid saves only the
-    # per-order root of rho and U† G (0.14-0.20 s against 0.20-0.24 s)
+    rows = ["alpha,value_nats" if args.nats else "alpha,value_bits"]
     for alpha in grid:
         if abs(alpha - 1.0) < 1e-9:
-            rows.append(f"1.0,{_format_value(von_neumann.evaluate(target, None), args.nats)}")
-            continue
-        value = measure.evaluate(target, AlphaParameter(alpha))
-        rows.append(f"{alpha!r},{_format_value(value, args.nats)}")
+            (value,) = von_neumann.evaluate(target, (None,))
+            rows.append(f"1.0,{_format_value(value, args.nats)}")
+        else:
+            rows.append(f"{alpha!r},{_format_value(next(values), args.nats)}")
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(rows) + "\n")
     return 0

@@ -73,42 +73,51 @@ def as_alpha(a) -> AlphaParameter:
 def von_neumann_entropy(rho) -> float:
     """Entropy -Tr{rho log2 rho} over the support.
 
-    A PositiveOperator's entropy is read from the eigenvalues its validation
-    computed.
+    A PositiveOperator's entropy is read from its cached eigenvalues, any
+    other operand's from the same ``eigvalsh``.
     """
     if isinstance(rho, PositiveOperator):
         eigs = rho.eigenvalues
     else:
         eigs = np.linalg.eigvalsh(hermitian_part(as_matrix(rho)))
-    keep = support_mask(eigs)
-    (logs,) = finite_rows((eigs[keep],), (np.log2,))
-    return float(-np.sum(eigs[keep] * logs))
+    return _entropy(eigs)
+
+
+def _entropy(eigs: np.ndarray) -> float:
+    """-sum lambda log2 lambda over the eigenvalues ``support_mask`` keeps."""
+    kept = eigs[support_mask(eigs)]
+    (logs,) = finite_rows((kept,), (np.log2,))
+    return float(-np.sum(kept * logs))
 
 
 def rel_entropy(rho, sigma) -> float:
     """Quantum relative entropy Tr{rho (log2 rho - log2 sigma)}.
 
-    Returns +inf when supp(rho) is not contained in supp(sigma).
+    Returns +inf when supp(rho) is not contained in supp(sigma).  rho is
+    read through its eigenvalues and its matrix, never its eigenvectors, on
+    any operand and whether or not its decomposition is cached: Tr rho
+    log2 rho is minus its entropy (``von_neumann_entropy``, one
+    ``eigvalsh``), and Tr rho log2 sigma = sum_j log2 q_j <b_j|rho|b_j>
+    over sigma's kept eigenpairs (q_j, b_j), read from sigma's
+    decomposition.
     """
     a, _ = matrix_pair(rho, sigma)
     dec_b = spectrum_of(sigma)
     if not dec_b.supports(a):
         return math.inf
-    return _rel_entropy_on_support(spectrum_of(rho), dec_b)
+    return -von_neumann_entropy(rho) - _cross_entropy(a, dec_b)
 
 
-def _rel_entropy_on_support(
-    dec_a: SpectralDecomposition, dec_b: SpectralDecomposition
-) -> float:
-    """Tr{rho (log2 rho - log2 sigma)} from the two decompositions.
+def _cross_entropy(a: np.ndarray, dec_b: SpectralDecomposition) -> float:
+    """Tr{rho log2 sigma} = sum_j log2 q_j <b_j|rho|b_j> for the matrix
+    ``a`` of rho and the kept eigenpairs (q_j, b_j) of sigma.
 
     The caller has checked that supp(rho) lies in supp(sigma).
     """
-    _, p, va = dec_a.support
     _, q, vb = dec_b.support
-    log_p, log_q = finite_rows((p, q), (np.log2, np.log2))
-    overlaps = np.abs(va.conj().T @ vb) ** 2  # |<a_i|b_j>|^2
-    return float(np.sum(p * log_p) - np.sum((p[:, None] * overlaps) * log_q[None, :]))
+    (log_q,) = finite_rows((q,), (np.log2,))
+    diagonal = (vb.conj() * (a @ vb)).sum(axis=0).real  # <b_j|rho|b_j>
+    return float(np.sum(diagonal * log_q))
 
 
 def renyi_rel_entropy(rho, sigma, a) -> float:

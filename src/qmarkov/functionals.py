@@ -7,7 +7,8 @@ logarithms of rho, N(rho) and N(sigma) are read from the decompositions the
 triple or state caches, so a sweep over orders decomposes each once, and the
 exp-log operator is read from ``exp_log_sum``, built once per object.  Each
 order-dependent functional has a grid form that closes the operators of all
-its orders with one stacked ``svd`` of their Kraus-block factors, so no
+its orders with one stacked ``svd`` of their Kraus-block factors, which the
+differences' kernel (``_kraus_products``) forms one order at a time, so no
 bracket is formed; its values equal the one-order evaluation bit for bit.
 Every order is checked by ``as_alpha`` before any is evaluated.
 """
@@ -30,8 +31,17 @@ def _closed_brackets(x, alphas, sandwiched: bool, closing) -> np.ndarray:
     W† = ``_kraus_products(x, hs, I)``, closed from W's singular values."""
     alphas = [as_alpha(a).alpha for a in alphas]
     hs = [(1.0 - a) / 2.0 / a if sandwiched else (1.0 - a) / 2.0 for a in alphas]
-    factors = _kraus_products(x, hs, np.eye(x.rho.dim))
-    return gram_pows(factors.conj().swapaxes(-1, -2), [closing(a) for a in alphas])
+    factors = (w.conj().T for w in _kraus_products(x, hs, np.eye(x.rho.dim)))
+    return _gram_closings(factors, [closing(a) for a in alphas], x.rho.dim)
+
+
+def _gram_closings(factors, ps, dim: int) -> np.ndarray:
+    """The (k, dim, dim) stack of (W W†)^p for the k factors W of ``factors``
+    and p of ``ps``, from one stacked ``svd``."""
+    factors = list(factors)
+    if not factors:
+        return np.empty((0, dim, dim), dtype=complex)
+    return gram_pows(np.stack(factors), ps)
 
 
 def channel_trace_value(
@@ -77,7 +87,9 @@ def lie_trotter_deviation(x: ChannelTriple | TripartiteState, alpha: float) -> f
     state these are (rho_AC^((1-a)/2) rho_C^((a-1)/2) rho_BC^(1-a)
     rho_C^((a-1)/2) rho_AC^((1-a)/2))^(1/(1-a)) and
     exp(log rho_AC + log rho_BC - log rho_C).  The gap vanishes as alpha
-    approaches 1.
+    approaches 1 when the inputs are positive definite.  Otherwise it need
+    not: the closed bracket lives on its support, while the exponential is
+    1 on the kernel of the logarithms.
     """
     return lie_trotter_deviation_grid(x, (alpha,))[0]
 
@@ -130,12 +142,15 @@ def output_fixed_point_residual_grid(triple: ChannelTriple, alphas) -> list[floa
     hs = [(1.0 - a) / 2.0 for a in alphas]
     _, kept, v = triple.rho.spectrum.support
     weights = finite_rows([kept] * len(alphas), [_power_of(a / 2.0) for a in alphas])
-    blocks = triple.kraus_wedge([_power_of(h) for h in hs], v)
-    k, r, d_out, n = blocks.shape
-    blocks = blocks * np.reshape(weights, (k, 1, 1, n))
-    factors = triple.out_sigma_spectrum.powers([-h for h in hs])[:, None] @ blocks
-    factors = factors.swapaxes(1, 2).reshape(k, d_out, r * n)
-    return spectral_norms(gram_pows(factors, [1.0 / a for a in alphas]) - triple.out_rho)
+    blocks = triple.kraus_wedges([_power_of(h) for h in hs], v)
+    powers = triple.out_sigma_spectrum.powers([-h for h in hs])
+    d_out = triple.out_rho.shape[0]
+    factors = (
+        (p @ (b * w)).swapaxes(0, 1).reshape(d_out, -1)
+        for p, b, w in zip(powers, blocks, weights)
+    )
+    closed = _gram_closings(factors, [1.0 / a for a in alphas], d_out)
+    return spectral_norms(closed - triple.out_rho)
 
 
 def log_identity_residual(triple: ChannelTriple) -> float:

@@ -17,7 +17,10 @@ numpy's stacked ``matmul``, ``eigh`` and ``svd`` loop over the slices and
 make the same BLAS or LAPACK call on each as on a lone matrix, and every
 scalar function is evaluated per slice, so each slice equals its
 two-dimensional result bit for bit.  The two-dimensional forms are the
-stacks of one.
+stacks of one.  A stack holds all k slices at once, so the Renyi
+differences stack only their small order-dependent factors and reduce each
+order's d-sized Kraus-block product on its own, e.g. with one
+two-dimensional ``svd``.
 """
 
 from __future__ import annotations

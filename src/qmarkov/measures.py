@@ -12,12 +12,12 @@ sandwiched and min/max CMI is a call to its difference counterpart.  The
 difference formulas read only a few members of their argument: N(rho),
 N(sigma), the spectrum of sigma, f(sigma) N†(inner) f(sigma)
 (``wedged_pull``, for the Petz map alone), and the Kraus blocks
-[K_i f(sigma) v]_i (``kraus_wedge``), through which both Renyi differences
+[K_i f(sigma) v]_i (``kraus_wedges``), through which both Renyi differences
 and every closed bracket of ``functionals`` read the channel and sigma.  A
 ``TripartiteState`` answers each from its marginals, so the triple is never
 built.  The state's products are structured: f(sigma) = f(rho_AC) x I_B
 and N†(x) = I_A x x are applied by reshaped matmuls, and neither factor is
-formed on A x B x C.  ``kraus_wedge`` forms no f(sigma) at all, on either
+formed on A x B x C.  ``kraus_wedges`` forms no f(sigma) at all, on either
 reading: it applies U†, the values f(s) and then U (K U on a triple) in
 turn, with U and s sigma's kept eigenpairs.  ``cmi_as_triple`` builds the
 triple densely, so the reduction can be tested against an independent
@@ -36,6 +36,9 @@ evaluating many orders on one object decomposes each operator once.  A
 cache lives as long as its object, and the cached arrays are read-only.
 The Renyi difference reads rho through its kept eigenpairs, as
 sum_j lambda_j^alpha times a sum of squares, so rho^alpha is never formed.
+The relative entropy D(rho||sigma) reads rho through its eigenvalues and
+its matrix alone (``rel_entropy``), so the von Neumann difference does not
+decompose rho.
 The sandwiched formulas read rho only through a square-root factor,
 ``rho.root()``, which is a Cholesky factor when rho is full rank, so they
 do not decompose rho at all.  The min
@@ -46,15 +49,21 @@ through its Cholesky factor whenever the cached spectra bound cond(R) by
 when R may be rank deficient or ill conditioned do they decompose it.
 
 Each Renyi family also has a grid form (``renyi_rel_ent_diff_grid``,
-``sandwiched_rel_ent_diff_grid``) that evaluates a tuple of orders as one
-stack: the powers of each output decomposition and the Kraus blocks at the
-k orders form one array each.  Its values equal the one-order evaluation
-bit for bit, and the one-order function is the grid of one order.
+``sandwiched_rel_ent_diff_grid``) that evaluates a tuple of orders in one
+call.  What no order changes (the root of rho, U† v for sigma's kept
+eigenvectors U, and K U) is formed once per call; the small
+order-dependent factors (the powers of each output decomposition and the
+values s^h at the k orders) form one array each; and then each order's
+Kraus-block product is formed and reduced before the next, so the peak
+memory holds one product of size r d_out x n whatever k is.  Its values
+equal the one-order evaluation bit for bit, and the one-order function is
+the grid of one order.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -63,7 +72,8 @@ import numpy as np
 from .channels import Channel, adjoint_apply, apply_channel, is_strict_cptp, partial_trace_channel
 from .divergences import (
     AlphaParameter,
-    _rel_entropy_on_support,
+    _cross_entropy,
+    _entropy,
     as_alpha,
     max_rel_entropy,
     rel_entropy,
@@ -91,7 +101,6 @@ from .linalg import (
     log2_power_sum,
     partial_trace,
     read_only,
-    stacked_singular_values,
 )
 from .states import Decomposed, DensityOperator, PositiveOperator
 
@@ -208,7 +217,7 @@ class TripartiteState(_CachedSpectra):
         """The stack of f(rho_AC x I_B) = f(rho_AC) x I_B on the support, one
         slice per f in ``fs``, as dense operators on A x B x C.  Only the log
         sums read it; the Renyi products take f(rho_AC) x I_B in factored
-        form (``wedged_pull``, ``kraus_wedge``)."""
+        form (``wedged_pull``, ``kraus_wedges``)."""
         return embed_operator(self.sigma_spectrum.apply_all(fs), self.dims, (0, 2))
 
     def sigma_supports_rho(self) -> bool:
@@ -235,23 +244,27 @@ class TripartiteState(_CachedSpectra):
         t = x.reshape(d, d_a, d_b, d_c).swapaxes(1, 2).reshape(d * d_b, d_a * d_c) @ w
         return t.reshape(d, d_b, d_a, d_c).swapaxes(1, 2).reshape(d, d)
 
-    def kraus_wedge(self, fs, v) -> np.ndarray:
-        """The stack [K_i f(sigma) v]_i for a (d, n) ``v``, shape
-        (k, d_A, d_B d_C, n) with one slice per f in ``fs``.
+    def kraus_wedges(self, fs, v) -> Iterator[np.ndarray]:
+        """The blocks [K_i f(sigma) v]_i for a (d, n) ``v``, one (d_A, d_B d_C,
+        n) array per f in ``fs``, formed in turn.
 
-        The Kraus operators of Tr_A are K_i = <i|_A x I_BC, so the stack is
+        The Kraus operators of Tr_A are K_i = <i|_A x I_BC, so a block is
         (f(rho_AC) x I_B) v with its rows read as (A, B C).  It is formed as
-        (U f(s) U† x I_B) v, U and s the kept eigenpairs of rho_AC, by
-        batched matmuls on v read as (a c, b n) and one transpose, so
-        f(rho_AC) is not formed either: a dense f(rho_AC) carries the
-        round-off of its largest values into every direction.
+        (U f(s) U† x I_B) v, U and s the kept eigenpairs of rho_AC, by one
+        matmul on v read as (a c, b n) and one transpose, so f(rho_AC) is
+        not formed either: a dense f(rho_AC) carries the round-off of its
+        largest values into every direction.
         """
         d_a, d_b, d_c = self.dims
-        k, n = len(fs), v.shape[-1]
+        n = v.shape[-1]
         v = v.reshape(d_a, d_b, d_c, n).swapaxes(1, 2).reshape(d_a * d_c, d_b * n)
+        fvals, coordinates = _kept_factors(self.sigma_spectrum, fs, v)
         u = self.sigma_spectrum.support[2]
-        t = (u @ _kept_coefficients(self.sigma_spectrum, fs, v)).reshape(k, d_a, d_c, d_b, n)
-        return t.swapaxes(2, 3).reshape(k, d_a, d_b * d_c, n)
+        return (
+            (u @ (f[:, None] * coordinates)).reshape(d_a, d_c, d_b, n).swapaxes(1, 2)
+            .reshape(d_a, d_b * d_c, n)
+            for f in fvals
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,24 +332,26 @@ class ChannelTriple(_CachedSpectra):
         u = self.sigma_spectrum.support[2]
         return read_only(np.concatenate(self.channel.kraus) @ u)
 
-    def kraus_wedge(self, fs, v) -> np.ndarray:
-        """The stack [K_i f(sigma) v]_i for a (d, n) ``v``, shape
-        (k, r, d_out, n) with one slice per f in ``fs``.
+    def kraus_wedges(self, fs, v) -> Iterator[np.ndarray]:
+        """The blocks [K_i f(sigma) v]_i for a (d, n) ``v``, one (r, d_out, n)
+        array per f in ``fs``, formed in turn.
 
-        With U and s sigma's kept eigenvectors and eigenvalues this is
+        With U and s sigma's kept eigenvectors and eigenvalues a block is
         (K U) f(s) (U† v), so f(sigma) is never formed.
         """
-        t = self.kraus_sigma_basis @ _kept_coefficients(self.sigma_spectrum, fs, v)
-        return t.reshape(len(fs), len(self.channel.kraus), self.channel.dim_out, v.shape[-1])
+        fvals, coordinates = _kept_factors(self.sigma_spectrum, fs, v)
+        shape = (len(self.channel.kraus), self.channel.dim_out, v.shape[-1])
+        return (
+            (self.kraus_sigma_basis @ (f[:, None] * coordinates)).reshape(shape) for f in fvals
+        )
 
 
-def _kept_coefficients(dec: SpectralDecomposition, fs, v) -> np.ndarray:
-    """f(s) U† v for the kept eigenvalues s and eigenvectors U of ``dec``:
-    a (k, rank, n) stack, one slice per f in ``fs``, so that U f(s) U† v is
-    one more matmul."""
+def _kept_factors(dec: SpectralDecomposition, fs, v) -> tuple[list[np.ndarray], np.ndarray]:
+    """The order-free half of U f(s) U† v for the kept eigenvalues s and
+    eigenvectors U of ``dec``: the values f(s) for every f in ``fs``, checked
+    before any is used, and the coordinates U† v, formed once."""
     _, kept, u = dec.support
-    fvals = np.reshape(finite_rows([kept] * len(fs), fs), (len(fs), kept.size, 1))
-    return fvals * (u.conj().T @ v)
+    return finite_rows([kept] * len(fs), fs), u.conj().T @ v
 
 
 def cmi_as_triple(state: TripartiteState) -> ChannelTriple:
@@ -442,7 +457,11 @@ def rel_ent_diff(triple: ChannelTriple) -> float:
     out_sigma = triple.out_sigma_spectrum
     if not out_sigma.supports(triple.out_rho):
         return -math.inf
-    return first - _rel_entropy_on_support(triple.out_rho_spectrum, out_sigma)
+    # N(rho)'s eigenvalues are read from the decomposition the Renyi formulas share
+    second = (
+        -_entropy(triple.out_rho_spectrum.eigenvalues) - _cross_entropy(triple.out_rho, out_sigma)
+    )
+    return first - second
 
 
 def _condition_number(dec: SpectralDecomposition) -> float:
@@ -482,33 +501,31 @@ def renyi_rel_ent_diff(
 def renyi_rel_ent_diff_grid(
     triple: ChannelTriple | TripartiteState, alphas, strict: bool = True
 ) -> list[float]:
-    """``renyi_rel_ent_diff`` at each order of ``alphas``, evaluated as one stack.
+    """``renyi_rel_ent_diff`` at each order of ``alphas``.
 
     With (lambda_j, v_j) the kept eigenpairs of rho and h = (1-alpha)/2,
     the trace is sum_j lambda_j^alpha sum_i |Y† K_i sigma^h v_j|^2, where
     Y Y† = N(sigma)^(-h) N(rho)^(2h) N(sigma)^(-h) (``_kraus_products``):
     rho^alpha, sigma^h and the bracket are never formed, and every term of
     the sum is non-negative.  Every order is checked before any is
-    evaluated, and each value equals the one-order evaluation bit for bit.
-    A trace that overflows float64 (a large order) raises
-    MatrixFunctionDomainError.
+    evaluated, the orders are then summed one at a time, and each value
+    equals the one-order evaluation bit for bit.  A trace that overflows
+    float64 (a large order) raises MatrixFunctionDomainError.
     """
     checked = [_checked_alpha(triple, a, strict) for a in alphas]
     _, kept, v = triple.rho.spectrum.support
     weights = finite_rows([kept] * len(checked), [_power_of(a.alpha) for a in checked])
+    values = []
     with np.errstate(over="ignore", invalid="ignore"):
         products = _kraus_products(triple, [(1.0 - a.alpha) / 2.0 for a in checked], v)
-        squares = (products * products.conj()).real
-        values = np.sum(squares * np.reshape(weights, (len(checked), 1, kept.size)), axis=(1, 2))
-    for a, value in zip(checked, values):
-        if not math.isfinite(value):
-            raise MatrixFunctionDomainError(
-                f"the Renyi trace at alpha {a.alpha} overflows float64"
-            )
-    return [
-        math.inf if value <= 0.0 else float(np.log2(value) / (a.alpha - 1.0))
-        for a, value in zip(checked, values)
-    ]
+        for a, w, product in zip(checked, weights, products):
+            value = ((product * product.conj()).real * w).sum()
+            if not math.isfinite(value):
+                raise MatrixFunctionDomainError(
+                    f"the Renyi trace at alpha {a.alpha} overflows float64"
+                )
+            values.append(math.inf if value <= 0.0 else float(np.log2(value) / (a.alpha - 1.0)))
+    return values
 
 
 def sandwiched_rel_ent_diff(
@@ -534,35 +551,39 @@ def sandwiched_rel_ent_diff(
 def sandwiched_rel_ent_diff_grid(
     triple: ChannelTriple | TripartiteState, alphas, strict: bool = True
 ) -> list[float]:
-    """``sandwiched_rel_ent_diff`` at each order of ``alphas``, evaluated as
-    one stack.
+    """``sandwiched_rel_ent_diff`` at each order of ``alphas``.
 
-    Every order is checked before any is evaluated, and each value equals the
-    one-order evaluation bit for bit.
+    Every order is checked before any is evaluated, each order's product is
+    reduced to its singular values before the next is formed, and each value
+    equals the one-order evaluation bit for bit.
     """
     checked = [_checked_alpha(triple, a, strict) for a in alphas]
     hs = [(1.0 - a.alpha) / (2.0 * a.alpha) for a in checked]
-    products = _kraus_products(triple, hs, triple.rho.root())
     values = []
-    for a, svs in zip(checked, stacked_singular_values(products)):
-        log_value = log2_power_sum(svs, 2.0 * a.alpha)
+    for a, product in zip(checked, _kraus_products(triple, hs, triple.rho.root())):
+        # log2_power_sum keeps the singular values above the support cutoff
+        log_value = log2_power_sum(np.linalg.svd(product, compute_uv=False), 2.0 * a.alpha)
         values.append(math.inf if log_value == -math.inf else float(log_value / (a.alpha - 1.0)))
     return values
 
 
-def _kraus_products(x, hs, v) -> np.ndarray:
-    """The (k, r d_out, n) stack of Y† K_i sigma^h v, blocks i stacked by
-    rows, with Y = N(sigma)^(-h) N(rho)^h, one slice per h in ``hs``.
+def _kraus_products(x, hs, v) -> Iterator[np.ndarray]:
+    """The (r d_out, n) products Y† K_i sigma^h v, blocks i stacked by rows,
+    with Y = N(sigma)^(-h) N(rho)^h, one per h in ``hs``, formed in turn.
 
     Both Renyi differences and every closed bracket read the channel and
     sigma only through this: for Z = [K_1† Y, ..., K_r† Y], Z Z† = N†(Y Y†),
-    and the slice is Z† sigma^h v.  ``x`` is a ChannelTriple or a
+    and the product is Z† sigma^h v.  What no order changes (U† v and, on
+    a triple, K U) is formed once; the small order-dependent factors (the
+    output powers and the values s^h) are formed for every order at once,
+    and checked, before the first product, so only one product of size
+    r d_out x n exists at a time.  ``x`` is a ChannelTriple or a
     TripartiteState.
     """
-    y = x.out_sigma_spectrum.powers([-h for h in hs]) @ x.out_rho_spectrum.powers(hs)
-    wedged = x.kraus_wedge([_power_of(h) for h in hs], v)
-    k, r, d_out, n = wedged.shape
-    return (y.conj().swapaxes(-1, -2)[:, None] @ wedged).reshape(k, r * d_out, n)
+    ys = x.out_sigma_spectrum.powers([-h for h in hs]) @ x.out_rho_spectrum.powers(hs)
+    adjoints = ys.conj().swapaxes(-1, -2)
+    wedges = x.kraus_wedges([_power_of(h) for h in hs], v)
+    return ((y @ w).reshape(-1, w.shape[-1]) for y, w in zip(adjoints, wedges))
 
 
 def _recovery_divergence(x, kind: str) -> float:

@@ -1,17 +1,17 @@
 """The order-grid families evaluated one order, and one matrix, at a time.
 
-The library evaluates a grid of Renyi orders as one stack: the powers of a
-cached decomposition at k orders form one (k, d, d) array, and the k closing
-powers are read from one stacked ``svd`` of their Kraus-block factors.  The
-functions here evaluate one order at a time with two-dimensional numpy
-calls only, in the order the per-order formulas read, and close every
-bracket from its own factor's ``svd``.  A stacked grid must equal them bit
-for bit (``==``), not merely within a tolerance.  They read the operators'
-cached decompositions, the channel and the order checks from the library,
-which a grid does not change.  On a state they form the products with
-f(rho_AC) x I_B and I_A x x as the library does, by reshaped matmuls that
-never build a factor on A x B x C, one order at a time.  All outputs are in
-bits.
+The library evaluates a grid of Renyi orders in one call: the powers of a
+cached decomposition at k orders form one (k, d, d) array, the order-free
+factors are formed once, and the k closing powers are read from one
+stacked ``svd`` of their Kraus-block factors.  The functions here evaluate
+one order at a time with two-dimensional numpy calls only, in the order the
+per-order formulas read, and close every bracket from its own factor's
+``svd``.  A grid must equal them bit for bit (``==``), not merely within a
+tolerance.  They read the operators' cached decompositions, the channel and
+the order checks from the library, which a grid does not change.  On a
+state they form the products with f(rho_AC) x I_B and I_A x x as the
+library does, by reshaped matmuls that never build a factor on A x B x C,
+one order at a time.  All outputs are in bits.
 
 The two Renyi differences read the channel and sigma through the blocks
 Y† K_i f(sigma) v, as the library does, and so do the closed brackets: the

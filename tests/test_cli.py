@@ -650,6 +650,28 @@ class TestSweep:
         lines = out.read_text().splitlines()
         assert lines == ["alpha,value_bits", expected[0], f"1.0,{red}", expected[1]]
 
+    def test_order_failing_part_way_exits_two(self, tmp_path, capsys):
+        # the plain trace overflows from alpha = 200 on, and the orders below
+        # it evaluate: the sweep reports the first failing order as compute
+        # does, and writes nothing
+        path = str(tmp_path / "state.json")
+        save_state(path, random_density((2, 2, 2), seed=7))
+        grid = (100.0, 150.0, 200.0, 250.0, 300.0)
+        codes, errors = [], []
+        for alpha in grid:
+            codes.append(main(["compute", "--measure", "renyi-cmi", "--state", path,
+                               "--alpha", repr(alpha), "--allow-uncertified"]))
+            errors.append(capsys.readouterr().err)
+        assert codes == [0, 0, 2, 2, 2]
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--measure", "renyi-cmi", "--state", path,
+                     "--alpha-grid", "100:300:50", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == errors[2]
+        assert captured.err.startswith("error:") and "alpha 200.0" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_unknown_measure_exits_two(self, correlated_state_file, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert main(["sweep", "--measure", "nope", "--state", correlated_state_file,

@@ -245,7 +245,7 @@ class TestStructuredProducts:
         wedge = embed_operator(state.sigma_spectrum.apply_all(self.FS), dims, (0, 2))
         # K_i = <i|_A x I_BC picks the rows whose A index is i
         expected = (wedge @ v).reshape(len(self.FS), dims[0], dims[1] * dims[2], 5)
-        got = state.kraus_wedge(self.FS, v)
+        got = np.stack(list(state.kraus_wedges(self.FS, v)))
         assert got.shape == expected.shape
         assert _close(got, expected)
 
@@ -259,4 +259,5 @@ class TestStructuredProducts:
             assert _close(state.wedged_pull(f, inner), triple.wedged_pull(f, inner))
         v = rng.standard_normal((state.rho.dim, 4)) + 1j * rng.standard_normal((state.rho.dim, 4))
         # the triple's Kraus operators of Tr_A are <i|_A x I_BC in the same order
-        assert _close(state.kraus_wedge(self.FS, v), triple.kraus_wedge(self.FS, v))
+        for got, expected in zip(state.kraus_wedges(self.FS, v), triple.kraus_wedges(self.FS, v)):
+            assert _close(got, expected)

@@ -7,6 +7,8 @@ grid orders lies within 2e-13 of the 50-digit value of the dense formula:
 the differences, the trace values and the three fixed-point residuals.  The
 Lie-Trotter deviation at 1 -+ 10^-k raises the bracket to 1/(1-alpha), up
 to 1e4, and stays within 2e-15 per unit of that exponent (9.5e-16 measured).
+On the rank-deficient chain it does not vanish: it is 1 - 1e-7 at every
+order, at 50 digits as in float64 (within 1e-14, 1.9e-15 measured).
 The chain's plain trace value at alpha = 3 reads sigma^(-1), and
 cond(sigma) is 1e7 there: it stays within 5e-9 (1.9e-9 measured), where a
 cutoff on the dense bracket made it 1e-7 instead of 1.
@@ -107,6 +109,19 @@ def test_fixed_point_residual(readings, grid, oracle, orders):
     xs, exact = readings
     got = grid(xs[-1], orders)  # the triple reading
     assert _within(got, [oracle(exact, a) for a in orders], [BUDGET] * len(orders))
+
+
+def test_lie_trotter_deviation_stays_on_a_rank_deficient_chain():
+    # the closed bracket is zero on its kernel, where exp_log_sum is 1, so
+    # the gap does not vanish as alpha -> 1 unless the inputs are positive
+    # definite: on the chain it is 1 - 1e-7 at every order, at 50 digits too
+    state = _product_state()
+    exact = mo.MpTriple(cmi_as_triple(state))
+    want = [mo.lie_trotter_deviation(exact, a) for a in TROTTER_ORDERS]
+    assert all(abs(w - (1.0 - 1e-7)) <= 1e-15 for w in want)
+    for x in (state, cmi_as_triple(state)):
+        got = fn.lie_trotter_deviation_grid(x, TROTTER_ORDERS)
+        assert _within(got, want, [1e-14] * len(TROTTER_ORDERS))
 
 
 @pytest.mark.parametrize("sandwiched", [False, True], ids=["plain", "sandwiched"])

@@ -6,7 +6,8 @@ Operators cache their eigendecomposition on first use (``rho.spectrum``,
 or state caches its recovered operator and its exp-log operator.  These
 tests count the matrices ``eigh`` decomposes (a stack of k counts k), the
 ``eigh`` calls, and the ``support_mask`` and ``herm_exp`` calls a sweep over
-orders makes, check that evaluation order cannot change a value, check
+orders makes, count the decompositions and Cholesky roots of a CLI sweep,
+check that evaluation order cannot change a value, check
 the kron-free embedding against the kron formula, and check that the cached
 arrays are read-only.
 """
@@ -21,6 +22,7 @@ from qmarkov import divergences as dv
 from qmarkov import linalg
 from qmarkov import measures as ms
 from qmarkov.channels import random_strict_channel
+from qmarkov.cli import main
 from qmarkov.errors import MatrixFunctionDomainError
 from qmarkov.functionals import (
     channel_trace_value,
@@ -46,6 +48,7 @@ from qmarkov.measures import (
     sandwiched_rel_ent_diff,
     von_neumann_cmi,
 )
+from qmarkov.serialization import load_state, save_channel, save_state
 from qmarkov.states import PositiveOperator, random_density
 from qmarkov.suites import SUITE_NAMES, SuiteConfig, run_suites
 
@@ -304,7 +307,8 @@ class TestBuiltOnce:
         y = x.out_sigma_spectrum.power(0.3) @ x.out_rho_spectrum.power(-0.2)
         f = lambda v: v**0.4  # noqa: E731
         v = x.rho.root()
-        blocks = y.conj().T @ x.kraus_wedge([f], v)[0]
+        (wedge,) = x.kraus_wedges([f], v)
+        blocks = y.conj().T @ wedge
         np.testing.assert_allclose(
             np.sum(blocks.conj().swapaxes(-1, -2) @ blocks, axis=0),
             v.conj().T @ x.wedged_pull(f, y @ y.conj().T) @ v,
@@ -368,9 +372,38 @@ class TestKrausWedge:
             sandwiched_rel_ent_diff(x, a)
         for grid in self.GRIDS:
             grid(x, SIX_ORDERS)
-        # rho, sigma, N(rho) and N(sigma) once each; one svd per call
+        # rho, sigma, N(rho) and N(sigma) once each; one singular-value
+        # slice per sandwiched order, whether called one order or a grid
         assert len(args["eigh"]) == 4
-        assert len(args["svd"]) == len(SIX_ORDERS) + 1
+        assert sum(a.size // np.prod(a.shape[-2:]) for a in args["svd"]) == 2 * len(SIX_ORDERS)
+
+
+class TestSweepDecompositions:
+    """``sweep`` makes one grid call for its orders besides 1: a delta-tilde
+    sweep decomposes sigma, N(rho) and N(sigma) once each and rho never; it
+    reads rho through one Cholesky root for every order and one eigvalsh for
+    the alpha = 1 row, and makes one svd per order."""
+
+    def test_delta_tilde_sweep(self, tmp_path, monkeypatch):
+        triple = _triple()
+        files = []
+        for name, save, obj in (("rho", save_state, triple.rho),
+                                ("sigma", save_state, triple.sigma),
+                                ("channel", save_channel, triple.channel)):
+            save(tmp_path / f"{name}.json", obj)
+            files += [f"--{name}", str(tmp_path / f"{name}.json")]
+        rho = load_state(tmp_path / "rho.json").matrix
+        sigma = load_state(tmp_path / "sigma.json", normalized=False).matrix
+        args = {name: _spy(monkeypatch, name) for name in ("eigh", "eigvalsh", "svd", "cholesky")}
+        grid = "0.6:1.6:0.1"  # ten orders besides 1
+        assert main(["sweep", "--measure", "delta-tilde", "--alpha-grid", grid,
+                     "--out", str(tmp_path / "sweep.csv")] + files) == 0
+        assert len(args["eigh"]) == 3
+        assert _slices_equal_to(args["eigh"], sigma) == 1
+        assert _slices_equal_to(args["eigh"], rho) == 0
+        assert _slices_equal_to(args["eigvalsh"], rho) == 1
+        assert _slices_equal_to(args["cholesky"], rho) == 1
+        assert [a.ndim for a in args["svd"]] == [2] * 10  # one matrix per order
 
 
 def _triple_measures():
@@ -423,6 +456,19 @@ class TestEvaluationOrder:
         reused = make()
         for name, measure in measures:
             assert measure(reused) == measure(make()), name
+
+    @pytest.mark.parametrize("grid", TestKrausWedge.GRIDS, ids=["renyi", "sandwiched"])
+    @pytest.mark.parametrize("kind", ["triple", "state"])
+    def test_sweep_then_von_neumann_equals_fresh_object(self, kind, grid):
+        # the Petz grid decomposes rho, the sandwiched one does not; the
+        # alpha = 1 row of a sweep reads rho's eigenvalues either way
+        make, von_neumann = {
+            "triple": (_triple, rel_ent_diff),
+            "state": (_state, von_neumann_cmi),
+        }[kind]
+        reused = make()
+        grid(reused, SIX_ORDERS)
+        assert von_neumann(reused) == von_neumann(make())
 
     def test_divergences_equal_on_operators_and_matrices(self):
         rho = random_density((4,), seed=3)
