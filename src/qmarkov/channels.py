@@ -15,6 +15,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
+from .linalg import hermitian_part
 from .states import seeded_rng
 
 TP_TOL = 1e-10
@@ -86,9 +87,13 @@ def adjoint_apply(channel: Channel, b) -> np.ndarray:
 
 
 def is_strict_cptp(channel: Channel, tol: float = 1e-10) -> bool:
-    """True iff N(I) is positive definite, i.e. N preserves positive definiteness."""
-    image = apply_channel(channel, np.eye(channel.dim_in))
-    eigs = np.linalg.eigvalsh((image + image.conj().T) / 2)
+    """True iff N(I) is positive definite, i.e. N preserves positive definiteness.
+
+    N(I) = sum_i K_i K_i† is formed directly; K_i I is K_i exactly, so it
+    equals ``apply_channel(channel, np.eye(dim_in))`` bit for bit.
+    """
+    image = sum(k @ k.conj().T for k in channel.kraus)
+    eigs = np.linalg.eigvalsh(hermitian_part(image))
     return bool(eigs[0] > tol)
 
 

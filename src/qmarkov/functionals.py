@@ -6,10 +6,13 @@ operator identities that characterize exact recoverability.  Powers and
 logarithms of rho, N(rho) and N(sigma) are read from the decompositions the
 triple or state caches, so a sweep over orders decomposes each once, and the
 exp-log operator is read from ``exp_log_sum``, built once per object.  Each
-order-dependent functional has a grid form that closes the operators of all
-its orders with one stacked ``svd`` of their Kraus-block factors, which the
-differences' kernel (``_kraus_products``) forms one order at a time, so no
-bracket is formed; its values equal the one-order evaluation bit for bit.
+order-dependent functional has a grid form that closes the operators of its
+orders from the singular values of their Kraus-block factors, so no bracket
+is formed.  The differences' kernel (``_kraus_products``) forms the factors
+in chunks of as many orders as fit in ``GRID_CHUNK_ENTRIES`` (one order when
+a factor is larger), and each chunk is closed with one stacked ``svd`` and
+reduced before the next is formed; the values equal the one-order
+evaluation bit for bit.
 Every order is checked by ``as_alpha`` before any is evaluated.
 """
 
@@ -25,23 +28,27 @@ from .measures import ChannelTriple, TripartiteState, _kraus_products
 LN2 = float(np.log(2.0))
 
 
-def _closed_brackets(x, alphas, sandwiched: bool, closing) -> np.ndarray:
-    """The channel-form bracket at each order a, h = (1-a)/2 (divided by a
-    when ``sandwiched``), raised to ``closing(a)``: the bracket is W W† for
-    W† = ``_kraus_products(x, hs, I)``, closed from W's singular values."""
+def _closed_brackets(x, alphas, sandwiched: bool, closing, reduce) -> list[float]:
+    """``reduce`` of the channel-form bracket at each order a, h = (1-a)/2
+    (divided by a when ``sandwiched``), raised to ``closing(a)``: the
+    bracket is W W† for W† = ``_kraus_products(x, hs, I)``, closed from W's
+    singular values."""
     alphas = [as_alpha(a).alpha for a in alphas]
     hs = [(1.0 - a) / 2.0 / a if sandwiched else (1.0 - a) / 2.0 for a in alphas]
-    factors = (w.conj().T for w in _kraus_products(x, hs, np.eye(x.rho.dim)))
-    return _gram_closings(factors, [closing(a) for a in alphas], x.rho.dim)
+    factors = (
+        (part, w.conj().swapaxes(-1, -2)) for part, w in _kraus_products(x, hs, np.eye(x.rho.dim))
+    )
+    return _closed_values(factors, [closing(a) for a in alphas], reduce)
 
 
-def _gram_closings(factors, ps, dim: int) -> np.ndarray:
-    """The (k, dim, dim) stack of (W W†)^p for the k factors W of ``factors``
-    and p of ``ps``, from one stacked ``svd``."""
-    factors = list(factors)
-    if not factors:
-        return np.empty((0, dim, dim), dtype=complex)
-    return gram_pows(np.stack(factors), ps)
+def _closed_values(factors, ps, reduce) -> list[float]:
+    """The values ``reduce`` gives the (c, d, d) stack of (W W†)^p, for each
+    chunk (orders, W) of ``factors`` and its exponents p of ``ps[orders]``,
+    one stacked ``svd`` per chunk, concatenated."""
+    values = []
+    for part, w in factors:
+        values += reduce(gram_pows(w, ps[part]))
+    return values
 
 
 def channel_trace_value(
@@ -63,12 +70,12 @@ def channel_trace_value(
 def channel_trace_value_grid(
     triple: ChannelTriple | TripartiteState, alphas, sandwiched: bool = False
 ) -> list[float]:
-    """``channel_trace_value`` at each order of ``alphas``, as one stack."""
+    """``channel_trace_value`` at each order of ``alphas``, a chunk at a time."""
     # 1/(1-a), times a in the sandwiched form; a/(1-a) may round differently
-    closed = _closed_brackets(
-        triple, alphas, sandwiched, lambda a: 1.0 / (1.0 - a) * (a if sandwiched else 1.0)
+    return _closed_brackets(
+        triple, alphas, sandwiched, lambda a: 1.0 / (1.0 - a) * (a if sandwiched else 1.0),
+        lambda closed: real_traces(closed).tolist(),
     )
-    return [float(value) for value in real_traces(closed)]
 
 
 def exp_trace_channel_value(triple: ChannelTriple | TripartiteState) -> float:
@@ -95,9 +102,9 @@ def lie_trotter_deviation(x: ChannelTriple | TripartiteState, alpha: float) -> f
 
 
 def lie_trotter_deviation_grid(x: ChannelTriple | TripartiteState, alphas) -> list[float]:
-    """``lie_trotter_deviation`` at each order of ``alphas``, as one stack."""
-    closed = _closed_brackets(x, alphas, False, lambda a: 1.0 / (1.0 - a))
-    return spectral_norms(closed - x.exp_log_sum)
+    """``lie_trotter_deviation`` at each order of ``alphas``, a chunk at a time."""
+    return _closed_brackets(x, alphas, False, lambda a: 1.0 / (1.0 - a),
+                            lambda closed: spectral_norms(closed - x.exp_log_sum))
 
 
 def recovery_fixed_point_residual(triple: ChannelTriple, alpha: float) -> float:
@@ -109,9 +116,9 @@ def recovery_fixed_point_residual(triple: ChannelTriple, alpha: float) -> float:
 
 
 def recovery_fixed_point_residual_grid(triple: ChannelTriple, alphas) -> list[float]:
-    """``recovery_fixed_point_residual`` at each order of ``alphas``, as one stack."""
-    closed = _closed_brackets(triple, alphas, False, lambda a: 1.0 / (1.0 - a))
-    return spectral_norms(closed - triple.rho.matrix)
+    """``recovery_fixed_point_residual`` at each order of ``alphas``, a chunk at a time."""
+    return _closed_brackets(triple, alphas, False, lambda a: 1.0 / (1.0 - a),
+                            lambda closed: spectral_norms(closed - triple.rho.matrix))
 
 
 def sandwiched_fixed_point_residual(triple: ChannelTriple, alpha: float) -> float:
@@ -120,9 +127,9 @@ def sandwiched_fixed_point_residual(triple: ChannelTriple, alpha: float) -> floa
 
 
 def sandwiched_fixed_point_residual_grid(triple: ChannelTriple, alphas) -> list[float]:
-    """``sandwiched_fixed_point_residual`` at each order of ``alphas``, as one stack."""
-    closed = _closed_brackets(triple, alphas, True, lambda a: a / (1.0 - a))
-    return spectral_norms(closed - triple.rho.matrix)
+    """``sandwiched_fixed_point_residual`` at each order of ``alphas``, a chunk at a time."""
+    return _closed_brackets(triple, alphas, True, lambda a: a / (1.0 - a),
+                            lambda closed: spectral_norms(closed - triple.rho.matrix))
 
 
 def output_fixed_point_residual(triple: ChannelTriple, alpha: float) -> float:
@@ -132,7 +139,7 @@ def output_fixed_point_residual(triple: ChannelTriple, alpha: float) -> float:
 
 
 def output_fixed_point_residual_grid(triple: ChannelTriple, alphas) -> list[float]:
-    """``output_fixed_point_residual`` at each order of ``alphas``, as one stack.
+    """``output_fixed_point_residual`` at each order of ``alphas``, a chunk at a time.
 
     The closed operator is (V V†)^(1/a) for the blocks K_i sigma^h v lambda^(a/2)
     side by side, times N(sigma)^(-h): h = (1-a)/2, (lambda, v) rho's kept
@@ -142,15 +149,16 @@ def output_fixed_point_residual_grid(triple: ChannelTriple, alphas) -> list[floa
     hs = [(1.0 - a) / 2.0 for a in alphas]
     _, kept, v = triple.rho.spectrum.support
     weights = finite_rows([kept] * len(alphas), [_power_of(a / 2.0) for a in alphas])
-    blocks = triple.kraus_wedges([_power_of(h) for h in hs], v)
-    powers = triple.out_sigma_spectrum.powers([-h for h in hs])
+    weights = np.reshape(weights, (len(alphas), 1, 1, kept.size))
+    powers = triple.out_sigma_spectrum.powers([-h for h in hs])[:, None]
     d_out = triple.out_rho.shape[0]
     factors = (
-        (p @ (b * w)).swapaxes(0, 1).reshape(d_out, -1)
-        for p, b, w in zip(powers, blocks, weights)
+        (part, (powers[part] @ (blocks * weights[part]))
+         .swapaxes(1, 2).reshape(len(blocks), d_out, -1))
+        for part, blocks in triple.kraus_wedges([_power_of(h) for h in hs], v)
     )
-    closed = _gram_closings(factors, [1.0 / a for a in alphas], d_out)
-    return spectral_norms(closed - triple.out_rho)
+    return _closed_values(factors, [1.0 / a for a in alphas],
+                          lambda closed: spectral_norms(closed - triple.out_rho))
 
 
 def log_identity_residual(triple: ChannelTriple) -> float:

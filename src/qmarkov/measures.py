@@ -53,11 +53,14 @@ Each Renyi family also has a grid form (``renyi_rel_ent_diff_grid``,
 call.  What no order changes (the root of rho, U† v for sigma's kept
 eigenvectors U, and K U) is formed once per call; the small
 order-dependent factors (the powers of each output decomposition and the
-values s^h at the k orders) form one array each; and then each order's
-Kraus-block product is formed and reduced before the next, so the peak
-memory holds one product of size r d_out x n whatever k is.  Its values
-equal the one-order evaluation bit for bit, and the one-order function is
-the grid of one order.
+values s^h at the k orders) form one array each; and then the orders'
+Kraus-block products are formed and reduced in chunks, each chunk before
+the next.  A chunk stacks as many orders as fit in GRID_CHUNK_ENTRIES
+complex entries of product (r d_out n per order), and holds one order when
+a single product is larger: a small grid makes one stacked numpy call per
+step, and a large one holds one product of size r d_out x n whatever k is.
+Its values equal the one-order evaluation bit for bit, and the one-order
+function is the grid of one order.
 """
 
 from __future__ import annotations
@@ -107,6 +110,11 @@ from .states import Decomposed, DensityOperator, PositiveOperator
 # Renyi orders used whenever a certified sweep over both sides of 1 is needed.
 PETZ_ALPHA_GRID = (0.25, 0.5, 0.75, 1.25, 1.5, 1.75)
 SANDWICHED_ALPHA_GRID = (0.6, 0.75, 0.9, 1.5, 2.0, 3.0, 5.0)
+
+# A grid stacks as many orders as fit in this many complex entries of their
+# Kraus-block products (one 64 x 64 product, 64 KiB), and takes one order
+# at a time when a single product is larger.
+GRID_CHUNK_ENTRIES = 2**12
 
 
 class _CachedSpectra:
@@ -244,26 +252,27 @@ class TripartiteState(_CachedSpectra):
         t = x.reshape(d, d_a, d_b, d_c).swapaxes(1, 2).reshape(d * d_b, d_a * d_c) @ w
         return t.reshape(d, d_b, d_a, d_c).swapaxes(1, 2).reshape(d, d)
 
-    def kraus_wedges(self, fs, v) -> Iterator[np.ndarray]:
-        """The blocks [K_i f(sigma) v]_i for a (d, n) ``v``, one (d_A, d_B d_C,
-        n) array per f in ``fs``, formed in turn.
+    def kraus_wedges(self, fs, v) -> Iterator[tuple[slice, np.ndarray]]:
+        """The blocks [K_i f(sigma) v]_i for a (d, n) ``v`` and each f in
+        ``fs``, in chunks (``_kept_factors``): for each, the slice of ``fs``
+        it holds and the (c, d_A, d_B d_C, n) stack of their blocks.
 
         The Kraus operators of Tr_A are K_i = <i|_A x I_BC, so a block is
         (f(rho_AC) x I_B) v with its rows read as (A, B C).  It is formed as
         (U f(s) U† x I_B) v, U and s the kept eigenpairs of rho_AC, by one
-        matmul on v read as (a c, b n) and one transpose, so f(rho_AC) is
-        not formed either: a dense f(rho_AC) carries the round-off of its
-        largest values into every direction.
+        stacked matmul on v read as (a c, b n) and one transpose, so
+        f(rho_AC) is not formed either: a dense f(rho_AC) carries the
+        round-off of its largest values into every direction.
         """
         d_a, d_b, d_c = self.dims
-        n = v.shape[-1]
+        d, n = self.rho.dim, v.shape[-1]
         v = v.reshape(d_a, d_b, d_c, n).swapaxes(1, 2).reshape(d_a * d_c, d_b * n)
-        fvals, coordinates = _kept_factors(self.sigma_spectrum, fs, v)
         u = self.sigma_spectrum.support[2]
+        fvals, coordinates, parts = _kept_factors(self.sigma_spectrum, fs, v, d * n)
         return (
-            (u @ (f[:, None] * coordinates)).reshape(d_a, d_c, d_b, n).swapaxes(1, 2)
-            .reshape(d_a, d_b * d_c, n)
-            for f in fvals
+            (part, (u @ (fvals[part] * coordinates)).reshape(-1, d_a, d_c, d_b, n)
+             .swapaxes(2, 3).reshape(-1, d_a, d_b * d_c, n))
+            for part in parts
         )
 
 
@@ -332,26 +341,38 @@ class ChannelTriple(_CachedSpectra):
         u = self.sigma_spectrum.support[2]
         return read_only(np.concatenate(self.channel.kraus) @ u)
 
-    def kraus_wedges(self, fs, v) -> Iterator[np.ndarray]:
-        """The blocks [K_i f(sigma) v]_i for a (d, n) ``v``, one (r, d_out, n)
-        array per f in ``fs``, formed in turn.
+    def kraus_wedges(self, fs, v) -> Iterator[tuple[slice, np.ndarray]]:
+        """The blocks [K_i f(sigma) v]_i for a (d, n) ``v`` and each f in
+        ``fs``, in chunks (``_kept_factors``): for each, the slice of ``fs``
+        it holds and the (c, r, d_out, n) stack of their blocks.
 
         With U and s sigma's kept eigenvectors and eigenvalues a block is
         (K U) f(s) (U† v), so f(sigma) is never formed.
         """
-        fvals, coordinates = _kept_factors(self.sigma_spectrum, fs, v)
         shape = (len(self.channel.kraus), self.channel.dim_out, v.shape[-1])
+        fvals, coordinates, parts = _kept_factors(self.sigma_spectrum, fs, v, math.prod(shape))
         return (
-            (self.kraus_sigma_basis @ (f[:, None] * coordinates)).reshape(shape) for f in fvals
+            (part, (self.kraus_sigma_basis @ (fvals[part] * coordinates)).reshape(-1, *shape))
+            for part in parts
         )
 
 
-def _kept_factors(dec: SpectralDecomposition, fs, v) -> tuple[list[np.ndarray], np.ndarray]:
+def _kept_factors(
+    dec: SpectralDecomposition, fs, v, entries: int
+) -> tuple[np.ndarray, np.ndarray, list[slice]]:
     """The order-free half of U f(s) U† v for the kept eigenvalues s and
-    eigenvectors U of ``dec``: the values f(s) for every f in ``fs``, checked
-    before any is used, and the coordinates U† v, formed once."""
+    eigenvectors U of ``dec``, and its chunks: the (k, rank, 1) values f(s)
+    for every f in ``fs``, checked before any is used, the coordinates U† v,
+    formed once, and consecutive slices of the k orders, each of as many
+    orders as fit in GRID_CHUNK_ENTRIES when one order's product has
+    ``entries`` entries, and of one order when it has more.  A chunk's
+    coefficients are ``fvals[part] * coordinates``, formed only for the
+    matmul that reads them."""
     _, kept, u = dec.support
-    return finite_rows([kept] * len(fs), fs), u.conj().T @ v
+    fvals = np.reshape(finite_rows([kept] * len(fs), fs), (len(fs), kept.size, 1))
+    step = max(1, GRID_CHUNK_ENTRIES // entries)
+    parts = [slice(start, start + step) for start in range(0, len(fs), step)]
+    return fvals, u.conj().T @ v, parts
 
 
 def cmi_as_triple(state: TripartiteState) -> ChannelTriple:
@@ -508,24 +529,29 @@ def renyi_rel_ent_diff_grid(
     Y Y† = N(sigma)^(-h) N(rho)^(2h) N(sigma)^(-h) (``_kraus_products``):
     rho^alpha, sigma^h and the bracket are never formed, and every term of
     the sum is non-negative.  Every order is checked before any is
-    evaluated, the orders are then summed one at a time, and each value
+    evaluated, the orders are then summed a chunk at a time, and each value
     equals the one-order evaluation bit for bit.  A trace that overflows
     float64 (a large order) raises MatrixFunctionDomainError.
     """
     checked = [_checked_alpha(triple, a, strict) for a in alphas]
     _, kept, v = triple.rho.spectrum.support
     weights = finite_rows([kept] * len(checked), [_power_of(a.alpha) for a in checked])
+    weights = np.reshape(weights, (len(checked), 1, kept.size))
     values = []
     with np.errstate(over="ignore", invalid="ignore"):
-        products = _kraus_products(triple, [(1.0 - a.alpha) / 2.0 for a in checked], v)
-        for a, w, product in zip(checked, weights, products):
-            value = ((product * product.conj()).real * w).sum()
-            if not math.isfinite(value):
-                raise MatrixFunctionDomainError(
-                    f"the Renyi trace at alpha {a.alpha} overflows float64"
-                )
-            values.append(math.inf if value <= 0.0 else float(np.log2(value) / (a.alpha - 1.0)))
-    return values
+        for part, products in _kraus_products(triple, [(1.0 - a.alpha) / 2.0 for a in checked], v):
+            values += np.sum(
+                (products * products.conj()).real * weights[part], axis=(1, 2)
+            ).tolist()
+    for a, value in zip(checked, values):
+        if not math.isfinite(value):
+            raise MatrixFunctionDomainError(
+                f"the Renyi trace at alpha {a.alpha} overflows float64"
+            )
+    return [
+        math.inf if value <= 0.0 else float(np.log2(value) / (a.alpha - 1.0))
+        for a, value in zip(checked, values)
+    ]
 
 
 def sandwiched_rel_ent_diff(
@@ -553,37 +579,48 @@ def sandwiched_rel_ent_diff_grid(
 ) -> list[float]:
     """``sandwiched_rel_ent_diff`` at each order of ``alphas``.
 
-    Every order is checked before any is evaluated, each order's product is
-    reduced to its singular values before the next is formed, and each value
-    equals the one-order evaluation bit for bit.
+    Every order is checked before any is evaluated, each chunk of products
+    is reduced to its singular values, by one stacked ``svd``, before the
+    next is formed, and each value equals the one-order evaluation bit for
+    bit.
     """
     checked = [_checked_alpha(triple, a, strict) for a in alphas]
     hs = [(1.0 - a.alpha) / (2.0 * a.alpha) for a in checked]
+    svs = []
+    for _, products in _kraus_products(triple, hs, triple.rho.root()):
+        svs += list(np.linalg.svd(products, compute_uv=False))
     values = []
-    for a, product in zip(checked, _kraus_products(triple, hs, triple.rho.root())):
+    for a, sv in zip(checked, svs):
         # log2_power_sum keeps the singular values above the support cutoff
-        log_value = log2_power_sum(np.linalg.svd(product, compute_uv=False), 2.0 * a.alpha)
+        log_value = log2_power_sum(sv, 2.0 * a.alpha)
         values.append(math.inf if log_value == -math.inf else float(log_value / (a.alpha - 1.0)))
     return values
 
 
-def _kraus_products(x, hs, v) -> Iterator[np.ndarray]:
+def _kraus_products(x, hs, v) -> Iterator[tuple[slice, np.ndarray]]:
     """The (r d_out, n) products Y† K_i sigma^h v, blocks i stacked by rows,
-    with Y = N(sigma)^(-h) N(rho)^h, one per h in ``hs``, formed in turn.
+    with Y = N(sigma)^(-h) N(rho)^h, for each h in ``hs``, in chunks: for
+    each, the slice of ``hs`` it holds and the (c, r d_out, n) stack of
+    their products.
 
     Both Renyi differences and every closed bracket read the channel and
     sigma only through this: for Z = [K_1† Y, ..., K_r† Y], Z Z† = N†(Y Y†),
     and the product is Z† sigma^h v.  What no order changes (U† v and, on
     a triple, K U) is formed once; the small order-dependent factors (the
     output powers and the values s^h) are formed for every order at once,
-    and checked, before the first product, so only one product of size
-    r d_out x n exists at a time.  ``x`` is a ChannelTriple or a
-    TripartiteState.
+    and checked, before the first product.  A chunk holds as many orders as
+    fit in GRID_CHUNK_ENTRIES, or one order when a product is larger, so
+    each stacked call of a consumer makes the same BLAS or LAPACK call per
+    slice as on one matrix, small grids make one call per step, and only
+    one product of more than GRID_CHUNK_ENTRIES entries exists at a time.
+    ``x`` is a ChannelTriple or a TripartiteState.
     """
     ys = x.out_sigma_spectrum.powers([-h for h in hs]) @ x.out_rho_spectrum.powers(hs)
-    adjoints = ys.conj().swapaxes(-1, -2)
-    wedges = x.kraus_wedges([_power_of(h) for h in hs], v)
-    return ((y @ w).reshape(-1, w.shape[-1]) for y, w in zip(adjoints, wedges))
+    adjoints = ys.conj().swapaxes(-1, -2)[:, None]
+    return (
+        (part, (adjoints[part] @ w).reshape(len(w), -1, w.shape[-1]))
+        for part, w in x.kraus_wedges([_power_of(h) for h in hs], v)
+    )
 
 
 def _recovery_divergence(x, kind: str) -> float:

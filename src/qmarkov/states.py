@@ -30,6 +30,8 @@ from .errors import DimensionMismatchError, ValidationError
 from .linalg import (
     POSITIVITY_TOL,
     SpectralDecomposition,
+    _adjoint,
+    _halved_sum,
     _inf_norms,
     alpha_norm,
     hermitian_eig,
@@ -59,12 +61,13 @@ def _validated_eigs(matrix: np.ndarray) -> np.ndarray | None:
     if not np.isfinite(matrix).all():
         raise ValidationError("not-finite", "matrix entries must be finite")
     scale = _inf_norms(matrix)
-    residual = _inf_norms(matrix - matrix.conj().T)
+    adjoint = _adjoint(matrix)
+    residual = _inf_norms(matrix - adjoint)
     if scale > 0 and residual > POSITIVITY_TOL * scale:
         raise ValidationError(
             "not-hermitian", f"Hermiticity residual {residual:.3e} above tolerance"
         )
-    shifted = hermitian_part(matrix)
+    shifted = _halved_sum(adjoint, matrix)  # hermitian_part(matrix)
     shifted.reshape(-1)[:: shifted.shape[0] + 1] -= POSITIVITY_TOL * max(1.0, scale)  # the diagonal
     try:
         np.linalg.cholesky(shifted)

@@ -118,6 +118,21 @@ class TestStrictness:
     def test_partial_trace_strict(self):
         assert is_strict_cptp(partial_trace_channel((2, 2), {0}))
 
+    @pytest.mark.parametrize("channel", [
+        partial_trace_channel((6, 6, 6), {0}),  # the channel of a 6x6x6 CMI triple
+        random_strict_channel(4, 3, seed=3),
+    ], ids=["trace-out-a", "random"])
+    def test_identity_image_equals_the_applied_channel(self, channel, monkeypatch):
+        # N(I) is summed as K_i K_i†, bit for bit the image apply_channel forms
+        images = []
+        original = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: images.append(a) or original(a))
+        assert is_strict_cptp(channel)
+        image = apply_channel(channel, np.eye(channel.dim_in))
+        expected = (image + image.conj().T) / 2
+        assert len(images) == 1
+        assert np.array_equal(images[0].view(np.int64), expected.view(np.int64))
+
 
 class TestPetzRecovery:
     """The Petz map is the bracket at h = 1/2: sigma^(1/2) N†(N(sigma)^(-1/2)

@@ -1,4 +1,6 @@
 import base64
+import contextlib
+import io
 import json
 import math
 import resource
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 from qmarkov.channels import random_strict_channel, random_unitary
-from qmarkov.cli import _format_value, main
+from qmarkov.cli import _format_value, _named_command, build_parser, main
 from qmarkov.linalg import kron
 from qmarkov.measures import (
     TripartiteState,
@@ -708,6 +710,45 @@ class TestSweep:
 def _cap_address_space():
     cap = 512 * 2**20
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+def _parsed_by(parser, argv):
+    """What ``parser`` prints to stdout and stderr on ``argv``, and its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+class TestParser:
+    """``main`` adds only the named subcommand's arguments; what it prints
+    equals the bytes of the parser with every subcommand's arguments."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["bogus"], [],
+        ["compute", "--help"], ["compute"],
+        ["generate", "--help"], ["generate", "--kind", "nope", "--out", "x"],
+        ["verify", "--help"], ["verify", "--trials", "x"],
+        ["sweep", "--help"], ["sweep", "--measure", "cmi"],
+    ])
+    def test_output_equals_the_full_parser(self, argv, capsys):
+        out, err, code = _parsed_by(build_parser(), argv)
+        assert code in (0, 2)
+        assert main(argv) == code
+        assert capsys.readouterr() == (out, err)
+
+    def test_the_named_subcommand_alone_is_filled(self):
+        assert [_named_command(a) for a in (["verify", "--seed", "1"], ["-h", "sweep"],
+                                            ["bogus", "verify"], ["--help"], [])] == [
+            "verify", "sweep", None, None, None]
+        # a parser built for verify lists compute but does not read its arguments
+        argv = ["compute", "--measure", "cmi", "--state", "x"]
+        assert _parsed_by(build_parser(), argv)[2] is None
+        assert _parsed_by(build_parser("verify"), argv)[2] == 2
 
 
 class TestUsage:

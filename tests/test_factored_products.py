@@ -245,7 +245,12 @@ class TestStructuredProducts:
         wedge = embed_operator(state.sigma_spectrum.apply_all(self.FS), dims, (0, 2))
         # K_i = <i|_A x I_BC picks the rows whose A index is i
         expected = (wedge @ v).reshape(len(self.FS), dims[0], dims[1] * dims[2], 5)
-        got = np.stack(list(state.kraus_wedges(self.FS, v)))
+        chunks = list(state.kraus_wedges(self.FS, v))
+        # the chunks hold the orders in turn, one slice of a stack per order
+        orders = range(len(self.FS))
+        assert [i for part, _ in chunks for i in orders[part]] == list(orders)
+        assert [len(w) for _, w in chunks] == [len(orders[part]) for part, _ in chunks]
+        got = np.concatenate([w for _, w in chunks])
         assert got.shape == expected.shape
         assert _close(got, expected)
 
@@ -259,5 +264,7 @@ class TestStructuredProducts:
             assert _close(state.wedged_pull(f, inner), triple.wedged_pull(f, inner))
         v = rng.standard_normal((state.rho.dim, 4)) + 1j * rng.standard_normal((state.rho.dim, 4))
         # the triple's Kraus operators of Tr_A are <i|_A x I_BC in the same order
-        for got, expected in zip(state.kraus_wedges(self.FS, v), triple.kraus_wedges(self.FS, v)):
+        chunks = zip(state.kraus_wedges(self.FS, v), triple.kraus_wedges(self.FS, v), strict=True)
+        for (part, got), (expected_part, expected) in chunks:
+            assert part == expected_part
             assert _close(got, expected)

@@ -8,8 +8,10 @@ different ranks at different orders, and on the errors a grid raises.  The
 Renyi difference and the closings also stay within 1e-12 of the dense
 bracket on full-rank inputs.  On a rank-deficient Markov chain the
 differences are zero and the trace values one, where the dense bracket was
-not.  A difference grid's peak memory does not grow with its number of
-orders beyond the small stacked factors.
+not.  A grid stacks as many orders as fit in ``GRID_CHUNK_ENTRIES`` of
+Kraus-block product, and every grid equals its one-order evaluations bit for
+bit at chunks of ten, four and one orders.  A difference grid's peak memory
+does not grow with its number of orders beyond the small stacked factors.
 """
 
 import math
@@ -384,6 +386,71 @@ class TestPeakMemory:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 4 * peaks[0]
+
+
+def _chunk(x):
+    """How many orders one chunk of a grid on ``x`` stacks: its Kraus-block
+    products are d x d (closings) or d x rank(rho) with rank d here."""
+    return max(1, ms.GRID_CHUNK_ENTRIES // x.rho.dim**2)
+
+
+class TestChunks:
+    """A grid stacks as many orders as fit in GRID_CHUNK_ENTRIES of product,
+    and one order at a time above it; every value equals its one-order
+    evaluation bit for bit, whatever the chunk.  On 2x2x2 the products have
+    64 entries (one chunk of ten orders), on 2x4x4 1,024 (chunks of 4, 4
+    and 2), on 4x4x4 4,096 (chunks of one)."""
+
+    ORDERS = {
+        "petz": (0.3, 0.45, 0.6, 0.75, 0.9, 1.1, 1.25, 1.4, 1.55, 1.7),
+        "sandwiched": (0.55, 0.7, 0.85, 1.2, 1.5, 1.8, 2.0, 2.5, 3.0, 5.0),
+    }
+    STATE_GRIDS = [
+        (ms.renyi_rel_ent_diff_grid, "petz"),
+        (ms.sandwiched_rel_ent_diff_grid, "sandwiched"),
+        (fn.channel_trace_value_grid, "petz"),
+        (lambda x, orders: fn.channel_trace_value_grid(x, orders, sandwiched=True), "sandwiched"),
+        (fn.lie_trotter_deviation_grid, "petz"),
+    ]
+    TRIPLE_GRIDS = STATE_GRIDS + [
+        (fn.recovery_fixed_point_residual_grid, "petz"),
+        (fn.sandwiched_fixed_point_residual_grid, "sandwiched"),
+        (fn.output_fixed_point_residual_grid, "petz"),
+    ]
+
+    @pytest.mark.parametrize("dims, chunk", [((2, 2, 2), 64), ((2, 4, 4), 4), ((4, 4, 4), 1)],
+                             ids=["2x2x2", "2x4x4", "4x4x4"])
+    def test_every_grid_equals_its_one_order_evaluations(self, dims, chunk):
+        state = _state(dims, 12)
+        triple = cmi_as_triple(state)
+        assert _chunk(state) == chunk
+        for x, grids in ((state, self.STATE_GRIDS), (triple, self.TRIPLE_GRIDS)):
+            for grid, family in grids:
+                orders = self.ORDERS[family]
+                assert grid(x, orders) == [grid(x, (a,))[0] for a in orders]
+
+    @pytest.mark.parametrize("dims, calls", [((2, 2, 2), 1), ((2, 4, 4), 3), ((4, 4, 4), 10)],
+                             ids=["2x2x2", "2x4x4", "4x4x4"])
+    def test_sandwiched_grid_makes_one_svd_per_chunk(self, dims, calls, monkeypatch):
+        for x in _both_readings(dims, 12):
+            orders = self.ORDERS["sandwiched"]
+            ms.sandwiched_rel_ent_diff_grid(x, orders[:1])  # decompositions and root made
+            shapes = []
+            original = np.linalg.svd
+            monkeypatch.setattr(np.linalg, "svd",
+                                lambda a, **kw: shapes.append(a.shape) or original(a, **kw))
+            ms.sandwiched_rel_ent_diff_grid(x, orders)
+            monkeypatch.setattr(np.linalg, "svd", original)
+            assert len(shapes) == math.ceil(len(orders) / _chunk(x)) == calls
+            assert sum(shape[0] for shape in shapes) == len(orders)
+            assert all(shape[1:] == (x.rho.dim, x.rho.dim) for shape in shapes)
+
+    def test_chunks_hold_their_orders_in_turn(self):
+        state = _state((2, 4, 4), 12)
+        hs = [(1.0 - a) / 2.0 for a in self.ORDERS["petz"]]
+        chunks = list(ms._kraus_products(state, hs, np.eye(state.rho.dim)))
+        assert [range(10)[part] for part, _ in chunks] == [range(0, 4), range(4, 8), range(8, 10)]
+        assert [len(products) for _, products in chunks] == [4, 4, 2]
 
 
 class TestStackedKernel:

@@ -4,6 +4,8 @@
 ``stacked_singular_values`` makes one mask for the whole stack.
 ``_inf_norms`` sums rows as ``np.linalg.norm(., inf)`` does.
 ``_sorted_eigh`` reverses eigh's order when no eigenvalue repeats.
+``hermitian_part`` sums in place on a contiguous copy of M†, which
+``_sorted_eigh`` and validation also read their residuals from.
 Validation shifts the diagonal through a strided view.  Each is compared with
 the form it replaced, which the ``reference_*`` functions below restate.
 """
@@ -123,6 +125,31 @@ class TestStackedSingularValues:
             sv = np.linalg.svd(x, compute_uv=False)
             assert np.array_equal(kept, sv[reference_mask(sv)])
         assert [kept.size for kept in stacked[:3]] == [3, 1, 0]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _read_only_copy(m):
+    m = m.copy()
+    m.flags.writeable = False
+    return m
+
+
+class TestHermitianPart:
+    """(M + M†)/2 is summed in place on a contiguous copy of M†."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 1, 1), (3, 3), (8, 8), (64, 64), (5, 8, 8)])
+    def test_equals_the_swapped_view_form(self, shape):
+        rng = np.random.default_rng(11)
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        before = m.copy()
+        for x in (m, m.swapaxes(-1, -2), _read_only_copy(m)):
+            got = hermitian_part(x)
+            assert got.flags.c_contiguous
+            assert np.array_equal(_bits(got), _bits((x + x.conj().swapaxes(-1, -2)) / 2))
+        assert np.array_equal(_bits(m), _bits(before))  # d = 1 included: M is not conjugated
 
 
 class TestInfNorms:

@@ -12,6 +12,7 @@ from qmarkov.divergences import rel_entropy, von_neumann_entropy
 from qmarkov.linalg import (
     alpha_norm,
     embed_operator,
+    finite_rows,
     herm_exp,
     herm_pow,
     hermitian_eig,
@@ -78,6 +79,20 @@ class TestMatrixFunction:
         # 1e-5 is on the support, and its power -100 exceeds the float64 range
         with pytest.raises(MatrixFunctionDomainError, match=r"overflows float64 .*\[1\.e-05\]"):
             herm_pow(np.diag([1.0, 1e-5]), -100.0)
+
+    @pytest.mark.parametrize("kepts", [
+        [np.array([1.0, 2.0]), np.array([0.5, 3.0]), np.array([1e-5, 4.0]), np.array([-1.0, 5.0])],
+        [np.array([1.0]), np.array([0.5, 3.0, 2.0]), np.array([1e-5, 4.0]), np.array([-1.0])],
+    ], ids=["stacked", "ragged"])
+    def test_first_non_finite_row_is_named(self, kepts):
+        # the third row overflows and the fourth is undefined: the third is named
+        fs = [np.sqrt, np.sqrt, lambda x: np.power(x, -100.0), np.log]
+        with pytest.raises(MatrixFunctionDomainError) as err:
+            finite_rows(kepts, fs)
+        assert str(err.value) == "function overflows float64 on retained eigenvalue(s) [1.e-05]"
+        rows = finite_rows(kepts[:2], fs[:2])
+        assert all(np.array_equal(row, np.sqrt(kept)) for row, kept in zip(rows, kepts))
+        assert finite_rows([], []) == []
 
     def test_identity_function_projects_to_support(self):
         for seed in range(4):

@@ -307,7 +307,7 @@ class TestBuiltOnce:
         y = x.out_sigma_spectrum.power(0.3) @ x.out_rho_spectrum.power(-0.2)
         f = lambda v: v**0.4  # noqa: E731
         v = x.rho.root()
-        (wedge,) = x.kraus_wedges([f], v)
+        ((_, (wedge,)),) = x.kraus_wedges([f], v)  # one chunk, of one order
         blocks = y.conj().T @ wedge
         np.testing.assert_allclose(
             np.sum(blocks.conj().swapaxes(-1, -2) @ blocks, axis=0),
@@ -382,7 +382,9 @@ class TestSweepDecompositions:
     """``sweep`` makes one grid call for its orders besides 1: a delta-tilde
     sweep decomposes sigma, N(rho) and N(sigma) once each and rho never; it
     reads rho through one Cholesky root for every order and one eigvalsh for
-    the alpha = 1 row, and makes one svd per order."""
+    the alpha = 1 row, and takes one singular-value slice per order.  The
+    4 -> 3 triple's products have 24 entries, so its ten orders are one
+    stacked svd."""
 
     def test_delta_tilde_sweep(self, tmp_path, monkeypatch):
         triple = _triple()
@@ -403,7 +405,7 @@ class TestSweepDecompositions:
         assert _slices_equal_to(args["eigh"], rho) == 0
         assert _slices_equal_to(args["eigvalsh"], rho) == 1
         assert _slices_equal_to(args["cholesky"], rho) == 1
-        assert [a.ndim for a in args["svd"]] == [2] * 10  # one matrix per order
+        assert [a.shape for a in args["svd"]] == [(10, 6, 4)]  # one slice per order
 
 
 def _triple_measures():
