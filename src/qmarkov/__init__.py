@@ -23,10 +23,6 @@ from .divergences import (
     max_rel_entropy,
     min_rel_entropy,
     rel_entropy,
-    renyi_rel_entropy,
-    renyi_rel_entropy_grid,
-    sandwiched_rel_entropy,
-    sandwiched_rel_entropy_grid,
     von_neumann_entropy,
 )
 from .errors import (
@@ -77,9 +73,13 @@ from .measures import (
     renyi_cmi,
     renyi_rel_ent_diff,
     renyi_rel_ent_diff_grid,
+    renyi_rel_entropy,
+    renyi_rel_entropy_grid,
     sandwiched_cmi,
     sandwiched_rel_ent_diff,
     sandwiched_rel_ent_diff_grid,
+    sandwiched_rel_entropy,
+    sandwiched_rel_entropy_grid,
     von_neumann_cmi,
 )
 from .serialization import (

@@ -1,10 +1,16 @@
 """Scalar divergences between positive operators, all in bits.
 
-Implements the quantum relative entropy, the alpha-Renyi and sandwiched
-alpha-Renyi relative entropies, and the min/max relative entropies.  When a support condition fails the value is the
-explicit float +inf, never an error.  An operand handed in as a
-PositiveOperator is read through its cached decomposition, so evaluating
-many orders on the same operators decomposes each of them once.
+Implements the von Neumann entropy, the quantum relative entropy and the
+min/max relative entropies, and the checked Renyi order (``AlphaParameter``).
+When a support condition fails the value is the explicit float +inf, never
+an error.  An operand handed in as a PositiveOperator is read through its
+cached decomposition, so evaluating many divergences on the same operators
+decomposes each of them once.
+
+The alpha-Renyi and sandwiched alpha-Renyi relative entropies live in
+``measures``, as the Renyi differences on the trace channel: for a state
+rho, Delta_alpha(rho, sigma, Tr) = D_alpha(rho||sigma) + log2 Tr sigma in
+either form, so this module computes no Renyi trace.
 """
 
 from __future__ import annotations
@@ -15,14 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import (
-    SpectralDecomposition,
-    finite_rows,
-    hermitian_part,
-    log2_power_sum,
-    real_traces,
-    support_mask,
-)
+from .linalg import SpectralDecomposition, finite_rows, hermitian_part, support_mask
 from .states import PositiveOperator, as_matrix, fidelity, matrix_pair, spectrum_of
 
 ALPHA_ONE_GUARD = 1e-6
@@ -118,68 +117,6 @@ def _cross_entropy(a: np.ndarray, dec_b: SpectralDecomposition) -> float:
     (log_q,) = finite_rows((q,), (np.log2,))
     diagonal = (vb.conj() * (a @ vb)).sum(axis=0).real  # <b_j|rho|b_j>
     return float(np.sum(diagonal * log_q))
-
-
-def renyi_rel_entropy(rho, sigma, a) -> float:
-    """alpha-Renyi relative entropy (1/(alpha-1)) log2 Tr{rho^alpha sigma^(1-alpha)}.
-
-    +inf when alpha > 1 and supp(rho) is not contained in supp(sigma), and
-    also when the trace functional vanishes (disjoint supports, alpha < 1).
-    """
-    return renyi_rel_entropy_grid(rho, sigma, (a,))[0]
-
-
-def renyi_rel_entropy_grid(rho, sigma, alphas) -> list[float]:
-    """``renyi_rel_entropy`` at each order of ``alphas``, evaluated as one stack."""
-    checked, rho_m, dec_sigma, live = _grid_terms(rho, sigma, alphas)
-    values = [math.inf] * len(checked)
-    if live:
-        traces = real_traces(
-            spectrum_of(rho).powers([checked[i].alpha for i in live])
-            @ dec_sigma.powers([1.0 - checked[i].alpha for i in live])
-        )
-        for i, value in zip(live, traces):
-            if value > 0.0:
-                values[i] = float(np.log2(value) / (checked[i].alpha - 1.0))
-    return values
-
-
-def sandwiched_rel_entropy(rho, sigma, a) -> float:
-    """Sandwiched Renyi relative entropy.
-
-    (1/(alpha-1)) log2 Tr{ (sigma^((1-alpha)/2alpha) rho sigma^((1-alpha)/2alpha))^alpha }.
-    """
-    return sandwiched_rel_entropy_grid(rho, sigma, (a,))[0]
-
-
-def sandwiched_rel_entropy_grid(rho, sigma, alphas) -> list[float]:
-    """``sandwiched_rel_entropy`` at each order of ``alphas``, evaluated as one
-    stack."""
-    checked, rho_m, dec_sigma, live = _grid_terms(rho, sigma, alphas)
-    values = [math.inf] * len(checked)
-    if live:
-        wedge = dec_sigma.powers(
-            [(1.0 - checked[i].alpha) / (2.0 * checked[i].alpha) for i in live]
-        )
-        core = hermitian_part(wedge @ rho_m @ wedge)
-        for i, eigs in zip(live, np.linalg.eigvalsh(core)):
-            log_value = log2_power_sum(eigs, checked[i].alpha)
-            if log_value != -math.inf:
-                values[i] = float(log_value / (checked[i].alpha - 1.0))
-    return values
-
-
-def _grid_terms(rho, sigma, alphas):
-    """The checked orders, rho's matrix, sigma's decomposition, and the
-    indices of the orders whose value is not +inf by support alone."""
-    checked = [as_alpha(a) for a in alphas]
-    rho_m, _ = matrix_pair(rho, sigma)
-    dec_sigma = spectrum_of(sigma)
-    if any(a.alpha > 1.0 for a in checked) and not dec_sigma.supports(rho_m):
-        live = [i for i, a in enumerate(checked) if a.alpha <= 1.0]
-    else:
-        live = list(range(len(checked)))
-    return checked, rho_m, dec_sigma, live
 
 
 def min_rel_entropy(rho, sigma) -> float:

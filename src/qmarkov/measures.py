@@ -8,58 +8,45 @@ Two families, each in von Neumann, Renyi, sandwiched, and min/max flavors:
 
 The first family is the second evaluated on the CMI triple
 (rho_ABC, rho_AC x I_B, trace-out-A), as in arXiv:1501.05636: each Renyi,
-sandwiched and min/max CMI is a call to its difference counterpart.  The
-difference formulas read only a few members of their argument: N(rho),
-N(sigma), the spectrum of sigma, f(sigma) N†(inner) f(sigma)
-(``wedged_pull``, for the Petz map alone), and the Kraus blocks
-[K_i f(sigma) v]_i (``kraus_wedges``), through which both Renyi differences
-and every closed bracket of ``functionals`` read the channel and sigma.  A
-``TripartiteState`` answers each from its marginals, so the triple is never
-built.  The state's products are structured: f(sigma) = f(rho_AC) x I_B
-and N†(x) = I_A x x are applied by reshaped matmuls, and neither factor is
-formed on A x B x C.  ``kraus_wedges`` forms no f(sigma) at all, on either
-reading: it applies U†, the values f(s) and then U (K U on a triple) in
-turn, with U and s sigma's kept eigenpairs.  ``cmi_as_triple`` builds the
-triple densely, so the reduction can be tested against an independent
-evaluation; apart from it only the log sums embed an operator.  Sandwiched
-values are summed in log space, so alpha may be arbitrarily large.  All
-outputs are in bits.
+sandwiched and min/max CMI is a call to its difference counterpart.  So are
+the two Renyi relative entropies, on the triple (rho, sigma, Tr)
+(``_TraceTriple``): for a state rho, Delta_alpha(rho, sigma, Tr) =
+D_alpha(rho||sigma) + log2 Tr sigma.  The difference formulas read only a
+few members of their argument: N(rho), N(sigma), the spectrum of sigma,
+f(sigma) N†(inner) f(sigma) (``wedged_pull``, for the Petz map alone), and
+the Kraus blocks [K_i f(sigma) v]_i (``kraus_wedges``), through which both
+Renyi differences and every closed bracket of ``functionals`` read the
+channel and sigma.  A ``TripartiteState`` answers each from its marginals
+by reshaped matmuls, so the triple is never built and only the log sums
+embed an operator on A x B x C; ``cmi_as_triple`` builds the triple
+densely, so the reduction can be tested against an independent evaluation.
+The blocks form no f(sigma) on any reading: they apply U†, the values f(s)
+and then U (K U on a triple), with U and s sigma's kept eigenpairs.
+Sandwiched values are summed in log space, so alpha may be arbitrarily
+large.  All outputs are in bits.
 
 Each operator a formula reads is decomposed at most once per object: rho
-and sigma cache ``spectrum``, and a triple or state caches ``out_rho``,
-``out_sigma``, ``out_rho_spectrum`` and ``out_sigma_spectrum`` (a state
-also its marginals and the decomposition of rho_AC, ``sigma_spectrum``),
-the recovered N(rho) with its decomposition, and the exp-log operator; a
-triple also caches the Kraus operators in sigma's eigenbasis,
-``kraus_sigma_basis``.  Every power and logarithm is read from these, so
-evaluating many orders on one object decomposes each operator once.  A
-cache lives as long as its object, and the cached arrays are read-only.
-The Renyi difference reads rho through its kept eigenpairs, as
-sum_j lambda_j^alpha times a sum of squares, so rho^alpha is never formed.
-The relative entropy D(rho||sigma) reads rho through its eigenvalues and
-its matrix alone (``rel_entropy``), so the von Neumann difference does not
-decompose rho.
-The sandwiched formulas read rho only through a square-root factor,
-``rho.root()``, which is a Cholesky factor when rho is full rank, so they
-do not decompose rho at all.  The min
-measures are the sandwiched difference at alpha = 1/2, which equals
--log2 F(rho, R(N(rho))).  The max measures read the recovered operator R
-through its Cholesky factor whenever the cached spectra bound cond(R) by
-1/SUPPORT_CUTOFF, so no measure decomposes R on full-rank inputs; only
-when R may be rank deficient or ill conditioned do they decompose it.
+and sigma cache ``spectrum``, and a triple or state caches its outputs and
+their decompositions (a state also its marginals and the decomposition of
+rho_AC), the recovered N(rho), the exp-log operator and, on a triple, K U
+(``kraus_sigma_basis``).  A cache lives as long as its object, and the
+cached arrays are read-only.  The Renyi difference reads rho through its
+kept eigenpairs, as sum_j lambda_j^alpha times a sum of squares, so
+rho^alpha is never formed; D(rho||sigma) reads rho through its eigenvalues
+and matrix alone (``rel_entropy``); the sandwiched formulas read it only
+through a square-root factor, ``rho.root()``, a Cholesky factor when rho is
+full rank.  The min measures are the sandwiched difference at alpha = 1/2,
+and the max measures read the recovered operator through its Cholesky
+factor whenever the cached spectra bound its condition number.
 
-Each Renyi family also has a grid form (``renyi_rel_ent_diff_grid``,
+Each Renyi family has a grid form (``renyi_rel_ent_diff_grid``,
 ``sandwiched_rel_ent_diff_grid``) that evaluates a tuple of orders in one
-call.  What no order changes (the root of rho, U† v for sigma's kept
-eigenvectors U, and K U) is formed once per call; the small
-order-dependent factors (the powers of each output decomposition and the
-values s^h at the k orders) form one array each; and then the orders'
-Kraus-block products are formed and reduced in chunks, each chunk before
-the next.  A chunk stacks as many orders as fit in GRID_CHUNK_ENTRIES
-complex entries of product (r d_out n per order), and holds one order when
-a single product is larger: a small grid makes one stacked numpy call per
-step, and a large one holds one product of size r d_out x n whatever k is.
-Its values equal the one-order evaluation bit for bit, and the one-order
+call.  What no order changes (the root of rho, U† v, K U) is formed once
+per call, the small order-dependent factors (the output powers and the
+values s^h) form one array each, and the Kraus-block products are formed
+and reduced in chunks of as many orders as fit in GRID_CHUNK_ENTRIES
+complex entries, or of one order when a single product is larger.  Its
+values equal the one-order evaluation bit for bit, and the one-order
 function is the grid of one order.
 """
 
@@ -105,7 +92,7 @@ from .linalg import (
     partial_trace,
     read_only,
 )
-from .states import Decomposed, DensityOperator, PositiveOperator
+from .states import Decomposed, DensityOperator, PositiveOperator, as_matrix, matrix_pair
 
 # Renyi orders used whenever a certified sweep over both sides of 1 is needed.
 PETZ_ALPHA_GRID = (0.25, 0.5, 0.75, 1.25, 1.5, 1.75)
@@ -254,7 +241,7 @@ class TripartiteState(_CachedSpectra):
 
     def kraus_wedges(self, fs, v) -> Iterator[tuple[slice, np.ndarray]]:
         """The blocks [K_i f(sigma) v]_i for a (d, n) ``v`` and each f in
-        ``fs``, in chunks (``_kept_factors``): for each, the slice of ``fs``
+        ``fs``, in chunks (``_kept_chunks``): for each, the slice of ``fs``
         it holds and the (c, d_A, d_B d_C, n) stack of their blocks.
 
         The Kraus operators of Tr_A are K_i = <i|_A x I_BC, so a block is
@@ -268,11 +255,10 @@ class TripartiteState(_CachedSpectra):
         d, n = self.rho.dim, v.shape[-1]
         v = v.reshape(d_a, d_b, d_c, n).swapaxes(1, 2).reshape(d_a * d_c, d_b * n)
         u = self.sigma_spectrum.support[2]
-        fvals, coordinates, parts = _kept_factors(self.sigma_spectrum, fs, v, d * n)
         return (
-            (part, (u @ (fvals[part] * coordinates)).reshape(-1, d_a, d_c, d_b, n)
-             .swapaxes(2, 3).reshape(-1, d_a, d_b * d_c, n))
-            for part in parts
+            (part, (u @ c).reshape(-1, d_a, d_c, d_b, n).swapaxes(2, 3)
+             .reshape(-1, d_a, d_b * d_c, n))
+            for part, c in _kept_chunks(self.sigma_spectrum, fs, v, d * n)
         )
 
 
@@ -343,36 +329,59 @@ class ChannelTriple(_CachedSpectra):
 
     def kraus_wedges(self, fs, v) -> Iterator[tuple[slice, np.ndarray]]:
         """The blocks [K_i f(sigma) v]_i for a (d, n) ``v`` and each f in
-        ``fs``, in chunks (``_kept_factors``): for each, the slice of ``fs``
+        ``fs``, in chunks (``_kept_chunks``): for each, the slice of ``fs``
         it holds and the (c, r, d_out, n) stack of their blocks.
 
         With U and s sigma's kept eigenvectors and eigenvalues a block is
         (K U) f(s) (U† v), so f(sigma) is never formed.
         """
         shape = (len(self.channel.kraus), self.channel.dim_out, v.shape[-1])
-        fvals, coordinates, parts = _kept_factors(self.sigma_spectrum, fs, v, math.prod(shape))
-        return (
-            (part, (self.kraus_sigma_basis @ (fvals[part] * coordinates)).reshape(-1, *shape))
-            for part in parts
+        return ((part, (self.kraus_sigma_basis @ c).reshape(-1, *shape))
+                for part, c in _kept_chunks(self.sigma_spectrum, fs, v, math.prod(shape)))
+
+
+class _TraceTriple:
+    """The triple (rho, sigma, Tr) of two divergence operands, as the Renyi
+    difference kernels read it.  Tr has the Kraus operators <i|, so K = I,
+    the blocks K_i f(sigma) v are the rows of U f(s) U† v, and N(rho),
+    N(sigma) are the traces, whose 1 x 1 decompositions are written down.
+    Operands are read through their cached decompositions; a plain matrix
+    is decomposed once, into a Decomposed."""
+
+    def __init__(self, rho, sigma):
+        matrix_pair(rho, sigma)
+        self.rho, self.sigma = (
+            x if isinstance(x, (PositiveOperator, Decomposed))
+            else Decomposed(as_matrix(x), hermitian_eig(as_matrix(x))) for x in (rho, sigma)
+        )
+        self.sigma_spectrum = self.sigma.spectrum
+        self.traces = [float(np.trace(x.matrix).real) for x in (self.rho, self.sigma)]
+        self.out_rho_spectrum, self.out_sigma_spectrum = (
+            SpectralDecomposition(read_only(np.array([t])), read_only(np.ones((1, 1))), 0.0)
+            for t in self.traces
         )
 
+    def sigma_supports_rho(self) -> bool:
+        return self.sigma_spectrum.supports(self.rho.matrix)
 
-def _kept_factors(
-    dec: SpectralDecomposition, fs, v, entries: int
-) -> tuple[np.ndarray, np.ndarray, list[slice]]:
-    """The order-free half of U f(s) U† v for the kept eigenvalues s and
-    eigenvectors U of ``dec``, and its chunks: the (k, rank, 1) values f(s)
-    for every f in ``fs``, checked before any is used, the coordinates U† v,
-    formed once, and consecutive slices of the k orders, each of as many
-    orders as fit in GRID_CHUNK_ENTRIES when one order's product has
-    ``entries`` entries, and of one order when it has more.  A chunk's
-    coefficients are ``fvals[part] * coordinates``, formed only for the
-    matmul that reads them."""
+    def kraus_wedges(self, fs, v) -> Iterator[tuple[slice, np.ndarray]]:
+        dec = self.sigma_spectrum
+        return ((part, (dec.support[2] @ c)[:, :, None])
+                for part, c in _kept_chunks(dec, fs, v, v.size))
+
+
+def _kept_chunks(dec: SpectralDecomposition, fs, v, entries: int) -> Iterator:
+    """The coefficients f(s) U† v of U f(s) U† v, U and s the kept eigenpairs
+    of ``dec``, for each f in ``fs``, in chunks: each the slice of ``fs`` it
+    holds and its (c, rank, n) stack.  Every f(s) is checked, and U† v is
+    formed, before the first chunk; a chunk holds as many orders as fit in
+    GRID_CHUNK_ENTRIES at ``entries`` entries of product each, or one."""
     _, kept, u = dec.support
     fvals = np.reshape(finite_rows([kept] * len(fs), fs), (len(fs), kept.size, 1))
+    coordinates = u.conj().T @ v
     step = max(1, GRID_CHUNK_ENTRIES // entries)
-    parts = [slice(start, start + step) for start in range(0, len(fs), step)]
-    return fvals, u.conj().T @ v, parts
+    return ((slice(start, start + step), fvals[start:start + step] * coordinates)
+            for start in range(0, len(fs), step))
 
 
 def cmi_as_triple(state: TripartiteState) -> ChannelTriple:
@@ -608,12 +617,10 @@ def _kraus_products(x, hs, v) -> Iterator[tuple[slice, np.ndarray]]:
     and the product is Z† sigma^h v.  What no order changes (U† v and, on
     a triple, K U) is formed once; the small order-dependent factors (the
     output powers and the values s^h) are formed for every order at once,
-    and checked, before the first product.  A chunk holds as many orders as
-    fit in GRID_CHUNK_ENTRIES, or one order when a product is larger, so
-    each stacked call of a consumer makes the same BLAS or LAPACK call per
-    slice as on one matrix, small grids make one call per step, and only
-    one product of more than GRID_CHUNK_ENTRIES entries exists at a time.
-    ``x`` is a ChannelTriple or a TripartiteState.
+    and checked, before the first product.  Chunks are ``_kept_chunks``':
+    a consumer's stacked call makes the same BLAS or LAPACK call per slice
+    as on one matrix.  ``x`` is a ChannelTriple, a TripartiteState or a
+    ``_TraceTriple``.
     """
     ys = x.out_sigma_spectrum.powers([-h for h in hs]) @ x.out_rho_spectrum.powers(hs)
     adjoints = ys.conj().swapaxes(-1, -2)[:, None]
@@ -621,6 +628,55 @@ def _kraus_products(x, hs, v) -> Iterator[tuple[slice, np.ndarray]]:
         (part, (adjoints[part] @ w).reshape(len(w), -1, w.shape[-1]))
         for part, w in x.kraus_wedges([_power_of(h) for h in hs], v)
     )
+
+
+def renyi_rel_entropy(rho, sigma, a) -> float:
+    """alpha-Renyi relative entropy (1/(alpha-1)) log2 Tr{rho^alpha sigma^(1-alpha)}.
+
+    The Renyi difference on the trace channel, which for a state rho is
+    Delta_alpha(rho, sigma, Tr) = D_alpha(rho||sigma) + log2 Tr sigma.  +inf
+    when alpha > 1 and supp(rho) is not contained in supp(sigma), and also
+    when the trace functional vanishes (disjoint supports, alpha < 1).
+    """
+    return renyi_rel_entropy_grid(rho, sigma, (a,))[0]
+
+
+def renyi_rel_entropy_grid(rho, sigma, alphas) -> list[float]:
+    """``renyi_rel_entropy`` at each order of ``alphas``."""
+    return _on_the_trace_channel(renyi_rel_ent_diff_grid, rho, sigma, alphas)
+
+
+def sandwiched_rel_entropy(rho, sigma, a) -> float:
+    """Sandwiched Renyi relative entropy.
+
+    (1/(alpha-1)) log2 Tr{ (sigma^((1-alpha)/2alpha) rho sigma^((1-alpha)/2alpha))^alpha },
+    the sandwiched difference on the trace channel, which for a state rho is
+    Delta~_alpha(rho, sigma, Tr) = D~_alpha(rho||sigma) + log2 Tr sigma; read
+    from the singular values of sigma^((1-alpha)/2alpha) G, G G† = rho.
+    """
+    return sandwiched_rel_entropy_grid(rho, sigma, (a,))[0]
+
+
+def sandwiched_rel_entropy_grid(rho, sigma, alphas) -> list[float]:
+    """``sandwiched_rel_entropy`` at each order of ``alphas``."""
+    return _on_the_trace_channel(sandwiched_rel_ent_diff_grid, rho, sigma, alphas)
+
+
+def _on_the_trace_channel(grid, rho, sigma, alphas) -> list[float]:
+    """A Renyi divergence at each order, from the difference ``grid`` on
+    (rho, sigma, Tr).  The outputs enter only as Y = (Tr sigma)^(-h)
+    (Tr rho)^h, whose square shifts every value, in either form, by
+    log2 Tr sigma - log2 Tr rho, which is subtracted.  Orders above 1 are
+    +inf, unevaluated, when supp(rho) is not in supp(sigma)."""
+    checked = [as_alpha(a) for a in alphas]
+    x = _TraceTriple(rho, sigma)
+    live = [a for a in checked if a.alpha <= 1.0 or x.sigma_supports_rho()]
+    values = dict(zip(live, grid(x, live, strict=False)))
+    trace_rho, trace_sigma = x.traces
+    return [
+        value - (math.log2(trace_sigma) - math.log2(trace_rho)) if math.isfinite(value) else value
+        for value in (values.get(a, math.inf) for a in checked)
+    ]
 
 
 def _recovery_divergence(x, kind: str) -> float:

@@ -137,12 +137,15 @@ class PositiveOperator:
         square root on the support.  Two such factors differ by a unitary on
         the right, so a product X G has the same singular values with either.
         """
-        if self._certified or support_mask(self.eigenvalues).all():
+        if self._full_support():
             try:
                 return np.linalg.cholesky(hermitian_part(self.matrix))
             except np.linalg.LinAlgError:
                 pass
         return self.spectrum.power(0.5)
+
+    def _full_support(self) -> bool:
+        return self._certified or bool(support_mask(self.eigenvalues).all())
 
     def is_positive_definite(self) -> bool:
         """Whether lambda_min > POSITIVITY_TOL; the certificate implies it."""
@@ -216,6 +219,11 @@ class Decomposed:
 
     matrix: np.ndarray
     spectrum: SpectralDecomposition
+
+    root = PositiveOperator.root  # the support read from ``spectrum``
+
+    def _full_support(self) -> bool:
+        return bool(self.spectrum.support[0].all())
 
 
 def as_matrix(x) -> np.ndarray:

@@ -41,12 +41,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .channels import random_strict_channel
-from .divergences import (
-    min_rel_entropy,
-    renyi_rel_entropy_grid,
-    sandwiched_rel_entropy,
-    sandwiched_rel_entropy_grid,
-)
+from .divergences import min_rel_entropy
 from .errors import ValidationError
 from .functionals import (
     channel_trace_value_grid,
@@ -66,7 +61,10 @@ from .measures import (
     minmax_rel_ent_diff,
     rel_ent_diff,
     renyi_rel_ent_diff_grid,
+    renyi_rel_entropy_grid,
     sandwiched_rel_ent_diff_grid,
+    sandwiched_rel_entropy,
+    sandwiched_rel_entropy_grid,
     von_neumann_cmi,
 )
 from .states import Decomposed, DensityOperator, PositiveOperator, random_density

@@ -24,6 +24,10 @@ through its own ``eigh``.  These agree within round-off on full-rank inputs,
 not bit for bit; where the bracket has eigenvalues below SUPPORT_CUTOFF
 times its largest, the dense reading drops directions the factor keeps.
 
+The two Renyi divergences are these differences on the library's trace
+triple (rho, sigma, Tr), one order at a time, less the same shift of
+log2 Tr sigma - log2 Tr rho.
+
 ``petz_round_trip`` applies the Petz recovery map in its Kraus form, the
 independent reading of the dense Petz map that ``is_sufficient_petz``
 reads; the two agree within round-off, not bit for bit.  Likewise
@@ -39,8 +43,8 @@ import numpy as np
 from qmarkov.channels import apply_channel
 from qmarkov.divergences import as_alpha
 from qmarkov.linalg import finite_rows, log2_power_sum, support_mask
-from qmarkov.measures import ChannelTriple, _checked_alpha
-from qmarkov.states import Decomposed, fidelity, matrix_pair, spectrum_of
+from qmarkov.measures import ChannelTriple, _checked_alpha, _TraceTriple
+from qmarkov.states import Decomposed, fidelity
 
 
 def _symmetrize(m):
@@ -108,9 +112,12 @@ def _wedged_pull(x, f, inner):
 def _kraus_wedge(x, f, v):
     """The blocks K_i f(sigma) v, each d_out x n: (K U) f(s) (U† v) with U
     and s sigma's kept eigenvectors and eigenvalues on a triple, the rows of
+    U f(s) (U† v) on the trace channel, where K = I, and the rows of
     (w x I_B) v read as (A, B C) on a state."""
     vals, vecs = _kept(x.sigma_spectrum)
     f_vals = finite_rows((vals,), (f,))[0][:, None]
+    if isinstance(x, _TraceTriple):
+        return list((vecs @ (f_vals * (vecs.conj().T @ v)))[:, None])
     if isinstance(x, ChannelTriple):
         t = np.concatenate(x.channel.kraus) @ vecs @ (f_vals * (vecs.conj().T @ v))
         return np.split(t, len(x.channel.kraus))
@@ -247,30 +254,27 @@ def output_factor(triple, alpha):
     return np.concatenate([out_wedge @ (b * weights) for b in blocks], axis=1)
 
 
-def renyi_rel_entropy(rho, sigma, a):
+def _on_the_trace_channel(oracle, rho, sigma, a):
+    """A divergence at one order: the difference ``oracle`` on the library's
+    (rho, sigma, Tr), less log2 Tr sigma - log2 Tr rho; +inf above 1 when
+    supp(rho) is not in supp(sigma)."""
     a = as_alpha(a)
-    rho_m, _ = matrix_pair(rho, sigma)
-    dec_sigma = spectrum_of(sigma)
-    if a.alpha > 1.0 and not dec_sigma.supports(rho_m):
+    x = _TraceTriple(rho, sigma)
+    if a.alpha > 1.0 and not x.sigma_supports_rho():
         return math.inf
-    value = np.trace(power(spectrum_of(rho), a.alpha) @ power(dec_sigma, 1.0 - a.alpha)).real
-    if value <= 0.0:
-        return math.inf
-    return float(np.log2(value) / (a.alpha - 1.0))
+    value = oracle(x, a, strict=False)
+    if not math.isfinite(value):
+        return value
+    trace_rho, trace_sigma = x.traces
+    return value - (math.log2(trace_sigma) - math.log2(trace_rho))
+
+
+def renyi_rel_entropy(rho, sigma, a):
+    return _on_the_trace_channel(renyi_rel_ent_diff, rho, sigma, a)
 
 
 def sandwiched_rel_entropy(rho, sigma, a):
-    a = as_alpha(a)
-    rho_m, _ = matrix_pair(rho, sigma)
-    dec_sigma = spectrum_of(sigma)
-    if a.alpha > 1.0 and not dec_sigma.supports(rho_m):
-        return math.inf
-    wedge = power(dec_sigma, (1.0 - a.alpha) / (2.0 * a.alpha))
-    core = _symmetrize(wedge @ rho_m @ wedge)
-    log_value = log2_power_sum(np.linalg.eigvalsh(core), a.alpha)
-    if log_value == -math.inf:
-        return math.inf
-    return float(log_value / (a.alpha - 1.0))
+    return _on_the_trace_channel(sandwiched_rel_ent_diff, rho, sigma, a)
 
 
 def petz_kraus(triple):

@@ -12,7 +12,9 @@ explicitly, so they share no product order with the library's.  An operator
 the library reads through a factor W, as W W† from W's singular values s,
 is kept above SUPPORT_CUTOFF^2 times its largest eigenvalue, the support
 that s defines: the sandwiched core and every closed bracket.  Differences
-are returned in bits, and every value as a float.
+are returned in bits, and every value as a float.  The two Renyi relative
+entropies of a pair of matrices are read the same way, from the dense
+Tr{rho^alpha sigma^(1-alpha)} and the sandwiched core sigma^h rho sigma^h.
 """
 
 from functools import cached_property
@@ -173,6 +175,30 @@ def sandwiched_rel_ent_diff(x: MpTriple, alpha) -> float:
         a = mp.mpf(alpha)
         root = x.spectra[0].power(mp.mpf(1) / 2)
         core = _Decomposition(root * x.bracket((1 - a) / (2 * a)) * root, SUPPORT_CUTOFF**2)
+        value = sum(mp.power(v, a) for v, _ in core.pairs)
+        return float(mp.log(value, 2) / (a - 1))
+
+
+def renyi_rel_entropy(rho, sigma, alpha) -> float:
+    """(1/(alpha-1)) log2 Tr{rho^alpha sigma^(1-alpha)} of two matrices."""
+    with mp.workdps(DIGITS):
+        a = mp.mpf(alpha)
+        rho_power, sigma_power = (_Decomposition(_matrix(m)).power(p)
+                                  for m, p in ((rho, a), (sigma, 1 - a)))
+        return float(mp.log(_trace(rho_power * sigma_power), 2) / (a - 1))
+
+
+def sandwiched_rel_entropy(rho, sigma, alpha) -> float:
+    """(1/(alpha-1)) log2 Tr{(sigma^h rho sigma^h)^alpha} of two matrices,
+    h = (1-alpha)/(2 alpha).
+
+    The library reads the core through its factor sigma^h G, G G† = rho, so
+    the core is kept above SUPPORT_CUTOFF^2 times its largest eigenvalue.
+    """
+    with mp.workdps(DIGITS):
+        a = mp.mpf(alpha)
+        wedge = _Decomposition(_matrix(sigma)).power((1 - a) / (2 * a))
+        core = _Decomposition(wedge * _matrix(rho) * wedge, SUPPORT_CUTOFF**2)
         value = sum(mp.power(v, a) for v, _ in core.pairs)
         return float(mp.log(value, 2) / (a - 1))
 

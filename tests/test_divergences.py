@@ -10,12 +10,18 @@ from qmarkov.divergences import (
     max_rel_entropy,
     min_rel_entropy,
     rel_entropy,
-    renyi_rel_entropy,
-    sandwiched_rel_entropy,
     von_neumann_entropy,
 )
 from qmarkov.errors import ValidationError
 from qmarkov.linalg import hermitian_eig
+from qmarkov.measures import (
+    PETZ_ALPHA_GRID,
+    SANDWICHED_ALPHA_GRID,
+    renyi_rel_entropy,
+    renyi_rel_entropy_grid,
+    sandwiched_rel_entropy,
+    sandwiched_rel_entropy_grid,
+)
 from qmarkov.states import PositiveOperator, random_density, trace_distance
 
 HALF = np.diag([0.5, 0.5])
@@ -133,6 +139,28 @@ class TestSandwiched:
         assert sandwiched_rel_entropy(p, q, alpha) == pytest.approx(
             renyi_rel_entropy(p, q, alpha), abs=1e-12
         )
+
+
+class TestTraceChannelReading:
+    """Both Renyi divergences are the differences on the trace channel less
+    log2 Tr sigma: scaling sigma by c moves them by exactly -log2 c, and
+    disjoint supports give +inf below 1 as above it."""
+
+    @pytest.mark.parametrize("grid, orders", [
+        (renyi_rel_entropy_grid, PETZ_ALPHA_GRID),
+        (sandwiched_rel_entropy_grid, SANDWICHED_ALPHA_GRID),
+    ], ids=["renyi", "sandwiched"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scaling_sigma_shifts_by_minus_log_c(self, grid, orders, seed):
+        rho = random_density((4,), seed=seed)
+        sigma = random_density((4,), seed=seed + 40)
+        scaled = PositiveOperator(2.0 * sigma.matrix)
+        for plain, shifted in zip(grid(rho, sigma, orders), grid(rho, scaled, orders)):
+            assert abs(shifted - (plain - 1.0)) <= 1e-13
+
+    def test_disjoint_supports_below_one(self):
+        assert renyi_rel_entropy(KET0, KET1, 0.5) == math.inf
+        assert sandwiched_rel_entropy(KET0, KET1, 0.75) == math.inf
 
 
 class TestMinMax:

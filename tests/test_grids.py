@@ -11,7 +11,9 @@ differences are zero and the trace values one, where the dense bracket was
 not.  A grid stacks as many orders as fit in ``GRID_CHUNK_ENTRIES`` of
 Kraus-block product, and every grid equals its one-order evaluations bit for
 bit at chunks of ten, four and one orders.  A difference grid's peak memory
-does not grow with its number of orders beyond the small stacked factors.
+does not grow with its number of orders beyond the small stacked factors,
+and neither does a divergence grid's, which is a difference grid on the
+trace channel.
 """
 
 import math
@@ -21,7 +23,6 @@ import numpy as np
 import pytest
 
 import loop_oracles as lo
-from qmarkov import divergences as dv
 from qmarkov import functionals as fn
 from qmarkov import measures as ms
 from qmarkov.channels import (
@@ -84,9 +85,9 @@ TRIPLE_FAMILIES = [
      lo.output_fixed_point_residual, PETZ_ALPHA_GRID),
 ]
 DIVERGENCE_FAMILIES = [
-    (dv.renyi_rel_entropy_grid, dv.renyi_rel_entropy, lo.renyi_rel_entropy,
+    (ms.renyi_rel_entropy_grid, ms.renyi_rel_entropy, lo.renyi_rel_entropy,
      PETZ_ALPHA_GRID + (2.5, 0.9)),
-    (dv.sandwiched_rel_entropy_grid, dv.sandwiched_rel_entropy, lo.sandwiched_rel_entropy,
+    (ms.sandwiched_rel_entropy_grid, ms.sandwiched_rel_entropy, lo.sandwiched_rel_entropy,
      SANDWICHED_ALPHA_GRID + (0.5, 1e3)),
 ]
 
@@ -369,22 +370,40 @@ class TestPeakMemory:
     """A difference grid forms its order-free factors once and one order's
     Kraus-block product at a time.  On the CMI triple of a 4x4x4 state
     (d = 64, four 16x64 Kraus operators) its traced peak grows 2.5x from 2
-    to 40 orders, where a stack of the 40 products grew it 10-14x."""
+    to 40 orders, where a stack of the 40 products grew it 10-14x.  The
+    divergence grids are difference grids on the trace channel, so they are
+    bounded the same way; on a 64-dimensional pair their own stacks of
+    powers grew the peak 15x and 20x."""
+
+    @staticmethod
+    def _peaks(grid, *operands):
+        """The traced peaks of ``grid`` at 2 and at 40 orders."""
+        grid(*operands, (1.1,))  # every cached decomposition is made before tracing
+        peaks = []
+        for k in (2, 40):
+            tracemalloc.start()
+            try:
+                grid(*operands, [1.1 + 0.02 * i for i in range(k)])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return peaks
 
     @pytest.mark.parametrize("grid", [ms.renyi_rel_ent_diff_grid,
                                       ms.sandwiched_rel_ent_diff_grid],
                              ids=["renyi", "sandwiched"])
     def test_peak_does_not_grow_with_the_orders(self, grid):
         x = cmi_as_triple(TripartiteState(random_density((4, 4, 4), seed=1)))
-        grid(x, (1.1,))  # every cached decomposition is made before tracing
-        peaks = []
-        for k in (2, 40):
-            tracemalloc.start()
-            try:
-                grid(x, [1.1 + 0.02 * i for i in range(k)])
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = self._peaks(grid, x)
+        assert peaks[1] < 4 * peaks[0]
+
+    @pytest.mark.parametrize("grid", [ms.renyi_rel_entropy_grid,
+                                      ms.sandwiched_rel_entropy_grid],
+                             ids=["renyi", "sandwiched"])
+    def test_divergence_peak_does_not_grow_with_the_orders(self, grid):
+        rho = random_density((64,), seed=1)
+        sigma = PositiveOperator(random_density((64,), seed=2).matrix)
+        peaks = self._peaks(grid, rho, sigma)
         assert peaks[1] < 4 * peaks[0]
 
 

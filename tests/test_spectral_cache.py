@@ -6,8 +6,10 @@ Operators cache their eigendecomposition on first use (``rho.spectrum``,
 or state caches its recovered operator and its exp-log operator.  These
 tests count the matrices ``eigh`` decomposes (a stack of k counts k), the
 ``eigh`` calls, and the ``support_mask`` and ``herm_exp`` calls a sweep over
-orders makes, count the decompositions and Cholesky roots of a CLI sweep,
-check that evaluation order cannot change a value, check
+orders makes, count the decompositions and Cholesky roots of a CLI sweep
+and of the Renyi divergences (none of a ``Decomposed`` pair, one per
+operand of a fresh pair), check that evaluation order and operand type
+cannot change a value, check
 the kron-free embedding against the kron formula, and check that the cached
 arrays are read-only.
 """
@@ -37,6 +39,7 @@ from qmarkov.functionals import (
 from qmarkov.linalg import embed_operator, hermitian_eig
 from qmarkov.measures import (
     PETZ_ALPHA_GRID,
+    SANDWICHED_ALPHA_GRID,
     ChannelTriple,
     TripartiteState,
     minmax_cmi,
@@ -49,7 +52,7 @@ from qmarkov.measures import (
     von_neumann_cmi,
 )
 from qmarkov.serialization import load_state, save_channel, save_state
-from qmarkov.states import PositiveOperator, random_density
+from qmarkov.states import Decomposed, PositiveOperator, random_density
 from qmarkov.suites import SUITE_NAMES, SuiteConfig, run_suites
 
 SIX_ORDERS = (0.6, 0.75, 0.9, 1.25, 1.5, 1.75)
@@ -207,6 +210,33 @@ class TestDecompositionCounts:
         # each order grid closes its brackets with one stacked svd
         assert len(eigh_calls) <= 150
         assert eigh_calls.calls <= 68
+
+    def test_divergences_read_the_decomposed_outputs(self, monkeypatch):
+        # the inequality suite's data-processing pair: the triple's outputs
+        # with the decompositions it caches
+        triple = _triple()
+        pair = (Decomposed(triple.out_rho, triple.out_rho_spectrum),
+                Decomposed(triple.out_sigma, triple.out_sigma_spectrum))
+        args = {name: _spy(monkeypatch, name) for name in ("eigh", "eigvalsh")}
+        ms.renyi_rel_entropy_grid(*pair, PETZ_ALPHA_GRID)
+        ms.sandwiched_rel_entropy_grid(*pair, SANDWICHED_ALPHA_GRID)
+        assert args == {"eigh": [], "eigvalsh": []}
+
+    @pytest.mark.parametrize("dim", [4, 32])
+    def test_divergences_decompose_a_fresh_pair_once(self, monkeypatch, dim):
+        args = {name: _spy(monkeypatch, name) for name in ("eigh", "eigvalsh", "svd")}
+        rho = PositiveOperator(random_density((dim,), seed=3).matrix)
+        sigma = PositiveOperator(random_density((dim,), seed=4).matrix)
+        ms.renyi_rel_entropy_grid(rho, sigma, PETZ_ALPHA_GRID)
+        ms.sandwiched_rel_entropy_grid(rho, sigma, SANDWICHED_ALPHA_GRID)
+        # the Petz grid decomposes rho; the sandwiched one reads its
+        # Cholesky root; each chunk of sigma^h G products is one svd
+        assert [_slices_equal_to(args["eigh"], x.matrix) for x in (rho, sigma)] == [1, 1]
+        assert len(args["eigh"]) == 2 and args["eigvalsh"] == []
+        k, chunk = len(SANDWICHED_ALPHA_GRID), max(1, ms.GRID_CHUNK_ENTRIES // dim**2)
+        assert [a.shape for a in args["svd"]] == [
+            (min(chunk, k - start), dim, dim) for start in range(0, k, chunk)
+        ]
 
     def test_grid_closes_its_brackets_in_one_svd(self, eigh_calls, monkeypatch):
         svd_args = _spy(monkeypatch, "svd")
@@ -477,14 +507,15 @@ class TestEvaluationOrder:
         sigma = PositiveOperator(random_density((4,), seed=4).matrix)
         rho.spectrum, sigma.spectrum  # populate the caches first
         m_rho, m_sigma = np.array(rho.matrix), np.array(sigma.matrix)
+        d_rho, d_sigma = (Decomposed(m, hermitian_eig(m)) for m in (m_rho, m_sigma))
         assert dv.rel_entropy(rho, sigma) == dv.rel_entropy(m_rho, m_sigma)
         assert dv.max_rel_entropy(rho, sigma) == dv.max_rel_entropy(m_rho, m_sigma)
         assert dv.min_rel_entropy(rho, sigma) == dv.min_rel_entropy(m_rho, m_sigma)
         assert dv.von_neumann_entropy(rho) == dv.von_neumann_entropy(m_rho)
-        for a in (0.5, 1.5, 3.0):
-            assert dv.renyi_rel_entropy(rho, sigma, a) == dv.renyi_rel_entropy(m_rho, m_sigma, a)
-            assert (dv.sandwiched_rel_entropy(rho, sigma, a)
-                    == dv.sandwiched_rel_entropy(m_rho, m_sigma, a))
+        for divergence in (ms.renyi_rel_entropy, ms.sandwiched_rel_entropy):
+            for a in (0.5, 1.5, 3.0):
+                assert (divergence(rho, sigma, a) == divergence(m_rho, m_sigma, a)
+                        == divergence(d_rho, d_sigma, a))
 
 
 class TestReadOnly:
