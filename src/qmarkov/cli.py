@@ -237,25 +237,30 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _input_arguments(parser) -> None:
-    """The measure names and input files that compute and sweep both read."""
-    parser.add_argument("--measure", required=True, choices=tuple(MEASURES))
-    parser.add_argument("--state", help="tripartite state file (CMI measures)")
-    parser.add_argument("--rho", help="state file (difference measures)")
-    parser.add_argument("--sigma", help="reference operator file")
-    parser.add_argument("--channel", help="channel file")
-    parser.add_argument("--nats", action="store_true", help="output in nats")
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="qmarkov",
+        description="Renyi information measures, recovery maps, and their verification",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
 
+    # compute and sweep read the same measure names and input files
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--measure", required=True, choices=tuple(MEASURES))
+    inputs.add_argument("--state", help="tripartite state file (CMI measures)")
+    inputs.add_argument("--rho", help="state file (difference measures)")
+    inputs.add_argument("--sigma", help="reference operator file")
+    inputs.add_argument("--channel", help="channel file")
+    inputs.add_argument("--nats", action="store_true", help="output in nats")
 
-def _compute_arguments(compute) -> None:
-    _input_arguments(compute)
+    compute = sub.add_parser("compute", parents=[inputs],
+                             help="evaluate one measure on input files")
     compute.add_argument("--alpha", type=float, help="Renyi order")
     compute.add_argument("--allow-uncertified", action="store_true",
                          help="evaluate outside the certified alpha range")
     compute.set_defaults(func=cmd_compute)
 
-
-def _generate_arguments(generate) -> None:
+    generate = sub.add_parser("generate", help="write state/channel/triple files")
     generate.add_argument("--kind", required=True,
                           choices=("random-state", "markov", "sufficiency"))
     generate.add_argument("--spec", help="block spec file for structured kinds")
@@ -266,8 +271,7 @@ def _generate_arguments(generate) -> None:
                           help="output file (prefix for sufficiency triples)")
     generate.set_defaults(func=cmd_generate)
 
-
-def _verify_arguments(verify) -> None:
+    verify = sub.add_parser("verify", help="run verification suites")
     verify.add_argument("--suite", default="all", choices=SUITE_NAMES + ("all",))
     verify.add_argument("--trials", type=int, default=25)
     verify.add_argument("--dims", default="2,2,2")
@@ -277,52 +281,17 @@ def _verify_arguments(verify) -> None:
     verify.add_argument("--state", help="tripartite state file to include as a fixed instance")
     verify.set_defaults(func=cmd_verify)
 
-
-def _sweep_arguments(sweep) -> None:
-    _input_arguments(sweep)
+    sweep = sub.add_parser("sweep", parents=[inputs],
+                           help="tabulate a measure over a Renyi-order grid")
     sweep.add_argument("--alpha-grid", required=True, help="start:stop:step")
     sweep.add_argument("--out", required=True)
     sweep.set_defaults(func=cmd_sweep)
 
-
-# each subcommand's help line and the function that adds its arguments
-SUBCOMMANDS = {
-    "compute": ("evaluate one measure on input files", _compute_arguments),
-    "generate": ("write state/channel/triple files", _generate_arguments),
-    "verify": ("run verification suites", _verify_arguments),
-    "sweep": ("tabulate a measure over a Renyi-order grid", _sweep_arguments),
-}
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser.  Every subcommand is listed, but when ``command``
-    names one only its arguments are added, since only its parser will
-    read them; with no ``command`` all are added."""
-    parser = argparse.ArgumentParser(
-        prog="qmarkov",
-        description="Renyi information measures, recovery maps, and their verification",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in SUBCOMMANDS.items():
-        subparser = sub.add_parser(name, help=help_text)
-        if command in (None, name):
-            add_arguments(subparser)
     return parser
 
 
-def _named_command(argv) -> str | None:
-    """The subcommand ``argv`` names, or None.  The top-level parser takes no
-    option with a value, so its first token that is not an option is the
-    one argparse dispatches on; any other dispatch is an invalid choice,
-    whose message lists every subcommand either way."""
-    for token in argv:
-        if not token.startswith("-"):
-            return token if token in SUBCOMMANDS else None
-    return None
-
-
 def main(argv=None) -> int:
-    parser = build_parser(_named_command(sys.argv[1:] if argv is None else argv))
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -9,10 +9,6 @@ class DimensionMismatchError(QmarkovError):
     """Operands have incompatible shapes or subsystem dimensions."""
 
 
-class NonHermitianError(QmarkovError):
-    """Matrix fails the Hermiticity check beyond tolerance."""
-
-
 class MatrixFunctionDomainError(QmarkovError):
     """Scalar function is undefined on a retained eigenvalue."""
 
@@ -21,12 +17,21 @@ class ValidationError(QmarkovError):
     """State, operator, or channel failed a structural check.
 
     ``reason`` is one of "not-hermitian", "not-positive", "not-normalized",
-    "not-trace-preserving", "not-finite", "bad-rank", "bad-spec".
+    "not-trace-preserving", "not-finite", "bad-rank", "bad-spec".  A
+    "not-hermitian" failure is always raised as NonHermitianError.
     """
 
     def __init__(self, reason: str, message: str):
         super().__init__(message)
         self.reason = reason
+
+
+class NonHermitianError(ValidationError):
+    """Matrix fails the Hermiticity rule (``linalg.checked_hermitian_part``),
+    whether in validation or in a decomposition; its reason is "not-hermitian"."""
+
+    def __init__(self, message: str):
+        super().__init__("not-hermitian", message)
 
 
 class RankDeficientError(QmarkovError):

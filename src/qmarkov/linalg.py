@@ -22,10 +22,12 @@ differences stack their Kraus-block products only in chunks of at most
 ``measures.GRID_CHUNK_ENTRIES`` entries, or one order per call when a
 product is larger.
 
-The Hermitian part (M + M†)/2 and the Hermiticity residual M - M† are read
-from a C-contiguous copy of M† (``_adjoint``), summed in place: the swapped
-view M.conj().T is read across its rows, which costs several times a
-contiguous add at d = 512.
+Validation and every decomposition apply one Hermiticity rule,
+``checked_hermitian_part``, so both reject the same matrices with the same
+NonHermitianError.  The residual M - M† and the Hermitian part (M + M†)/2
+are read from a C-contiguous copy of M† (``_adjoint``), summed in place:
+the swapped view M.conj().T is read across its rows, which costs several
+times a contiguous add at d = 512.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ LOG2 = math.log(2.0)
 
 SUPPORT_CUTOFF = 1e-12
 POSITIVITY_TOL = 1e-10  # negative eigenvalues validation accepts as round-off
-HERMITICITY_TOL = 1e-10
+HERMITICITY_TOL = 1e-10  # relative anti-Hermitian residual the one rule accepts
 
 
 def support_mask(values, axis: int | None = None) -> np.ndarray:
@@ -109,7 +111,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns, aligned with eigenvalues
-    hermiticity_residual: float
 
     @cached_property
     def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -194,6 +195,31 @@ def _halved_sum(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return a
 
 
+def _inf_norms(a: np.ndarray):
+    """The infinity norm, the largest absolute row sum, of a matrix or of each
+    slice of a stack: ``np.linalg.norm(m, np.inf)``'s arithmetic, without its
+    dispatch."""
+    return np.abs(a).sum(-1).max(-1)
+
+
+def checked_hermitian_part(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M + M†)/2 and ||M||_inf of a matrix, or of each slice of a stack.
+
+    The one Hermiticity rule: a residual ||M - M†||_inf above
+    HERMITICITY_TOL * ||M||_inf raises NonHermitianError, for the first
+    slice that has one.  The Hermitian part equals ``hermitian_part(m)``.
+    """
+    adj = _adjoint(m)
+    scales, residuals = _inf_norms(m), _inf_norms(m - adj)
+    for scale, residual in zip(np.ravel(scales).tolist(), np.ravel(residuals).tolist()):
+        if scale > 0 and residual > HERMITICITY_TOL * scale:
+            raise NonHermitianError(
+                f"anti-Hermitian residual {residual:.3e} exceeds "
+                f"{HERMITICITY_TOL:.1e} * norm {scale:.3e}"
+            )
+    return _halved_sum(adj, m), scales
+
+
 def _reconstruct(v: np.ndarray, fvals: np.ndarray) -> np.ndarray:
     """Hermitian part of V diag(f) V†, for each row of ``fvals``.
 
@@ -226,45 +252,25 @@ def _as_stack(m) -> np.ndarray:
 def hermitian_eig(m) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
-    The input is symmetrized to (M + M†)/2 before the decomposition; a
-    relative anti-Hermitian residual above HERMITICITY_TOL raises
-    NonHermitianError.
+    The input is checked and symmetrized by ``checked_hermitian_part``
+    before the decomposition.
     """
-    vals, vecs, rel = _sorted_eigh(_as_matrix(m)[None])
-    return SpectralDecomposition(read_only(vals[0]), read_only(vecs[0]), rel[0])
+    vals, vecs = _sorted_eigh(_as_matrix(m)[None])
+    return SpectralDecomposition(read_only(vals[0]), read_only(vecs[0]))
 
 
-def _inf_norms(a: np.ndarray):
-    """The infinity norm, the largest absolute row sum, of a matrix or of each
-    slice of a stack: ``np.linalg.norm(m, np.inf)``'s arithmetic, without its
-    dispatch."""
-    return np.abs(a).sum(-1).max(-1)
-
-
-def _sorted_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Eigenvalues sorted descending, the matching eigenvectors, and the
-    relative anti-Hermitian residual, of each slice of a (k, d, d) stack.
+def _sorted_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues sorted descending and their eigenvectors, per slice of a stack.
 
     Each slice is checked, symmetrized and stably sorted on its own, and one
     ``eigh`` decomposes the whole stack.
     """
     if a.shape[1] != a.shape[2]:
         raise DimensionMismatchError(f"matrix is not square: shape {a.shape[1:]}")
-    adj = _adjoint(a)
-    scales = _inf_norms(a).tolist()
-    residuals = _inf_norms(a - adj).tolist()
-    rel = []
-    for scale, residual in zip(scales, residuals):
-        if scale > 0 and residual > HERMITICITY_TOL * scale:
-            raise NonHermitianError(
-                f"anti-Hermitian residual {residual:.3e} exceeds "
-                f"{HERMITICITY_TOL:.1e} * norm {scale:.3e}"
-            )
-        rel.append(residual / scale if scale > 0 else 0.0)
-    vals, vecs = np.linalg.eigh(_halved_sum(adj, a))  # hermitian_part(a)
+    vals, vecs = np.linalg.eigh(checked_hermitian_part(a)[0])
     if (vals[:, 1:] > vals[:, :-1]).all():
         # no ties: the stable descending order is the reverse of eigh's
-        return vals[:, ::-1].copy(), vecs[:, :, ::-1].copy(), rel
+        return vals[:, ::-1].copy(), vecs[:, :, ::-1].copy()
     order = np.argsort(-vals, axis=1, kind="stable")
     # slice i keeps, as its column j, the column order[i, j] eigh returned;
     # one take per slice costs a third of take_along_axis on a small stack
@@ -272,7 +278,7 @@ def _sorted_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
     for v, w, o, sv, sw in zip(vals, vecs, order, sorted_vals, sorted_vecs):
         v.take(o, out=sv)
         w.take(o, axis=1, out=sw)
-    return sorted_vals, sorted_vecs, rel
+    return sorted_vals, sorted_vecs
 
 
 def herm_pow(m, p: float) -> np.ndarray:
@@ -291,7 +297,7 @@ def herm_pows(stack, ps: Sequence[float]) -> np.ndarray:
     evaluates its own power, so slice i equals ``herm_pow(stack[i], ps[i])``
     bit for bit.
     """
-    vals, vecs, _ = _sorted_eigh(_as_stack(stack))
+    vals, vecs = _sorted_eigh(_as_stack(stack))
     return _support_powers(vals, vecs, ps)
 
 

@@ -357,7 +357,7 @@ class _TraceTriple:
         self.sigma_spectrum = self.sigma.spectrum
         self.traces = [float(np.trace(x.matrix).real) for x in (self.rho, self.sigma)]
         self.out_rho_spectrum, self.out_sigma_spectrum = (
-            SpectralDecomposition(read_only(np.array([t])), read_only(np.ones((1, 1))), 0.0)
+            SpectralDecomposition(read_only(np.array([t])), read_only(np.ones((1, 1))))
             for t in self.traces
         )
 

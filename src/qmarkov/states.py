@@ -1,20 +1,24 @@
 """Density operators and positive operators with subsystem structure.
 
-An operator is validated once, on construction.  Positivity is certified
-by one Cholesky factorization of the shifted Hermitian part H - tau I, with
-tau = POSITIVITY_TOL * max(1, ||M||_inf).  A factor proves lambda_min > tau
-(up to the factorization's round-off, of the order of eigvalsh's own), and
-since ||M||_inf >= lambda_max that passes validation, makes the operator
-positive definite and keeps every eigenvalue in the support.  Only when
-the factorization fails does validation compute the eigenvalues and apply
-the eigenvalue rule to them.  Otherwise the eigenvalues are computed on
-first read.  The full eigendecomposition is cached on first use, so every
-power and logarithm of the operator is read from one ``hermitian_eig``.
-The caches live as long as the object; the matrix, the eigenvalues and the
-decomposition are read-only.  The square-root factor (``root``) of a
-full-rank operator is its Cholesky factor, so a formula that reads the
-operator only through such a factor computes neither its eigenvalues nor
-its decomposition.
+An operator is validated once, on construction: its entries must be finite,
+it must pass the package's one Hermiticity rule
+(``linalg.checked_hermitian_part``), and it must be positive.  Positivity
+is certified by one Cholesky factorization of the shifted Hermitian part
+H - tau I, with tau = POSITIVITY_TOL * max(1, ||M||_inf).  A factor proves
+lambda_min > tau (up to the factorization's round-off, of the order of
+eigvalsh's own), and since ||M||_inf >= lambda_max that passes validation,
+makes the operator positive definite and keeps every eigenvalue in the
+support.  Only when the factorization fails does validation compute the
+eigenvalues and apply the eigenvalue rule to them.  Otherwise the
+eigenvalues are computed on first read.  The full eigendecomposition is
+cached on first use, so every power and logarithm of the operator is read
+from one ``hermitian_eig``.  The caches live as long as the object; the
+matrix, the eigenvalues and the decomposition are read-only.  The
+square-root factor (``root``) of a full-rank operator is its Cholesky
+factor, so a formula that reads the operator only through such a factor
+computes neither its eigenvalues nor its decomposition.  A random draw
+(``random_density``, and the block draws of ``structured``) makes its
+matrix first and validates it once, where it becomes an operator.
 """
 
 from __future__ import annotations
@@ -30,10 +34,8 @@ from .errors import DimensionMismatchError, ValidationError
 from .linalg import (
     POSITIVITY_TOL,
     SpectralDecomposition,
-    _adjoint,
-    _halved_sum,
-    _inf_norms,
     alpha_norm,
+    checked_hermitian_part,
     hermitian_eig,
     hermitian_part,
     read_only,
@@ -60,14 +62,7 @@ def _validated_eigs(matrix: np.ndarray) -> np.ndarray | None:
     the eigenvalues of H, which the eigenvalue rule accepted."""
     if not np.isfinite(matrix).all():
         raise ValidationError("not-finite", "matrix entries must be finite")
-    scale = _inf_norms(matrix)
-    adjoint = _adjoint(matrix)
-    residual = _inf_norms(matrix - adjoint)
-    if scale > 0 and residual > POSITIVITY_TOL * scale:
-        raise ValidationError(
-            "not-hermitian", f"Hermiticity residual {residual:.3e} above tolerance"
-        )
-    shifted = _halved_sum(adjoint, matrix)  # hermitian_part(matrix)
+    shifted, scale = checked_hermitian_part(matrix)
     shifted.reshape(-1)[:: shifted.shape[0] + 1] -= POSITIVITY_TOL * max(1.0, scale)  # the diagonal
     try:
         np.linalg.cholesky(shifted)
@@ -85,8 +80,9 @@ def _validated_eigs(matrix: np.ndarray) -> np.ndarray | None:
 class PositiveOperator:
     """Hermitian positive semidefinite operator; trace is unconstrained.
 
-    Validation factors the shifted Hermitian part (see the module
-    docstring), or, when that fails, computes the eigenvalues.  The
+    Validation applies the Hermiticity rule, which also forms the Hermitian
+    part H and ||M||_inf, then factors H - tau I (see the module docstring),
+    or, when that fails, computes the eigenvalues.  The
     eigenvalues (``eigenvalues``) and the full decomposition (``spectrum``)
     are otherwise computed on first use and cached.  ``root`` returns a
     square-root factor G with G G† = matrix: the Cholesky factor when the
@@ -182,6 +178,12 @@ def random_density(dims, rank: int | None = None, seed=0) -> DensityOperator:
     integer or a numpy Generator.
     """
     dims = tuple(int(d) for d in dims)
+    return DensityOperator(_random_density_matrix(dims, rank, seed), dims)
+
+
+def _random_density_matrix(dims, rank: int | None = None, seed=0) -> np.ndarray:
+    """The matrix of ``random_density``, drawn the same way but not validated,
+    for a caller that validates it where it is used."""
     dim = math.prod(dims)
     if rank is None:
         rank = dim
@@ -192,7 +194,7 @@ def random_density(dims, rank: int | None = None, seed=0) -> DensityOperator:
     rho = g @ g.conj().T
     rho = (rho + rho.conj().T) / 2
     rho /= rho.trace().real
-    return DensityOperator(rho, dims)
+    return rho
 
 
 def perturb_positive(rho: DensityOperator, eps: float) -> DensityOperator:

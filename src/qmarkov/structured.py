@@ -18,14 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, random_strict_channel, random_unitary
+from .channels import TP_TOL, Channel, random_strict_channel, random_unitary
 from .errors import DimensionMismatchError, ValidationError
 from .linalg import kron
 from .measures import ChannelTriple, TripartiteState, _petz
 from .states import (
     DensityOperator,
     PositiveOperator,
-    random_density,
+    _random_density_matrix,
     seeded_rng,
     trace_distance,
 )
@@ -145,7 +145,8 @@ class SufficiencyBlockSpec:
                 raise DimensionMismatchError(
                     "unitary must be square on the left factor (equal in/out dims)"
                 )
-            if np.linalg.norm(u.conj().T @ u - np.eye(dl), np.inf) > 1e-10:
+            # U†U = I is the trace-preserving condition of rho -> U rho U†
+            if np.linalg.norm(u.conj().T @ u - np.eye(dl), np.inf) > TP_TOL:
                 raise ValidationError("bad-spec", "left action is not unitary")
             if b.channel_right.dim_in != b.tau_right.shape[0]:
                 raise DimensionMismatchError("channel_right input does not match tau_right")
@@ -246,8 +247,8 @@ def random_markov_spec(dim_a: int, dim_b: int, block_dims, seed=0) -> MarkovBloc
                 weight=float(w),
                 dim_cl=dcl,
                 dim_cr=dcr,
-                rho_left=random_density((dim_a, dcl), seed=rng).matrix,
-                rho_right=random_density((dcr, dim_b), seed=rng).matrix,
+                rho_left=_random_density_matrix((dim_a, dcl), seed=rng),
+                rho_right=_random_density_matrix((dcr, dim_b), seed=rng),
             )
         )
     return MarkovBlockSpec(dim_a=dim_a, dim_b=dim_b, blocks=tuple(blocks))
@@ -264,9 +265,9 @@ def random_sufficiency_spec(block_dims, seed=0) -> SufficiencyBlockSpec:
     blocks = []
     for (dl, dr_in, dr_out), p in zip(block_dims, probs):
         weight = float(rng.uniform(0.5, 1.5))
-        rho_left = random_density((dl,), seed=rng)
-        sigma_left = random_density((dl,), seed=rng)
-        tau_right = random_density((dr_in,), seed=rng)
+        rho_left = _random_density_matrix((dl,), seed=rng)
+        sigma_left = _random_density_matrix((dl,), seed=rng)
+        tau_right = _random_density_matrix((dr_in,), seed=rng)
         unitary = random_unitary(dl, seed=rng)
         rank = 2 if dr_out * 2 >= dr_in else int(np.ceil(dr_in / dr_out))
         channel_right = random_strict_channel(
@@ -276,9 +277,9 @@ def random_sufficiency_spec(block_dims, seed=0) -> SufficiencyBlockSpec:
             SufficiencyBlock(
                 prob=float(p),
                 weight=weight,
-                rho_left=rho_left.matrix,
-                sigma_left=sigma_left.matrix,
-                tau_right=tau_right.matrix,
+                rho_left=rho_left,
+                sigma_left=sigma_left,
+                tau_right=tau_right,
                 unitary=unitary,
                 channel_right=channel_right,
             )

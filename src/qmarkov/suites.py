@@ -67,7 +67,7 @@ from .measures import (
     sandwiched_rel_entropy_grid,
     von_neumann_cmi,
 )
-from .states import Decomposed, DensityOperator, PositiveOperator, random_density
+from .states import Decomposed, DensityOperator, _random_density_matrix, random_density
 from .structured import (
     build_markov_chain,
     build_sufficiency_triple,
@@ -233,7 +233,7 @@ def _random_state(cfg: SuiteConfig, rng) -> TripartiteState:
 def _random_triple(rng) -> ChannelTriple:
     d_in, d_out = CHANNEL_DIMS
     rho = random_density((d_in,), seed=rng)
-    sigma = PositiveOperator(random_density((d_in,), seed=rng).matrix)
+    sigma = random_density((d_in,), seed=rng)
     channel = random_strict_channel(d_in, d_out, seed=int(rng.integers(2**63)))
     return ChannelTriple(rho=rho, sigma=sigma, channel=channel)
 
@@ -447,8 +447,8 @@ def inequality_suite(cfg: SuiteConfig, *, _draws=None) -> VerificationReport:
         # concavity of B -> Tr{(A B^p A†)^(1/p)} on two-point mixtures
         dim = CHANNEL_DIMS[0]
         a_mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        b_one = random_density((dim,), seed=rng).matrix
-        b_two = random_density((dim,), seed=rng).matrix
+        b_one = _random_density_matrix((dim,), seed=rng)
+        b_two = _random_density_matrix((dim,), seed=rng)
         lam = float(rng.uniform(0.2, 0.8))
         mixed, one, two = (hermitian_eig(b) for b in
                            (lam * b_one + (1.0 - lam) * b_two, b_one, b_two))

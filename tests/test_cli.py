@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qmarkov.channels import random_strict_channel, random_unitary
-from qmarkov.cli import _format_value, _named_command, build_parser, main
+from qmarkov.cli import _format_value, build_parser, main
 from qmarkov.linalg import kron
 from qmarkov.measures import (
     TripartiteState,
@@ -725,8 +725,8 @@ def _parsed_by(parser, argv):
 
 
 class TestParser:
-    """``main`` adds only the named subcommand's arguments; what it prints
-    equals the bytes of the parser with every subcommand's arguments."""
+    """What ``main`` prints on a usage error or a help request equals the
+    bytes ``build_parser()`` prints, and its exit code is argparse's."""
 
     @pytest.mark.parametrize("argv", [
         ["--help"], ["bogus"], [],
@@ -740,15 +740,6 @@ class TestParser:
         assert code in (0, 2)
         assert main(argv) == code
         assert capsys.readouterr() == (out, err)
-
-    def test_the_named_subcommand_alone_is_filled(self):
-        assert [_named_command(a) for a in (["verify", "--seed", "1"], ["-h", "sweep"],
-                                            ["bogus", "verify"], ["--help"], [])] == [
-            "verify", "sweep", None, None, None]
-        # a parser built for verify lists compute but does not read its arguments
-        argv = ["compute", "--measure", "cmi", "--state", "x"]
-        assert _parsed_by(build_parser(), argv)[2] is None
-        assert _parsed_by(build_parser("verify"), argv)[2] == 2
 
 
 class TestUsage:

@@ -3,7 +3,14 @@ import pytest
 
 from qmarkov.channels import random_unitary
 from qmarkov.errors import DimensionMismatchError, NonHermitianError, ValidationError
-from qmarkov.linalg import POSITIVITY_TOL, hermitian_eig, hermitian_part, support_mask
+from qmarkov.linalg import (
+    HERMITICITY_TOL,
+    POSITIVITY_TOL,
+    herm_pows,
+    hermitian_eig,
+    hermitian_part,
+    support_mask,
+)
 from qmarkov.measures import TripartiteState, cmi_as_triple
 from qmarkov.states import (
     DensityOperator,
@@ -51,6 +58,28 @@ class TestValidateDensity:
         with pytest.raises(ValidationError) as err:
             PositiveOperator(m)
         assert err.value.reason == "not-hermitian"
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_one_hermiticity_rule(self, factor):
+        """Validation and decomposition reach the same verdict, with the same
+        error type, reason and message, on both sides of HERMITICITY_TOL."""
+        # ||M - M†||_inf = x and ||M||_inf = 0.5 + x, so their ratio is factor * tol
+        x = factor * HERMITICITY_TOL * 0.5 / (1.0 - factor * HERMITICITY_TOL)
+        m = np.array([[0.5, x], [0.0, 0.5]], dtype=complex)
+        outcomes = []
+        for entry in (DensityOperator, PositiveOperator, hermitian_eig,
+                      lambda a: herm_pows(a[None], (0.5,))):
+            try:
+                entry(m)
+                outcomes.append(None)
+            except Exception as exc:
+                outcomes.append((type(exc), getattr(exc, "reason", None), str(exc)))
+        assert len(set(outcomes)) == 1
+        if factor < 1:
+            assert outcomes[0] is None
+        else:
+            assert outcomes[0][:2] == (NonHermitianError, "not-hermitian")
+            assert issubclass(NonHermitianError, ValidationError)
 
     def test_dims_mismatch(self):
         with pytest.raises(DimensionMismatchError):

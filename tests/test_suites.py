@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import os
 import numpy as np
 import pytest
 
+import qmarkov.states
 from qmarkov.cli import main
 from qmarkov.errors import ValidationError
 from qmarkov.measures import PETZ_ALPHA_GRID, SANDWICHED_ALPHA_GRID, TripartiteState
@@ -221,6 +224,23 @@ class TestSharedDraws:
             limit_suite(cfg), inequality_suite(cfg))}
         assert list(forward) == list(SUITE_NAMES)
         assert forward == backward == alone == direct
+
+    def test_each_drawn_operator_is_validated_once(self, monkeypatch):
+        """A random draw is validated where it becomes an operator, and only
+        there: the block draws of a spec by the spec, the concavity mixtures
+        not at all, so a one-trial verify validates 30 operators."""
+        validated = qmarkov.states._validated_eigs
+        calls = []
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return validated(matrix)
+
+        monkeypatch.setattr(qmarkov.states, "_validated_eigs", counting)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", "--suite", "all", "--dims", "2,2,2",
+                         "--trials", "1", "--seed", "42"]) == 0
+        assert len(calls) == 30
 
     def test_unknown_name_runs_nothing(self, monkeypatch):
         digests = _eigh_inputs(monkeypatch)
