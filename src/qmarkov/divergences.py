@@ -8,9 +8,9 @@ cached decomposition, so evaluating many divergences on the same operators
 decomposes each of them once.
 
 The alpha-Renyi and sandwiched alpha-Renyi relative entropies live in
-``measures``, as the Renyi differences on the trace channel: for a state
-rho, Delta_alpha(rho, sigma, Tr) = D_alpha(rho||sigma) + log2 Tr sigma in
-either form, so this module computes no Renyi trace.
+``measures``: each is its Renyi difference read by the Kraus-block kernel
+with K = I and Y = 1, that is with no channel and no output factor, so this
+module computes no Renyi trace.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import SpectralDecomposition, finite_rows, hermitian_part, support_mask
-from .states import PositiveOperator, as_matrix, fidelity, matrix_pair, spectrum_of
+from .states import Decomposed, PositiveOperator, as_matrix, fidelity, matrix_pair, spectrum_of
 
 ALPHA_ONE_GUARD = 1e-6
 
@@ -72,11 +72,14 @@ def as_alpha(a) -> AlphaParameter:
 def von_neumann_entropy(rho) -> float:
     """Entropy -Tr{rho log2 rho} over the support.
 
-    A PositiveOperator's entropy is read from its cached eigenvalues, any
-    other operand's from the same ``eigvalsh``.
+    A PositiveOperator's entropy is read from its cached eigenvalues, a
+    Decomposed's from its decomposition's, any other operand's from the same
+    ``eigvalsh``.
     """
     if isinstance(rho, PositiveOperator):
         eigs = rho.eigenvalues
+    elif isinstance(rho, Decomposed):
+        eigs = rho.spectrum.eigenvalues
     else:
         eigs = np.linalg.eigvalsh(hermitian_part(as_matrix(rho)))
     return _entropy(eigs)

@@ -12,8 +12,8 @@ is formed.  The differences' kernel (``_kraus_products``) forms the factors
 in chunks of as many orders as fit in ``GRID_CHUNK_ENTRIES`` (one order when
 a factor is larger), and each chunk is closed with one stacked ``svd`` and
 reduced before the next is formed; the values equal the one-order
-evaluation bit for bit.
-Every order is checked by ``as_alpha`` before any is evaluated.
+evaluation bit for bit.  Every order is checked by ``as_alpha`` before
+any is evaluated, and the output support once (``check_output_support``).
 """
 
 from __future__ import annotations
@@ -31,12 +31,14 @@ LN2 = float(np.log(2.0))
 def _closed_brackets(x, alphas, sandwiched: bool, closing, reduce) -> list[float]:
     """``reduce`` of the channel-form bracket at each order a, h = (1-a)/2
     (divided by a when ``sandwiched``), raised to ``closing(a)``: the
-    bracket is W W† for W† = ``_kraus_products(x, hs, I)``, closed from W's
-    singular values."""
+    bracket is W W† for W† = ``_kraus_products(x, hs, I, Y)``, Y the
+    ``output_factors``, closed from W's singular values."""
     alphas = [as_alpha(a).alpha for a in alphas]
+    x.check_output_support()
     hs = [(1.0 - a) / 2.0 / a if sandwiched else (1.0 - a) / 2.0 for a in alphas]
     factors = (
-        (part, w.conj().swapaxes(-1, -2)) for part, w in _kraus_products(x, hs, np.eye(x.rho.dim))
+        (part, w.conj().swapaxes(-1, -2))
+        for part, w in _kraus_products(x, hs, np.eye(x.rho.dim), x.output_factors(hs))
     )
     return _closed_values(factors, [closing(a) for a in alphas], reduce)
 
@@ -83,6 +85,7 @@ def exp_trace_channel_value(triple: ChannelTriple | TripartiteState) -> float:
 
     A TripartiteState is read as its CMI triple.
     """
+    triple.check_output_support()
     return float(np.trace(triple.exp_log_sum).real)
 
 
@@ -141,21 +144,23 @@ def output_fixed_point_residual(triple: ChannelTriple, alpha: float) -> float:
 def output_fixed_point_residual_grid(triple: ChannelTriple, alphas) -> list[float]:
     """``output_fixed_point_residual`` at each order of ``alphas``, a chunk at a time.
 
-    The closed operator is (V V†)^(1/a) for the blocks K_i sigma^h v lambda^(a/2)
-    side by side, times N(sigma)^(-h): h = (1-a)/2, (lambda, v) rho's kept
-    eigenpairs.  It is read from V's singular values.
+    The closed operator is (V V†)^(1/a) for the kernel's products
+    N(sigma)^(-h) K_i sigma^h v, Y = N(sigma)^(-h), weighted by lambda^(a/2)
+    and set side by side: h = (1-a)/2, (lambda, v) rho's kept eigenpairs.
+    It is read from V's singular values.
     """
     alphas = [as_alpha(a).alpha for a in alphas]
+    triple.check_output_support()
     hs = [(1.0 - a) / 2.0 for a in alphas]
     _, kept, v = triple.rho.spectrum.support
     weights = finite_rows([kept] * len(alphas), [_power_of(a / 2.0) for a in alphas])
     weights = np.reshape(weights, (len(alphas), 1, 1, kept.size))
-    powers = triple.out_sigma_spectrum.powers([-h for h in hs])[:, None]
     d_out = triple.out_rho.shape[0]
+    ys = triple.out_sigma_spectrum.powers([-h for h in hs])
     factors = (
-        (part, (powers[part] @ (blocks * weights[part]))
-         .swapaxes(1, 2).reshape(len(blocks), d_out, -1))
-        for part, blocks in triple.kraus_wedges([_power_of(h) for h in hs], v)
+        (part, (products.reshape(len(products), -1, d_out, kept.size) * weights[part])
+         .swapaxes(1, 2).reshape(len(products), d_out, -1))
+        for part, products in _kraus_products(triple, hs, v, ys)
     )
     return _closed_values(factors, [1.0 / a for a in alphas],
                           lambda closed: spectral_norms(closed - triple.out_rho))

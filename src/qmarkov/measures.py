@@ -8,15 +8,16 @@ Two families, each in von Neumann, Renyi, sandwiched, and min/max flavors:
 
 The first family is the second evaluated on the CMI triple
 (rho_ABC, rho_AC x I_B, trace-out-A), as in arXiv:1501.05636: each Renyi,
-sandwiched and min/max CMI is a call to its difference counterpart.  So are
-the two Renyi relative entropies, on the triple (rho, sigma, Tr)
-(``_TraceTriple``): for a state rho, Delta_alpha(rho, sigma, Tr) =
-D_alpha(rho||sigma) + log2 Tr sigma.  The difference formulas read only a
-few members of their argument: N(rho), N(sigma), the spectrum of sigma,
-f(sigma) N†(inner) f(sigma) (``wedged_pull``, for the Petz map alone), and
-the Kraus blocks [K_i f(sigma) v]_i (``kraus_wedges``), through which both
-Renyi differences and every closed bracket of ``functionals`` read the
-channel and sigma.  A ``TripartiteState`` answers each from its marginals
+sandwiched and min/max CMI is a call to its difference counterpart.  Both
+Renyi differences read the channel outputs only through one factor,
+Y = N(sigma)^(-h) N(rho)^h (``output_factors``), and the two Renyi relative
+entropies are the same kernel with K = I and Y = 1 (``_TraceTriple``).  The
+difference formulas read only a few members of their argument: N(rho),
+N(sigma), the spectrum of sigma, Y, f(sigma) N†(inner) f(sigma)
+(``wedged_pull``, for the Petz map alone), and the Kraus blocks
+[K_i f(sigma) v]_i (``kraus_wedges``), through which both Renyi
+differences and every closed bracket of ``functionals`` read the channel
+and sigma.  A ``TripartiteState`` answers each from its marginals
 by reshaped matmuls, so the triple is never built and only the log sums
 embed an operator on A x B x C; ``cmi_as_triple`` builds the triple
 densely, so the reduction can be tested against an independent evaluation.
@@ -42,8 +43,8 @@ factor whenever the cached spectra bound its condition number.
 Each Renyi family has a grid form (``renyi_rel_ent_diff_grid``,
 ``sandwiched_rel_ent_diff_grid``) that evaluates a tuple of orders in one
 call.  What no order changes (the root of rho, U† v, K U) is formed once
-per call, the small order-dependent factors (the output powers and the
-values s^h) form one array each, and the Kraus-block products are formed
+per call, the small order-dependent factors (Y and the values s^h) form
+one array each, and the Kraus-block products are formed
 and reduced in chunks of as many orders as fit in GRID_CHUNK_ENTRIES
 complex entries, or of one order when a single product is larger.  Its
 values equal the one-order evaluation bit for bit, and the one-order
@@ -62,8 +63,6 @@ import numpy as np
 from .channels import Channel, adjoint_apply, apply_channel, is_strict_cptp, partial_trace_channel
 from .divergences import (
     AlphaParameter,
-    _cross_entropy,
-    _entropy,
     as_alpha,
     max_rel_entropy,
     rel_entropy,
@@ -148,6 +147,25 @@ class _CachedSpectra:
         for dec in (self.sigma_spectrum, self.out_rho_spectrum, self.out_sigma_spectrum):
             bound *= _condition_number(dec)
         return bound <= 1.0 / SUPPORT_CUTOFF
+
+    def output_factors(self, hs) -> np.ndarray:
+        """The (k, d_out, d_out) stack of Y = N(sigma)^(-h) N(rho)^h, one slice
+        per h in ``hs``, through which the outputs enter ``_kraus_products``."""
+        return self.out_sigma_spectrum.powers([-h for h in hs]) @ self.out_rho_spectrum.powers(hs)
+
+    def check_output_support(self) -> None:
+        """Raise RankDeficientError when supp(rho) lies in supp(sigma) but the
+        support N(sigma) keeps does not hold N(rho): exactly, the first
+        inclusion implies the second, so only SUPPORT_CUTOFF, dropping the
+        image in N(sigma) of a direction sigma keeps, can break it, and every
+        difference and bracket would then read a wrong number.  Free when
+        N(sigma) keeps every eigenvalue."""
+        if not self.out_sigma_spectrum.supports(self.out_rho) and self.sigma_supports_rho():
+            raise RankDeficientError(
+                f"supp(rho) lies in supp(sigma), but N(rho) has weight on eigenvalues "
+                f"of N(sigma) below SUPPORT_CUTOFF = {SUPPORT_CUTOFF:g} times its largest, "
+                "which the cutoff drops; N(sigma) is too ill-conditioned to evaluate"
+            )
 
     def pulled_log_ratio(self) -> np.ndarray:
         """N†(log N(rho) - log N(sigma)), natural logarithms."""
@@ -341,12 +359,11 @@ class ChannelTriple(_CachedSpectra):
 
 
 class _TraceTriple:
-    """The triple (rho, sigma, Tr) of two divergence operands, as the Renyi
-    difference kernels read it.  Tr has the Kraus operators <i|, so K = I,
-    the blocks K_i f(sigma) v are the rows of U f(s) U† v, and N(rho),
-    N(sigma) are the traces, whose 1 x 1 decompositions are written down.
-    Operands are read through their cached decompositions; a plain matrix
-    is decomposed once, into a Decomposed."""
+    """The triple (rho, sigma, Tr) of two divergence operands, read as the
+    kernel with K = I and Y = 1: the blocks K_i f(sigma) v are the rows of
+    U f(s) U† v, no output is formed, and the Renyi differences are the
+    divergences.  Operands are read through their cached decompositions; a
+    plain matrix is decomposed once, into a Decomposed."""
 
     def __init__(self, rho, sigma):
         matrix_pair(rho, sigma)
@@ -355,11 +372,12 @@ class _TraceTriple:
             else Decomposed(as_matrix(x), hermitian_eig(as_matrix(x))) for x in (rho, sigma)
         )
         self.sigma_spectrum = self.sigma.spectrum
-        self.traces = [float(np.trace(x.matrix).real) for x in (self.rho, self.sigma)]
-        self.out_rho_spectrum, self.out_sigma_spectrum = (
-            SpectralDecomposition(read_only(np.array([t])), read_only(np.ones((1, 1))))
-            for t in self.traces
-        )
+
+    def output_factors(self, hs) -> np.ndarray:
+        return np.ones((len(hs), 1, 1))
+
+    def check_output_support(self) -> None:
+        """Nothing to check: no output is read."""
 
     def sigma_supports_rho(self) -> bool:
         return self.sigma_spectrum.supports(self.rho.matrix)
@@ -479,19 +497,15 @@ def rel_ent_diff(triple: ChannelTriple) -> float:
     """Relative entropy difference D(rho||sigma) - D(N(rho)||N(sigma)), in bits.
 
     Non-negative by the data-processing inequality; raises InfiniteTermError
-    when the first term is infinite and the difference is undefined.
+    when the first term is infinite and the difference is undefined.  The
+    second term reads the outputs through their cached decompositions.
     """
     first = rel_entropy(triple.rho, triple.sigma)
     if math.isinf(first):
         raise InfiniteTermError("D(rho||sigma) is infinite; difference undefined")
-    out_sigma = triple.out_sigma_spectrum
-    if not out_sigma.supports(triple.out_rho):
-        return -math.inf
-    # N(rho)'s eigenvalues are read from the decomposition the Renyi formulas share
-    second = (
-        -_entropy(triple.out_rho_spectrum.eigenvalues) - _cross_entropy(triple.out_rho, out_sigma)
-    )
-    return first - second
+    triple.check_output_support()
+    return first - rel_entropy(Decomposed(triple.out_rho, triple.out_rho_spectrum),
+                               Decomposed(triple.out_sigma, triple.out_sigma_spectrum))
 
 
 def _condition_number(dec: SpectralDecomposition) -> float:
@@ -543,12 +557,14 @@ def renyi_rel_ent_diff_grid(
     float64 (a large order) raises MatrixFunctionDomainError.
     """
     checked = [_checked_alpha(triple, a, strict) for a in alphas]
+    triple.check_output_support()
+    hs = [(1.0 - a.alpha) / 2.0 for a in checked]
     _, kept, v = triple.rho.spectrum.support
     weights = finite_rows([kept] * len(checked), [_power_of(a.alpha) for a in checked])
     weights = np.reshape(weights, (len(checked), 1, kept.size))
     values = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for part, products in _kraus_products(triple, [(1.0 - a.alpha) / 2.0 for a in checked], v):
+        for part, products in _kraus_products(triple, hs, v, triple.output_factors(hs)):
             values += np.sum(
                 (products * products.conj()).real * weights[part], axis=(1, 2)
             ).tolist()
@@ -594,9 +610,10 @@ def sandwiched_rel_ent_diff_grid(
     bit.
     """
     checked = [_checked_alpha(triple, a, strict) for a in alphas]
+    triple.check_output_support()
     hs = [(1.0 - a.alpha) / (2.0 * a.alpha) for a in checked]
     svs = []
-    for _, products in _kraus_products(triple, hs, triple.rho.root()):
+    for _, products in _kraus_products(triple, hs, triple.rho.root(), triple.output_factors(hs)):
         svs += list(np.linalg.svd(products, compute_uv=False))
     values = []
     for a, sv in zip(checked, svs):
@@ -606,23 +623,21 @@ def sandwiched_rel_ent_diff_grid(
     return values
 
 
-def _kraus_products(x, hs, v) -> Iterator[tuple[slice, np.ndarray]]:
+def _kraus_products(x, hs, v, ys) -> Iterator[tuple[slice, np.ndarray]]:
     """The (r d_out, n) products Y† K_i sigma^h v, blocks i stacked by rows,
-    with Y = N(sigma)^(-h) N(rho)^h, for each h in ``hs``, in chunks: for
-    each, the slice of ``hs`` it holds and the (c, r d_out, n) stack of
-    their products.
+    for each h in ``hs`` and its slice Y of ``ys``, in chunks: for each, the
+    slice of ``hs`` it holds and the (c, r d_out, n) stack of its products.
 
-    Both Renyi differences and every closed bracket read the channel and
-    sigma only through this: for Z = [K_1† Y, ..., K_r† Y], Z Z† = N†(Y Y†),
-    and the product is Z† sigma^h v.  What no order changes (U† v and, on
-    a triple, K U) is formed once; the small order-dependent factors (the
-    output powers and the values s^h) are formed for every order at once,
-    and checked, before the first product.  Chunks are ``_kept_chunks``':
-    a consumer's stacked call makes the same BLAS or LAPACK call per slice
-    as on one matrix.  ``x`` is a ChannelTriple, a TripartiteState or a
-    ``_TraceTriple``.
+    Every Renyi quantity reads the channel and sigma only through this: for
+    Z = [K_1† Y, ..., K_r† Y], Z Z† = N†(Y Y†), and the product is
+    Z† sigma^h v.  The differences and closed brackets pass
+    ``output_factors``, the divergences Y = 1 with K = I (``_TraceTriple``),
+    the output fixed point Y = N(sigma)^(-h).  What no order changes (U† v
+    and, on a triple, K U) is formed once, the values s^h for every order at
+    once, and checked, before the first product.  Chunks are
+    ``_kept_chunks``': a consumer's stacked call makes the same BLAS or
+    LAPACK call per slice as on one matrix.
     """
-    ys = x.out_sigma_spectrum.powers([-h for h in hs]) @ x.out_rho_spectrum.powers(hs)
     adjoints = ys.conj().swapaxes(-1, -2)[:, None]
     return (
         (part, (adjoints[part] @ w).reshape(len(w), -1, w.shape[-1]))
@@ -633,10 +648,10 @@ def _kraus_products(x, hs, v) -> Iterator[tuple[slice, np.ndarray]]:
 def renyi_rel_entropy(rho, sigma, a) -> float:
     """alpha-Renyi relative entropy (1/(alpha-1)) log2 Tr{rho^alpha sigma^(1-alpha)}.
 
-    The Renyi difference on the trace channel, which for a state rho is
-    Delta_alpha(rho, sigma, Tr) = D_alpha(rho||sigma) + log2 Tr sigma.  +inf
-    when alpha > 1 and supp(rho) is not contained in supp(sigma), and also
-    when the trace functional vanishes (disjoint supports, alpha < 1).
+    The Renyi difference's kernel with K = I and Y = 1 (no channel and no
+    output factor).  +inf when alpha > 1 and supp(rho) is not contained in
+    supp(sigma), and also when the trace functional vanishes (disjoint
+    supports, alpha < 1).
     """
     return renyi_rel_entropy_grid(rho, sigma, (a,))[0]
 
@@ -650,9 +665,8 @@ def sandwiched_rel_entropy(rho, sigma, a) -> float:
     """Sandwiched Renyi relative entropy.
 
     (1/(alpha-1)) log2 Tr{ (sigma^((1-alpha)/2alpha) rho sigma^((1-alpha)/2alpha))^alpha },
-    the sandwiched difference on the trace channel, which for a state rho is
-    Delta~_alpha(rho, sigma, Tr) = D~_alpha(rho||sigma) + log2 Tr sigma; read
-    from the singular values of sigma^((1-alpha)/2alpha) G, G G† = rho.
+    the sandwiched difference's kernel with K = I and Y = 1, read from the
+    singular values of sigma^((1-alpha)/2alpha) G, G G† = rho.
     """
     return sandwiched_rel_entropy_grid(rho, sigma, (a,))[0]
 
@@ -663,20 +677,14 @@ def sandwiched_rel_entropy_grid(rho, sigma, alphas) -> list[float]:
 
 
 def _on_the_trace_channel(grid, rho, sigma, alphas) -> list[float]:
-    """A Renyi divergence at each order, from the difference ``grid`` on
-    (rho, sigma, Tr).  The outputs enter only as Y = (Tr sigma)^(-h)
-    (Tr rho)^h, whose square shifts every value, in either form, by
-    log2 Tr sigma - log2 Tr rho, which is subtracted.  Orders above 1 are
+    """A Renyi divergence at each order, the difference ``grid`` on
+    (rho, sigma, Tr): the kernel with K = I and Y = 1.  Orders above 1 are
     +inf, unevaluated, when supp(rho) is not in supp(sigma)."""
     checked = [as_alpha(a) for a in alphas]
     x = _TraceTriple(rho, sigma)
     live = [a for a in checked if a.alpha <= 1.0 or x.sigma_supports_rho()]
     values = dict(zip(live, grid(x, live, strict=False)))
-    trace_rho, trace_sigma = x.traces
-    return [
-        value - (math.log2(trace_sigma) - math.log2(trace_rho)) if math.isfinite(value) else value
-        for value in (values.get(a, math.inf) for a in checked)
-    ]
+    return [values.get(a, math.inf) for a in checked]
 
 
 def _recovery_divergence(x, kind: str) -> float:
@@ -689,6 +697,7 @@ def _recovery_divergence(x, kind: str) -> float:
     """
     if kind == "min":
         return sandwiched_rel_ent_diff_grid(x, (0.5,), strict=False)[0]
+    x.check_output_support()
     if x.recovered_is_well_conditioned():
         try:
             return _max_divergence_by_cholesky(x)

@@ -25,8 +25,9 @@ not bit for bit; where the bracket has eigenvalues below SUPPORT_CUTOFF
 times its largest, the dense reading drops directions the factor keeps.
 
 The two Renyi divergences are these differences on the library's trace
-triple (rho, sigma, Tr), one order at a time, less the same shift of
-log2 Tr sigma - log2 Tr rho.
+triple (rho, sigma, Tr), one order at a time: the kernel with K = I and
+Y = 1.  The output fixed point reads the same products with
+Y = N(sigma)^(-h), weighted by rho's eigenvalues to the power alpha/2.
 
 ``petz_round_trip`` applies the Petz recovery map in its Kraus form, the
 independent reading of the dense Petz map that ``is_sufficient_petz``
@@ -128,10 +129,16 @@ def _kraus_wedge(x, f, v):
     return list(t.reshape(d_a, d_c, d_b, n).swapaxes(1, 2).reshape(d_a, d_b * d_c, n))
 
 
-def _kraus_products(x, h, v):
-    """Y† K_i sigma^h v for each i, stacked by rows, with
-    Y = N(sigma)^(-h) N(rho)^h."""
-    y = power(x.out_sigma_spectrum, -h) @ power(x.out_rho_spectrum, h)
+def _output_y(x, h):
+    """Y = N(sigma)^(-h) N(rho)^h, through which the outputs enter both Renyi
+    differences and every closed bracket; 1 on the trace channel."""
+    if isinstance(x, _TraceTriple):
+        return np.ones((1, 1))
+    return power(x.out_sigma_spectrum, -h) @ power(x.out_rho_spectrum, h)
+
+
+def _kraus_products(x, h, v, y):
+    """Y† K_i sigma^h v for each i, stacked by rows."""
     return np.concatenate([y.conj().T @ b for b in _kraus_wedge(x, lambda s: s**h, v)])
 
 
@@ -152,7 +159,8 @@ def renyi_rel_ent_diff(x, a, strict=True):
     a = _checked_alpha(x, a, strict)
     vals, vecs = _kept(x.rho.spectrum)
     weights = finite_rows((vals,), (lambda s: np.power(s, a.alpha),))[0]
-    products = _kraus_products(x, (1.0 - a.alpha) / 2.0, vecs)
+    h = (1.0 - a.alpha) / 2.0
+    products = _kraus_products(x, h, vecs, _output_y(x, h))
     value = np.sum((products * products.conj()).real * weights)
     if value <= 0.0:
         return math.inf
@@ -174,7 +182,7 @@ def renyi_rel_ent_diff_by_bracket(x, a, strict=True):
 def sandwiched_rel_ent_diff(x, a, strict=True):
     a = _checked_alpha(x, a, strict)
     h = (1.0 - a.alpha) / (2.0 * a.alpha)
-    sv = np.linalg.svd(_kraus_products(x, h, x.rho.root()), compute_uv=False)
+    sv = np.linalg.svd(_kraus_products(x, h, x.rho.root(), _output_y(x, h)), compute_uv=False)
     log_value = log2_power_sum(sv[support_mask(sv)], 2.0 * a.alpha)
     if log_value == -math.inf:
         return math.inf
@@ -203,7 +211,8 @@ def _closed_bracket(x, alpha, sandwiched, closing, dense):
         h /= alpha
     if dense:
         return herm_pow(_bracket(x, h, power(x.out_rho_spectrum, 2.0 * h)), closing)
-    return gram_pow(_kraus_products(x, h, np.eye(x.rho.dim)).conj().T, closing)
+    return gram_pow(_kraus_products(x, h, np.eye(x.rho.dim), _output_y(x, h)).conj().T,
+                    closing)
 
 
 def channel_trace_value(x, alpha, sandwiched=False, dense=False):
@@ -243,30 +252,26 @@ def output_fixed_point_residual(triple, alpha, dense=False):
 
 
 def output_factor(triple, alpha):
-    """V = N(sigma)^(-h) [K_1 sigma^h v lambda^(a/2), ..., K_r sigma^h v lambda^(a/2)],
-    h = (1-a)/2 and (lambda, v) the kept eigenpairs of rho: V V† is the
-    operator the output fixed point closes."""
+    """V = [Y† K_1 sigma^h v lambda^(a/2), ..., Y† K_r sigma^h v lambda^(a/2)]
+    with Y = N(sigma)^(-h), h = (1-a)/2 and (lambda, v) the kept eigenpairs
+    of rho: the kernel's products, weighted; V V† is the operator the output
+    fixed point closes."""
     h = (1.0 - alpha) / 2.0
-    out_wedge = power(triple.out_sigma_spectrum, -h)
     vals, vecs = _kept(triple.rho.spectrum)
     weights = finite_rows((vals,), (lambda s: np.power(s, alpha / 2.0),))[0]
-    blocks = _kraus_wedge(triple, lambda s: s**h, vecs)
-    return np.concatenate([out_wedge @ (b * weights) for b in blocks], axis=1)
+    products = _kraus_products(triple, h, vecs, power(triple.out_sigma_spectrum, -h))
+    return np.concatenate(np.split(products * weights, len(triple.channel.kraus)), axis=1)
 
 
 def _on_the_trace_channel(oracle, rho, sigma, a):
     """A divergence at one order: the difference ``oracle`` on the library's
-    (rho, sigma, Tr), less log2 Tr sigma - log2 Tr rho; +inf above 1 when
-    supp(rho) is not in supp(sigma)."""
+    (rho, sigma, Tr), where Y = 1; +inf above 1 when supp(rho) is not in
+    supp(sigma)."""
     a = as_alpha(a)
     x = _TraceTriple(rho, sigma)
     if a.alpha > 1.0 and not x.sigma_supports_rho():
         return math.inf
-    value = oracle(x, a, strict=False)
-    if not math.isfinite(value):
-        return value
-    trace_rho, trace_sigma = x.traces
-    return value - (math.log2(trace_sigma) - math.log2(trace_rho))
+    return oracle(x, a, strict=False)
 
 
 def renyi_rel_entropy(rho, sigma, a):

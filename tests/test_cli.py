@@ -37,6 +37,7 @@ from qmarkov.structured import (
     random_markov_spec,
     random_sufficiency_spec,
 )
+from simple_channels import amplitude_damping_triple
 
 
 @pytest.fixture
@@ -251,6 +252,37 @@ class TestEdgeInputs:
                 assert code == 0
                 values.append(float(capsys.readouterr().out))
             assert values[0] == pytest.approx(values[1], abs=1e-8)
+
+    # compute output on amplitude_damping_triple(3e-12), where the support
+    # cutoff keeps sigma's small eigenvalue and its image in N(sigma)
+    KEPT_TAIL = [
+        (["red"], "23.409084139258\n"),
+        (["delta", "--alpha", "0.5"], "2.643850383045\n"),
+        (["delta", "--alpha", "1.5"], "37.541211624534\n"),
+        (["delta-tilde", "--alpha", "0.75"], "3.964994628064\n"),
+        (["delta-tilde", "--alpha", "2.0"], "37.541211624534\n"),
+        (["delta-min"], "1.321928094883\n"),
+        (["delta-max"], "1.321928094883\n"),
+    ]
+
+    @pytest.mark.parametrize("args", [args for args, _ in KEPT_TAIL],
+                             ids=[" ".join(args) for args, _ in KEPT_TAIL])
+    def test_output_support_dropped_by_the_cutoff_exits_two(self, tmp_path, capsys, args):
+        # at 2e-12 the cutoff keeps sigma's small eigenvalue but drops its
+        # image in N(sigma), where N(rho) has weight 0.4
+        _save_triple(tmp_path / "t", amplitude_damping_triple(2e-12))
+        assert main(["compute", "--measure"] + args + _triple_args(tmp_path / "t")) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert lines[0].startswith("error:") and "SUPPORT_CUTOFF" in lines[0]
+
+    @pytest.mark.parametrize("args, expected", KEPT_TAIL,
+                             ids=[" ".join(args) for args, _ in KEPT_TAIL])
+    def test_output_support_kept_by_the_cutoff_prints(self, tmp_path, capsys, args, expected):
+        _save_triple(tmp_path / "t", amplitude_damping_triple(3e-12))
+        assert main(["compute", "--measure"] + args + _triple_args(tmp_path / "t")) == 0
+        assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("measure", ["imax", "delta-max"])
     def test_numerically_singular_recovered_operator_exits_two(self, tmp_path, capsys, measure):

@@ -13,7 +13,7 @@ from qmarkov.divergences import (
     von_neumann_entropy,
 )
 from qmarkov.errors import ValidationError
-from qmarkov.linalg import hermitian_eig
+from qmarkov.linalg import SpectralDecomposition, hermitian_eig
 from qmarkov.measures import (
     PETZ_ALPHA_GRID,
     SANDWICHED_ALPHA_GRID,
@@ -142,9 +142,11 @@ class TestSandwiched:
 
 
 class TestTraceChannelReading:
-    """Both Renyi divergences are the differences on the trace channel less
-    log2 Tr sigma: scaling sigma by c moves them by exactly -log2 c, and
-    disjoint supports give +inf below 1 as above it."""
+    """Both Renyi divergences are the Renyi differences' kernel with K = I
+    and Y = 1, with no channel and no output factor: scaling sigma by c
+    moves them by exactly -log2 c, scaling rho by c by
+    alpha log2 c / (alpha - 1), no output is decomposed, and disjoint
+    supports give +inf below 1 as above it."""
 
     @pytest.mark.parametrize("grid, orders", [
         (renyi_rel_entropy_grid, PETZ_ALPHA_GRID),
@@ -155,8 +157,26 @@ class TestTraceChannelReading:
         rho = random_density((4,), seed=seed)
         sigma = random_density((4,), seed=seed + 40)
         scaled = PositiveOperator(2.0 * sigma.matrix)
-        for plain, shifted in zip(grid(rho, sigma, orders), grid(rho, scaled, orders)):
-            assert abs(shifted - (plain - 1.0)) <= 1e-13
+        plain = grid(rho, sigma, orders)
+        for value, shifted in zip(plain, grid(rho, scaled, orders)):
+            assert abs(shifted - (value - 1.0)) <= 1e-13
+        # an unnormalized rho is read as it is, Tr rho^alpha scaling by c^alpha
+        half_rho = PositiveOperator(0.5 * rho.matrix)
+        for a, value, shifted in zip(orders, plain, grid(half_rho, sigma, orders)):
+            assert abs(shifted - (value + a * math.log2(0.5) / (a - 1.0))) <= 1e-13
+
+    @pytest.mark.parametrize("grid, orders", [
+        (renyi_rel_entropy_grid, PETZ_ALPHA_GRID),
+        (sandwiched_rel_entropy_grid, SANDWICHED_ALPHA_GRID),
+    ], ids=["renyi", "sandwiched"])
+    def test_no_output_is_decomposed(self, grid, orders, monkeypatch):
+        rho, sigma = random_density((4,), seed=1), random_density((4,), seed=41)
+        calls = []
+        original = SpectralDecomposition.powers
+        monkeypatch.setattr(SpectralDecomposition, "powers",
+                            lambda dec, ps: calls.append(len(ps)) or original(dec, ps))
+        grid(rho, sigma, orders)
+        assert calls == []
 
     def test_disjoint_supports_below_one(self):
         assert renyi_rel_entropy(KET0, KET1, 0.5) == math.inf

@@ -185,8 +185,8 @@ def _kept_count(w):
 
 def _closing_ranks(x, orders):
     """How many singular values each order's closing factor keeps."""
-    eye = np.eye(x.rho.dim)
-    return [_kept_count(lo._kraus_products(x, (1.0 - a) / 2.0, eye)) for a in orders]
+    eye, hs = np.eye(x.rho.dim), [(1.0 - a) / 2.0 for a in orders]
+    return [_kept_count(lo._kraus_products(x, h, eye, lo._output_y(x, h))) for h in hs]
 
 
 class TestRankDeficient:
@@ -467,7 +467,8 @@ class TestChunks:
     def test_chunks_hold_their_orders_in_turn(self):
         state = _state((2, 4, 4), 12)
         hs = [(1.0 - a) / 2.0 for a in self.ORDERS["petz"]]
-        chunks = list(ms._kraus_products(state, hs, np.eye(state.rho.dim)))
+        chunks = list(ms._kraus_products(state, hs, np.eye(state.rho.dim),
+                                         state.output_factors(hs)))
         assert [range(10)[part] for part, _ in chunks] == [range(0, 4), range(4, 8), range(8, 10)]
         assert [len(products) for _, products in chunks] == [4, 4, 2]
 

@@ -5,6 +5,7 @@ import pytest
 
 import classical_oracles as co
 import marginal_oracles as mo
+import mp_oracles as mpo
 from qmarkov.channels import Channel, random_strict_channel, random_unitary
 from qmarkov.errors import (
     InfiniteTermError,
@@ -16,6 +17,9 @@ from qmarkov.functionals import (
     channel_trace_value,
     exp_trace_channel_value,
     lie_trotter_deviation,
+    output_fixed_point_residual,
+    recovery_fixed_point_residual,
+    sandwiched_fixed_point_residual,
 )
 from qmarkov.linalg import kron
 from qmarkov.measures import (
@@ -34,7 +38,7 @@ from qmarkov.measures import (
     von_neumann_cmi,
 )
 from qmarkov.states import DensityOperator, PositiveOperator, random_density
-from simple_channels import identity_channel
+from simple_channels import amplitude_damping_triple, identity_channel
 
 
 def product_state(seed=0):
@@ -512,3 +516,44 @@ def test_difference_off_the_support_is_infinite(measure):
     with pytest.raises(InfiniteTermError):
         measure(triple, 1.5, strict=False)
     assert measure(triple, 0.75, strict=False) >= 0.0
+
+
+class TestOutputSupportCutoff:
+    """At sigma = diag(1, 2e-12) the support cutoff keeps sigma's small
+    eigenvalue but drops its image in N(sigma), where N(rho) has weight 0.4.
+    Exactly, supp(rho) in supp(sigma) implies supp N(rho) in supp N(sigma),
+    so every difference and bracket raises RankDeficientError, naming the
+    cutoff, rather than read a wrong number: with N(sigma)'s direction
+    dropped, the Renyi difference at alpha = 1/2 reads 41.07, where its
+    cutoff-free 50-digit value is 2.6438514486.  At 3e-12 they evaluate."""
+
+    MEASURES = {
+        "red": rel_ent_diff,
+        "renyi-0.5": lambda x: renyi_rel_ent_diff(x, 0.5, strict=False),
+        "renyi-1.5": lambda x: renyi_rel_ent_diff(x, 1.5, strict=False),
+        "sandwiched-0.75": lambda x: sandwiched_rel_ent_diff(x, 0.75, strict=False),
+        "sandwiched-2": lambda x: sandwiched_rel_ent_diff(x, 2.0, strict=False),
+        "min": lambda x: minmax_rel_ent_diff(x, "min", strict=False),
+        "max": lambda x: minmax_rel_ent_diff(x, "max", strict=False),
+        "trace-value": lambda x: channel_trace_value(x, 0.5),
+        "sandwiched-trace-value": lambda x: channel_trace_value(x, 0.75, sandwiched=True),
+        "exp-trace-value": exp_trace_channel_value,
+        "lie-trotter": lambda x: lie_trotter_deviation(x, 0.5),
+        "recovery-fixed-point": lambda x: recovery_fixed_point_residual(x, 0.5),
+        "sandwiched-fixed-point": lambda x: sandwiched_fixed_point_residual(x, 0.75),
+        "output-fixed-point": lambda x: output_fixed_point_residual(x, 0.5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_dropped_output_direction_raises(self, name):
+        with pytest.raises(RankDeficientError, match="SUPPORT_CUTOFF"):
+            self.MEASURES[name](amplitude_damping_triple(2e-12))
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_kept_output_direction_evaluates(self, name):
+        assert math.isfinite(self.MEASURES[name](amplitude_damping_triple(3e-12)))
+
+    def test_renyi_value_at_the_kept_direction(self):
+        x = amplitude_damping_triple(3e-12)
+        expected = mpo.renyi_rel_ent_diff(mpo.MpTriple(x), 0.5)
+        assert renyi_rel_ent_diff(x, 0.5, strict=False) == pytest.approx(expected, abs=1e-12)
