@@ -55,7 +55,6 @@ from .linalg import (
     embed_operator,
     herm_exp,
     herm_pow,
-    herm_pows,
     hermitian_eig,
     kron,
     partial_trace,

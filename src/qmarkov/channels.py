@@ -36,6 +36,8 @@ class Channel:
             raise ValidationError("bad-spec", "a channel needs at least one Kraus operator")
         if not all(np.all(np.isfinite(k)) for k in ops):
             raise ValidationError("not-finite", "Kraus operator entries must be finite")
+        if ops[0].ndim != 2:
+            raise DimensionMismatchError(f"Kraus operators must be matrices, got {ops[0].shape}")
         d_out, d_in = ops[0].shape
         if self.dim_in and self.dim_in != d_in:
             raise DimensionMismatchError(

@@ -179,5 +179,5 @@ def log_identity_residual(triple: ChannelTriple) -> float:
         raise RankDeficientError(
             "log identity requires rho, sigma, and channel outputs positive definite"
         )
-    direct = triple.rho.spectrum.apply(np.log) - triple.sigma_fn((np.log,))[0]
+    direct = triple.rho.spectrum.apply(np.log) - triple.sigma_log()
     return spectral_norm(triple.pulled_log_ratio() - direct) / LN2

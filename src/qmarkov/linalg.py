@@ -10,17 +10,18 @@ support and ``A @ herm_pow(A, -1)`` is the orthogonal projector onto supp(A).
 A power of W W† (``gram_pows``) takes its support on W's singular values s,
 so it keeps the eigenvalues s^2 above SUPPORT_CUTOFF^2 times the largest.
 
-The stacked forms (``SpectralDecomposition.powers``, ``herm_pows``,
-``gram_pows``, ``spectral_norms``, ``stacked_singular_values``) take or
-return a (k, d, d) stack and make one numpy call where the two-dimensional forms would make k.
-numpy's stacked ``matmul``, ``eigh`` and ``svd`` loop over the slices and
-make the same BLAS or LAPACK call on each as on a lone matrix, and every
-scalar function is evaluated per slice, so each slice equals its
-two-dimensional result bit for bit.  The two-dimensional forms are the
-stacks of one.  A stack holds all k slices at once, so the Renyi
-differences stack their Kraus-block products only in chunks of at most
-``measures.GRID_CHUNK_ENTRIES`` entries, or one order per call when a
-product is larger.
+Only what an order grid evaluates is stacked: ``SpectralDecomposition.powers``
+and ``apply_all`` (many functions of one cached decomposition), ``gram_pows``
+and ``spectral_norms`` (one ``svd`` per chunk of closings), ``real_traces``,
+``hermitian_part`` and ``finite_rows``.  Each takes or returns a (k, d, d)
+stack and makes one numpy call where a loop would make k.  numpy's stacked
+``matmul`` and ``svd`` make the same BLAS or LAPACK call on each slice as on
+a lone matrix, and every scalar function is evaluated per slice, so each
+slice equals its two-dimensional result bit for bit.  A stack holds all k
+slices at once, so the Renyi differences stack their Kraus-block products
+only in chunks of at most ``measures.GRID_CHUNK_ENTRIES`` entries, or one
+order per call when a product is larger.  Everything else, the eigensolver
+``hermitian_eig`` and the Hermiticity rule included, takes one matrix.
 
 Validation and every decomposition apply one Hermiticity rule,
 ``checked_hermitian_part``, so both reject the same matrices with the same
@@ -202,22 +203,21 @@ def _inf_norms(a: np.ndarray):
     return np.abs(a).sum(-1).max(-1)
 
 
-def checked_hermitian_part(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(M + M†)/2 and ||M||_inf of a matrix, or of each slice of a stack.
+def checked_hermitian_part(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """(M + M†)/2 and ||M||_inf of a matrix.
 
     The one Hermiticity rule: a residual ||M - M†||_inf above
-    HERMITICITY_TOL * ||M||_inf raises NonHermitianError, for the first
-    slice that has one.  The Hermitian part equals ``hermitian_part(m)``.
+    HERMITICITY_TOL * ||M||_inf raises NonHermitianError.  The Hermitian
+    part equals ``hermitian_part(m)``.
     """
     adj = _adjoint(m)
-    scales, residuals = _inf_norms(m), _inf_norms(m - adj)
-    for scale, residual in zip(np.ravel(scales).tolist(), np.ravel(residuals).tolist()):
-        if scale > 0 and residual > HERMITICITY_TOL * scale:
-            raise NonHermitianError(
-                f"anti-Hermitian residual {residual:.3e} exceeds "
-                f"{HERMITICITY_TOL:.1e} * norm {scale:.3e}"
-            )
-    return _halved_sum(adj, m), scales
+    scale, residual = float(_inf_norms(m)), float(_inf_norms(m - adj))
+    if scale > 0 and residual > HERMITICITY_TOL * scale:
+        raise NonHermitianError(
+            f"anti-Hermitian residual {residual:.3e} exceeds "
+            f"{HERMITICITY_TOL:.1e} * norm {scale:.3e}"
+        )
+    return _halved_sum(adj, m), scale
 
 
 def _reconstruct(v: np.ndarray, fvals: np.ndarray) -> np.ndarray:
@@ -250,35 +250,23 @@ def _as_stack(m) -> np.ndarray:
 
 
 def hermitian_eig(m) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, eigenvalues stably sorted
+    descending.
 
     The input is checked and symmetrized by ``checked_hermitian_part``
     before the decomposition.
     """
-    vals, vecs = _sorted_eigh(_as_matrix(m)[None])
-    return SpectralDecomposition(read_only(vals[0]), read_only(vecs[0]))
-
-
-def _sorted_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues sorted descending and their eigenvectors, per slice of a stack.
-
-    Each slice is checked, symmetrized and stably sorted on its own, and one
-    ``eigh`` decomposes the whole stack.
-    """
-    if a.shape[1] != a.shape[2]:
-        raise DimensionMismatchError(f"matrix is not square: shape {a.shape[1:]}")
+    a = _as_matrix(m)
+    if a.shape[0] != a.shape[1]:
+        raise DimensionMismatchError(f"matrix is not square: shape {a.shape}")
     vals, vecs = np.linalg.eigh(checked_hermitian_part(a)[0])
-    if (vals[:, 1:] > vals[:, :-1]).all():
+    if (vals[1:] > vals[:-1]).all():
         # no ties: the stable descending order is the reverse of eigh's
-        return vals[:, ::-1].copy(), vecs[:, :, ::-1].copy()
-    order = np.argsort(-vals, axis=1, kind="stable")
-    # slice i keeps, as its column j, the column order[i, j] eigh returned;
-    # one take per slice costs a third of take_along_axis on a small stack
-    sorted_vals, sorted_vecs = np.empty_like(vals), np.empty_like(vecs)
-    for v, w, o, sv, sw in zip(vals, vecs, order, sorted_vals, sorted_vecs):
-        v.take(o, out=sv)
-        w.take(o, axis=1, out=sw)
-    return sorted_vals, sorted_vecs
+        vals, vecs = vals[::-1].copy(), vecs[:, ::-1].copy()
+    else:
+        order = np.argsort(-vals, kind="stable")
+        vals, vecs = vals[order], vecs.take(order, axis=1)  # C-contiguous, unlike vecs[:, order]
+    return SpectralDecomposition(read_only(vals), read_only(vecs))
 
 
 def herm_pow(m, p: float) -> np.ndarray:
@@ -287,43 +275,25 @@ def herm_pow(m, p: float) -> np.ndarray:
     ``p = 0`` gives the projector onto the support; negative ``p`` uses the
     support-restricted inverse.
     """
-    return herm_pows(_as_matrix(m)[None], (p,))[0]
-
-
-def herm_pows(stack, ps: Sequence[float]) -> np.ndarray:
-    """``herm_pow`` of slice i of a (k, d, d) stack to ``ps[i]``, stacked.
-
-    One ``eigh`` decomposes the stack; each slice keeps its own support and
-    evaluates its own power, so slice i equals ``herm_pow(stack[i], ps[i])``
-    bit for bit.
-    """
-    vals, vecs = _sorted_eigh(_as_stack(stack))
-    return _support_powers(vals, vecs, ps)
+    return hermitian_eig(m).power(p)
 
 
 def gram_pows(w, ps: Sequence[float]) -> np.ndarray:
     """(W W†)^p for slice i of a (k, d, n) stack W and p = ``ps[i]``, stacked:
     U diag(s^(2p)) U† from one ``svd`` W = U S V†, on the support of the
-    singular values s, so W W† is never formed."""
+    singular values s, so W W† is never formed.  Each slice keeps its own
+    support and equals its two-dimensional result bit for bit."""
     u, s, _ = np.linalg.svd(_as_stack(w), full_matrices=False)
-    return _support_powers(s, u, [2.0 * p for p in ps])
-
-
-def _support_powers(values, vectors, ps: Sequence[float]) -> np.ndarray:
-    """V diag(v^p) V† for row i of the (k, r) ``values`` and slice i of the
-    (k, d, r) ``vectors``, p = ``ps[i]``, on that row's own support."""
-    if len(ps) != len(values):
-        raise DimensionMismatchError(f"{len(ps)} exponents for a stack of {len(values)}")
-    keep = support_mask(values, axis=1)
-    fvals = finite_rows([v[m] for v, m in zip(values, keep)], [_power_of(p) for p in ps])
+    if len(ps) != len(s):
+        raise DimensionMismatchError(f"{len(ps)} exponents for a stack of {len(s)}")
+    keep = support_mask(s, axis=1)
+    fvals = finite_rows([v[m] for v, m in zip(s, keep)], [_power_of(2.0 * p) for p in ps])
     if keep.all():
-        return _reconstruct(vectors, np.reshape(fvals, values.shape))
-    # a slice that drops values is rebuilt from its kept vectors alone, as
-    # herm_pow rebuilds it: zeros in place of the dropped values would change
-    # the inner dimension of the matmul, and with it the summation BLAS uses
-    return np.concatenate([
-        _reconstruct(v[:, m], f[None]) for v, m, f in zip(vectors, keep, fvals)
-    ])
+        return _reconstruct(u, np.reshape(fvals, s.shape))
+    # a slice that drops values is rebuilt from its kept vectors alone:
+    # zeros in place of the dropped values would change the inner dimension
+    # of the matmul, and with it the summation BLAS uses
+    return np.concatenate([_reconstruct(v[:, m], f[None]) for v, m, f in zip(u, keep, fvals)])
 
 
 def herm_exp(m) -> np.ndarray:
@@ -390,6 +360,8 @@ def embed_operator(x, dims: Sequence[int], sites: Sequence[int]) -> np.ndarray:
     sites = tuple(int(s) for s in sites)
     if sorted(sites) != list(sites) or len(set(sites)) != len(sites):
         raise DimensionMismatchError(f"sites must be strictly ascending, got {sites}")
+    if sites and not 0 <= sites[0] <= sites[-1] < len(dims):
+        raise DimensionMismatchError(f"sites {sites} out of range for {len(dims)} factors")
     d_sites = math.prod(dims[s] for s in sites)
     if a.shape[-2:] != (d_sites, d_sites):
         raise DimensionMismatchError(
@@ -406,13 +378,8 @@ def embed_operator(x, dims: Sequence[int], sites: Sequence[int]) -> np.ndarray:
 
 def singular_values(x) -> np.ndarray:
     """Singular values on the support, descending."""
-    return stacked_singular_values(_as_matrix(x)[None])[0]
-
-
-def stacked_singular_values(stack) -> list[np.ndarray]:
-    """``singular_values`` of each slice of a (k, m, n) stack, in one ``svd``."""
-    svs = np.linalg.svd(_as_stack(stack), compute_uv=False)
-    return [sv[keep] for sv, keep in zip(svs, support_mask(svs, axis=-1))]
+    sv = np.linalg.svd(_as_matrix(x), compute_uv=False)
+    return sv[support_mask(sv)]
 
 
 def log2_power_sum(values, p: float) -> float:

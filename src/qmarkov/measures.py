@@ -177,7 +177,7 @@ class _CachedSpectra:
     def exp_log_sum(self) -> np.ndarray:
         """exp(log sigma + N†(log N(rho) - log N(sigma))), the alpha -> 1
         limit of the closed Renyi bracket."""
-        m = self.sigma_fn((np.log,))[0] + self.pulled_log_ratio()
+        m = self.sigma_log() + self.pulled_log_ratio()
         return read_only(herm_exp(hermitian_part(m)))
 
 
@@ -226,12 +226,12 @@ class TripartiteState(_CachedSpectra):
         """The decomposition of rho_AC, from which f(rho_AC x I_B) is read."""
         return hermitian_eig(self.rho_ac)
 
-    def sigma_fn(self, fs) -> np.ndarray:
-        """The stack of f(rho_AC x I_B) = f(rho_AC) x I_B on the support, one
-        slice per f in ``fs``, as dense operators on A x B x C.  Only the log
-        sums read it; the Renyi products take f(rho_AC) x I_B in factored
-        form (``wedged_pull``, ``kraus_wedges``)."""
-        return embed_operator(self.sigma_spectrum.apply_all(fs), self.dims, (0, 2))
+    def sigma_log(self) -> np.ndarray:
+        """log(rho_AC x I_B) = log(rho_AC) x I_B on the support, as a dense
+        operator on A x B x C.  Only the log sums read it; the Renyi products
+        take f(rho_AC) x I_B in factored form (``wedged_pull``,
+        ``kraus_wedges``)."""
+        return embed_operator(self.sigma_spectrum.apply(np.log), self.dims, (0, 2))
 
     def sigma_supports_rho(self) -> bool:
         """Always true: supp(rho_ABC) lies in supp(rho_AC x I_B)."""
@@ -321,9 +321,9 @@ class ChannelTriple(_CachedSpectra):
     def sigma_spectrum(self) -> SpectralDecomposition:
         return self.sigma.spectrum
 
-    def sigma_fn(self, fs) -> np.ndarray:
-        """The stack of f(sigma) on the support of sigma, one slice per f in ``fs``."""
-        return self.sigma_spectrum.apply_all(fs)
+    def sigma_log(self) -> np.ndarray:
+        """log(sigma) on the support of sigma."""
+        return self.sigma_spectrum.apply(np.log)
 
     def sigma_supports_rho(self) -> bool:
         """Whether supp(rho) lies in supp(sigma)."""

@@ -187,8 +187,8 @@ def _random_density_matrix(dims, rank: int | None = None, seed=0) -> np.ndarray:
     dim = math.prod(dims)
     if rank is None:
         rank = dim
-    if not 1 <= rank <= dim:
-        raise ValidationError("bad-rank", f"rank must be in [1, {dim}], got {rank}")
+    if not isinstance(rank, (int, np.integer)) or not 1 <= rank <= dim:
+        raise ValidationError("bad-rank", f"rank must be an integer in [1, {dim}], got {rank}")
     rng = seeded_rng(seed)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     rho = g @ g.conj().T

@@ -51,7 +51,7 @@ from .functionals import (
     recovery_fixed_point_residual_grid,
     sandwiched_fixed_point_residual_grid,
 )
-from .linalg import herm_pows, hermitian_eig, hermitian_part, real_traces
+from .linalg import hermitian_eig, hermitian_part, real_traces
 from .measures import (
     PETZ_ALPHA_GRID,
     SANDWICHED_ALPHA_GRID,
@@ -97,10 +97,10 @@ class SuiteConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValidationError("bad-spec", "trials must be at least 1")
-        if self.seed < 0:
-            raise ValidationError("bad-spec", f"seed must be non-negative, got {self.seed}")
+        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
+            raise ValidationError("bad-spec", f"trials must be an integer >= 1, got {self.trials}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValidationError("bad-spec", f"seed must be an integer >= 0, got {self.seed}")
         if not 0.0 < self.tol < math.inf:
             raise ValidationError("bad-spec", f"tol must be positive and finite, got {self.tol}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
@@ -456,7 +456,8 @@ def inequality_suite(cfg: SuiteConfig, *, _draws=None) -> VerificationReport:
 
         def functional(b):
             cores = hermitian_part(a_mat @ b.powers(powers) @ a_mat.conj().T)
-            return real_traces(herm_pows(cores, [1.0 / p for p in powers]))
+            return real_traces(np.stack([hermitian_eig(core).power(1.0 / p)
+                                         for core, p in zip(cores, powers)]))
 
         rows = zip(powers, functional(mixed), functional(one), functional(two))
         for p, at_mixed, at_one, at_two in rows:

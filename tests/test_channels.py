@@ -70,6 +70,11 @@ class TestChannelBasics:
             Channel((np.full((2, 2), np.nan),))
         assert err.value.reason == "not-finite"
 
+    @pytest.mark.parametrize("op", [np.ones(3), np.ones((2, 2, 2))], ids=["vector", "stack"])
+    def test_kraus_operator_not_a_matrix(self, op):
+        with pytest.raises(DimensionMismatchError):
+            Channel((op,))
+
     def test_dim_mismatch(self):
         chan = identity_channel(2)
         with pytest.raises(DimensionMismatchError):

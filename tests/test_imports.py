@@ -1,14 +1,18 @@
-"""Every name a package module imports is used there, and private names
-cross modules only where listed.
+"""Every name a package module imports is used there, private names cross
+modules only where listed, and every private definition is read.
 
 A module other than ``__init__`` (which imports to re-export) must read each
 name it imports, unless the import line carries ``# noqa: F401``.  This is
 the unused-import rule of a linter, restated on the AST so that it runs with
 the test suite.  A module may import another module's ``_``-prefixed name
 only if the pair is in PRIVATE_IMPORTS, and every listed pair is in use.
+A ``_``-prefixed function, method or class that the package defines must be
+read somewhere in the package besides its own definition, so that removing
+its last caller removes it too.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -85,3 +89,54 @@ def test_the_rule_sees_a_private_name():
               "from qmarkov.linalg import _power_of\n")
     assert private_imports(source, "measures") == {
         ("measures", "divergences", "_entropy"), ("measures", "linalg", "_power_of")}
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _reads(tree: ast.AST) -> Counter:
+    """How often ``tree`` reads each name, as a ``Name``, an ``Attribute`` or
+    an import alias."""
+    reads = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            reads[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            reads[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            reads[node.name] += 1
+    return reads
+
+
+def unread_private_definitions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each ``_``-prefixed (not dunder) function, method or
+    class defined in ``sources``, a map of module name to source, that no
+    module reads outside the definition itself."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    return [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and _is_private(node.name)
+        and reads[node.name] == _reads(node)[node.name]
+    ]
+
+
+def test_every_private_definition_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in ALL_MODULES}
+    assert unread_private_definitions(sources) == []
+
+
+def test_the_rule_sees_a_dead_definition():
+    sources = {
+        "a": ("def _recursive():\n    return _recursive()\n\ndef _called():\n    pass\n\n"
+              "class _Box:\n    def __init__(self):\n        self._method()\n\n"
+              "    def _method(self):\n        pass\n\n    def _unused(self):\n        pass\n"),
+        "b": "from .a import _Box\n_called()\n",
+    }
+    # a read inside the definition's own body (recursion) does not count;
+    # a dunder is never flagged
+    assert unread_private_definitions(sources) == ["a._recursive", "a._unused"]

@@ -1,11 +1,11 @@
 """The small-matrix kernels' shortcuts equal the numpy forms they replace, bit for bit.
 
-``support_mask`` without an axis takes a Python maximum, and
-``stacked_singular_values`` makes one mask for the whole stack.
+``support_mask`` without an axis takes a Python maximum, which
+``singular_values`` reads.
 ``_inf_norms`` sums rows as ``np.linalg.norm(., inf)`` does.
-``_sorted_eigh`` reverses eigh's order when no eigenvalue repeats.
+``hermitian_eig`` reverses eigh's order when no eigenvalue repeats.
 ``hermitian_part`` sums in place on a contiguous copy of M†, which
-``checked_hermitian_part``, the Hermiticity rule of ``_sorted_eigh`` and of
+``checked_hermitian_part``, the Hermiticity rule of ``hermitian_eig`` and of
 validation, also reads its residual from.
 Validation shifts the diagonal through a strided view.  Each is compared with
 the form it replaced, which the ``reference_*`` functions below restate.
@@ -20,11 +20,9 @@ from qmarkov.linalg import (
     POSITIVITY_TOL,
     SUPPORT_CUTOFF,
     _inf_norms,
-    _sorted_eigh,
     hermitian_eig,
     hermitian_part,
     singular_values,
-    stacked_singular_values,
     support_mask,
 )
 from qmarkov.states import _validated_eigs
@@ -40,8 +38,8 @@ def reference_mask(values, axis=None):
 
 def reference_sorted_eigh(a):
     vals, vecs = np.linalg.eigh(hermitian_part(a))
-    order = np.argsort(-vals, axis=1, kind="stable")
-    return np.take_along_axis(vals, order, 1), np.take_along_axis(vecs, order[:, None, :], 2)
+    order = np.argsort(-vals, kind="stable")
+    return vals[order], vecs[:, order]
 
 
 def reference_validated_eigs(matrix):
@@ -110,20 +108,18 @@ class TestSupportMask:
         assert np.array_equal(support_mask(rows), reference_mask(rows))
 
 
-class TestStackedSingularValues:
-    def test_equals_each_slice(self):
+class TestSingularValues:
+    def test_equals_the_reference_mask(self):
         rng = np.random.default_rng(3)
         stack = rng.standard_normal((6, 4, 3)) + 1j * rng.standard_normal((6, 4, 3))
         stack[1] = np.outer(stack[1][:, 0], stack[1][0])  # rank one
         stack[2] = 0.0
         stack[3] *= 1e-13
-        stacked = stacked_singular_values(stack)
-        assert len(stacked) == len(stack)
-        for x, kept in zip(stack, stacked):
-            assert np.array_equal(kept, singular_values(x))
+        kept = [singular_values(x) for x in stack]
+        for x, got in zip(stack, kept):
             sv = np.linalg.svd(x, compute_uv=False)
-            assert np.array_equal(kept, sv[reference_mask(sv)])
-        assert [kept.size for kept in stacked[:3]] == [3, 1, 0]
+            assert np.array_equal(got, sv[reference_mask(sv)])
+        assert [got.size for got in kept[:3]] == [3, 1, 0]
 
 
 def _bits(a):
@@ -169,28 +165,30 @@ class TestInfNorms:
         assert [float(n) for n in norms] == [np.linalg.norm(x, np.inf) for x in stack]
 
 
-def _degenerate_stack():
+def _degenerate_matrices():
     rng = np.random.default_rng(5)
     u = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
-    return np.array([
+    return [
         np.diag([0.5, 0.25, 0.25, 0.0, 0.0, 0.0]).astype(complex),
         np.eye(6, dtype=complex),
         u @ np.diag([1.0, 1.0, 2.0, 3.0, 3.0, 3.0]) @ u.conj().T,
-    ])
+    ]
 
 
 class TestSortedEigh:
-    @pytest.mark.parametrize("stack", [
-        np.array([random_hermitian(8, seed) for seed in range(4)]),
-        np.array([random_hermitian(3, 7)]),
-        _degenerate_stack(),
-        np.concatenate([_degenerate_stack()[:1], np.array([random_hermitian(6, 1)])]),
+    @pytest.mark.parametrize("matrices", [
+        [random_hermitian(8, seed) for seed in range(4)],
+        [random_hermitian(3, 7)],
+        _degenerate_matrices(),
+        _degenerate_matrices()[:1] + [random_hermitian(6, 1)],
     ], ids=["distinct", "one", "ties", "mixed"])
-    def test_equals_stable_argsort(self, stack):
-        vals, vecs = _sorted_eigh(stack)
-        ref_vals, ref_vecs = reference_sorted_eigh(stack)
-        assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
-        assert vals.flags.c_contiguous and vecs.flags.c_contiguous
+    def test_equals_stable_argsort(self, matrices):
+        for m in matrices:
+            dec = hermitian_eig(m)
+            ref_vals, ref_vecs = reference_sorted_eigh(m)
+            assert np.array_equal(dec.eigenvalues, ref_vals)
+            assert np.array_equal(dec.eigenvectors, ref_vecs)
+            assert dec.eigenvalues.flags.c_contiguous and dec.eigenvectors.flags.c_contiguous
 
     def test_residual_message(self):
         m = np.diag([0.5, 0.5]).astype(complex)

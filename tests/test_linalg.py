@@ -7,6 +7,7 @@ from qmarkov.errors import (
     DimensionMismatchError,
     MatrixFunctionDomainError,
     NonHermitianError,
+    ValidationError,
 )
 from qmarkov.divergences import rel_entropy, von_neumann_entropy
 from qmarkov.linalg import (
@@ -20,6 +21,7 @@ from qmarkov.linalg import (
     partial_trace,
     singular_values,
 )
+from qmarkov.states import random_density
 
 from conftest import random_hermitian
 
@@ -266,3 +268,14 @@ class TestEmbedOperator:
     def test_bad_shape(self):
         with pytest.raises(DimensionMismatchError):
             embed_operator(np.eye(3), (2, 2), (0,))
+
+
+@pytest.mark.parametrize("call, error, reason", [
+    (lambda: embed_operator(np.eye(2), (2, 2), (5,)), DimensionMismatchError, None),
+    (lambda: embed_operator(np.eye(2), (2, 2), (-1,)), DimensionMismatchError, None),
+    (lambda: random_density((2, 2), rank=1.5), ValidationError, "bad-rank"),
+], ids=["site-past-the-end", "negative-site", "fractional-rank"])
+def test_out_of_range_argument_is_a_typed_error(call, error, reason):
+    with pytest.raises(error) as err:
+        call()
+    assert getattr(err.value, "reason", None) == reason

@@ -557,3 +557,28 @@ class TestOutputSupportCutoff:
         x = amplitude_damping_triple(3e-12)
         expected = mpo.renyi_rel_ent_diff(mpo.MpTriple(x), 0.5)
         assert renyi_rel_ent_diff(x, 0.5, strict=False) == pytest.approx(expected, abs=1e-12)
+
+    # (library measure, classical oracle on p = (0, 1), q = (1, tail) and the
+    # column-stochastic t of the damping channel)
+    CLASSICAL = {
+        "red": (rel_ent_diff, co.rel_ent_diff),
+        "renyi-0.5": (MEASURES["renyi-0.5"], lambda p, q, t: co.renyi_diff(p, q, t, 0.5)),
+        "renyi-1.5": (MEASURES["renyi-1.5"], lambda p, q, t: co.renyi_diff(p, q, t, 1.5)),
+        "sandwiched-0.75": (MEASURES["sandwiched-0.75"],
+                            lambda p, q, t: co.sandwiched_diff(p, q, t, 0.75)),
+        "sandwiched-1.5": (lambda x: sandwiched_rel_ent_diff(x, 1.5, strict=False),
+                           lambda p, q, t: co.sandwiched_diff(p, q, t, 1.5)),
+        "min": (MEASURES["min"], lambda p, q, t: co.minmax_diff(p, q, t, "min")),
+        "max": (MEASURES["max"], lambda p, q, t: co.minmax_diff(p, q, t, "max")),
+    }
+
+    @pytest.mark.parametrize("tail", [3e-12, 1e-6])
+    @pytest.mark.parametrize("name", sorted(CLASSICAL))
+    def test_kept_direction_equals_the_cutoff_free_classical_value(self, name, tail):
+        """Every operator is diagonal, so the probability-vector oracle, which
+        applies no support cutoff, gives an independent value; the 50-digit
+        oracle shares SUPPORT_CUTOFF and could not see a cutoff-made error."""
+        t = np.array([[1.0, 0.6], [0.0, 0.4]])
+        library, oracle = self.CLASSICAL[name]
+        expected = oracle(np.array([0.0, 1.0]), np.array([1.0, tail]), t)
+        assert library(amplitude_damping_triple(tail)) == pytest.approx(expected, abs=1e-12)

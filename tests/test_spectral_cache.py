@@ -372,11 +372,20 @@ class TestKrausWedge:
 
     @pytest.mark.parametrize("grid", GRIDS, ids=["renyi", "sandwiched"])
     def test_triple_never_forms_f_of_sigma(self, grid, monkeypatch):
+        triple = _triple()
         calls = []
-        original = ChannelTriple.sigma_fn
-        monkeypatch.setattr(ChannelTriple, "sigma_fn",
-                            lambda self, fs: calls.append(fs) or original(self, fs))
-        grid(_triple(), SIX_ORDERS)
+        original = ChannelTriple.sigma_log
+        monkeypatch.setattr(ChannelTriple, "sigma_log",
+                            lambda self: calls.append("log") or original(self))
+        apply_all = linalg.SpectralDecomposition.apply_all
+
+        def spy(self, fs):
+            if self is triple.sigma.spectrum:
+                calls.append(fs)
+            return apply_all(self, fs)
+
+        monkeypatch.setattr(linalg.SpectralDecomposition, "apply_all", spy)
+        grid(triple, SIX_ORDERS)
         assert calls == []
 
     def test_one_kraus_basis_for_every_order(self, monkeypatch):

@@ -6,7 +6,7 @@ from qmarkov.errors import DimensionMismatchError, NonHermitianError, Validation
 from qmarkov.linalg import (
     HERMITICITY_TOL,
     POSITIVITY_TOL,
-    herm_pows,
+    herm_pow,
     hermitian_eig,
     hermitian_part,
     support_mask,
@@ -68,7 +68,7 @@ class TestValidateDensity:
         m = np.array([[0.5, x], [0.0, 0.5]], dtype=complex)
         outcomes = []
         for entry in (DensityOperator, PositiveOperator, hermitian_eig,
-                      lambda a: herm_pows(a[None], (0.5,))):
+                      lambda a: herm_pow(a, 0.5)):
             try:
                 entry(m)
                 outcomes.append(None)

@@ -78,6 +78,12 @@ class TestSuiteConfig:
             SuiteConfig(seed=-1)
         assert info.value.reason == "bad-spec"
 
+    @pytest.mark.parametrize("field", ["trials", "seed"])
+    def test_non_integral_count(self, field):
+        with pytest.raises(ValidationError) as info:
+            SuiteConfig(**{field: 1.5})
+        assert info.value.reason == "bad-spec"
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
     def test_non_finite_tol(self, tol):
         with pytest.raises(ValidationError) as info:
