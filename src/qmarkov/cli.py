@@ -42,6 +42,7 @@ from .structured import build_markov_chain, build_sufficiency_triple
 from .suites import SUITE_NAMES, SuiteConfig, run_suites
 
 LN2 = math.log(2.0)
+MAX_GRID_ORDERS = 10_000  # points a sweep's --alpha-grid may hold
 
 
 class Measure(NamedTuple):
@@ -202,6 +203,10 @@ def _parse_grid(text: str) -> list[float]:
         raise UsageError(f"--alpha-grid start, stop and step must be finite, got {text!r}")
     if step <= 0:
         raise UsageError("--alpha-grid step must be positive")
+    # the grid has floor(span) + 1 points; an overflowing span is +inf
+    span = (stop + 1e-12 - start) / step
+    if span >= MAX_GRID_ORDERS:
+        raise UsageError(f"--alpha-grid {text!r} has more than {MAX_GRID_ORDERS} orders")
     grid = []
     k = 0
     while True:

@@ -44,6 +44,7 @@ from .errors import (
     DimensionMismatchError,
     MatrixFunctionDomainError,
     NonHermitianError,
+    ValidationError,
 )
 
 LOG2 = math.log(2.0)
@@ -407,7 +408,7 @@ def alpha_norm(x, alpha: float) -> float:
     corresponding quasi-norm (same formula, no triangle inequality).
     """
     if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+        raise ValidationError("bad-spec", f"alpha must be positive, got {alpha}")
     return float(2.0 ** (log2_power_sum(singular_values(x), alpha) / alpha))
 
 

@@ -36,9 +36,13 @@ kept eigenpairs, as sum_j lambda_j^alpha times a sum of squares, so
 rho^alpha is never formed; D(rho||sigma) reads rho through its eigenvalues
 and matrix alone (``rel_entropy``); the sandwiched formulas read it only
 through a square-root factor, ``rho.root()``, a Cholesky factor when rho is
-full rank.  The min measures are the sandwiched difference at alpha = 1/2,
-and the max measures read the recovered operator through its Cholesky
-factor whenever the cached spectra bound its condition number.
+full rank.  The min measures are the sandwiched difference at alpha = 1/2.
+Whenever the cached spectra bound the recovered operator's condition number,
+the max measures take the top eigenvalue of one Hermitian matrix
+(``whitened_rho``): a state forms it from its marginals' decompositions by
+reshaped matmuls, so it forms neither the recovered operator nor a d x d
+factor of it or of rho, and a triple from the Cholesky factor of the
+recovered operator.
 
 Each Renyi family has a grid form (``renyi_rel_ent_diff_grid``,
 ``sandwiched_rel_ent_diff_grid``) that evaluates a tuple of orders in one
@@ -74,6 +78,7 @@ from .errors import (
     MatrixFunctionDomainError,
     NotStrictError,
     RankDeficientError,
+    ValidationError,
 )
 from .linalg import (
     POSITIVITY_TOL,
@@ -129,8 +134,8 @@ class _CachedSpectra:
 
     @cached_property
     def recovered_spectrum(self) -> SpectralDecomposition:
-        """Decomposed only when the max measures cannot read ``recovered``
-        through a Cholesky factor (``recovered_is_well_conditioned``)."""
+        """Decomposed only when the max measures cannot read ``whitened_rho``
+        (``recovered_is_well_conditioned``)."""
         return hermitian_eig(self.recovered)
 
     def recovered_is_well_conditioned(self) -> bool:
@@ -279,6 +284,31 @@ class TripartiteState(_CachedSpectra):
             for part, c in _kept_chunks(self.sigma_spectrum, fs, v, d * n)
         )
 
+    def whitened_rho(self) -> np.ndarray:
+        """W rho W†, whose largest eigenvalue is 2^D_max(rho || ``recovered``).
+
+        The recovered operator is R = (s x I_B)(I_A x M)(s x I_B) with
+        s = rho_AC^(1/2) and M = N(sigma)^(-1/2) rho_BC N(sigma)^(-1/2), and
+        M^(-1) = V† V for V = rho_BC^(-1/2) N(sigma)^(1/2); so
+        W = (I_A x V)(rho_AC^(-1/2) x I_B) has W† W = R^(-1), and W rho W†
+        has the eigenvalues of R^(-1) rho.  Read only when
+        ``recovered_is_well_conditioned``, where the three cached marginal
+        decompositions keep every eigenvalue.  W is applied as w = rho_AC^(-1/2)
+        on the rows read as (a c, b n), then V on the rows read as (a, b c),
+        first to rho and then to (W rho)†: neither R nor a d x d factor of
+        it or of rho is formed.
+        """
+        d_a, d_b, d_c = self.dims
+        d = self.rho.dim
+        w = self.sigma_spectrum.power(-0.5)
+        v = self.out_rho_spectrum.power(-0.5) @ self.out_sigma_spectrum.power(0.5)
+        x = self.matrix
+        for _ in range(2):  # (W rho)† = rho W†, then (W rho W†)†
+            t = x.reshape(d_a, d_b, d_c, d).swapaxes(1, 2).reshape(d_a * d_c, d_b * d)
+            t = (w @ t).reshape(d_a, d_c, d_b, d).swapaxes(1, 2).reshape(d_a, d_b * d_c, d)
+            x = (v @ t).reshape(d, d).conj().T
+        return x
+
 
 @dataclass(frozen=True, eq=False)
 class ChannelTriple(_CachedSpectra):
@@ -356,6 +386,15 @@ class ChannelTriple(_CachedSpectra):
         shape = (len(self.channel.kraus), self.channel.dim_out, v.shape[-1])
         return ((part, (self.kraus_sigma_basis @ c).reshape(-1, *shape))
                 for part, c in _kept_chunks(self.sigma_spectrum, fs, v, math.prod(shape)))
+
+    def whitened_rho(self) -> np.ndarray:
+        """Y† Y with Y = L^(-1) G, R = L L† the ``recovered`` operator and
+        G G† = rho: it has the nonzero eigenvalues of R^(-1/2) rho R^(-1/2),
+        so its largest is 2^D_max(rho || R).  One Cholesky and one solve, and
+        R is never decomposed; raises LinAlgError when the Cholesky
+        factorization fails."""
+        y = np.linalg.solve(np.linalg.cholesky(self.recovered), self.rho.root())
+        return y.conj().T @ y
 
 
 class _TraceTriple:
@@ -486,8 +525,7 @@ def minmax_cmi(state: TripartiteState, kind: str, strict: bool = True) -> float:
     when rho_ABC is positive definite but the computed recovered operator
     is numerically singular.
     """
-    if kind not in ("min", "max"):
-        raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
+    _check_kind(kind)
     if strict and not state.is_positive_definite():
         raise RankDeficientError("min/max CMI requires a positive definite state")
     return _recovery_divergence(state, kind)
@@ -687,20 +725,29 @@ def _on_the_trace_channel(grid, rho, sigma, alphas) -> list[float]:
     return [values.get(a, math.inf) for a in checked]
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in ("min", "max"):
+        raise ValidationError("bad-spec", f"kind must be 'min' or 'max', got {kind!r}")
+
+
 def _recovery_divergence(x, kind: str) -> float:
     """D_max or D_min between rho and the Petz-recovered N(rho).
 
     D_min = -log2 F(rho, R(N(rho))) is the sandwiched difference at
     alpha = 1/2: there R(N(rho)) = sigma^(1/2) Z Z† sigma^(1/2), so the
     product Z† sigma^(1/2) G has the trace norm of R(N(rho))^(1/2) rho^(1/2),
-    and the recovered operator is never decomposed.
+    and the recovered operator is never decomposed.  D_max is log2 of the
+    largest eigenvalue of ``whitened_rho`` when the cached spectra bound
+    cond(R) (``recovered_is_well_conditioned``) and that member does not
+    raise LinAlgError, else it is read from R's decomposition.
     """
     if kind == "min":
         return sandwiched_rel_ent_diff_grid(x, (0.5,), strict=False)[0]
     x.check_output_support()
     if x.recovered_is_well_conditioned():
         try:
-            return _max_divergence_by_cholesky(x)
+            top = float(np.linalg.eigvalsh(hermitian_part(x.whitened_rho()))[-1])
+            return math.inf if top <= 0.0 else float(np.log2(top))
         except np.linalg.LinAlgError:
             pass
     value = max_rel_entropy(x.rho, Decomposed(x.recovered, x.recovered_spectrum))
@@ -714,21 +761,6 @@ def _recovery_divergence(x, kind: str) -> float:
     return value
 
 
-def _max_divergence_by_cholesky(x) -> float:
-    """D_max(rho || R) for a full-rank recovered operator R = L L†.
-
-    With G G† = rho and Y = L^(-1) G, Y† Y has the nonzero eigenvalues of
-    R^(-1/2) rho R^(-1/2), so D_max = log2 lambda_max(Y† Y): one Cholesky,
-    one solve and one ``eigvalsh``, and R is never decomposed.  Raises
-    LinAlgError when the Cholesky factorization fails.
-    """
-    y = np.linalg.solve(np.linalg.cholesky(x.recovered), x.rho.root())
-    top = float(np.linalg.eigvalsh(hermitian_part(y.conj().T @ y))[-1])
-    if top <= 0.0:
-        return math.inf
-    return float(np.log2(top))
-
-
 def minmax_rel_ent_diff(triple: ChannelTriple, kind: str, strict: bool = True) -> float:
     """Min- or max-relative-entropy difference.
 
@@ -739,8 +771,7 @@ def minmax_rel_ent_diff(triple: ChannelTriple, kind: str, strict: bool = True) -
     ``max`` raises RankDeficientError when the inputs are positive definite
     but the computed R_{sigma,N}(N(rho)) is numerically singular.
     """
-    if kind not in ("min", "max"):
-        raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
+    _check_kind(kind)
     if not is_strict_cptp(triple.channel):
         raise NotStrictError("the channel must be strict for min/max differences")
     if strict and not (

@@ -204,7 +204,7 @@ def perturb_positive(rho: DensityOperator, eps: float) -> DensityOperator:
     way to move a rank-deficient state into the positive definite cone.
     """
     if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+        raise ValidationError("bad-spec", f"eps must lie in (0, 1), got {eps}")
     d = rho.dim
     mixed = (1.0 - eps) * rho.matrix + eps * np.eye(d) / d
     return DensityOperator(mixed, rho.dims)

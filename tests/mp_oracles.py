@@ -211,3 +211,20 @@ def rel_ent_diff(x: MpTriple) -> float:
         out = x.apply(x.rho)
         second = _trace(out * (out_rho.apply(mp.log) - out_sigma.apply(mp.log)))
         return float((first - second) / mp.log(2))
+
+
+
+
+def max_recovery_divergence(x: MpTriple) -> float:
+    """D_max(rho || R) = log2 lambda_max(L^(-1) rho L^(-1)†), with the
+    Petz-recovered R = sigma^(1/2) N†(N(sigma)^(-1/2) N(rho) N(sigma)^(-1/2))
+    sigma^(1/2) formed densely and R = L L† its Cholesky factorization; R
+    must be positive definite.  rho is not decomposed."""
+    with mp.workdps(DIGITS):
+        half = mp.mpf(1) / 2
+        wedge = _Decomposition(x.sigma).power(half)
+        out_wedge = _Decomposition(x.apply(x.sigma)).power(-half)
+        recovered = wedge * x.pull(out_wedge * x.apply(x.rho) * out_wedge) * wedge
+        whitener = mp.inverse(mp.cholesky((recovered + _dagger(recovered)) / 2))
+        m = whitener * x.rho * _dagger(whitener)
+        return float(mp.log(max(mp.eighe((m + _dagger(m)) / 2, eigvals_only=True)), 2))

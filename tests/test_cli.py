@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qmarkov.channels import random_strict_channel, random_unitary
-from qmarkov.cli import _format_value, build_parser, main
+from qmarkov.cli import MAX_GRID_ORDERS, _format_value, _parse_grid, build_parser, main
 from qmarkov.linalg import kron
 from qmarkov.measures import (
     TripartiteState,
@@ -737,6 +737,26 @@ class TestSweep:
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith("error:") and "finite" in result.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["0.5:1e9:1e-9", "0:1e308:1e-300", "0:10000:1"])
+    def test_oversized_grid_exits_two(self, correlated_state_file, tmp_path, src_env, grid):
+        # about 1e18, an overflowing span and 10001 points: each is refused
+        # before a point is built, so the deadline and the capped address
+        # space only stop a regression
+        out = tmp_path / "x.csv"
+        result = subprocess.run(
+            [sys.executable, "-m", "qmarkov.cli", "sweep", "--measure", "renyi-cmi",
+             "--state", correlated_state_file, "--alpha-grid", grid, "--out", str(out)],
+            capture_output=True, text=True, timeout=20, preexec_fn=_cap_address_space,
+            env=dict(src_env, OPENBLAS_NUM_THREADS="1"),
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == f"error: --alpha-grid {grid!r} has more than 10000 orders\n"
+        assert not out.exists()
+
+    def test_largest_grid_is_built(self):
+        grid = _parse_grid("0:9999:1")
+        assert grid == [float(k) for k in range(MAX_GRID_ORDERS)]
 
 
 def _cap_address_space():

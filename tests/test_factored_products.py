@@ -1,22 +1,26 @@
-"""The max measures through a Cholesky factor of the recovered operator, and
-the state's products with f(rho_AC) x I_B and I_A x x in factored form.
+"""The max measures through ``whitened_rho``, and the state's products with
+f(rho_AC) x I_B and I_A x x in factored form.
 
-D_max(rho || R) with R the Petz-recovered N(rho) is read as
-log2 lambda_max(Y† Y), Y = L^(-1) G with R = L L† and G G† = rho, whenever
-the cached spectra bound cond(R) by 1/SUPPORT_CUTOFF; otherwise it is the
-eigen path ``max_rel_entropy(rho, Decomposed(R, R's decomposition))``.
-These tests pin that guard: inputs whose R is rank deficient or whose bound
-is too large give the eigen path's value exactly (``==``, and the values a
-ChannelTriple gave before the Cholesky path existed, as hex literals), and
-on well-conditioned inputs the two paths agree within 1e-12.  A
-TripartiteState forms (w x I_B)(I_A x m)(w x I_B) and the Kraus blocks
-<i|_A (w x I_B) v by reshaped matmuls; they must equal the dense products
-of the embedded factors, and the blocks of the CMI triple.
+D_max(rho || R) with R the Petz-recovered N(rho) is read as log2 of the
+largest eigenvalue of ``whitened_rho`` whenever the cached spectra bound
+cond(R) by 1/SUPPORT_CUTOFF: on a ChannelTriple Y† Y, Y = L^(-1) G with
+R = L L† and G G† = rho; on a TripartiteState W rho W†, W† W = R^(-1), from
+the marginals' decompositions alone.  Otherwise it is the eigen path
+``max_rel_entropy(rho, Decomposed(R, R's decomposition))``.  These tests pin
+that guard: inputs whose R is rank deficient or whose bound is too large
+give the eigen path's value exactly (``==``, and the values a ChannelTriple
+gave before the Cholesky path existed, as hex literals), and on
+well-conditioned inputs the paths agree within 1e-12, and with a 50-digit
+D_max (``mp_oracles``).  A TripartiteState forms
+(w x I_B)(I_A x m)(w x I_B) and the Kraus blocks <i|_A (w x I_B) v by
+reshaped matmuls; they must equal the dense products of the embedded
+factors, and the blocks of the CMI triple.
 """
 
 import numpy as np
 import pytest
 
+import mp_oracles as mo
 from qmarkov.channels import random_strict_channel
 from qmarkov.divergences import max_rel_entropy
 from qmarkov.errors import RankDeficientError
@@ -160,14 +164,18 @@ class TestMaxGuard:
         assert cholesky_calls == []
 
     def test_failed_cholesky_falls_back(self, monkeypatch):
+        # only the triple factors R; the state reads its marginals alone
         state = TripartiteState(random_density((2, 2, 2), seed=4))
-        assert state.recovered_is_well_conditioned()
+        triple = cmi_as_triple(state)
+        expected = _max(state)
+        assert state.recovered_is_well_conditioned() and triple.recovered_is_well_conditioned()
 
         def failing(a, *args, **kwargs):
             raise np.linalg.LinAlgError("not positive definite")
 
         monkeypatch.setattr(np.linalg, "cholesky", failing)
-        assert _max(state) == _eigen_path(state)
+        assert _max(triple) == _eigen_path(triple)
+        assert _max(state) == expected
 
 
 def _full_rank_inputs(dims, seed):
@@ -181,11 +189,14 @@ class TestMaxByCholesky:
     def test_agrees_with_the_eigen_path(self, dims, seeds, cholesky_calls):
         for seed in seeds:
             for x in _full_rank_inputs(dims, seed):
+                d = x.rho.dim
                 assert x.recovered_is_well_conditioned()
                 cholesky_calls.clear()
                 value = _max(x)
-                # one factor of the recovered operator and one of rho
-                assert cholesky_calls == [x.recovered.shape] * 2
+                # on the triple one factor of the recovered operator and one
+                # of rho; the state factors neither
+                expected = [(d, d)] * 2 if isinstance(x, ChannelTriple) else []
+                assert cholesky_calls == expected
                 assert abs(value - _eigen_path(x)) <= 1e-12
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -206,6 +217,65 @@ class TestMaxByCholesky:
         for x in (state, cmi_as_triple(state)):
             assert x.recovered_is_well_conditioned()
             assert abs(_max(x, strict=False) - _eigen_path(x)) <= 1e-12
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """The shapes of the arguments of every np.linalg.cholesky and solve."""
+    calls = []
+    for name in ("cholesky", "solve"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestWhitenedState:
+    """A state's max CMI from W rho W†, against the dense triple's Cholesky
+    path and a 50-digit D_max (rank None: full rank; rank d_A d_C: rank
+    deficient, with full-rank marginals)."""
+
+    @pytest.mark.parametrize("dims, rank, oracle", [
+        ((2, 2, 2), None, True), ((2, 3, 2), None, True), ((3, 3, 3), None, True),
+        ((2, 2, 2), 4, True), ((2, 3, 2), 4, True), ((3, 3, 3), 9, False),
+        ((1, 2, 2), None, True), ((2, 1, 2), None, True), ((2, 2, 1), None, True),
+    ], ids=["222", "232", "333", "222-rank4", "232-rank4", "333-rank9", "122", "212", "221"])
+    def test_agrees_with_the_triple_and_the_oracle(self, dims, rank, oracle):
+        state = TripartiteState(random_density(dims, rank=rank, seed=0))
+        triple = cmi_as_triple(state)
+        assert state.recovered_is_well_conditioned()
+        assert state.is_positive_definite() == (rank is None)
+        value = minmax_cmi(state, "max", strict=False)
+        assert abs(value - minmax_rel_ent_diff(triple, "max", strict=False)) <= 1e-12
+        if oracle:
+            assert abs(value - mo.max_recovery_divergence(mo.MpTriple(triple))) <= 1e-12
+
+    def test_near_kernel_state_keeps_the_parent_value(self):
+        # 1e-11 of the flat state on a rank-2 state: rho is not positive
+        # definite but its marginals are, so the cached spectra pass the
+        # guard and the state is whitened, where R was Cholesky factored
+        # before; the value moves by 5e-15, onto the 50-digit one
+        state = TripartiteState(perturb_positive(random_density((2, 2, 2), rank=2, seed=3), 1e-11))
+        assert state.recovered_is_well_conditioned()
+        with pytest.raises(RankDeficientError):
+            minmax_cmi(state, "max")
+        value = minmax_cmi(state, "max", strict=False)
+        assert abs(value - float.fromhex("0x1.39e92f8488617p+2")) <= 1e-14
+        assert abs(value - mo.max_recovery_divergence(mo.MpTriple(cmi_as_triple(state)))) <= 1e-14
+
+    def test_forms_no_recovered_operator_or_dense_factor(self, linalg_calls):
+        state = TripartiteState(random_density((4, 4, 4), seed=0))
+        d = state.rho.dim
+        linalg_calls.clear()  # validation factors rho once
+        value = minmax_cmi(state, "max")
+        assert [call for call in linalg_calls if call[1] == (d, d)] == []
+        assert "recovered" not in state.__dict__
+        assert "recovered_spectrum" not in state.__dict__
+        assert abs(value - _eigen_path(state)) <= 1e-12
 
 
 PRODUCT_DIMS = [(2, 2, 2), (2, 3, 2), (3, 2, 4), (1, 2, 2), (2, 1, 2), (2, 2, 1)]

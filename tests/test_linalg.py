@@ -7,6 +7,7 @@ from qmarkov.errors import (
     DimensionMismatchError,
     MatrixFunctionDomainError,
     NonHermitianError,
+    QmarkovError,
     ValidationError,
 )
 from qmarkov.divergences import rel_entropy, von_neumann_entropy
@@ -21,7 +22,8 @@ from qmarkov.linalg import (
     partial_trace,
     singular_values,
 )
-from qmarkov.states import random_density
+from qmarkov.measures import TripartiteState, cmi_as_triple, minmax_cmi, minmax_rel_ent_diff
+from qmarkov.states import perturb_positive, random_density
 
 from conftest import random_hermitian
 
@@ -279,3 +281,21 @@ def test_out_of_range_argument_is_a_typed_error(call, error, reason):
     with pytest.raises(error) as err:
         call()
     assert getattr(err.value, "reason", None) == reason
+
+
+def _state():
+    return TripartiteState(random_density((2, 2, 2), seed=0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: perturb_positive(random_density((2,), seed=0), 1.5),
+    lambda: perturb_positive(random_density((2,), seed=0), 0.0),
+    lambda: alpha_norm(np.eye(2), 0),
+    lambda: minmax_cmi(_state(), "mid"),
+    lambda: minmax_rel_ent_diff(cmi_as_triple(_state()), "mid"),
+], ids=["eps-above-one", "eps-zero", "alpha-zero", "cmi-kind", "difference-kind"])
+def test_out_of_range_spec_is_a_typed_error(call):
+    # a package error, still a ValueError for callers that catch that
+    with pytest.raises(QmarkovError) as err:
+        call()
+    assert isinstance(err.value, ValueError) and err.value.reason == "bad-spec"
