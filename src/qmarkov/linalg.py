@@ -23,12 +23,13 @@ only in chunks of at most ``measures.GRID_CHUNK_ENTRIES`` entries, or one
 order per call when a product is larger.  Everything else, the eigensolver
 ``hermitian_eig`` and the Hermiticity rule included, takes one matrix.
 
-Validation and every decomposition apply one Hermiticity rule,
-``checked_hermitian_part``, so both reject the same matrices with the same
-NonHermitianError.  The residual M - M† and the Hermitian part (M + M†)/2
-are read from a C-contiguous copy of M† (``_adjoint``), summed in place:
-the swapped view M.conj().T is read across its rows, which costs several
-times a contiguous add at d = 512.
+Validation and the decomposition of an unvalidated matrix apply one
+Hermiticity rule, ``checked_hermitian_part``, so both reject the same
+matrices with the same NonHermitianError; a validated operator is not
+checked twice (``sorted_eigh``).  The residual M - M† and the Hermitian
+part (M + M†)/2 are read from a C-contiguous copy of M† (``_adjoint``),
+summed in place: the swapped view M.conj().T is read across its rows,
+which costs several times a contiguous add at d = 512.
 """
 
 from __future__ import annotations
@@ -260,7 +261,13 @@ def hermitian_eig(m) -> SpectralDecomposition:
     a = _as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"matrix is not square: shape {a.shape}")
-    vals, vecs = np.linalg.eigh(checked_hermitian_part(a)[0])
+    return sorted_eigh(checked_hermitian_part(a)[0])
+
+
+def sorted_eigh(h: np.ndarray) -> SpectralDecomposition:
+    """``hermitian_eig`` of a matrix the rule has accepted, given as its
+    Hermitian part: nothing is checked again."""
+    vals, vecs = np.linalg.eigh(h)
     if (vals[1:] > vals[:-1]).all():
         # no ties: the stable descending order is the reverse of eigh's
         vals, vecs = vals[::-1].copy(), vecs[:, ::-1].copy()

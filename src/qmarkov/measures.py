@@ -13,14 +13,15 @@ Renyi differences read the channel outputs only through one factor,
 Y = N(sigma)^(-h) N(rho)^h (``output_factors``), and the two Renyi relative
 entropies are the same kernel with K = I and Y = 1 (``_TraceTriple``).  The
 difference formulas read only a few members of their argument: N(rho),
-N(sigma), the spectrum of sigma, Y, f(sigma) N†(inner) f(sigma)
-(``wedged_pull``, for the Petz map alone), and the Kraus blocks
+N(sigma), the spectrum of sigma, Y, and the Kraus blocks
 [K_i f(sigma) v]_i (``kraus_wedges``), through which both Renyi
-differences and every closed bracket of ``functionals`` read the channel
-and sigma.  A ``TripartiteState`` answers each from its marginals
-by reshaped matmuls, so the triple is never built and only the log sums
-embed an operator on A x B x C; ``cmi_as_triple`` builds the triple
-densely, so the reduction can be tested against an independent evaluation.
+differences, every closed bracket of ``functionals`` and the Petz map
+(``petz_recovery``, the kernel's product P at h = 1/2 and v = I, read as
+P† P) read the channel and sigma.  A ``TripartiteState`` answers each from
+its marginals by reshaped matmuls, so the triple is never built and only
+the log sums embed an operator on A x B x C; ``cmi_as_triple`` builds the
+triple densely, so the reduction can be tested against an independent
+evaluation.
 The blocks form no f(sigma) on any reading: they apply U†, the values f(s)
 and then U (K U on a triple), with U and s sigma's kept eigenpairs.
 Sandwiched values are summed in log space, so alpha may be arbitrarily
@@ -129,8 +130,16 @@ class _CachedSpectra:
 
     @cached_property
     def recovered(self) -> np.ndarray:
-        """The Petz-recovered N(rho), the Petz map applied to N(rho)."""
-        return read_only(_petz(self, self.out_rho))
+        """The Petz-recovered N(rho): ``petz_recovery`` at
+        Y = N(sigma)^(-1/2) N(rho)^(1/2), the output factor at h = 1/2."""
+        return read_only(self.petz_recovery(self.output_factors((0.5,))[0]))
+
+    def petz_recovery(self, y) -> np.ndarray:
+        """sigma^(1/2) N†(Y Y†) sigma^(1/2), the Petz map at N(sigma)^(1/2) Y Y†
+        N(sigma)^(1/2), for an operator Y on the output: P† P for P the
+        kernel's product Y† K_i sigma^(1/2) at v = I (``_kraus_products``)."""
+        ((_, (p,)),) = _kraus_products(self, (0.5,), np.eye(self.rho.dim), y[None])
+        return hermitian_part(p.conj().T @ p)
 
     @cached_property
     def recovered_spectrum(self) -> SpectralDecomposition:
@@ -234,8 +243,8 @@ class TripartiteState(_CachedSpectra):
     def sigma_log(self) -> np.ndarray:
         """log(rho_AC x I_B) = log(rho_AC) x I_B on the support, as a dense
         operator on A x B x C.  Only the log sums read it; the Renyi products
-        take f(rho_AC) x I_B in factored form (``wedged_pull``,
-        ``kraus_wedges``)."""
+        and the Petz map take f(rho_AC) x I_B in factored form
+        (``kraus_wedges``)."""
         return embed_operator(self.sigma_spectrum.apply(np.log), self.dims, (0, 2))
 
     def sigma_supports_rho(self) -> bool:
@@ -245,22 +254,6 @@ class TripartiteState(_CachedSpectra):
     def pull(self, x) -> np.ndarray:
         """Tr_A†(x) = I_A x x for an operator x on B x C, or a stack of them."""
         return embed_operator(x, self.dims, (1, 2))
-
-    def wedged_pull(self, f, inner) -> np.ndarray:
-        """(w x I_B)(I_A x inner)(w x I_B) with w = f(rho_AC), for ``inner`` on
-        B x C.  Entry (abc, a'b'c') of x = (w x I_B)(I_A x inner) is
-        sum_e w[ac, a'e] inner[be, b'c'], one matmul of w read as (a c a', e)
-        with inner read as (e, b b' c'); the columns of x then swap their A
-        and B indices around one matmul with w.  Nothing is formed on A x B x C.
-        """
-        d_a, d_b, d_c = self.dims
-        d = self.rho.dim
-        w = self.sigma_spectrum.apply(f)
-        m = inner.reshape(d_b, d_c, d_b * d_c).swapaxes(0, 1).reshape(d_c, d_b * d_b * d_c)
-        t = (w.reshape(d_a * d_c * d_a, d_c) @ m).reshape(d_a, d_c, d_a, d_b, d_b * d_c)
-        x = t.transpose(0, 3, 1, 2, 4).reshape(d, d)
-        t = x.reshape(d, d_a, d_b, d_c).swapaxes(1, 2).reshape(d * d_b, d_a * d_c) @ w
-        return t.reshape(d, d_b, d_a, d_c).swapaxes(1, 2).reshape(d, d)
 
     def kraus_wedges(self, fs, v) -> Iterator[tuple[slice, np.ndarray]]:
         """The blocks [K_i f(sigma) v]_i for a (d, n) ``v`` and each f in
@@ -362,11 +355,6 @@ class ChannelTriple(_CachedSpectra):
     def pull(self, x) -> np.ndarray:
         """N†(x), of an operator or of each slice of a stack."""
         return adjoint_apply(self.channel, x)
-
-    def wedged_pull(self, f, inner) -> np.ndarray:
-        """f(sigma) N†(inner) f(sigma) for an operator ``inner`` on the output."""
-        wedge = self.sigma_spectrum.apply(f)
-        return wedge @ self.pull(inner) @ wedge
 
     @cached_property
     def kraus_sigma_basis(self) -> np.ndarray:
@@ -553,15 +541,6 @@ def _condition_number(dec: SpectralDecomposition) -> float:
     if not dec.support[0].all() or values[-1] <= 0.0:
         return math.inf
     return float(values[0] / values[-1])
-
-
-def _petz(x, m: np.ndarray) -> np.ndarray:
-    """The Petz map of a ChannelTriple's or TripartiteState's (sigma, N) at M,
-    sigma^(1/2) N†(N(sigma)^(-1/2) M N(sigma)^(-1/2)) sigma^(1/2), symmetrized;
-    ``recovered`` is its value at M = N(rho)."""
-    out_wedge = x.out_sigma_spectrum.power(-0.5)
-    inner = hermitian_part(out_wedge @ m @ out_wedge)
-    return hermitian_part(x.wedged_pull(_power_of(0.5), inner))
 
 
 def renyi_rel_ent_diff(

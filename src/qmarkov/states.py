@@ -12,8 +12,9 @@ support.  Only when the factorization fails does validation compute the
 eigenvalues and apply the eigenvalue rule to them.  Otherwise the
 eigenvalues are computed on first read.  The full eigendecomposition is
 cached on first use, so every power and logarithm of the operator is read
-from one ``hermitian_eig``.  The caches live as long as the object; the
-matrix, the eigenvalues and the decomposition are read-only.  The
+from one ``sorted_eigh`` of its Hermitian part, which applies the
+Hermiticity rule no second time.  The caches live as long as the object;
+the matrix, the eigenvalues and the decomposition are read-only.  The
 square-root factor (``root``) of a full-rank operator is its Cholesky
 factor, so a formula that reads the operator only through such a factor
 computes neither its eigenvalues nor its decomposition.  A random draw
@@ -39,6 +40,7 @@ from .linalg import (
     hermitian_eig,
     hermitian_part,
     read_only,
+    sorted_eigh,
     support_mask,
 )
 
@@ -120,8 +122,10 @@ class PositiveOperator:
 
     @cached_property
     def spectrum(self) -> SpectralDecomposition:
-        """The eigendecomposition of ``matrix``, computed once."""
-        return hermitian_eig(self.matrix)
+        """The eigendecomposition of ``matrix``, computed once, from its
+        Hermitian part: validation has applied the Hermiticity rule to the
+        read-only matrix."""
+        return sorted_eigh(hermitian_part(self.matrix))
 
     def root(self) -> np.ndarray:
         """A factor G with G G† = ``matrix``, not cached.

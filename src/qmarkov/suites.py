@@ -2,18 +2,20 @@
 
 Each suite draws seeded instances, evaluates a family of inequalities or
 identities, and returns a report of per-check records.  Reports are
-deterministic functions of (config, suite name): per-trial randomness is
-derived from ``seed + trial`` so trial order and parallelism cannot change
-the outcome.
+deterministic functions of (config, suite name).  Trial t draws from
+``default_rng(seed + t)``, and attempt a of its screened non-sufficient
+triple from ``default_rng(SeedSequence((seed, t, a)))``.  These are not
+independent: ``SeedSequence((s, 0, 0))`` gives the stream of
+``default_rng(s)`` (seen for s = 42, 7 and 139).
 
 Suites run together by ``run_suites`` share their draws.  The trace and
 limits suites both open a trial with the same two draws from that stream, a
-random state and then a random triple, and in a one-trial run the
-characterization suite's first screened triple is the inequality suite's
-first draw.  Such a draw is made once per ``run_suites`` call: every later
-suite gets the same object, with the decompositions it has cached, and its
-generator is moved past the draw, so the rest of the trial draws the same
-stream as a suite run alone.  Nothing is shared between calls.
+random state and then a random triple, and by that collision the first
+screened triple of trial 0 is the inequality suite's first draw.  Such a
+draw is made once per ``run_suites`` call: every later suite gets the same
+object, with the decompositions it has cached, and its generator is moved
+past the draw, so the rest of the trial draws the same stream as a suite
+run alone.  Nothing is shared between calls.
 
 The protocol is fixed apart from the four ``SuiteConfig`` values: the plain
 Renyi families are checked at PETZ_ALPHA_GRID, the sandwiched ones at
@@ -202,7 +204,8 @@ class _Recorder:
 
 
 def _trials(cfg: SuiteConfig):
-    """(trial, seed, rng) for each trial; the stream depends on seed + trial only."""
+    """(trial, seed + trial, default_rng(seed + trial)) for each trial; a
+    screened triple draws from SeedSequence((seed, trial, attempt)) instead."""
     for trial in range(cfg.trials):
         yield trial, cfg.seed + trial, np.random.default_rng(cfg.seed + trial)
 

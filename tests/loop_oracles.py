@@ -29,12 +29,13 @@ triple (rho, sigma, Tr), one order at a time: the kernel with K = I and
 Y = 1.  The output fixed point reads the same products with
 Y = N(sigma)^(-h), weighted by rho's eigenvalues to the power alpha/2.
 
-``petz_round_trip`` applies the Petz recovery map in its Kraus form, the
-independent reading of the dense Petz map that ``is_sufficient_petz``
-reads; the two agree within round-off, not bit for bit.  Likewise
-``min_recovery_divergence`` reads the min measures as -log2 of the fidelity
-between rho and the decomposed recovered operator, which the library
-evaluates as the sandwiched difference at alpha = 1/2 instead.
+The library reads the Petz map through the same blocks, as P† P for the
+kernel's product P at h = 1/2 and v = I; ``petz_map`` is the dense bracket
+at h = 1/2, its independent reading, and ``petz_round_trip`` applies the
+map in its Kraus form.  They agree within round-off, not bit for bit.
+Likewise ``min_recovery_divergence`` reads the min measures as -log2 of the
+fidelity between rho and the decomposed recovered operator, which the
+library evaluates as the sandwiched difference at alpha = 1/2 instead.
 """
 
 import math
@@ -99,7 +100,7 @@ def _times_wedge(dims, x, w):
     return t.reshape(n, d_b, d_a, d_c).swapaxes(1, 2).reshape(n, d_a * d_b * d_c)
 
 
-def _wedged_pull(x, f, inner):
+def wedged_pull(x, f, inner):
     """f(sigma) N†(inner) f(sigma); on a state, with f(sigma) = w x I_B and
     N†(inner) = I_A x inner never formed."""
     if isinstance(x, ChannelTriple):
@@ -145,7 +146,13 @@ def _kraus_products(x, h, v, y):
 def _bracket(x, h, middle):
     out_wedge = power(x.out_sigma_spectrum, -h)
     inner = out_wedge @ middle @ out_wedge
-    return _symmetrize(_wedged_pull(x, lambda v: v**h, _symmetrize(inner)))
+    return _symmetrize(wedged_pull(x, lambda v: v**h, _symmetrize(inner)))
+
+
+def petz_map(x, m):
+    """sigma^(1/2) N†(N(sigma)^(-1/2) M N(sigma)^(-1/2)) sigma^(1/2), the dense
+    bracket at h = 1/2."""
+    return _bracket(x, 0.5, m)
 
 
 def _kept(dec):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import loop_oracles as lo
 from qmarkov.channels import (
     Channel,
     adjoint_apply,
@@ -13,32 +14,18 @@ from qmarkov.channels import (
 )
 from qmarkov.errors import DimensionMismatchError, ValidationError
 from qmarkov.linalg import embed_operator, herm_pow, kron, partial_trace
-from qmarkov.measures import ChannelTriple, _petz
-from qmarkov.states import DensityOperator, PositiveOperator, random_density
+from qmarkov.measures import ChannelTriple, TripartiteState, cmi_as_triple
+from qmarkov.states import (
+    DensityOperator,
+    PositiveOperator,
+    perturb_positive,
+    random_density,
+    trace_distance,
+)
 from qmarkov.structured import is_sufficient_petz
 
 from conftest import random_hermitian
 from simple_channels import depolarizing_channel, identity_channel
-
-
-def hermitian_basis(dim):
-    """A basis of the Hermitian d x d matrices: E_ii, E_ij + E_ji and
-    i(E_ij - E_ji).  The Petz bracket symmetrizes its output, so it is
-    checked on Hermitian operators, on which it is the linear map itself."""
-    for i in range(dim):
-        for j in range(i, dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[i, j] = 1.0
-            if i == j:
-                yield e
-            else:
-                yield e + e.T
-                yield 1j * (e - e.T)
-
-
-def petz(triple, x):
-    """The Petz map of the triple's (sigma, channel) applied to x."""
-    return _petz(triple, x)
 
 
 class TestChannelBasics:
@@ -140,60 +127,66 @@ class TestStrictness:
 
 
 class TestPetzRecovery:
-    """The Petz map is the bracket at h = 1/2: sigma^(1/2) N†(N(sigma)^(-1/2)
-    X N(sigma)^(-1/2)) sigma^(1/2)."""
+    """The Petz map sigma^(1/2) N†(N(sigma)^(-1/2) M N(sigma)^(-1/2)) sigma^(1/2),
+    read through ``recovered`` (M = N(rho)) and the round trips of
+    ``is_sufficient_petz``, against closed forms."""
 
     def test_identity_channel_full_rank(self):
-        sigma = random_density((3,), seed=0)
-        triple = ChannelTriple(
-            rho=random_density((3,), seed=2), sigma=sigma, channel=identity_channel(3)
-        )
-        for x in hermitian_basis(3):
-            np.testing.assert_allclose(petz(triple, x), x, atol=1e-10)
+        # N = id: R(M) = sigma^(1/2) sigma^(-1/2) M sigma^(-1/2) sigma^(1/2) = M
+        for seed in range(3):
+            triple = ChannelTriple(
+                rho=random_density((3,), seed=seed + 2),
+                sigma=random_density((3,), seed=seed),
+                channel=identity_channel(3),
+            )
+            np.testing.assert_allclose(triple.recovered, triple.rho.matrix, atol=1e-12)
+            ok, d_rho, d_sigma = is_sufficient_petz(triple)
+            assert ok and d_rho <= 1e-12 and d_sigma <= 1e-12
+            m = random_density((3,), rank=2, seed=seed + 7).matrix
+            y = triple.out_sigma_spectrum.power(-0.5) @ herm_pow(m, 0.5)
+            np.testing.assert_allclose(triple.petz_recovery(y), m, atol=1e-12)
 
     def test_special_case_partial_trace(self):
         # recovery of trace-out-A from sigma = rho_AC x I_B, matched entrywise
-        rho = random_density((2, 2, 2), seed=5)
+        # with rho_AC^(1/2) rho_C^(-1/2) rho_BC rho_C^(-1/2) rho_AC^(1/2)
         dims = (2, 2, 2)
-        rho_ac = partial_trace(rho.matrix, dims, {1})
-        rho_c = partial_trace(rho.matrix, dims, {0, 1})
-        sigma = embed_operator(rho_ac, dims, (0, 2))
-        triple = ChannelTriple(
-            rho=DensityOperator(rho.matrix),
-            sigma=PositiveOperator(sigma),
-            channel=partial_trace_channel(dims, {0}),
-        )
-
-        s_ac = embed_operator(herm_pow(rho_ac, 0.5), dims, (0, 2))
-        s_c = embed_operator(herm_pow(rho_c, -0.5), dims, (2,))
-        for x in hermitian_basis(4):  # operators on B x C
-            x_full = embed_operator(x, dims, (1, 2))
-            expected = s_ac @ s_c @ x_full @ s_c @ s_ac
-            np.testing.assert_allclose(petz(triple, x), expected, atol=1e-9)
+        for seed in range(3):
+            state = TripartiteState(random_density(dims, seed=seed + 5))
+            triple = cmi_as_triple(state)
+            rho_ac = partial_trace(state.matrix, dims, {1})
+            rho_c = partial_trace(state.matrix, dims, {0, 1})
+            s_ac = embed_operator(herm_pow(rho_ac, 0.5), dims, (0, 2))
+            s_c = embed_operator(herm_pow(rho_c, -0.5), dims, (2,))
+            rho_bc = embed_operator(partial_trace(state.matrix, dims, {0}), dims, (1, 2))
+            expected = s_ac @ s_c @ rho_bc @ s_c @ s_ac
+            for x in (state, triple):
+                np.testing.assert_allclose(x.recovered, expected, atol=1e-12)
+            # sigma = rho_AC x I_B is full rank, so it comes back exactly
+            _, _, d_sigma = is_sufficient_petz(triple)
+            assert d_sigma <= 1e-12
 
     def test_classical_bayes_reverse(self):
-        # diagonal sigma and a stochastic-matrix channel reduce to Bayes' rule
-        rng = np.random.default_rng(8)
-        q = rng.dirichlet(np.ones(3))
-        t = rng.dirichlet(np.ones(2), size=3).T  # column-stochastic 2x3
-        kraus = tuple(
-            np.sqrt(t[y, x]) * np.outer(np.eye(2)[y], np.eye(3)[x])
-            for y in range(2)
-            for x in range(3)
-        )
-        triple = ChannelTriple(
-            rho=DensityOperator(np.diag(q)),
-            sigma=PositiveOperator(np.diag(q)),
-            channel=Channel(kraus),
-        )
-        tq = t @ q
-        for y in range(2):
-            v = np.zeros(2)
-            v[y] = 1.0
-            recovered = petz(triple, np.diag(v))
-            expected = q * (t.T @ (v / tq))
-            np.testing.assert_allclose(np.diag(recovered).real, expected, atol=1e-10)
-            np.testing.assert_allclose(recovered, np.diag(np.diag(recovered)), atol=1e-10)
+        # diagonal rho and sigma and a stochastic-matrix channel reduce to
+        # Bayes' rule: R(T p) = q * T^T (T p / T q)
+        for seed in range(3):
+            rng = np.random.default_rng(8 + seed)
+            p, q = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))
+            t = rng.dirichlet(np.ones(2), size=3).T  # column-stochastic 2x3
+            kraus = tuple(
+                np.sqrt(t[y, x]) * np.outer(np.eye(2)[y], np.eye(3)[x])
+                for y in range(2)
+                for x in range(3)
+            )
+            triple = ChannelTriple(
+                rho=DensityOperator(np.diag(p)),
+                sigma=PositiveOperator(np.diag(q)),
+                channel=Channel(kraus),
+            )
+            expected = q * (t.T @ ((t @ p) / (t @ q)))
+            np.testing.assert_allclose(triple.recovered, np.diag(expected), atol=1e-12)
+            _, d_rho, d_sigma = is_sufficient_petz(triple)
+            assert d_rho == pytest.approx(np.abs(expected - p).sum(), abs=1e-12)
+            assert d_sigma <= 1e-12
 
     def test_zero_sigma_recovers_nothing(self):
         # the Petz map of sigma = 0 is the zero map: sigma comes back exactly,
@@ -208,6 +201,60 @@ class TestPetzRecovery:
         assert d_rho == pytest.approx(1.0, abs=1e-12)
         assert d_sigma == 0.0
         np.testing.assert_array_equal(triple.recovered, np.zeros((2, 2)))
+
+
+def _sigma_rank_two_triple(seed):
+    """sigma of rank 2 on C^4, rho supported inside supp(sigma), and a strict
+    channel to C^3."""
+    sigma = random_density((4,), rank=2, seed=seed + 1)
+    p = sigma.spectrum.power(0)
+    rho = p @ random_density((4,), seed=seed).matrix @ p
+    return ChannelTriple(
+        rho=DensityOperator((rho + rho.conj().T) / (2 * np.trace(rho).real)),
+        sigma=PositiveOperator(sigma.matrix),
+        channel=random_strict_channel(4, 3, seed=seed + 2),
+    )
+
+
+def _near_rank_two_state(seed):
+    return TripartiteState(perturb_positive(random_density((2, 2, 2), rank=2, seed=seed), 1e-9))
+
+
+def _random_channel_triple(seed):
+    return ChannelTriple(random_density((4,), seed=seed),
+                         PositiveOperator(random_density((4,), seed=seed + 1).matrix),
+                         random_strict_channel(4, 3, seed=seed + 2))
+
+
+_STATES = [(f"state{''.join(map(str, dims))}-{seed}",
+            lambda dims=dims, seed=seed: TripartiteState(random_density(dims, seed=seed)))
+           for dims in [(2, 2, 2), (2, 3, 2), (3, 2, 2), (1, 2, 2), (2, 2, 1)] for seed in range(2)]
+_STATES += [(f"near-rank2-{seed}", lambda seed=seed: _near_rank_two_state(seed)) for seed in range(3)]
+PETZ_INPUTS = _STATES + [(f"cmi-{name}", lambda make=make: cmi_as_triple(make()))
+                         for name, make in _STATES]
+PETZ_INPUTS += [(f"4to3-{seed}", lambda seed=seed: _random_channel_triple(seed)) for seed in range(3)]
+PETZ_INPUTS += [(f"sigma-rank2-{seed}", lambda seed=seed: _sigma_rank_two_triple(seed))
+                for seed in range(3)]
+
+
+class TestPetzByTheKernel:
+    """``recovered`` and the sigma round trip are P† P for the kernel's product
+    P at h = 1/2 and v = I; they equal the dense bracket at h = 1/2 of
+    ``loop_oracles`` within 1e-14, on states and their CMI triples, 4 -> 3
+    triples, a rank-2 sigma and states 1e-9 from rank 2."""
+
+    @pytest.mark.parametrize("make", [make for _, make in PETZ_INPUTS],
+                             ids=[name for name, _ in PETZ_INPUTS])
+    def test_equals_the_dense_bracket(self, make):
+        x = make()
+        assert np.max(np.abs(x.recovered - lo.petz_map(x, x.out_rho))) <= 1e-14
+        sigma_back = x.petz_recovery(x.out_sigma_spectrum.power(0))
+        dense_back = lo.petz_map(x, x.out_sigma)
+        assert np.max(np.abs(sigma_back - dense_back)) <= 1e-14
+        if isinstance(x, ChannelTriple):
+            _, d_rho, d_sigma = is_sufficient_petz(x)
+            assert abs(d_rho - trace_distance(lo.petz_map(x, x.out_rho), x.rho.matrix)) <= 1e-14
+            assert abs(d_sigma - trace_distance(dense_back, x.sigma.matrix)) <= 1e-14
 
 
 class TestRandomChannels:

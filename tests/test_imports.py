@@ -1,5 +1,6 @@
 """Every name a package module imports is used there, private names cross
-modules only where listed, and every private definition is read.
+modules only where listed, every private definition is read, and every
+third-party module imported is a declared dependency.
 
 A module other than ``__init__`` (which imports to re-export) must read each
 name it imports, unless the import line carries ``# noqa: F401``.  This is
@@ -8,10 +9,14 @@ the test suite.  A module may import another module's ``_``-prefixed name
 only if the pair is in PRIVATE_IMPORTS, and every listed pair is in use.
 A ``_``-prefixed function, method or class that the package defines must be
 read somewhere in the package besides its own definition, so that removing
-its last caller removes it too.
+its last caller removes it too.  A module outside the standard library and
+the package must be listed in ``dependencies`` of ``pyproject.toml``, so
+an installed but undeclared package cannot become an import.
 """
 
 import ast
+import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -28,7 +33,6 @@ PRIVATE_IMPORTS = {
     ("functionals", "linalg", "_power_of"),
     ("measures", "linalg", "_power_of"),
     ("functionals", "measures", "_kraus_products"),
-    ("structured", "measures", "_petz"),
     ("structured", "states", "_random_density_matrix"),
     ("suites", "states", "_random_density_matrix"),
 }
@@ -140,3 +144,38 @@ def test_the_rule_sees_a_dead_definition():
     # a read inside the definition's own body (recursion) does not count;
     # a dunder is never flagged
     assert unread_private_definitions(sources) == ["a._recursive", "a._unused"]
+
+
+def third_party_imports(source: str) -> set[str]:
+    """The top-level module names ``source`` imports, other than the standard
+    library's, the package's own and relative imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return {name for name in names if name not in sys.stdlib_module_names and name != "qmarkov"}
+
+
+def declared_dependencies() -> set[str]:
+    """The distribution names in ``dependencies`` of ``pyproject.toml``,
+    lowercase with ``-`` read as ``_``."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(SRC).parent / "pyproject.toml"
+    specs = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower().replace("-", "_")
+            for spec in specs}
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
+def test_third_party_imports_are_declared(path):
+    assert third_party_imports(path.read_text(encoding="utf-8")) <= declared_dependencies()
+
+
+def test_the_rule_sees_an_undeclared_dependency():
+    source = ("from __future__ import annotations\nimport math\nimport scipy.linalg\n"
+              "from numpy import linalg\nfrom qmarkov.states import random_density\n"
+              "from . import measures\n")
+    assert third_party_imports(source) == {"numpy", "scipy"}
+    assert declared_dependencies() == {"numpy"}

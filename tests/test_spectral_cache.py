@@ -20,6 +20,7 @@ import random
 import numpy as np
 import pytest
 
+import loop_oracles as lo
 from qmarkov import divergences as dv
 from qmarkov import linalg
 from qmarkov import measures as ms
@@ -341,7 +342,7 @@ class TestBuiltOnce:
         blocks = y.conj().T @ wedge
         np.testing.assert_allclose(
             np.sum(blocks.conj().swapaxes(-1, -2) @ blocks, axis=0),
-            v.conj().T @ x.wedged_pull(f, y @ y.conj().T) @ v,
+            v.conj().T @ lo.wedged_pull(x, f, y @ y.conj().T) @ v,
             atol=1e-12,
         )
 

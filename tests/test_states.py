@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qmarkov import linalg, states
 from qmarkov.channels import random_unitary
 from qmarkov.errors import DimensionMismatchError, NonHermitianError, ValidationError
 from qmarkov.linalg import (
@@ -80,6 +81,30 @@ class TestValidateDensity:
         else:
             assert outcomes[0][:2] == (NonHermitianError, "not-hermitian")
             assert issubclass(NonHermitianError, ValidationError)
+
+    @pytest.mark.parametrize("rank", [1, 3, 8])
+    def test_rule_runs_once_per_operator(self, rank, monkeypatch):
+        """Validation applies the Hermiticity rule; the decomposition reads the
+        Hermitian part of the read-only matrix and applies it no second time,
+        with the values of a checked decomposition bit for bit."""
+        m = random_density((8,), rank=rank, seed=rank).matrix
+        calls = []
+        original = linalg.checked_hermitian_part
+
+        def counted(m):
+            calls.append(m.shape)
+            return original(m)
+
+        monkeypatch.setattr(linalg, "checked_hermitian_part", counted)
+        monkeypatch.setattr(states, "checked_hermitian_part", counted)
+        op = DensityOperator(m)
+        dec = op.spectrum
+        op.root(), op.eigenvalues, op.is_positive_definite(), dec.power(-0.5), dec.apply(np.log)
+        assert calls == [(8, 8)]
+        monkeypatch.undo()
+        checked = hermitian_eig(op.matrix)
+        assert np.array_equal(dec.eigenvalues, checked.eigenvalues)
+        assert np.array_equal(dec.eigenvectors, checked.eigenvectors)
 
     def test_dims_mismatch(self):
         with pytest.raises(DimensionMismatchError):
