@@ -2,20 +2,15 @@
 
 Each suite draws seeded instances, evaluates a family of inequalities or
 identities, and returns a report of per-check records.  Reports are
-deterministic functions of (config, suite name).  Trial t draws from
-``default_rng(seed + t)``, and attempt a of its screened non-sufficient
-triple from ``default_rng(SeedSequence((seed, t, a)))``.  These are not
-independent: ``SeedSequence((s, 0, 0))`` gives the stream of
-``default_rng(s)`` (seen for s = 42, 7 and 139).
-
-Suites run together by ``run_suites`` share their draws.  The trace and
-limits suites both open a trial with the same two draws from that stream, a
-random state and then a random triple, and by that collision the first
-screened triple of trial 0 is the inequality suite's first draw.  Such a
-draw is made once per ``run_suites`` call: every later suite gets the same
-object, with the decompositions it has cached, and its generator is moved
-past the draw, so the rest of the trial draws the same stream as a suite
-run alone.  Nothing is shared between calls.
+deterministic functions of (config, suite name).  ``run_suites`` runs trial
+by trial, and each named suite's part of a trial in turn.  Trial t draws
+from ``default_rng(seed + t)``: the trace and limits suites open it with the
+same two draws, a random state and then a random triple, which are made once
+and handed to both, and each continues its own copy of the generator after
+them; the characterization and inequality suites each start a fresh one.
+Attempt a of trial t's screened non-sufficient triple draws from
+``default_rng(SeedSequence((seed, t, a, 1)))``.  Nothing drawn outlives its
+trial.
 
 The protocol is fixed apart from the four ``SuiteConfig`` values: the plain
 Renyi families are checked at PETZ_ALPHA_GRID, the sandwiched ones at
@@ -35,6 +30,7 @@ bounds), so a negative slack beyond the check's floor is a failure.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -203,32 +199,6 @@ class _Recorder:
         )
 
 
-def _trials(cfg: SuiteConfig):
-    """(trial, seed + trial, default_rng(seed + trial)) for each trial; a
-    screened triple draws from SeedSequence((seed, trial, attempt)) instead."""
-    for trial in range(cfg.trials):
-        yield trial, cfg.seed + trial, np.random.default_rng(cfg.seed + trial)
-
-
-def _drawn(draws: dict | None, rng, draw, *args):
-    """``draw(*args, rng)``, made once per function, arguments and generator state.
-
-    ``draws`` maps each draw to its result and the generator state after it.
-    On a hit the stored object is returned and ``rng`` is set to that state,
-    so later draws from ``rng`` are the same as after a fresh draw.  With
-    ``draws`` None nothing is stored.
-    """
-    if draws is None:
-        return draw(*args, rng)
-    key = (draw, args, repr(rng.bit_generator.state))
-    if key in draws:
-        made, rng.bit_generator.state = draws[key]
-        return made
-    made = draw(*args, rng)
-    draws[key] = (made, rng.bit_generator.state)
-    return made
-
-
 def _random_state(cfg: SuiteConfig, rng) -> TripartiteState:
     return TripartiteState(random_density(cfg.dims, seed=rng))
 
@@ -256,17 +226,16 @@ def _sufficiency_block_menu(rng) -> tuple[tuple[int, int, int], ...]:
     return choices[int(rng.integers(len(choices)))]
 
 
-def _screened_nonsufficient_triple(cfg: SuiteConfig, trial: int, draws=None) -> ChannelTriple:
+def _screened_nonsufficient_triple(cfg: SuiteConfig, trial: int) -> ChannelTriple:
     """Random triple whose Petz round trip fails by at least SCREEN_DISTANCE.
 
     Triples that happen to be (nearly) recoverable are discarded and redrawn
     from a deterministic per-attempt stream.
     """
     for attempt in range(64):
-        rng = np.random.default_rng(
-            np.random.SeedSequence((cfg.seed, trial, attempt))
-        )
-        triple = _drawn(draws, rng, _random_triple)
+        # the tag 1 sets these streams apart: SeedSequence((s, 0, 0)) is default_rng(s)'s
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial, attempt, 1)))
+        triple = _random_triple(rng)
         _, d_rho, _ = is_sufficient_petz(triple)
         if d_rho >= SCREEN_DISTANCE:
             return triple
@@ -274,29 +243,28 @@ def _screened_nonsufficient_triple(cfg: SuiteConfig, trial: int, draws=None) -> 
 
 
 def trace_inequality_suite(
-    cfg: SuiteConfig, extra_state: TripartiteState | None = None, *, _draws=None
+    cfg: SuiteConfig, extra_state: TripartiteState | None = None
 ) -> VerificationReport:
     """Certify the four trace bounds and their exponential limits.
 
     On random states and triples the recovered-chain traces stay at or below
     one; on constructed Markov chains and sufficiency triples they equal one.
     """
-    rec = _Recorder("trace", cfg)
-    if extra_state is not None:
-        _trace_bounds(rec, extra_state, "cmi", -1, cfg.seed)
-    for trial, seed_t, rng in _trials(cfg):
-        _trace_bounds(rec, _drawn(_draws, rng, _random_state, cfg), "cmi", trial, seed_t)
-        _trace_bounds(rec, _drawn(_draws, rng, _random_triple), "channel", trial, seed_t)
-        # equality cases: constructed recoverable instances sit exactly at 1
-        markov = build_markov_chain(
-            random_markov_spec(2, 2, _markov_block_menu(rng), seed=rng)
-        )
-        _trace_equalities(rec, cfg, markov, "markov", trial, seed_t)
-        suff = build_sufficiency_triple(
-            random_sufficiency_spec(_sufficiency_block_menu(rng), seed=rng)
-        )
-        _trace_equalities(rec, cfg, suff, "sufficiency", trial, seed_t)
-    return rec.report
+    return run_suite("trace", cfg, extra_state)
+
+
+def trace_trial(rec, cfg, trial, rng, state, triple):
+    """One trial of ``trace_inequality_suite``, on the trial's opening draws."""
+    seed_t = cfg.seed + trial
+    _trace_bounds(rec, state, "cmi", trial, seed_t)
+    _trace_bounds(rec, triple, "channel", trial, seed_t)
+    # equality cases: constructed recoverable instances sit exactly at 1
+    markov = build_markov_chain(random_markov_spec(2, 2, _markov_block_menu(rng), seed=rng))
+    _trace_equalities(rec, cfg, markov, "markov", trial, seed_t)
+    suff = build_sufficiency_triple(
+        random_sufficiency_spec(_sufficiency_block_menu(rng), seed=rng)
+    )
+    _trace_equalities(rec, cfg, suff, "sufficiency", trial, seed_t)
 
 
 def _trace_bounds(rec, x, kind, trial, seed_t):
@@ -323,187 +291,195 @@ def _trace_equalities(rec, cfg, x, kind, trial, seed_t):
                   abs(value - 1.0), cfg.tol, 0.0)
 
 
-def characterization_suite(cfg: SuiteConfig, *, _draws=None) -> VerificationReport:
+def characterization_suite(cfg: SuiteConfig) -> VerificationReport:
     """Certify the zero-iff-recoverable characterizations in both directions.
 
     Constructed sufficiency triples must drive every difference measure and
     every fixed-point residual to zero; screened random triples must keep all
     of them strictly positive.
     """
-    rec = _Recorder("characterization", cfg)
-    for trial, seed_t, rng in _trials(cfg):
-        suff = build_sufficiency_triple(
-            random_sufficiency_spec(_sufficiency_block_menu(rng), seed=rng)
-        )
-        # the plain difference is checked on its certified grid only: beyond
-        # alpha = 2 its exponents amplify round-off past any useful tolerance
-        rows = zip(PETZ_ALPHA_GRID, renyi_rel_ent_diff_grid(suff, PETZ_ALPHA_GRID),
-                   output_fixed_point_residual_grid(suff, PETZ_ALPHA_GRID))
-        for a, diff, residual in rows:
-            rec.upper("sufficiency-renyi-diff-zero", trial, seed_t, a,
-                      abs(diff), cfg.tol, 0.0)
-            rec.upper("sufficiency-output-fixed-point", trial, seed_t, a,
-                      residual, cfg.tol, 0.0)
-        rows = zip(SANDWICHED_ALPHA_GRID,
-                   sandwiched_rel_ent_diff_grid(suff, SANDWICHED_ALPHA_GRID),
-                   sandwiched_fixed_point_residual_grid(suff, SANDWICHED_ALPHA_GRID))
-        for a, diff, residual in rows:
-            rec.upper("sufficiency-sandwiched-diff-zero", trial, seed_t, a,
-                      abs(diff), cfg.tol, 0.0)
-            rec.upper("sufficiency-sandwiched-fixed-point", trial, seed_t, a,
-                      residual, cfg.tol, 0.0)
-        residuals = recovery_fixed_point_residual_grid(suff, PETZ_ALPHA_GRID)
-        for a, residual in zip(PETZ_ALPHA_GRID, residuals):
-            rec.upper("sufficiency-recovery-fixed-point", trial, seed_t, a,
-                      residual, cfg.tol, 0.0)
-        for kind in ("min", "max"):
-            rec.upper(f"sufficiency-{kind}-diff-zero", trial, seed_t, None,
-                      abs(minmax_rel_ent_diff(suff, kind)), cfg.tol, 0.0)
-
-        hard = _screened_nonsufficient_triple(cfg, trial, _draws)
-        rec.lower("nonsufficient-renyi-diff-positive", trial, seed_t, None,
-                  max(renyi_rel_ent_diff_grid(hard, PETZ_ALPHA_GRID)),
-                  CONVERSE_FLOOR, 0.0)
-        rec.lower("nonsufficient-sandwiched-diff-positive", trial, seed_t, None,
-                  max(sandwiched_rel_ent_diff_grid(hard, SANDWICHED_ALPHA_GRID)),
-                  CONVERSE_FLOOR, 0.0)
-        rec.lower("nonsufficient-fixed-point-positive", trial, seed_t, None,
-                  max(recovery_fixed_point_residual_grid(hard, PETZ_ALPHA_GRID)),
-                  CONVERSE_FLOOR, 0.0)
-    return rec.report
+    return run_suite("characterization", cfg)
 
 
-def limit_suite(cfg: SuiteConfig, *, _draws=None) -> VerificationReport:
+def characterization_trial(rec, cfg, trial, rng):
+    """One trial of ``characterization_suite``."""
+    seed_t = cfg.seed + trial
+    suff = build_sufficiency_triple(
+        random_sufficiency_spec(_sufficiency_block_menu(rng), seed=rng)
+    )
+    # the plain difference is checked on its certified grid only: beyond
+    # alpha = 2 its exponents amplify round-off past any useful tolerance
+    rows = zip(PETZ_ALPHA_GRID, renyi_rel_ent_diff_grid(suff, PETZ_ALPHA_GRID),
+               output_fixed_point_residual_grid(suff, PETZ_ALPHA_GRID))
+    for a, diff, residual in rows:
+        rec.upper("sufficiency-renyi-diff-zero", trial, seed_t, a,
+                  abs(diff), cfg.tol, 0.0)
+        rec.upper("sufficiency-output-fixed-point", trial, seed_t, a,
+                  residual, cfg.tol, 0.0)
+    rows = zip(SANDWICHED_ALPHA_GRID,
+               sandwiched_rel_ent_diff_grid(suff, SANDWICHED_ALPHA_GRID),
+               sandwiched_fixed_point_residual_grid(suff, SANDWICHED_ALPHA_GRID))
+    for a, diff, residual in rows:
+        rec.upper("sufficiency-sandwiched-diff-zero", trial, seed_t, a,
+                  abs(diff), cfg.tol, 0.0)
+        rec.upper("sufficiency-sandwiched-fixed-point", trial, seed_t, a,
+                  residual, cfg.tol, 0.0)
+    residuals = recovery_fixed_point_residual_grid(suff, PETZ_ALPHA_GRID)
+    for a, residual in zip(PETZ_ALPHA_GRID, residuals):
+        rec.upper("sufficiency-recovery-fixed-point", trial, seed_t, a,
+                  residual, cfg.tol, 0.0)
+    for kind in ("min", "max"):
+        rec.upper(f"sufficiency-{kind}-diff-zero", trial, seed_t, None,
+                  abs(minmax_rel_ent_diff(suff, kind)), cfg.tol, 0.0)
+
+    hard = _screened_nonsufficient_triple(cfg, trial)
+    rec.lower("nonsufficient-renyi-diff-positive", trial, seed_t, None,
+              max(renyi_rel_ent_diff_grid(hard, PETZ_ALPHA_GRID)),
+              CONVERSE_FLOOR, 0.0)
+    rec.lower("nonsufficient-sandwiched-diff-positive", trial, seed_t, None,
+              max(sandwiched_rel_ent_diff_grid(hard, SANDWICHED_ALPHA_GRID)),
+              CONVERSE_FLOOR, 0.0)
+    rec.lower("nonsufficient-fixed-point-positive", trial, seed_t, None,
+              max(recovery_fixed_point_residual_grid(hard, PETZ_ALPHA_GRID)),
+              CONVERSE_FLOOR, 0.0)
+
+
+def limit_suite(cfg: SuiteConfig) -> VerificationReport:
     """Certify alpha -> 1 limits and the product-formula convergence."""
-    rec = _Recorder("limits", cfg)
-    for trial, seed_t, rng in _trials(cfg):
-        state = _drawn(_draws, rng, _random_state, cfg)
-        vn = von_neumann_cmi(state)
-        rows = zip(LIMIT_ORDERS, renyi_rel_ent_diff_grid(state, LIMIT_ORDERS),
-                   sandwiched_rel_ent_diff_grid(state, LIMIT_ORDERS))
-        for a, renyi, sandwiched in rows:
-            rec.upper("renyi-cmi-limit", trial, seed_t, a,
-                      abs(renyi - vn), LIMIT_TOL, 0.0)
-            rec.upper("sandwiched-cmi-limit", trial, seed_t, a,
-                      abs(sandwiched - vn), LIMIT_TOL, 0.0)
+    return run_suite("limits", cfg)
 
-        triple = _drawn(_draws, rng, _random_triple)
-        diff = rel_ent_diff(triple)
-        for a, renyi in zip(LIMIT_ORDERS, renyi_rel_ent_diff_grid(triple, LIMIT_ORDERS)):
-            rec.upper("renyi-diff-limit", trial, seed_t, a,
-                      abs(renyi - diff), LIMIT_TOL, 0.0)
 
-        # 1 -+ 10^-k for k = 1..4, below 1 first
-        trotter_orders = [1.0 + sign * 10.0**-k for sign in (-1.0, 1.0) for k in range(1, 5)]
-        trotter = lie_trotter_deviation_grid(state, trotter_orders)
-        for sign, deviations in ((-1.0, trotter[:4]), (1.0, trotter[4:])):
-            if deviations[0] <= EXACT_TROTTER_BOUND:
-                # sigma and N†(...) commute (e.g. a trivial subsystem), so the
-                # formula is exact and the deviations are round-off
-                rec.upper("lie-trotter-monotone", trial, seed_t, 1.0 + sign * 0.1,
-                          max(deviations), EXACT_TROTTER_BOUND, 0.0)
-                continue
-            margin = min(
-                deviations[k] - deviations[k + 1] for k in range(len(deviations) - 1)
-            )
-            rec.lower("lie-trotter-monotone", trial, seed_t, 1.0 + sign * 0.1,
-                      margin, 0.0, MONOTONE_FLOOR)
+def limits_trial(rec, cfg, trial, rng, state, triple):
+    """One trial of ``limit_suite``, on the trial's opening draws."""
+    seed_t = cfg.seed + trial
+    vn = von_neumann_cmi(state)
+    rows = zip(LIMIT_ORDERS, renyi_rel_ent_diff_grid(state, LIMIT_ORDERS),
+               sandwiched_rel_ent_diff_grid(state, LIMIT_ORDERS))
+    for a, renyi, sandwiched in rows:
+        rec.upper("renyi-cmi-limit", trial, seed_t, a,
+                  abs(renyi - vn), LIMIT_TOL, 0.0)
+        rec.upper("sandwiched-cmi-limit", trial, seed_t, a,
+                  abs(sandwiched - vn), LIMIT_TOL, 0.0)
 
-        # commuting case: the product formula is exact at any order
-        diag_state = TripartiteState(
-            DensityOperator(np.diag(rng.dirichlet(np.ones(int(np.prod(cfg.dims))))),
-                            cfg.dims)
+    diff = rel_ent_diff(triple)
+    for a, renyi in zip(LIMIT_ORDERS, renyi_rel_ent_diff_grid(triple, LIMIT_ORDERS)):
+        rec.upper("renyi-diff-limit", trial, seed_t, a,
+                  abs(renyi - diff), LIMIT_TOL, 0.0)
+
+    # 1 -+ 10^-k for k = 1..4, below 1 first
+    trotter_orders = [1.0 + sign * 10.0**-k for sign in (-1.0, 1.0) for k in range(1, 5)]
+    trotter = lie_trotter_deviation_grid(state, trotter_orders)
+    for sign, deviations in ((-1.0, trotter[:4]), (1.0, trotter[4:])):
+        if deviations[0] <= EXACT_TROTTER_BOUND:
+            # sigma and N†(...) commute (e.g. a trivial subsystem), so the
+            # formula is exact and the deviations are round-off
+            rec.upper("lie-trotter-monotone", trial, seed_t, 1.0 + sign * 0.1,
+                      max(deviations), EXACT_TROTTER_BOUND, 0.0)
+            continue
+        margin = min(
+            deviations[k] - deviations[k + 1] for k in range(len(deviations) - 1)
         )
-        for a, deviation in zip((0.5, 2.0), lie_trotter_deviation_grid(diag_state, (0.5, 2.0))):
-            rec.upper("diagonal-lie-trotter-exact", trial, seed_t, a,
-                      deviation, EXACT_TROTTER_BOUND, 0.0)
+        rec.lower("lie-trotter-monotone", trial, seed_t, 1.0 + sign * 0.1,
+                  margin, 0.0, MONOTONE_FLOOR)
 
-        pair_rho = random_density((CHANNEL_DIMS[0],), seed=rng)
-        pair_sigma = random_density((CHANNEL_DIMS[0],), seed=rng)
-        rec.upper("sandwiched-half-is-min", trial, seed_t, 0.5,
-                  abs(sandwiched_rel_entropy(pair_rho, pair_sigma, 0.5)
-                      - min_rel_entropy(pair_rho, pair_sigma)),
-                  1e-9, 0.0)
-    return rec.report
+    # commuting case: the product formula is exact at any order
+    diag_state = TripartiteState(
+        DensityOperator(np.diag(rng.dirichlet(np.ones(int(np.prod(cfg.dims))))),
+                        cfg.dims)
+    )
+    for a, deviation in zip((0.5, 2.0), lie_trotter_deviation_grid(diag_state, (0.5, 2.0))):
+        rec.upper("diagonal-lie-trotter-exact", trial, seed_t, a,
+                  deviation, EXACT_TROTTER_BOUND, 0.0)
+
+    pair_rho = random_density((CHANNEL_DIMS[0],), seed=rng)
+    pair_sigma = random_density((CHANNEL_DIMS[0],), seed=rng)
+    rec.upper("sandwiched-half-is-min", trial, seed_t, 0.5,
+              abs(sandwiched_rel_entropy(pair_rho, pair_sigma, 0.5)
+                  - min_rel_entropy(pair_rho, pair_sigma)),
+              1e-9, 0.0)
 
 
-def inequality_suite(cfg: SuiteConfig, *, _draws=None) -> VerificationReport:
+def inequality_suite(cfg: SuiteConfig) -> VerificationReport:
     """Certify data processing, concavity, the order relation between the two
     Renyi difference families, and non-negativity of all eight measures."""
-    rec = _Recorder("inequalities", cfg)
-    for trial, seed_t, rng in _trials(cfg):
-        triple = _drawn(_draws, rng, _random_triple)
-        rho, sigma = triple.rho, triple.sigma
-        # the triple's own decompositions, so each output is decomposed once
-        out_rho = Decomposed(triple.out_rho, triple.out_rho_spectrum)
-        out_sigma = Decomposed(triple.out_sigma, triple.out_sigma_spectrum)
-        rows = zip(PETZ_ALPHA_GRID, renyi_rel_entropy_grid(rho, sigma, PETZ_ALPHA_GRID),
-                   renyi_rel_entropy_grid(out_rho, out_sigma, PETZ_ALPHA_GRID))
-        for a, before, after in rows:
-            rec.lower("dpi-renyi", trial, seed_t, a, before - after, 0.0, SLACK_FLOOR)
-        rows = zip(SANDWICHED_ALPHA_GRID,
-                   sandwiched_rel_entropy_grid(rho, sigma, SANDWICHED_ALPHA_GRID),
-                   sandwiched_rel_entropy_grid(out_rho, out_sigma, SANDWICHED_ALPHA_GRID))
-        for a, before, after in rows:
-            rec.lower("dpi-sandwiched", trial, seed_t, a, before - after, 0.0, SLACK_FLOOR)
-
-        # concavity of B -> Tr{(A B^p A†)^(1/p)} on two-point mixtures
-        dim = CHANNEL_DIMS[0]
-        a_mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        b_one = _random_density_matrix((dim,), seed=rng)
-        b_two = _random_density_matrix((dim,), seed=rng)
-        lam = float(rng.uniform(0.2, 0.8))
-        mixed, one, two = (hermitian_eig(b) for b in
-                           (lam * b_one + (1.0 - lam) * b_two, b_one, b_two))
-        powers = (0.3, 0.7, -0.3, -0.7)
-
-        def functional(b):
-            cores = hermitian_part(a_mat @ b.powers(powers) @ a_mat.conj().T)
-            return real_traces(np.stack([hermitian_eig(core).power(1.0 / p)
-                                         for core, p in zip(cores, powers)]))
-
-        rows = zip(powers, functional(mixed), functional(one), functional(two))
-        for p, at_mixed, at_one, at_two in rows:
-            gap = float(at_mixed) - lam * float(at_one) - (1.0 - lam) * float(at_two)
-            rec.lower("power-trace-concavity", trial, seed_t, p, gap, 0.0, SLACK_FLOOR)
-
-        # the dominance check reads the sandwiched values at 1.5, 2 and 3 from
-        # the grid the non-negativity check records below
-        sandwiched_diff = dict(zip(
-            SANDWICHED_ALPHA_GRID, sandwiched_rel_ent_diff_grid(triple, SANDWICHED_ALPHA_GRID)
-        ))
-        dominated = (1.5, 2.0, 3.0)
-        gammas = [(2.0 * a - 1.0) / a for a in dominated]
-        for a, substituted in zip(dominated, renyi_rel_ent_diff_grid(triple, gammas)):
-            rec.lower("sandwiched-dominates-substituted", trial, seed_t, a,
-                      sandwiched_diff[a] - substituted, 0.0, SLACK_FLOOR)
-
-        state = _random_state(cfg, rng)
-        rows = zip(PETZ_ALPHA_GRID, renyi_rel_ent_diff_grid(state, PETZ_ALPHA_GRID),
-                   renyi_rel_ent_diff_grid(triple, PETZ_ALPHA_GRID))
-        for a, cmi, diff in rows:
-            rec.lower("nonneg-renyi-cmi", trial, seed_t, a, cmi, 0.0, SLACK_FLOOR)
-            rec.lower("nonneg-renyi-diff", trial, seed_t, a, diff, 0.0, SLACK_FLOOR)
-        cmis = sandwiched_rel_ent_diff_grid(state, SANDWICHED_ALPHA_GRID)
-        for a, cmi in zip(SANDWICHED_ALPHA_GRID, cmis):
-            rec.lower("nonneg-sandwiched-cmi", trial, seed_t, a, cmi, 0.0, SLACK_FLOOR)
-            rec.lower("nonneg-sandwiched-diff", trial, seed_t, a,
-                      sandwiched_diff[a], 0.0, SLACK_FLOOR)
-        for kind in ("min", "max"):
-            rec.lower(f"nonneg-{kind}-cmi", trial, seed_t, None,
-                      minmax_cmi(state, kind), 0.0, SLACK_FLOOR)
-            rec.lower(f"nonneg-{kind}-diff", trial, seed_t, None,
-                      minmax_rel_ent_diff(triple, kind), 0.0, SLACK_FLOOR)
-    return rec.report
+    return run_suite("inequalities", cfg)
 
 
-_SUITES: dict[str, Callable[..., VerificationReport]] = {
-    "trace": trace_inequality_suite,
-    "characterization": characterization_suite,
-    "limits": limit_suite,
-    "inequalities": inequality_suite,
+def inequality_trial(rec, cfg, trial, rng):
+    """One trial of ``inequality_suite``."""
+    seed_t = cfg.seed + trial
+    triple = _random_triple(rng)
+    rho, sigma = triple.rho, triple.sigma
+    # the triple's own decompositions, so each output is decomposed once
+    out_rho = Decomposed(triple.out_rho, triple.out_rho_spectrum)
+    out_sigma = Decomposed(triple.out_sigma, triple.out_sigma_spectrum)
+    rows = zip(PETZ_ALPHA_GRID, renyi_rel_entropy_grid(rho, sigma, PETZ_ALPHA_GRID),
+               renyi_rel_entropy_grid(out_rho, out_sigma, PETZ_ALPHA_GRID))
+    for a, before, after in rows:
+        rec.lower("dpi-renyi", trial, seed_t, a, before - after, 0.0, SLACK_FLOOR)
+    rows = zip(SANDWICHED_ALPHA_GRID,
+               sandwiched_rel_entropy_grid(rho, sigma, SANDWICHED_ALPHA_GRID),
+               sandwiched_rel_entropy_grid(out_rho, out_sigma, SANDWICHED_ALPHA_GRID))
+    for a, before, after in rows:
+        rec.lower("dpi-sandwiched", trial, seed_t, a, before - after, 0.0, SLACK_FLOOR)
+
+    # concavity of B -> Tr{(A B^p A†)^(1/p)} on two-point mixtures
+    dim = CHANNEL_DIMS[0]
+    a_mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    b_one = _random_density_matrix((dim,), seed=rng)
+    b_two = _random_density_matrix((dim,), seed=rng)
+    lam = float(rng.uniform(0.2, 0.8))
+    mixed, one, two = (hermitian_eig(b) for b in
+                       (lam * b_one + (1.0 - lam) * b_two, b_one, b_two))
+    powers = (0.3, 0.7, -0.3, -0.7)
+
+    def functional(b):
+        cores = hermitian_part(a_mat @ b.powers(powers) @ a_mat.conj().T)
+        return real_traces(np.stack([hermitian_eig(core).power(1.0 / p)
+                                     for core, p in zip(cores, powers)]))
+
+    rows = zip(powers, functional(mixed), functional(one), functional(two))
+    for p, at_mixed, at_one, at_two in rows:
+        gap = float(at_mixed) - lam * float(at_one) - (1.0 - lam) * float(at_two)
+        rec.lower("power-trace-concavity", trial, seed_t, p, gap, 0.0, SLACK_FLOOR)
+
+    # the dominance check reads the sandwiched values at 1.5, 2 and 3 from
+    # the grid the non-negativity check records below
+    sandwiched_diff = dict(zip(
+        SANDWICHED_ALPHA_GRID, sandwiched_rel_ent_diff_grid(triple, SANDWICHED_ALPHA_GRID)
+    ))
+    dominated = (1.5, 2.0, 3.0)
+    gammas = [(2.0 * a - 1.0) / a for a in dominated]
+    for a, substituted in zip(dominated, renyi_rel_ent_diff_grid(triple, gammas)):
+        rec.lower("sandwiched-dominates-substituted", trial, seed_t, a,
+                  sandwiched_diff[a] - substituted, 0.0, SLACK_FLOOR)
+
+    state = _random_state(cfg, rng)
+    rows = zip(PETZ_ALPHA_GRID, renyi_rel_ent_diff_grid(state, PETZ_ALPHA_GRID),
+               renyi_rel_ent_diff_grid(triple, PETZ_ALPHA_GRID))
+    for a, cmi, diff in rows:
+        rec.lower("nonneg-renyi-cmi", trial, seed_t, a, cmi, 0.0, SLACK_FLOOR)
+        rec.lower("nonneg-renyi-diff", trial, seed_t, a, diff, 0.0, SLACK_FLOOR)
+    cmis = sandwiched_rel_ent_diff_grid(state, SANDWICHED_ALPHA_GRID)
+    for a, cmi in zip(SANDWICHED_ALPHA_GRID, cmis):
+        rec.lower("nonneg-sandwiched-cmi", trial, seed_t, a, cmi, 0.0, SLACK_FLOOR)
+        rec.lower("nonneg-sandwiched-diff", trial, seed_t, a,
+                  sandwiched_diff[a], 0.0, SLACK_FLOOR)
+    for kind in ("min", "max"):
+        rec.lower(f"nonneg-{kind}-cmi", trial, seed_t, None,
+                  minmax_cmi(state, kind), 0.0, SLACK_FLOOR)
+        rec.lower(f"nonneg-{kind}-diff", trial, seed_t, None,
+                  minmax_rel_ent_diff(triple, kind), 0.0, SLACK_FLOOR)
+
+
+_SUITES: dict[str, Callable[..., None]] = {
+    "trace": trace_trial,
+    "characterization": characterization_trial,
+    "limits": limits_trial,
+    "inequalities": inequality_trial,
 }
 SUITE_NAMES = tuple(_SUITES)
+_OPENED = ("trace", "limits")  # the suites that open each trial with a state and a triple
 
 
 def run_suite(name: str, cfg: SuiteConfig, extra_state=None) -> VerificationReport:
@@ -512,15 +488,30 @@ def run_suite(name: str, cfg: SuiteConfig, extra_state=None) -> VerificationRepo
 
 
 def run_suites(names: Iterable[str], cfg: SuiteConfig, extra_state=None) -> list[VerificationReport]:
-    """Run the named suites in order, sharing their draws (see the module
-    docstring); the reports equal those of each suite run alone."""
+    """Run the named suites trial by trial (see the module docstring); the
+    reports come in the order of ``names`` and equal those of each suite run
+    alone."""
     names = list(names)
     for name in names:
         if name not in _SUITES:
             raise ValidationError("bad-spec", f"unknown suite {name!r}")
-    draws: dict = {}  # lives for this call only
-    return [
-        _SUITES[name](cfg, extra_state, _draws=draws) if name == "trace"
-        else _SUITES[name](cfg, _draws=draws)
-        for name in names
-    ]
+    recs = [_Recorder(name, cfg) for name in names]
+    for name, rec in zip(names, recs):
+        if name == "trace" and extra_state is not None:
+            _trace_bounds(rec, extra_state, "cmi", -1, cfg.seed)
+    for trial in range(cfg.trials):
+        _run_trial(names, recs, cfg, trial)
+    return [rec.report for rec in recs]
+
+
+def _run_trial(names, recs, cfg, trial):
+    """Trial ``trial`` of each named suite; its draws die when this returns."""
+    rng = np.random.default_rng(cfg.seed + trial)
+    opening = ()
+    if any(name in _OPENED for name in names):
+        opening = (_random_state(cfg, rng), _random_triple(rng))
+    for name, rec in zip(names, recs):
+        if name in _OPENED:
+            _SUITES[name](rec, cfg, trial, copy.deepcopy(rng), *opening)
+        else:
+            _SUITES[name](rec, cfg, trial, np.random.default_rng(cfg.seed + trial))

@@ -1,7 +1,8 @@
 """Both Renyi differences and the closed-bracket functionals against a
 50-digit evaluation (``mp_oracles``).
 
-On the golden CMI triple (both readings), the golden 4 -> 3 triple and the
+On the golden CMI triple (both readings), the golden 4 -> 3 triple, the
+first screened non-sufficient triple of a one-trial verify at seed 42 and the
 CMI triple of a rank-deficient Markov chain, every value at the certified
 grid orders lies within 2e-13 of the 50-digit value of the dense formula:
 the differences, the trace values and the three fixed-point residuals.  The
@@ -39,6 +40,7 @@ from qmarkov.measures import (
     sandwiched_rel_entropy_grid,
 )
 from qmarkov.states import Decomposed, DensityOperator, random_density
+from qmarkov.suites import SuiteConfig, _screened_nonsufficient_triple
 from test_grids import TROTTER_ORDERS, _product_state
 
 BUDGET = 2e-13
@@ -56,10 +58,16 @@ def _golden_4to3():
     )
 
 
+def _screened():
+    """The first screened non-sufficient triple of a one-trial verify, seed 42."""
+    return _screened_nonsufficient_triple(SuiteConfig(trials=1, seed=42), 0)
+
+
 CASES = {
     "cmi": _golden_state,
     "4to3": _golden_4to3,
     "markov-chain": _product_state,
+    "screened": _screened,
 }
 
 

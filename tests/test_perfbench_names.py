@@ -6,6 +6,7 @@ the benchmark's sources as text and imports nothing from them.
 """
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 
 import qmarkov
 import qmarkov.cli  # workloads.py imports it, and reads it as qmarkov.cli
+import qmarkov.suites
 from qmarkov.channels import Channel
 from qmarkov.states import DensityOperator, PositiveOperator
 
@@ -76,6 +78,17 @@ def test_traced_herm_pow_is_bound_in_measures():
                          ids=lambda cls: cls.__name__)
 def test_validation_hook_is_the_class_own(cls):
     assert "__post_init__" in cls.__dict__
+
+
+def test_suite_table_holds_public_suite_functions():
+    # the tracer wraps the public functions it finds in qmarkov.suites, and
+    # every run calls the suites through this table
+    table = qmarkov.suites._SUITES
+    assert tuple(table) == qmarkov.suites.SUITE_NAMES
+    for fn in table.values():
+        assert inspect.isfunction(fn) and not fn.__name__.startswith("_")
+        assert fn.__module__ == "qmarkov.suites"
+        assert getattr(qmarkov.suites, fn.__name__) is fn
 
 
 def test_timed_spans_are_functions():

@@ -5,11 +5,13 @@ import io
 import json
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
 
 import qmarkov.states
+import qmarkov.suites
 from qmarkov.cli import main
 from qmarkov.errors import ValidationError
 from qmarkov.measures import PETZ_ALPHA_GRID, SANDWICHED_ALPHA_GRID, TripartiteState
@@ -189,6 +191,22 @@ class TestScreening:
             _, d_rho, _ = is_sufficient_petz(triple)
             assert d_rho >= SCREEN_DISTANCE
 
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("trial", [0, 1, 2])
+    def test_screened_stream_is_not_the_trial_stream(self, monkeypatch, seed, trial):
+        # SeedSequence((s, 0, 0)) gives default_rng(s)'s stream, so an untagged
+        # first attempt of trial 0 would redraw the inequality suite's triple
+        starts = []
+        draw = qmarkov.suites._random_triple
+
+        def spy(rng):
+            starts.append(rng.bit_generator.state["state"])
+            return draw(rng)
+
+        monkeypatch.setattr(qmarkov.suites, "_random_triple", spy)
+        _screened_nonsufficient_triple(SuiteConfig(trials=3, seed=seed), trial)
+        assert starts[0] != np.random.default_rng(seed + trial).bit_generator.state["state"]
+
 
 def _eigh_inputs(monkeypatch):
     """Digests of every np.linalg.eigh input, in call order."""
@@ -234,7 +252,9 @@ class TestSharedDraws:
     def test_each_drawn_operator_is_validated_once(self, monkeypatch):
         """A random draw is validated where it becomes an operator, and only
         there: the block draws of a spec by the spec, the concavity mixtures
-        not at all, so a one-trial verify validates 30 operators."""
+        not at all, so a one-trial verify validates 32 operators.  The
+        inequality suite's triple is a draw of its own, apart from every
+        screened triple, so its rho and sigma count too."""
         validated = qmarkov.states._validated_eigs
         calls = []
 
@@ -246,7 +266,41 @@ class TestSharedDraws:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["verify", "--suite", "all", "--dims", "2,2,2",
                          "--trials", "1", "--seed", "42"]) == 0
-        assert len(calls) == 30
+        assert len(calls) == 32
+
+    def test_draws_die_with_their_trial(self, monkeypatch):
+        """When a trial opens with its random state, the state and triple
+        that opened the trial before are gone."""
+        cfg = SuiteConfig(trials=3, seed=42)
+        openings = {repr(np.random.default_rng(cfg.seed + t).bit_generator.state)
+                    for t in range(cfg.trials)}
+        held = []  # weak references to every opening state and triple so far
+        alive = []  # how many of them were alive as each trial opened
+        pending = []  # an opening state whose triple is still to come
+        draw_state, draw_triple = qmarkov.suites._random_state, qmarkov.suites._random_triple
+
+        def state(config, rng):
+            opening = repr(rng.bit_generator.state) in openings
+            if opening:
+                alive.append(sum(ref() is not None for ref in held))
+            made = draw_state(config, rng)
+            if opening:
+                held.append(weakref.ref(made))
+                pending.append(True)
+            return made
+
+        def triple(rng):
+            made = draw_triple(rng)
+            if pending:
+                held.append(weakref.ref(made))
+                pending.clear()
+            return made
+
+        monkeypatch.setattr(qmarkov.suites, "_random_state", state)
+        monkeypatch.setattr(qmarkov.suites, "_random_triple", triple)
+        run_suites(SUITE_NAMES, cfg)
+        assert len(held) == 2 * cfg.trials
+        assert alive == [0] * cfg.trials
 
     def test_unknown_name_runs_nothing(self, monkeypatch):
         digests = _eigh_inputs(monkeypatch)
