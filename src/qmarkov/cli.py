@@ -19,6 +19,7 @@ from typing import Callable, NamedTuple
 
 from .divergences import AlphaParameter
 from .errors import QmarkovError
+from .functionals import LN2
 from .measures import (
     ChannelTriple,
     TripartiteState,
@@ -41,7 +42,6 @@ from .states import random_density
 from .structured import build_markov_chain, build_sufficiency_triple
 from .suites import SUITE_NAMES, SuiteConfig, run_suites
 
-LN2 = math.log(2.0)
 MAX_GRID_ORDERS = 10_000  # points a sweep's --alpha-grid may hold
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .divergences import as_alpha
 from .errors import RankDeficientError
-from .linalg import _power_of, finite_rows, gram_pows, real_traces, spectral_norm, spectral_norms
+from .linalg import finite_powers, gram_pows, real_traces, spectral_norm, spectral_norms
 from .measures import ChannelTriple, TripartiteState, _kraus_products
 
 LN2 = float(np.log(2.0))
@@ -153,8 +153,7 @@ def output_fixed_point_residual_grid(triple: ChannelTriple, alphas) -> list[floa
     triple.check_output_support()
     hs = [(1.0 - a) / 2.0 for a in alphas]
     _, kept, v = triple.rho.spectrum.support
-    weights = finite_rows([kept] * len(alphas), [_power_of(a / 2.0) for a in alphas])
-    weights = np.reshape(weights, (len(alphas), 1, 1, kept.size))
+    weights = finite_powers(kept, [a / 2.0 for a in alphas])[:, None, None, :]
     d_out = triple.out_rho.shape[0]
     ys = triple.out_sigma_spectrum.powers([-h for h in hs])
     factors = (

@@ -11,12 +11,13 @@ A power of W W† (``gram_pows``) takes its support on W's singular values s,
 so it keeps the eigenvalues s^2 above SUPPORT_CUTOFF^2 times the largest.
 
 Only what an order grid evaluates is stacked: ``SpectralDecomposition.powers``
-and ``apply_all`` (many functions of one cached decomposition), ``gram_pows``
-and ``spectral_norms`` (one ``svd`` per chunk of closings), ``real_traces``,
-``hermitian_part`` and ``finite_rows``.  Each takes or returns a (k, d, d)
-stack and makes one numpy call where a loop would make k.  numpy's stacked
-``matmul`` and ``svd`` make the same BLAS or LAPACK call on each slice as on
-a lone matrix, and every scalar function is evaluated per slice, so each
+(many powers of one cached decomposition), ``gram_pows`` and
+``spectral_norms`` (one ``svd`` per chunk of closings), ``real_traces`` and
+``hermitian_part``.  Each takes or returns a (k, d, d) stack and makes one
+numpy call where a loop would make k.  numpy's stacked ``matmul`` and
+``svd`` make the same BLAS or LAPACK call on each slice as on a lone
+matrix.  An order reaches numbers only through ``finite_powers``, which
+raises each row of values to its scalar exponent in its own call, so each
 slice equals its two-dimensional result bit for bit.  A stack holds all k
 slices at once, so the Renyi differences stack their Kraus-block products
 only in chunks of at most ``measures.GRID_CHUNK_ENTRIES`` entries, or one
@@ -48,8 +49,6 @@ from .errors import (
     ValidationError,
 )
 
-LOG2 = math.log(2.0)
-
 SUPPORT_CUTOFF = 1e-12
 POSITIVITY_TOL = 1e-10  # negative eigenvalues validation accepts as round-off
 HERMITICITY_TOL = 1e-10  # relative anti-Hermitian residual the one rule accepts
@@ -74,30 +73,63 @@ def support_mask(values, axis: int | None = None) -> np.ndarray:
     return (values > SUPPORT_CUTOFF * top) | (values < -POSITIVITY_TOL * np.fmax(1.0, top))
 
 
-def finite_rows(kepts, fs) -> list[np.ndarray]:
-    """``f(kept)`` for each pair of ``kepts`` and ``fs``; each must be finite.
+def subsystem_dims(dims, shape=None) -> tuple[int, ...]:
+    """``dims`` as Python ints, by the one rule for subsystem dimensions: an
+    integer or an integral float such as 2.0 counts, as in a state file.  A
+    bool, a fraction, a string or a dimension below 1 raises
+    DimensionMismatchError, and so does a matrix ``shape`` other than (d, d)
+    for d the product of the dims, when one is given."""
+    dims = tuple(dims)
+    if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
+               or isinstance(d, (float, np.floating)) and float(d).is_integer() for d in dims):
+        raise DimensionMismatchError(f"subsystem dimensions must be integers, got {dims}")
+    if any(d < 1 for d in dims):
+        raise DimensionMismatchError(f"subsystem dimensions must be >= 1, got {dims}")
+    dims = tuple(int(d) for d in dims)
+    total = math.prod(dims)
+    if shape is not None and shape != (total, total):
+        raise DimensionMismatchError(f"dims {dims} imply shape {(total, total)}, got {shape}")
+    return dims
 
-    Raises MatrixFunctionDomainError if an ``f`` is undefined (nan) or
-    overflows float64 (+-inf) on a value.  All are evaluated under one error
-    state and checked at once; only when a value is not finite are the rows
-    checked in order, so the first pair with a non-finite value raises, as
-    a loop over pairs would.
-    """
+
+def finite_rows(kepts, fs) -> list[np.ndarray]:
+    """``f(kept)`` for each pair of ``kepts`` and ``fs``, evaluated under one
+    error state and checked at once: if a value is undefined (nan) or
+    overflows float64 (+-inf), MatrixFunctionDomainError names the first
+    such row, as a loop over pairs would."""
     with np.errstate(all="ignore"):
         rows = [np.asarray(f(kept), dtype=float) for kept, f in zip(kepts, fs)]
-    if rows and np.isfinite(np.concatenate(rows)).all():
-        return rows
-    for kept, fvals in zip(kepts, rows):
-        if not np.isfinite(fvals).all():
-            nan = np.isnan(fvals)
-            if nan.any():
-                raise MatrixFunctionDomainError(
-                    f"function undefined on retained eigenvalue(s) {kept[nan]}"
-                )
-            raise MatrixFunctionDomainError(
-                f"function overflows float64 on retained eigenvalue(s) {kept[np.isinf(fvals)]}"
-            )
+    if rows and not np.isfinite(np.concatenate(rows)).all():
+        _raise_first_non_finite(kepts, rows)
     return rows
+
+
+def finite_powers(values, ps) -> np.ndarray:
+    """The (k, n) array whose row i is ``np.power(values, ps[i])``, for an
+    (n,) ``values`` or, row by row, a (k, n) one, checked as ``finite_rows``.
+    The one place an order becomes numbers: each row is one call with a
+    scalar exponent, because numpy takes its sqrt path at p = 0.5 and an
+    array of exponents does not, and the two differ in the last bit."""
+    values = np.asarray(values, dtype=float)
+    rows = np.empty((len(ps), values.shape[-1]))
+    kepts = values if values.ndim > 1 else [values] * len(ps)
+    with np.errstate(all="ignore"):
+        for row, x, p in zip(rows, kepts, ps):
+            np.power(x, p, out=row)
+    if not np.isfinite(rows).all():
+        _raise_first_non_finite(kepts, rows)
+    return rows
+
+
+def _raise_first_non_finite(kepts, rows) -> None:
+    """Raise MatrixFunctionDomainError naming the first of ``rows``, the
+    values of a function on ``kepts``, that is not finite."""
+    for kept, fvals in zip(kepts, rows):
+        nan, inf = np.isnan(fvals), np.isinf(fvals)
+        if nan.any() or inf.any():
+            what, where = ("undefined", nan) if nan.any() else ("overflows float64", inf)
+            raise MatrixFunctionDomainError(
+                f"function {what} on retained eigenvalue(s) {kept[where]}")
 
 
 @dataclass(frozen=True)
@@ -133,17 +165,8 @@ class SpectralDecomposition:
         Kernel eigenvalues are mapped to zero without evaluating ``f``, so
         e.g. f(x) = 1/x yields the pseudo-inverse.
         """
-        return self.apply_all((f,))[0]
-
-    def apply_all(self, fs: Sequence[Callable[[np.ndarray], np.ndarray]]) -> np.ndarray:
-        """The (k, d, d) stack of ``f`` of the matrix, for each of the k ``fs``.
-
-        Each slice equals ``apply(f)`` bit for bit: every ``f`` is evaluated
-        on its own, and the k reconstructions are one stacked matmul.
-        """
         _, kept, v = self.support
-        fvals = finite_rows([kept] * len(fs), fs)
-        return _reconstruct(v, np.reshape(fvals, (len(fs), kept.size)))
+        return _reconstruct(v, finite_rows((kept,), (f,))[0][None])[0]
 
     def power(self, p: float) -> np.ndarray:
         """Support-restricted power; ``p = 0`` gives the support projector."""
@@ -151,7 +174,8 @@ class SpectralDecomposition:
 
     def powers(self, ps: Sequence[float]) -> np.ndarray:
         """The (k, d, d) stack of support-restricted powers, one per order."""
-        return self.apply_all([_power_of(p) for p in ps])
+        _, kept, v = self.support
+        return _reconstruct(v, finite_powers(kept, ps))
 
     def supports(self, a) -> bool:
         """Whether supp(a) lies in the support of this matrix, for PSD ``a``."""
@@ -167,12 +191,6 @@ def read_only(a: np.ndarray) -> np.ndarray:
     """Mark ``a`` read-only and return it, so a cached array cannot go stale."""
     a.flags.writeable = False
     return a
-
-
-def _power_of(p: float) -> Callable[[np.ndarray], np.ndarray]:
-    # a scalar exponent: numpy takes its sqrt path at p = 0.5, an array of
-    # exponents does not, and the two differ in the last bit
-    return lambda x: np.power(x, p)
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:
@@ -295,13 +313,13 @@ def gram_pows(w, ps: Sequence[float]) -> np.ndarray:
     if len(ps) != len(s):
         raise DimensionMismatchError(f"{len(ps)} exponents for a stack of {len(s)}")
     keep = support_mask(s, axis=1)
-    fvals = finite_rows([v[m] for v, m in zip(s, keep)], [_power_of(2.0 * p) for p in ps])
     if keep.all():
-        return _reconstruct(u, np.reshape(fvals, s.shape))
+        return _reconstruct(u, finite_powers(s, [2.0 * p for p in ps]))
     # a slice that drops values is rebuilt from its kept vectors alone:
     # zeros in place of the dropped values would change the inner dimension
     # of the matmul, and with it the summation BLAS uses
-    return np.concatenate([_reconstruct(v[:, m], f[None]) for v, m, f in zip(u, keep, fvals)])
+    return np.concatenate([_reconstruct(v[:, m], finite_powers(x[m], (2.0 * p,)))
+                           for v, x, m, p in zip(u, s, keep, ps)])
 
 
 def herm_exp(m) -> np.ndarray:
@@ -328,13 +346,8 @@ def partial_trace(m, dims: Sequence[int], traced_out: Iterable[int]) -> np.ndarr
     the total trace is preserved.
     """
     a = _as_matrix(m)
-    dims = tuple(int(d) for d in dims)
+    dims = subsystem_dims(dims, a.shape)
     n = len(dims)
-    total = math.prod(dims)
-    if a.shape != (total, total):
-        raise DimensionMismatchError(
-            f"dims {dims} imply shape {(total, total)}, got {a.shape}"
-        )
     traced = sorted(set(int(i) for i in traced_out))
     if any(i < 0 or i >= n for i in traced):
         raise DimensionMismatchError(f"traced_out {traced} out of range for {n} factors")
@@ -364,7 +377,7 @@ def embed_operator(x, dims: Sequence[int], sites: Sequence[int]) -> np.ndarray:
     a = np.asarray(x, dtype=complex)
     if a.ndim not in (2, 3):
         raise DimensionMismatchError(f"expected a matrix or a stack, got shape {a.shape}")
-    dims = tuple(int(d) for d in dims)
+    dims = subsystem_dims(dims)
     sites = tuple(int(s) for s in sites)
     if sorted(sites) != list(sites) or len(set(sites)) != len(sites):
         raise DimensionMismatchError(f"sites must be strictly ascending, got {sites}")
@@ -401,7 +414,7 @@ def log2_power_sum(values, p: float) -> float:
     top = float(values.max()) if values.size else 0.0
     if top <= 0.0:
         return -math.inf
-    (scaled,) = finite_rows((values[support_mask(values)],), (lambda v: (v / top) ** p,))
+    (scaled,) = finite_powers(values[support_mask(values)] / top, (p,))
     total = float(scaled.sum())
     if total <= 0.0:
         return -math.inf

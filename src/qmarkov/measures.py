@@ -14,7 +14,7 @@ Y = N(sigma)^(-h) N(rho)^h (``output_factors``), and the two Renyi relative
 entropies are the same kernel with K = I and Y = 1 (``_TraceTriple``).  The
 difference formulas read only a few members of their argument: N(rho),
 N(sigma), the spectrum of sigma, Y, and the Kraus blocks
-[K_i f(sigma) v]_i (``kraus_wedges``), through which both Renyi
+[K_i sigma^h v]_i (``kraus_wedges``), through which both Renyi
 differences, every closed bracket of ``functionals`` and the Petz map
 (``petz_recovery``, the kernel's product P at h = 1/2 and v = I, read as
 P† P) read the channel and sigma.  A ``TripartiteState`` answers each from
@@ -22,7 +22,8 @@ its marginals by reshaped matmuls, so the triple is never built and only
 the log sums embed an operator on A x B x C; ``cmi_as_triple`` builds the
 triple densely, so the reduction can be tested against an independent
 evaluation.
-The blocks form no f(sigma) on any reading: they apply U†, the values f(s)
+An order reaches the blocks only as its exponent h, and they form no sigma^h
+on any reading: they apply U†, the values s^h (``linalg.finite_powers``)
 and then U (K U on a triple), with U and s sigma's kept eigenpairs.
 Sandwiched values are summed in log space, so alpha may be arbitrarily
 large.  All outputs are in bits.
@@ -85,9 +86,8 @@ from .linalg import (
     POSITIVITY_TOL,
     SUPPORT_CUTOFF,
     SpectralDecomposition,
-    _power_of,
     embed_operator,
-    finite_rows,
+    finite_powers,
     herm_exp,
     herm_pow,  # noqa: F401  kept bound here: perfbench's tracer test reads it
     hermitian_eig,
@@ -243,7 +243,7 @@ class TripartiteState(_CachedSpectra):
     def sigma_log(self) -> np.ndarray:
         """log(rho_AC x I_B) = log(rho_AC) x I_B on the support, as a dense
         operator on A x B x C.  Only the log sums read it; the Renyi products
-        and the Petz map take f(rho_AC) x I_B in factored form
+        and the Petz map take rho_AC^h x I_B in factored form
         (``kraus_wedges``)."""
         return embed_operator(self.sigma_spectrum.apply(np.log), self.dims, (0, 2))
 
@@ -255,16 +255,16 @@ class TripartiteState(_CachedSpectra):
         """Tr_A†(x) = I_A x x for an operator x on B x C, or a stack of them."""
         return embed_operator(x, self.dims, (1, 2))
 
-    def kraus_wedges(self, fs, v) -> Iterator[tuple[slice, np.ndarray]]:
-        """The blocks [K_i f(sigma) v]_i for a (d, n) ``v`` and each f in
-        ``fs``, in chunks (``_kept_chunks``): for each, the slice of ``fs``
+    def kraus_wedges(self, hs, v) -> Iterator[tuple[slice, np.ndarray]]:
+        """The blocks [K_i sigma^h v]_i for a (d, n) ``v`` and each exponent h
+        in ``hs``, in chunks (``_kept_chunks``): for each, the slice of ``hs``
         it holds and the (c, d_A, d_B d_C, n) stack of their blocks.
 
         The Kraus operators of Tr_A are K_i = <i|_A x I_BC, so a block is
-        (f(rho_AC) x I_B) v with its rows read as (A, B C).  It is formed as
-        (U f(s) U† x I_B) v, U and s the kept eigenpairs of rho_AC, by one
+        (rho_AC^h x I_B) v with its rows read as (A, B C).  It is formed as
+        (U s^h U† x I_B) v, U and s the kept eigenpairs of rho_AC, by one
         stacked matmul on v read as (a c, b n) and one transpose, so
-        f(rho_AC) is not formed either: a dense f(rho_AC) carries the
+        rho_AC^h is not formed either: a dense rho_AC^h carries the
         round-off of its largest values into every direction.
         """
         d_a, d_b, d_c = self.dims
@@ -274,7 +274,7 @@ class TripartiteState(_CachedSpectra):
         return (
             (part, (u @ c).reshape(-1, d_a, d_c, d_b, n).swapaxes(2, 3)
              .reshape(-1, d_a, d_b * d_c, n))
-            for part, c in _kept_chunks(self.sigma_spectrum, fs, v, d * n)
+            for part, c in _kept_chunks(self.sigma_spectrum, hs, v, d * n)
         )
 
     def whitened_rho(self) -> np.ndarray:
@@ -363,17 +363,17 @@ class ChannelTriple(_CachedSpectra):
         u = self.sigma_spectrum.support[2]
         return read_only(np.concatenate(self.channel.kraus) @ u)
 
-    def kraus_wedges(self, fs, v) -> Iterator[tuple[slice, np.ndarray]]:
-        """The blocks [K_i f(sigma) v]_i for a (d, n) ``v`` and each f in
-        ``fs``, in chunks (``_kept_chunks``): for each, the slice of ``fs``
+    def kraus_wedges(self, hs, v) -> Iterator[tuple[slice, np.ndarray]]:
+        """The blocks [K_i sigma^h v]_i for a (d, n) ``v`` and each exponent h
+        in ``hs``, in chunks (``_kept_chunks``): for each, the slice of ``hs``
         it holds and the (c, r, d_out, n) stack of their blocks.
 
         With U and s sigma's kept eigenvectors and eigenvalues a block is
-        (K U) f(s) (U† v), so f(sigma) is never formed.
+        (K U) s^h (U† v), so sigma^h is never formed.
         """
         shape = (len(self.channel.kraus), self.channel.dim_out, v.shape[-1])
         return ((part, (self.kraus_sigma_basis @ c).reshape(-1, *shape))
-                for part, c in _kept_chunks(self.sigma_spectrum, fs, v, math.prod(shape)))
+                for part, c in _kept_chunks(self.sigma_spectrum, hs, v, math.prod(shape)))
 
     def whitened_rho(self) -> np.ndarray:
         """Y† Y with Y = L^(-1) G, R = L L† the ``recovered`` operator and
@@ -387,8 +387,8 @@ class ChannelTriple(_CachedSpectra):
 
 class _TraceTriple:
     """The triple (rho, sigma, Tr) of two divergence operands, read as the
-    kernel with K = I and Y = 1: the blocks K_i f(sigma) v are the rows of
-    U f(s) U† v, no output is formed, and the Renyi differences are the
+    kernel with K = I and Y = 1: the blocks K_i sigma^h v are the rows of
+    U s^h U† v, no output is formed, and the Renyi differences are the
     divergences.  Operands are read through their cached decompositions; a
     plain matrix is decomposed once, into a Decomposed."""
 
@@ -409,24 +409,24 @@ class _TraceTriple:
     def sigma_supports_rho(self) -> bool:
         return self.sigma_spectrum.supports(self.rho.matrix)
 
-    def kraus_wedges(self, fs, v) -> Iterator[tuple[slice, np.ndarray]]:
+    def kraus_wedges(self, hs, v) -> Iterator[tuple[slice, np.ndarray]]:
         dec = self.sigma_spectrum
         return ((part, (dec.support[2] @ c)[:, :, None])
-                for part, c in _kept_chunks(dec, fs, v, v.size))
+                for part, c in _kept_chunks(dec, hs, v, v.size))
 
 
-def _kept_chunks(dec: SpectralDecomposition, fs, v, entries: int) -> Iterator:
-    """The coefficients f(s) U† v of U f(s) U† v, U and s the kept eigenpairs
-    of ``dec``, for each f in ``fs``, in chunks: each the slice of ``fs`` it
-    holds and its (c, rank, n) stack.  Every f(s) is checked, and U† v is
-    formed, before the first chunk; a chunk holds as many orders as fit in
-    GRID_CHUNK_ENTRIES at ``entries`` entries of product each, or one."""
+def _kept_chunks(dec: SpectralDecomposition, hs, v, entries: int) -> Iterator:
+    """The coefficients s^h U† v of U s^h U† v, U and s the kept eigenpairs
+    of ``dec``, for each exponent h in ``hs``, in chunks: each the slice of
+    ``hs`` it holds and its (c, rank, n) stack.  Every s^h is checked, and
+    U† v is formed, before the first chunk; a chunk holds as many orders as
+    fit in GRID_CHUNK_ENTRIES at ``entries`` entries of product each, or one."""
     _, kept, u = dec.support
-    fvals = np.reshape(finite_rows([kept] * len(fs), fs), (len(fs), kept.size, 1))
+    powers = finite_powers(kept, hs)[:, :, None]
     coordinates = u.conj().T @ v
     step = max(1, GRID_CHUNK_ENTRIES // entries)
-    return ((slice(start, start + step), fvals[start:start + step] * coordinates)
-            for start in range(0, len(fs), step))
+    return ((slice(start, start + step), powers[start:start + step] * coordinates)
+            for start in range(0, len(hs), step))
 
 
 def cmi_as_triple(state: TripartiteState) -> ChannelTriple:
@@ -577,8 +577,7 @@ def renyi_rel_ent_diff_grid(
     triple.check_output_support()
     hs = [(1.0 - a.alpha) / 2.0 for a in checked]
     _, kept, v = triple.rho.spectrum.support
-    weights = finite_rows([kept] * len(checked), [_power_of(a.alpha) for a in checked])
-    weights = np.reshape(weights, (len(checked), 1, kept.size))
+    weights = finite_powers(kept, [a.alpha for a in checked])[:, None, :]
     values = []
     with np.errstate(over="ignore", invalid="ignore"):
         for part, products in _kraus_products(triple, hs, v, triple.output_factors(hs)):
@@ -658,7 +657,7 @@ def _kraus_products(x, hs, v, ys) -> Iterator[tuple[slice, np.ndarray]]:
     adjoints = ys.conj().swapaxes(-1, -2)[:, None]
     return (
         (part, (adjoints[part] @ w).reshape(len(w), -1, w.shape[-1]))
-        for part, w in x.kraus_wedges([_power_of(h) for h in hs], v)
+        for part, w in x.kraus_wedges(hs, v)
     )
 
 

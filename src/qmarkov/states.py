@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -41,22 +40,11 @@ from .linalg import (
     hermitian_part,
     read_only,
     sorted_eigh,
+    subsystem_dims,
     support_mask,
 )
 
 TRACE_TOL = 1e-10
-
-
-def _check_dims(matrix: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise DimensionMismatchError(f"subsystem dimensions must be >= 1, got {dims}")
-    total = math.prod(dims)
-    if matrix.shape != (total, total):
-        raise DimensionMismatchError(
-            f"dims {dims} imply shape {(total, total)}, got {matrix.shape}"
-        )
-    return dims
 
 
 def _validated_eigs(matrix: np.ndarray) -> np.ndarray | None:
@@ -98,7 +86,7 @@ class PositiveOperator:
     def __post_init__(self):
         m = np.ascontiguousarray(np.asarray(self.matrix, dtype=complex))
         dims = self.dims if self.dims else (m.shape[0],)
-        dims = _check_dims(m, dims)
+        dims = subsystem_dims(dims, m.shape)
         eigs = _validated_eigs(m)
         object.__setattr__(self, "matrix", read_only(m.view()))
         object.__setattr__(self, "dims", dims)
@@ -181,7 +169,7 @@ def random_density(dims, rank: int | None = None, seed=0) -> DensityOperator:
     a positive definite state almost surely.  ``seed`` is a non-negative
     integer or a numpy Generator.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = subsystem_dims(dims)
     return DensityOperator(_random_density_matrix(dims, rank, seed), dims)
 
 

@@ -49,7 +49,7 @@ from .functionals import (
     recovery_fixed_point_residual_grid,
     sandwiched_fixed_point_residual_grid,
 )
-from .linalg import hermitian_eig, hermitian_part, real_traces
+from .linalg import hermitian_eig, hermitian_part, real_traces, subsystem_dims
 from .measures import (
     PETZ_ALPHA_GRID,
     SANDWICHED_ALPHA_GRID,
@@ -101,7 +101,7 @@ class SuiteConfig:
             raise ValidationError("bad-spec", f"seed must be an integer >= 0, got {self.seed}")
         if not 0.0 < self.tol < math.inf:
             raise ValidationError("bad-spec", f"tol must be positive and finite, got {self.tol}")
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", subsystem_dims(self.dims))
 
 
 @dataclass(frozen=True)

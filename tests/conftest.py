@@ -8,6 +8,10 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
+# Subsystem dims that int() would coerce to a product of 8: a fraction, a
+# bool and a string.  Every entry point that takes dims must refuse them.
+BAD_DIMS = [(2.5, 2, 2), (2.9, 2, 2), (True, 8), ("2", 2, 2)]
+
 
 def random_hermitian(dim, seed):
     rng = np.random.default_rng(seed)

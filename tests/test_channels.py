@@ -24,7 +24,7 @@ from qmarkov.states import (
 )
 from qmarkov.structured import is_sufficient_petz
 
-from conftest import random_hermitian
+from conftest import BAD_DIMS, random_hermitian
 from simple_channels import depolarizing_channel, identity_channel
 
 
@@ -109,6 +109,12 @@ class TestStrictness:
 
     def test_partial_trace_strict(self):
         assert is_strict_cptp(partial_trace_channel((2, 2), {0}))
+
+    def test_partial_trace_dims_are_not_coerced(self):
+        for dims in BAD_DIMS:
+            with pytest.raises(DimensionMismatchError, match="must be integers"):
+                partial_trace_channel(dims, {0})
+        assert partial_trace_channel((2.0, 2), {0}).dim_in == 4
 
     @pytest.mark.parametrize("channel", [
         partial_trace_channel((6, 6, 6), {0}),  # the channel of a 6x6x6 CMI triple

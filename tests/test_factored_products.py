@@ -289,7 +289,7 @@ def _close(got, expected):
 
 
 class TestStructuredProducts:
-    FS = [lambda v: v**0.3, lambda v: v**-0.2, np.sqrt]
+    HS = [0.3, -0.2, 0.5]
 
     @pytest.mark.parametrize("dims", PRODUCT_DIMS)
     def test_kraus_wedge_equals_the_dense_product(self, dims):
@@ -297,12 +297,12 @@ class TestStructuredProducts:
         rng = np.random.default_rng(4)
         d = state.rho.dim
         v = rng.standard_normal((d, 5)) + 1j * rng.standard_normal((d, 5))
-        wedge = embed_operator(state.sigma_spectrum.apply_all(self.FS), dims, (0, 2))
+        wedge = embed_operator(state.sigma_spectrum.powers(self.HS), dims, (0, 2))
         # K_i = <i|_A x I_BC picks the rows whose A index is i
-        expected = (wedge @ v).reshape(len(self.FS), dims[0], dims[1] * dims[2], 5)
-        chunks = list(state.kraus_wedges(self.FS, v))
+        expected = (wedge @ v).reshape(len(self.HS), dims[0], dims[1] * dims[2], 5)
+        chunks = list(state.kraus_wedges(self.HS, v))
         # the chunks hold the orders in turn, one slice of a stack per order
-        orders = range(len(self.FS))
+        orders = range(len(self.HS))
         assert [i for part, _ in chunks for i in orders[part]] == list(orders)
         assert [len(w) for _, w in chunks] == [len(orders[part]) for part, _ in chunks]
         got = np.concatenate([w for _, w in chunks])
@@ -317,7 +317,7 @@ class TestStructuredProducts:
         assert _close(state.recovered, triple.recovered)
         v = rng.standard_normal((state.rho.dim, 4)) + 1j * rng.standard_normal((state.rho.dim, 4))
         # the triple's Kraus operators of Tr_A are <i|_A x I_BC in the same order
-        chunks = zip(state.kraus_wedges(self.FS, v), triple.kraus_wedges(self.FS, v), strict=True)
+        chunks = zip(state.kraus_wedges(self.HS, v), triple.kraus_wedges(self.HS, v), strict=True)
         for (part, got), (expected_part, expected) in chunks:
             assert part == expected_part
             assert _close(got, expected)

@@ -333,7 +333,7 @@ class TestGridErrors:
         wedges = []
         original = type(x).kraus_wedges
         monkeypatch.setattr(type(x), "kraus_wedges",
-                            lambda self, fs, v: wedges.append(fs) or original(self, fs, v))
+                            lambda self, hs, v: wedges.append(hs) or original(self, hs, v))
         with pytest.raises(RankDeficientError):
             ms.renyi_rel_ent_diff_grid(x, (0.5, 1.5))
         assert wedges == []

@@ -7,9 +7,9 @@ name it imports, unless the import line carries ``# noqa: F401``.  This is
 the unused-import rule of a linter, restated on the AST so that it runs with
 the test suite.  A module may import another module's ``_``-prefixed name
 only if the pair is in PRIVATE_IMPORTS, and every listed pair is in use.
-A ``_``-prefixed function, method or class that the package defines must be
-read somewhere in the package besides its own definition, so that removing
-its last caller removes it too.  A module outside the standard library and
+A ``_``-prefixed function, method or class that the package defines, and
+each module-level UPPER_CASE constant, must be read somewhere in the package
+besides its own definition, so that removing its last caller removes it too.  A module outside the standard library and
 the package must be listed in ``dependencies`` of ``pyproject.toml``, so
 an installed but undeclared package cannot become an import.
 """
@@ -30,8 +30,6 @@ MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 # (importing module, imported module, name) of each private name that
 # crosses modules
 PRIVATE_IMPORTS = {
-    ("functionals", "linalg", "_power_of"),
-    ("measures", "linalg", "_power_of"),
     ("functionals", "measures", "_kraus_products"),
     ("structured", "states", "_random_density_matrix"),
     ("suites", "states", "_random_density_matrix"),
@@ -144,6 +142,43 @@ def test_the_rule_sees_a_dead_definition():
     # a read inside the definition's own body (recursion) does not count;
     # a dunder is never flagged
     assert unread_private_definitions(sources) == ["a._recursive", "a._unused"]
+
+
+CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
+
+
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """``module.NAME`` of each module-level UPPER_CASE constant assigned in
+    ``sources``, a map of module name to source, that no module reads outside
+    its own assignment."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    return [
+        f"{module}.{target.id}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and CONSTANT.fullmatch(target.id)
+        and reads[target.id] == _reads(node)[target.id]
+    ]
+
+
+def test_every_constant_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in ALL_MODULES}
+    assert unread_constants(sources) == []
+
+
+def test_the_rule_sees_a_dead_constant():
+    sources = {
+        "a": ("import math\nLOG2 = math.log(2.0)\nTOL: float = 1e-9\nUSED = 2\n"
+              "SELF = SELF_REF = 1\n_private = 3\n\ndef f():\n    LOCAL = 4\n"
+              "    return USED + LOCAL\n"),
+        "b": "from .a import SELF\n",
+    }
+    # a constant imported elsewhere is read; a function's local is not a
+    # module constant, and a lowercase name is left to the other rules
+    assert unread_constants(sources) == ["a.LOG2", "a.TOL", "a.SELF_REF"]
 
 
 def third_party_imports(source: str) -> set[str]:

@@ -14,6 +14,7 @@ from qmarkov.divergences import rel_entropy, von_neumann_entropy
 from qmarkov.linalg import (
     alpha_norm,
     embed_operator,
+    finite_powers,
     finite_rows,
     herm_exp,
     herm_pow,
@@ -25,7 +26,7 @@ from qmarkov.linalg import (
 from qmarkov.measures import TripartiteState, cmi_as_triple, minmax_cmi, minmax_rel_ent_diff
 from qmarkov.states import perturb_positive, random_density
 
-from conftest import random_hermitian
+from conftest import BAD_DIMS, random_hermitian
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -97,6 +98,32 @@ class TestMatrixFunction:
         rows = finite_rows(kepts[:2], fs[:2])
         assert all(np.array_equal(row, np.sqrt(kept)) for row, kept in zip(rows, kepts))
         assert finite_rows([], []) == []
+
+    def test_finite_powers_rows_are_scalar_powers(self):
+        # each row is np.power with a scalar exponent, which at p = 0.5 is
+        # np.sqrt; one np.power over a column of exponents need not be
+        ps = (0.25, 0.5, -0.5, 1.0, 2.0, -1.0, 0.0, 1.75)
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            values = rng.random(int(rng.integers(1, 30))) * 10.0 ** rng.integers(-8, 3)
+            rows = finite_powers(values, ps)
+            assert rows.shape == (len(ps), values.size)
+            assert all(np.array_equal(row, np.power(values, p)) for row, p in zip(rows, ps))
+            assert np.array_equal(rows[ps.index(0.5)], np.sqrt(values))
+            # a (k, n) array raises row i to ps[i]
+            stack = rng.random((len(ps), values.size))
+            rows = finite_powers(stack, ps)
+            assert all(np.array_equal(r, np.power(x, p)) for r, x, p in zip(rows, stack, ps))
+        assert finite_powers(np.ones(3), ()).shape == (0, 3)
+
+    @pytest.mark.parametrize("ps, message", [
+        ((2.0, -100.0, 0.5), "function overflows float64 on retained eigenvalue(s) [1.e-05]"),
+        ((2.0, 0.5, -100.0), "function undefined on retained eigenvalue(s) [-1.]"),
+    ], ids=["overflow-first", "nan-first"])
+    def test_finite_powers_name_the_first_non_finite_row(self, ps, message):
+        with pytest.raises(MatrixFunctionDomainError) as err:
+            finite_powers(np.array([1e-5, -1.0, 4.0]), ps)
+        assert str(err.value) == message
 
     def test_identity_function_projects_to_support(self):
         for seed in range(4):
@@ -210,6 +237,12 @@ class TestPartialTrace:
         with pytest.raises(DimensionMismatchError):
             partial_trace(np.eye(6), (2, 2), {0})
 
+    def test_dims_are_not_coerced(self):
+        for dims in BAD_DIMS:
+            with pytest.raises(DimensionMismatchError, match="must be integers"):
+                partial_trace(np.eye(8), dims, {0})
+        np.testing.assert_array_equal(partial_trace(np.eye(8), (2.0, 2, 2), {0}), 2 * np.eye(4))
+
 
 class TestAlphaNorm:
     def test_identity_two_norm(self):
@@ -270,6 +303,12 @@ class TestEmbedOperator:
     def test_bad_shape(self):
         with pytest.raises(DimensionMismatchError):
             embed_operator(np.eye(3), (2, 2), (0,))
+
+    def test_dims_are_not_coerced(self):
+        for dims in BAD_DIMS:
+            with pytest.raises(DimensionMismatchError, match="must be integers"):
+                embed_operator(np.eye(2), dims, (1,))
+        np.testing.assert_array_equal(embed_operator(np.eye(2), (2.0, 2, 2), (1,)), np.eye(8))
 
 
 @pytest.mark.parametrize("call, error, reason", [

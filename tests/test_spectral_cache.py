@@ -338,7 +338,7 @@ class TestBuiltOnce:
         y = x.out_sigma_spectrum.power(0.3) @ x.out_rho_spectrum.power(-0.2)
         f = lambda v: v**0.4  # noqa: E731
         v = x.rho.root()
-        ((_, (wedge,)),) = x.kraus_wedges([f], v)  # one chunk, of one order
+        ((_, (wedge,)),) = x.kraus_wedges([0.4], v)  # one chunk, of one order
         blocks = y.conj().T @ wedge
         np.testing.assert_allclose(
             np.sum(blocks.conj().swapaxes(-1, -2) @ blocks, axis=0),
@@ -359,7 +359,7 @@ class TestKrausWedge:
     def test_petz_grid_reads_no_power_of_rho(self, make, monkeypatch):
         x = make()
         read = []
-        for name in ("apply_all", "powers"):
+        for name in ("apply", "powers"):
             original = getattr(linalg.SpectralDecomposition, name)
 
             def spy(self, fs, _original=original, _name=name):
@@ -378,14 +378,15 @@ class TestKrausWedge:
         original = ChannelTriple.sigma_log
         monkeypatch.setattr(ChannelTriple, "sigma_log",
                             lambda self: calls.append("log") or original(self))
-        apply_all = linalg.SpectralDecomposition.apply_all
+        for name in ("apply", "powers"):
+            original = getattr(linalg.SpectralDecomposition, name)
 
-        def spy(self, fs):
-            if self is triple.sigma.spectrum:
-                calls.append(fs)
-            return apply_all(self, fs)
+            def spy(self, fs, _original=original):
+                if self is triple.sigma.spectrum:
+                    calls.append(fs)
+                return _original(self, fs)
 
-        monkeypatch.setattr(linalg.SpectralDecomposition, "apply_all", spy)
+            monkeypatch.setattr(linalg.SpectralDecomposition, name, spy)
         grid(triple, SIX_ORDERS)
         assert calls == []
 

@@ -22,6 +22,8 @@ from qmarkov.states import (
     trace_distance,
 )
 
+from conftest import BAD_DIMS
+
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 
@@ -109,6 +111,13 @@ class TestValidateDensity:
     def test_dims_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             DensityOperator(np.eye(4) / 4, (2, 3))
+
+    def test_dims_are_not_coerced(self):
+        for dims in BAD_DIMS:
+            with pytest.raises(DimensionMismatchError, match="must be integers"):
+                DensityOperator(np.eye(8) / 8, dims)
+        dims = DensityOperator(np.eye(8) / 8, (2.0, np.int64(2), 2)).dims
+        assert dims == (2, 2, 2) and all(type(d) is int for d in dims)
 
     def test_not_finite(self):
         with pytest.raises(ValidationError) as err:
@@ -228,6 +237,14 @@ class TestRandomDensity:
         eigs = np.sort(rho.eigenvalues)
         assert eigs[-1] == pytest.approx(1.0, abs=1e-10)
         assert abs(eigs[0]) <= 1e-12
+
+    def test_dims_are_not_coerced(self):
+        for dims in BAD_DIMS:
+            with pytest.raises(DimensionMismatchError, match="must be integers"):
+                random_density(dims)
+        with pytest.raises(DimensionMismatchError, match=">= 1"):
+            random_density((0, 2))
+        assert random_density((2.0, 2, 2)).dims == (2, 2, 2)
 
     def test_bad_rank(self):
         with pytest.raises(ValidationError) as err:

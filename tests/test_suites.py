@@ -13,7 +13,7 @@ import pytest
 import qmarkov.states
 import qmarkov.suites
 from qmarkov.cli import main
-from qmarkov.errors import ValidationError
+from qmarkov.errors import DimensionMismatchError, ValidationError
 from qmarkov.measures import PETZ_ALPHA_GRID, SANDWICHED_ALPHA_GRID, TripartiteState
 from qmarkov.states import random_density
 from qmarkov.structured import is_sufficient_petz
@@ -29,6 +29,8 @@ from qmarkov.suites import (
     run_suites,
     trace_inequality_suite,
 )
+
+from conftest import BAD_DIMS
 
 SMALL = SuiteConfig(trials=4, dims=(2, 2, 2), seed=7)
 
@@ -53,6 +55,14 @@ SANDWICHED_GRID_CHECKS = {
 
 
 class TestSuiteConfig:
+    def test_dims_are_not_coerced(self):
+        for dims in BAD_DIMS:
+            with pytest.raises(DimensionMismatchError, match="must be integers"):
+                SuiteConfig(dims=dims)
+        with pytest.raises(DimensionMismatchError, match=">= 1"):
+            SuiteConfig(dims=(2, 0, 2))
+        assert SuiteConfig(dims=(2.0, 2, 2)).dims == (2, 2, 2)
+
     def test_only_the_run_values_are_settable(self):
         names = [f.name for f in dataclasses.fields(SuiteConfig)]
         assert names == ["trials", "dims", "seed", "tol"]
