@@ -15,7 +15,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .linalg import hermitian_part, subsystem_dims
+from .linalg import factor_indices, hermitian_part, subsystem_dims
 from .states import seeded_rng
 
 TP_TOL = 1e-10
@@ -102,7 +102,7 @@ def is_strict_cptp(channel: Channel, tol: float = 1e-10) -> bool:
 def partial_trace_channel(dims, traced_out) -> Channel:
     """Partial trace over the listed factors, as a Kraus-form channel."""
     dims = subsystem_dims(dims)
-    traced = set(int(i) for i in traced_out)
+    traced = set(factor_indices(traced_out, len(dims)))
     ops = []
     for combo in np.ndindex(*[dims[i] if i in traced else 1 for i in range(len(dims))]):
         factors = []

@@ -73,6 +73,12 @@ def support_mask(values, axis: int | None = None) -> np.ndarray:
     return (values > SUPPORT_CUTOFF * top) | (values < -POSITIVITY_TOL * np.fmax(1.0, top))
 
 
+def _is_integral(x) -> bool:
+    """An integer, or an integral float such as 2.0; not a bool or a string."""
+    return (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+            or isinstance(x, (float, np.floating)) and float(x).is_integer())
+
+
 def subsystem_dims(dims, shape=None) -> tuple[int, ...]:
     """``dims`` as Python ints, by the one rule for subsystem dimensions: an
     integer or an integral float such as 2.0 counts, as in a state file.  A
@@ -80,8 +86,7 @@ def subsystem_dims(dims, shape=None) -> tuple[int, ...]:
     DimensionMismatchError, and so does a matrix ``shape`` other than (d, d)
     for d the product of the dims, when one is given."""
     dims = tuple(dims)
-    if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
-               or isinstance(d, (float, np.floating)) and float(d).is_integer() for d in dims):
+    if not all(_is_integral(d) for d in dims):
         raise DimensionMismatchError(f"subsystem dimensions must be integers, got {dims}")
     if any(d < 1 for d in dims):
         raise DimensionMismatchError(f"subsystem dimensions must be >= 1, got {dims}")
@@ -90,6 +95,19 @@ def subsystem_dims(dims, shape=None) -> tuple[int, ...]:
     if shape is not None and shape != (total, total):
         raise DimensionMismatchError(f"dims {dims} imply shape {(total, total)}, got {shape}")
     return dims
+
+
+def factor_indices(indices, n: int) -> tuple[int, ...]:
+    """``indices`` as Python ints, by the integer test of ``subsystem_dims``:
+    a bool, a fraction, a string or an index outside range(n) raises
+    DimensionMismatchError."""
+    indices = tuple(indices)
+    if not all(_is_integral(i) for i in indices):
+        raise DimensionMismatchError(f"factor indices must be integers, got {indices}")
+    indices = tuple(int(i) for i in indices)
+    if not all(0 <= i < n for i in indices):
+        raise DimensionMismatchError(f"factor indices {indices} out of range for {n} factors")
+    return indices
 
 
 def finite_rows(kepts, fs) -> list[np.ndarray]:
@@ -348,9 +366,7 @@ def partial_trace(m, dims: Sequence[int], traced_out: Iterable[int]) -> np.ndarr
     a = _as_matrix(m)
     dims = subsystem_dims(dims, a.shape)
     n = len(dims)
-    traced = sorted(set(int(i) for i in traced_out))
-    if any(i < 0 or i >= n for i in traced):
-        raise DimensionMismatchError(f"traced_out {traced} out of range for {n} factors")
+    traced = sorted(set(factor_indices(traced_out, n)))
     kept = [i for i in range(n) if i not in traced]
     if not kept:
         return np.array([[np.trace(a)]], dtype=complex)
@@ -378,11 +394,9 @@ def embed_operator(x, dims: Sequence[int], sites: Sequence[int]) -> np.ndarray:
     if a.ndim not in (2, 3):
         raise DimensionMismatchError(f"expected a matrix or a stack, got shape {a.shape}")
     dims = subsystem_dims(dims)
-    sites = tuple(int(s) for s in sites)
+    sites = factor_indices(sites, len(dims))
     if sorted(sites) != list(sites) or len(set(sites)) != len(sites):
         raise DimensionMismatchError(f"sites must be strictly ascending, got {sites}")
-    if sites and not 0 <= sites[0] <= sites[-1] < len(dims):
-        raise DimensionMismatchError(f"sites {sites} out of range for {len(dims)} factors")
     d_sites = math.prod(dims[s] for s in sites)
     if a.shape[-2:] != (d_sites, d_sites):
         raise DimensionMismatchError(

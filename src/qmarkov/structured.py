@@ -20,7 +20,7 @@ import numpy as np
 
 from .channels import TP_TOL, Channel, random_strict_channel, random_unitary
 from .errors import DimensionMismatchError, ValidationError
-from .linalg import kron
+from .linalg import kron, subsystem_dims
 from .measures import ChannelTriple, TripartiteState
 from .states import (
     DensityOperator,
@@ -238,7 +238,7 @@ def random_markov_spec(dim_a: int, dim_b: int, block_dims, seed=0) -> MarkovBloc
     factors make the assembled chain positive definite.
     """
     rng = seeded_rng(seed)
-    block_dims = tuple((int(l), int(r)) for l, r in block_dims)
+    block_dims = tuple(subsystem_dims(b) for b in block_dims)
     weights = rng.dirichlet(np.ones(len(block_dims)))
     blocks = []
     for (dcl, dcr), w in zip(block_dims, weights):
@@ -260,7 +260,7 @@ def random_sufficiency_spec(block_dims, seed=0) -> SufficiencyBlockSpec:
     ``block_dims`` is a sequence of (dim_l, dim_r_in, dim_r_out) triples.
     """
     rng = seeded_rng(seed)
-    block_dims = tuple((int(l), int(ri), int(ro)) for l, ri, ro in block_dims)
+    block_dims = tuple(subsystem_dims(b) for b in block_dims)
     probs = rng.dirichlet(np.ones(len(block_dims)))
     blocks = []
     for (dl, dr_in, dr_out), p in zip(block_dims, probs):

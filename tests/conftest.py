@@ -12,6 +12,11 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # bool and a string.  Every entry point that takes dims must refuse them.
 BAD_DIMS = [(2.5, 2, 2), (2.9, 2, 2), (True, 8), ("2", 2, 2)]
 
+# Factor indices that int() would coerce to a valid index: fractions, a bool
+# and a string.  Every entry point that takes sites or traced factors must
+# refuse them.
+BAD_INDICES = [(1.5,), (0.7,), (True,), ("1",)]
+
 
 def random_hermitian(dim, seed):
     rng = np.random.default_rng(seed)

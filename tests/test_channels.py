@@ -24,7 +24,7 @@ from qmarkov.states import (
 )
 from qmarkov.structured import is_sufficient_petz
 
-from conftest import BAD_DIMS, random_hermitian
+from conftest import BAD_DIMS, BAD_INDICES, random_hermitian
 from simple_channels import depolarizing_channel, identity_channel
 
 
@@ -115,6 +115,12 @@ class TestStrictness:
             with pytest.raises(DimensionMismatchError, match="must be integers"):
                 partial_trace_channel(dims, {0})
         assert partial_trace_channel((2.0, 2), {0}).dim_in == 4
+
+    def test_partial_trace_indices_are_not_coerced(self):
+        for traced in BAD_INDICES + [(2,), (-1,)]:
+            with pytest.raises(DimensionMismatchError):
+                partial_trace_channel((2, 2), set(traced))
+        assert partial_trace_channel((2, 2), {1.0}).dim_out == 2
 
     @pytest.mark.parametrize("channel", [
         partial_trace_channel((6, 6, 6), {0}),  # the channel of a 6x6x6 CMI triple

@@ -405,42 +405,101 @@ def _b64_doubles(values) -> str:
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
-# each edit turns a version-2 file of an 8x8 state into one that compute refuses
+def _doubles(payload: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(payload, validate=True), dtype="<f8")
+
+
+# each edit turns the file of an 8x8 state into one that compute refuses; it
+# is called with the matrix object and the keys of its two parts, "upper_re"
+# and "upper_im" in the Hermitian layout, "re" and "im" in version 2
 BAD_MATRIX_EDITS = {
-    "non-alphabet character": lambda obj: obj.update(re="*" + obj["re"][1:]),
-    "non-ascii character": lambda obj: obj.update(re="\u00e9" + obj["re"][1:]),
-    "payload too short": lambda obj: obj.update(re=obj["re"][:-4]),
-    "payload too long": lambda obj: obj.update(im=_b64_doubles(np.zeros(65))),
-    "missing shape": lambda obj: obj.pop("shape"),
-    "negative shape": lambda obj: obj.update(shape=[-8, -8]),
-    "one negative dimension": lambda obj: obj.update(shape=[8, -8]),
-    "shape not a pair": lambda obj: obj.update(shape=[64]),
-    "fractional shape": lambda obj: obj.update(shape=[8.5, 8]),
-    "re and im lists of different shapes": lambda obj: obj.update(
-        re=np.zeros((8, 8)).tolist(), im=np.zeros((7, 8)).tolist()),
-    "im list against an 8x8 payload": lambda obj: obj.update(im=np.zeros((8, 7)).tolist()),
-    "nan in payload": lambda obj: obj.update(re=_b64_doubles([np.nan] + [0.0] * 63)),
-    "inf in payload": lambda obj: obj.update(im=_b64_doubles(np.full((8, 8), np.inf))),
-    "version 3": lambda obj: obj.update(version=3),
-    "boolean version": lambda obj: obj.update(version=True),
+    "non-alphabet character": lambda obj, re, im: obj.update({re: "*" + obj[re][1:]}),
+    "non-ascii character": lambda obj, re, im: obj.update({re: "\u00e9" + obj[re][1:]}),
+    "payload too short": lambda obj, re, im: obj.update({re: obj[re][:-4]}),
+    "payload too long": lambda obj, re, im: obj.update({im: _b64_doubles(np.zeros(65))}),
+    "missing shape": lambda obj, re, im: obj.pop("shape"),
+    "negative shape": lambda obj, re, im: obj.update(shape=[-8, -8]),
+    "one negative dimension": lambda obj, re, im: obj.update(shape=[8, -8]),
+    "shape not a pair": lambda obj, re, im: obj.update(shape=[64]),
+    "fractional shape": lambda obj, re, im: obj.update(shape=[8.5, 8]),
+    "re and im lists of different shapes": lambda obj, re, im: obj.update(
+        {re: np.zeros((8, 8)).tolist(), im: np.zeros((7, 8)).tolist()}),
+    "im list against an 8x8 payload": lambda obj, re, im: obj.update(
+        {im: np.zeros((8, 7)).tolist()}),
+    "nan in payload": lambda obj, re, im: obj.update(
+        {re: _b64_doubles(np.r_[np.nan, _doubles(obj[re])[1:]])}),
+    "inf in payload": lambda obj, re, im: obj.update(
+        {im: _b64_doubles(np.full(len(_doubles(obj[im])), np.inf))}),
+    "version 4": lambda obj, re, im: obj.update(version=4),
+    "boolean version": lambda obj, re, im: obj.update(version=True),
+}
+
+# each edit breaks the Hermitian layout of a version-3 file of an 8x8 state
+BAD_HERMITIAN_EDITS = {
+    "upper_re too short": lambda obj: obj.update(
+        upper_re=_b64_doubles(_doubles(obj["upper_re"])[:-1])),
+    "upper_re too long": lambda obj: obj.update(
+        upper_re=_b64_doubles(np.r_[_doubles(obj["upper_re"]), 0.0])),
+    "upper_im too short": lambda obj: obj.update(
+        upper_im=_b64_doubles(_doubles(obj["upper_im"])[:-1])),
+    "upper_im too long": lambda obj: obj.update(
+        upper_im=_b64_doubles(np.r_[_doubles(obj["upper_im"]), 0.0])),
+    "non-square shape": lambda obj: obj.update(shape=[8, 9]),
+    "upper_re without upper_im": lambda obj: obj.pop("upper_im"),
+    "upper_im without upper_re": lambda obj: obj.pop("upper_re"),
+    "both re and upper_re": lambda obj: obj.update(re=_b64_doubles(np.eye(8) / 8)),
+    "both im and upper_im": lambda obj: obj.update(im=_b64_doubles(np.zeros((8, 8)))),
+    "upper_re as a list": lambda obj: obj.update(upper_re=_doubles(obj["upper_re"]).tolist()),
+    "nan in upper_im": lambda obj: obj.update(
+        upper_im=_b64_doubles(np.r_[np.nan, _doubles(obj["upper_im"])[1:]])),
 }
 
 
+def _version_two_obj(state) -> dict:
+    """The file object the version-2 writer wrote for ``state``."""
+    m = state.matrix
+    return {"version": 2, "kind": "state", "dims": list(state.dims), "shape": list(m.shape),
+            "re": _b64_doubles(m.real), "im": _b64_doubles(m.imag)}
+
+
 class TestFileEncoding:
+    @staticmethod
+    def _assert_refused(path, obj, capsys, edit):
+        path.write_text(json.dumps(obj))
+        assert main(["compute", "--measure", "cmi", "--state", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        if "nan in" in edit or "inf in" in edit:
+            assert "finite" in err
+        if "version" in edit:
+            assert "version" in err
+
     @pytest.mark.parametrize("edit", list(BAD_MATRIX_EDITS))
     def test_bad_matrix_exits_two(self, tmp_path, capsys, edit):
         path = tmp_path / "state.json"
         save_state(path, random_density((2, 2, 2), seed=1))
         obj = json.loads(path.read_text())
-        BAD_MATRIX_EDITS[edit](obj)
+        assert obj["version"] == 3 and "upper_re" in obj
+        BAD_MATRIX_EDITS[edit](obj, "upper_re", "upper_im")
+        self._assert_refused(path, obj, capsys, edit)
+
+    @pytest.mark.parametrize("edit", list(BAD_MATRIX_EDITS))
+    def test_bad_version_two_matrix_exits_two(self, tmp_path, capsys, edit):
+        path = tmp_path / "state.json"
+        obj = _version_two_obj(random_density((2, 2, 2), seed=1))
         path.write_text(json.dumps(obj))
-        assert main(["compute", "--measure", "cmi", "--state", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        if edit in ("nan in payload", "inf in payload"):
-            assert "finite" in err
-        if "version" in edit:
-            assert "version" in err
+        assert main(["compute", "--measure", "cmi", "--state", str(path)]) == 0
+        capsys.readouterr()
+        BAD_MATRIX_EDITS[edit](obj, "re", "im")
+        self._assert_refused(path, obj, capsys, edit)
+
+    @pytest.mark.parametrize("edit", list(BAD_HERMITIAN_EDITS))
+    def test_bad_hermitian_matrix_exits_two(self, tmp_path, capsys, edit):
+        path = tmp_path / "state.json"
+        save_state(path, random_density((2, 2, 2), seed=1))
+        obj = json.loads(path.read_text())
+        BAD_HERMITIAN_EDITS[edit](obj)
+        self._assert_refused(path, obj, capsys, edit)
 
     @pytest.mark.parametrize(
         "inputs,measure,alpha,expected",
@@ -452,7 +511,7 @@ class TestFileEncoding:
         # tests/golden holds the golden state and the golden 4 -> 3 channel
         # as the version-1 writer wrote them (decimal nested lists)
         golden = Path(__file__).parent / "golden"
-        new = tmp_path / "v2.json"
+        new = tmp_path / "v3.json"
         if inputs == "state":
             old = golden / "state_222_seed7_v1.json"
             save_state(new, load_state(old))

@@ -26,7 +26,7 @@ from qmarkov.linalg import (
 from qmarkov.measures import TripartiteState, cmi_as_triple, minmax_cmi, minmax_rel_ent_diff
 from qmarkov.states import perturb_positive, random_density
 
-from conftest import BAD_DIMS, random_hermitian
+from conftest import BAD_DIMS, BAD_INDICES, random_hermitian
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -243,6 +243,12 @@ class TestPartialTrace:
                 partial_trace(np.eye(8), dims, {0})
         np.testing.assert_array_equal(partial_trace(np.eye(8), (2.0, 2, 2), {0}), 2 * np.eye(4))
 
+    def test_indices_are_not_coerced(self):
+        for traced in BAD_INDICES:
+            with pytest.raises(DimensionMismatchError, match="must be integers"):
+                partial_trace(np.eye(8), (2, 2, 2), set(traced))
+        np.testing.assert_array_equal(partial_trace(np.eye(8), (2, 2, 2), {0.0}), 2 * np.eye(4))
+
 
 class TestAlphaNorm:
     def test_identity_two_norm(self):
@@ -309,6 +315,12 @@ class TestEmbedOperator:
             with pytest.raises(DimensionMismatchError, match="must be integers"):
                 embed_operator(np.eye(2), dims, (1,))
         np.testing.assert_array_equal(embed_operator(np.eye(2), (2.0, 2, 2), (1,)), np.eye(8))
+
+    def test_sites_are_not_coerced(self):
+        for sites in BAD_INDICES:
+            with pytest.raises(DimensionMismatchError, match="must be integers"):
+                embed_operator(np.eye(2), (2, 2, 2), sites)
+        np.testing.assert_array_equal(embed_operator(np.eye(2), (2, 2, 2), (1.0,)), np.eye(8))
 
 
 @pytest.mark.parametrize("call, error, reason", [

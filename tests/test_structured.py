@@ -12,7 +12,7 @@ from qmarkov.channels import (
     random_strict_channel,
     random_unitary,
 )
-from qmarkov.errors import RankDeficientError, ValidationError
+from qmarkov.errors import DimensionMismatchError, RankDeficientError, ValidationError
 from qmarkov.functionals import log_identity_residual
 from qmarkov.linalg import kron
 from qmarkov.measures import (
@@ -114,6 +114,11 @@ class TestMarkovSpec:
         block = MarkovBlock(weight=1.0, dim_cl=1, dim_cr=1, rho_left=bad, rho_right=bad)
         with pytest.raises(ValidationError):
             MarkovBlockSpec(dim_a=2, dim_b=2, blocks=(block,))
+
+    @pytest.mark.parametrize("block", [(2.5, 1.9), (True, 2), (2, "1")])
+    def test_block_dims_are_not_coerced(self, block):
+        with pytest.raises(DimensionMismatchError, match="must be integers"):
+            random_markov_spec(2, 2, [block], seed=0)
 
 
 class TestBuildMarkovChain:
@@ -223,6 +228,11 @@ class TestSufficiencySpec:
         )
         with pytest.raises(ValidationError):
             SufficiencyBlockSpec(blocks=(block,))
+
+    @pytest.mark.parametrize("block", [(True, 2.7, 1.2), (2, 2, 1.5), ("2", 2, 2)])
+    def test_block_dims_are_not_coerced(self, block):
+        with pytest.raises(DimensionMismatchError, match="must be integers"):
+            random_sufficiency_spec([block], seed=0)
 
 
 class TestBuildSufficiencyTriple:
