@@ -21,8 +21,12 @@ raises each row of values to its scalar exponent in its own call, so each
 slice equals its two-dimensional result bit for bit.  A stack holds all k
 slices at once, so the Renyi differences stack their Kraus-block products
 only in chunks of at most ``measures.GRID_CHUNK_ENTRIES`` entries, or one
-order per call when a product is larger.  Everything else, the eigensolver
-``hermitian_eig`` and the Hermiticity rule included, takes one matrix.
+order per call when a product is larger.  Everything else, the Hermiticity
+rule included, takes one matrix.  The eigensolver ``hermitian_eig`` takes
+one matrix too, but decomposes it block by block when its exact nonzero
+pattern splits, as the CMI triple's sigma = rho_AC x I_B does into d_B
+copies of rho_AC (``sorted_eigh``): the blocks of each size go to one
+stacked ``eigh``, from order EIGH_SPLIT_MIN on.
 
 Validation and the decomposition of an unvalidated matrix apply one
 Hermiticity rule, ``checked_hermitian_part``, so both reject the same
@@ -52,6 +56,9 @@ from .errors import (
 SUPPORT_CUTOFF = 1e-12
 POSITIVITY_TOL = 1e-10  # negative eigenvalues validation accepts as round-off
 HERMITICITY_TOL = 1e-10  # relative anti-Hermitian residual the one rule accepts
+# order from which sorted_eigh looks for blocks: the measured crossover,
+# below which one eigh beats finding and decomposing the blocks
+EIGH_SPLIT_MIN = 64
 
 
 def support_mask(values, axis: int | None = None) -> np.ndarray:
@@ -154,6 +161,11 @@ def _raise_first_non_finite(kepts, rows) -> None:
 class SpectralDecomposition:
     """Eigensystem of a Hermitian matrix, eigenvalues sorted descending.
 
+    The eigenvectors are a dense d x d array, even when ``sorted_eigh``
+    decomposed the matrix block by block; each eigenvector is then exactly
+    zero outside its block.  Equal eigenvalues keep eigh's order within a
+    block, and the block with the smaller first index comes first.
+
     Both arrays are read-only: operators cache their decomposition and read
     every power and logarithm from it.  The support (``support``) is also
     computed once, on first use, so a matrix function costs one scaled
@@ -242,14 +254,20 @@ def _inf_norms(a: np.ndarray):
 
 
 def checked_hermitian_part(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """(M + M†)/2 and ||M||_inf of a matrix.
+    """(M + M†)/2 and ||M||_inf of a nonempty matrix.
 
     The one Hermiticity rule: a residual ||M - M†||_inf above
-    HERMITICITY_TOL * ||M||_inf raises NonHermitianError.  The Hermitian
-    part equals ``hermitian_part(m)``.
+    HERMITICITY_TOL * ||M||_inf raises NonHermitianError.  The norm is
+    finite exactly when every entry is (and their row sums do not
+    overflow); when it is not, ValidationError("not-finite") is raised
+    before any difference is formed.  The Hermitian part equals
+    ``hermitian_part(m)``.
     """
+    scale = float(_inf_norms(m))
+    if not math.isfinite(scale):
+        raise ValidationError("not-finite", "matrix entries must be finite")
     adj = _adjoint(m)
-    scale, residual = float(_inf_norms(m)), float(_inf_norms(m - adj))
+    residual = float(_inf_norms(m - adj))
     if scale > 0 and residual > HERMITICITY_TOL * scale:
         raise NonHermitianError(
             f"anti-Hermitian residual {residual:.3e} exceeds "
@@ -289,20 +307,36 @@ def _as_stack(m) -> np.ndarray:
 
 def hermitian_eig(m) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues stably sorted
-    descending.
+    descending (``sorted_eigh``).
 
     The input is checked and symmetrized by ``checked_hermitian_part``
-    before the decomposition.
+    before the decomposition: a non-finite entry raises
+    ValidationError("not-finite"), and an empty or non-square matrix
+    DimensionMismatchError.
     """
     a = _as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"matrix is not square: shape {a.shape}")
+    if a.shape[0] != a.shape[1] or not a.size:
+        raise DimensionMismatchError(f"expected a nonempty square matrix, got shape {a.shape}")
     return sorted_eigh(checked_hermitian_part(a)[0])
 
 
 def sorted_eigh(h: np.ndarray) -> SpectralDecomposition:
     """``hermitian_eig`` of a matrix the rule has accepted, given as its
-    Hermitian part: nothing is checked again."""
+    Hermitian part: nothing is checked again.
+
+    A matrix of order at least EIGH_SPLIT_MIN whose exact nonzero pattern
+    splits into blocks (``_blocks``) is decomposed block by block, with one
+    stacked ``eigh`` per block size; each eigenvector is then zero outside
+    its block.  Any other matrix takes one ``eigh``.  Either way the
+    eigenvalues are stably sorted descending from eigh's ascending output,
+    the blocks' spectra concatenated in block order: equal eigenvalues keep
+    eigh's order within a block, and the block with the smaller first index
+    comes first.
+    """
+    blocks = _blocks(h) if h.shape[0] >= EIGH_SPLIT_MIN else None
+    if blocks is not None:
+        vals, vecs = _blockwise_eigh(h, blocks)
+        return SpectralDecomposition(read_only(vals), read_only(vecs))
     vals, vecs = np.linalg.eigh(h)
     if (vals[1:] > vals[:-1]).all():
         # no ties: the stable descending order is the reverse of eigh's
@@ -311,6 +345,68 @@ def sorted_eigh(h: np.ndarray) -> SpectralDecomposition:
         order = np.argsort(-vals, kind="stable")
         vals, vecs = vals[order], vecs.take(order, axis=1)  # C-contiguous, unlike vecs[:, order]
     return SpectralDecomposition(read_only(vals), read_only(vecs))
+
+
+def _blocks(h: np.ndarray) -> list[np.ndarray] | None:
+    """The connected components of the nonzero pattern of a Hermitian
+    matrix, as ascending index arrays in the order of their first index, or
+    None when the pattern is connected.
+
+    A row with no nonzero entry off the diagonal is a block of its own; the
+    other blocks are found by a breadth-first search over the rows of the
+    pattern, which reads each row once, when its index joins the frontier.
+    So labelling costs O(n^2) whatever the pattern's diameter, and a matrix
+    whose first row has no zero is settled by that row.
+    """
+    if (h[0] != 0).all():
+        return None
+    n = h.shape[0]
+    pattern = h != 0
+    pattern[np.diag_indices(n)] = False
+    unseen = pattern.any(1)
+    blocks = [np.array([i]) for i in (~unseen).nonzero()[0]]
+    left = np.count_nonzero(unseen)
+    while left:
+        start = int(unseen.argmax())
+        unseen[start] = False
+        left -= 1
+        frontier = np.array([start])
+        reached = [frontier]
+        while frontier.size and left:
+            frontier = (pattern[frontier].any(0) & unseen).nonzero()[0]
+            unseen[frontier] = False
+            left -= frontier.size
+            reached.append(frontier)
+        blocks.append(np.sort(np.concatenate(reached)))
+    if len(blocks) == 1:
+        return None
+    blocks.sort(key=lambda b: b[0])
+    return blocks
+
+
+def _blockwise_eigh(h: np.ndarray, blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The descending eigenvalues and the eigenvectors of ``h`` from one
+    stacked ``eigh`` per block size, ordered as ``sorted_eigh`` states."""
+    n = h.shape[0]
+    sizes = np.array([b.size for b in blocks])
+    first = np.cumsum(sizes) - sizes  # slot of each block's first eigenvalue
+    vals = np.empty(n)
+    parts = []
+    for size in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma, 0.5 MB
+        which = np.flatnonzero(sizes == size)
+        rows = np.stack([blocks[i] for i in which])  # (k, size)
+        w, v = np.linalg.eigh(h[rows[:, :, None], rows[:, None, :]])
+        slots = first[which, None] + np.arange(size)
+        vals[slots] = w
+        parts.append((rows, slots, v))
+    order = np.argsort(-vals, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    vecs = np.zeros((n, n), dtype=parts[0][2].dtype)
+    for rows, slots, v in parts:
+        # entry r of block vector j lands in row rows[., r], column rank[slots[., j]]
+        vecs[rows[:, :, None], rank[slots][:, None, :]] = v
+    return vals[order], vecs
 
 
 def herm_pow(m, p: float) -> np.ndarray:

@@ -49,9 +49,8 @@ TRACE_TOL = 1e-10
 
 def _validated_eigs(matrix: np.ndarray) -> np.ndarray | None:
     """None when a Cholesky factor of H - tau I certifies positivity, else
-    the eigenvalues of H, which the eigenvalue rule accepted."""
-    if not np.isfinite(matrix).all():
-        raise ValidationError("not-finite", "matrix entries must be finite")
+    the eigenvalues of H, which the eigenvalue rule accepted.  A non-finite
+    entry fails the Hermiticity rule's norm as ValidationError("not-finite")."""
     shifted, scale = checked_hermitian_part(matrix)
     shifted.reshape(-1)[:: shifted.shape[0] + 1] -= POSITIVITY_TOL * max(1.0, scale)  # the diagonal
     try:

@@ -20,6 +20,13 @@ the dense 50-digit formulas on the golden 4 -> 3 triple's (rho, sigma) and
 eigenvalues of 1e-10 the sandwiched divergence below 1 stays within 2e-12
 (7.0e-13 measured); the eigenvalues of the dense core sigma^h rho sigma^h,
 as formerly read, were 4.3e-12 off.
+
+Both Renyi differences stay within 2e-13 of the 50-digit values when every
+decomposition goes block by block (``linalg.sorted_eigh``): on the CMI
+triple of a 4 x 4 x 2 state, whose sigma = rho_AC x I_B is 4 blocks of 8,
+on a two-block Markov chain and on a two-block sufficiency triple (1.4e-14
+measured).  A 50-digit evaluation at the order EIGH_SPLIT_MIN = 64 takes
+minutes, so these cases lower the gate to 1.
 """
 
 import numpy as np
@@ -27,6 +34,7 @@ import pytest
 
 import mp_oracles as mo
 from qmarkov import functionals as fn
+from qmarkov import linalg
 from qmarkov.channels import random_strict_channel, random_unitary
 from qmarkov.measures import (
     PETZ_ALPHA_GRID,
@@ -40,6 +48,12 @@ from qmarkov.measures import (
     sandwiched_rel_entropy_grid,
 )
 from qmarkov.states import Decomposed, DensityOperator, random_density
+from qmarkov.structured import (
+    build_markov_chain,
+    build_sufficiency_triple,
+    random_markov_spec,
+    random_sufficiency_spec,
+)
 from qmarkov.suites import SuiteConfig, _screened_nonsufficient_triple
 from test_grids import TROTTER_ORDERS, _product_state
 
@@ -179,3 +193,38 @@ def test_sandwiched_divergence_of_nearly_singular_states():
         sigma = random_density((4,), seed=100 + k)
         want = [mo.sandwiched_rel_entropy(rho.matrix, sigma.matrix, a) for a in orders]
         assert _within(sandwiched_rel_entropy_grid(rho, sigma, orders), want, [2e-12] * 3)
+
+
+# cases whose operators split into blocks; a 50-digit order takes seconds on
+# the 32-dimensional CMI triple and 0.3 s on the 16-dimensional chain, so
+# they are read at one order and at every other order of each grid
+SPLIT_CASES = {
+    "cmi-442": (lambda: TripartiteState(random_density((4, 4, 2), seed=1)), (0.5,), (2.0,)),
+    "markov-blocks": (
+        lambda: build_markov_chain(random_markov_spec(2, 2, [(1, 2), (2, 1)], seed=3)),
+        PETZ_ALPHA_GRID[::2], SANDWICHED_ALPHA_GRID[::2]),
+    "sufficiency-blocks": (
+        lambda: build_sufficiency_triple(random_sufficiency_spec([(2, 3, 2), (2, 2, 2)], seed=4)),
+        PETZ_ALPHA_GRID, SANDWICHED_ALPHA_GRID),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_block_split_against_50_digits(case, monkeypatch):
+    make, petz, sandwiched = SPLIT_CASES[case]
+    monkeypatch.setattr(linalg, "EIGH_SPLIT_MIN", 1)
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    x = make()
+    triple = cmi_as_triple(x) if isinstance(x, TripartiteState) else x
+    exact = mo.MpTriple(triple)
+    for orders, grid, oracle in ((petz, renyi_rel_ent_diff_grid, mo.renyi_rel_ent_diff),
+                                 (sandwiched, sandwiched_rel_ent_diff_grid,
+                                  mo.sandwiched_rel_ent_diff)):
+        want = [oracle(exact, a) for a in orders]
+        for y in {id(x): x, id(triple): triple}.values():
+            assert _within(grid(y, orders, strict=False), want, [BUDGET] * len(orders))
+    # sigma splits, and the library's decompositions went block by block
+    assert linalg._blocks(linalg.hermitian_part(triple.sigma.matrix)) is not None
+    assert any(len(shape) == 3 for shape in shapes)

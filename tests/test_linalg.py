@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,29 @@ class TestHermitianEig:
     def test_non_square_raises(self):
         with pytest.raises(DimensionMismatchError):
             hermitian_eig(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("call", [hermitian_eig, herm_exp, lambda m: herm_pow(m, 0.5)],
+                             ids=["eig", "exp", "pow"])
+    def test_empty_raises(self, call):
+        with pytest.raises(DimensionMismatchError, match="nonempty"):
+            call(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                                       complex(np.nan, np.inf)],
+                             ids=["nan", "inf", "-inf", "nan-imag", "nan-inf"])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    @pytest.mark.parametrize("call", [hermitian_eig, herm_exp, lambda m: herm_pow(m, 0.5)],
+                             ids=["eig", "exp", "pow"])
+    def test_non_finite_raises_without_warning(self, call, where, entry):
+        # before, herm_pow returned the zero matrix on a nan diagonal, the
+        # decomposition a nan eigenvalue, and an inf entry a RuntimeWarning
+        m = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
+        m[where] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as err:
+                call(m)
+        assert (err.value.reason, str(err.value)) == ("not-finite", "matrix entries must be finite")
 
 
 class TestMatrixFunction:
