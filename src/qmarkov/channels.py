@@ -15,7 +15,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .linalg import factor_indices, hermitian_part, subsystem_dims
+from .linalg import check_count, factor_indices, hermitian_part, subsystem_dims
 from .states import seeded_rng
 
 TP_TOL = 1e-10
@@ -128,6 +128,7 @@ def _haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray
 
 def random_unitary(dim: int, seed=0) -> np.ndarray:
     """Haar-random unitary from the QR decomposition of a Ginibre matrix."""
+    check_count(dim, "dim")
     return _haar_isometry(seeded_rng(seed), dim, dim)
 
 
@@ -136,6 +137,8 @@ def random_channel(dim_in: int, dim_out: int, kraus_rank: int = 2, seed=0) -> Ch
 
     Requires dim_out * kraus_rank >= dim_in so that an isometry exists.
     """
+    for name, count in (("dim_in", dim_in), ("dim_out", dim_out), ("kraus_rank", kraus_rank)):
+        check_count(count, name)
     if dim_out * kraus_rank < dim_in:
         raise ValidationError(
             "bad-spec",

@@ -3,9 +3,9 @@
 Implements the von Neumann entropy, the quantum relative entropy and the
 min/max relative entropies, and the checked Renyi order (``AlphaParameter``).
 When a support condition fails the value is the explicit float +inf, never
-an error.  An operand handed in as a PositiveOperator is read through its
-cached decomposition, so evaluating many divergences on the same operators
-decomposes each of them once.
+an error.  Operands are read by one rule (``states.operands``), through
+their cached decompositions, so evaluating many divergences on the same
+operators decomposes each of them once; a plain matrix is validated once.
 
 The alpha-Renyi and sandwiched alpha-Renyi relative entropies live in
 ``measures``: each is its Renyi difference read by the Kraus-block kernel
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import SpectralDecomposition, finite_rows, hermitian_part, support_mask
-from .states import Decomposed, PositiveOperator, as_matrix, fidelity, matrix_pair, spectrum_of
+from .states import fidelity, operands
 
 ALPHA_ONE_GUARD = 1e-6
 
@@ -70,19 +70,9 @@ def as_alpha(a) -> AlphaParameter:
 
 
 def von_neumann_entropy(rho) -> float:
-    """Entropy -Tr{rho log2 rho} over the support.
-
-    A PositiveOperator's entropy is read from its cached eigenvalues, a
-    Decomposed's from its decomposition's, any other operand's from the same
-    ``eigvalsh``.
-    """
-    if isinstance(rho, PositiveOperator):
-        eigs = rho.eigenvalues
-    elif isinstance(rho, Decomposed):
-        eigs = rho.spectrum.eigenvalues
-    else:
-        eigs = np.linalg.eigvalsh(hermitian_part(as_matrix(rho)))
-    return _entropy(eigs)
+    """Entropy -Tr{rho log2 rho} over the support, from the operand's cached
+    eigenvalues (``operands``)."""
+    return _entropy(operands(rho)[0].eigenvalues)
 
 
 def _entropy(eigs: np.ndarray) -> float:
@@ -96,18 +86,15 @@ def rel_entropy(rho, sigma) -> float:
     """Quantum relative entropy Tr{rho (log2 rho - log2 sigma)}.
 
     Returns +inf when supp(rho) is not contained in supp(sigma).  rho is
-    read through its eigenvalues and its matrix, never its eigenvectors, on
-    any operand and whether or not its decomposition is cached: Tr rho
-    log2 rho is minus its entropy (``von_neumann_entropy``, one
-    ``eigvalsh``), and Tr rho log2 sigma = sum_j log2 q_j <b_j|rho|b_j>
-    over sigma's kept eigenpairs (q_j, b_j), read from sigma's
-    decomposition.
+    read through its eigenvalues and its matrix, never its eigenvectors:
+    Tr rho log2 rho is minus its entropy (``von_neumann_entropy``), and
+    Tr rho log2 sigma = sum_j log2 q_j <b_j|rho|b_j> over sigma's kept
+    eigenpairs (q_j, b_j), read from sigma's decomposition.
     """
-    a, _ = matrix_pair(rho, sigma)
-    dec_b = spectrum_of(sigma)
-    if not dec_b.supports(a):
+    rho, sigma = operands(rho, sigma)
+    if not sigma.spectrum.supports(rho.matrix):
         return math.inf
-    return -von_neumann_entropy(rho) - _cross_entropy(a, dec_b)
+    return -_entropy(rho.eigenvalues) - _cross_entropy(rho.matrix, sigma.spectrum)
 
 
 def _cross_entropy(a: np.ndarray, dec_b: SpectralDecomposition) -> float:
@@ -136,14 +123,10 @@ def max_rel_entropy(rho, sigma) -> float:
     Equals log2 of the largest eigenvalue of sigma^(-1/2) rho sigma^(-1/2)
     when supp(rho) is contained in supp(sigma); +inf otherwise.
     """
-    rho_m, _ = matrix_pair(rho, sigma)
-    dec_sigma = spectrum_of(sigma)
-    if not dec_sigma.supports(rho_m):
+    rho, sigma = operands(rho, sigma)
+    if not sigma.spectrum.supports(rho.matrix):
         return math.inf
-    inv_sqrt = dec_sigma.power(-0.5)
-    core = inv_sqrt @ rho_m @ inv_sqrt
-    eigs = np.linalg.eigvalsh(hermitian_part(core))
-    top = float(eigs[-1])
-    if top <= 0.0:
-        return math.inf
-    return float(np.log2(top))
+    inv_sqrt = sigma.spectrum.power(-0.5)
+    core = inv_sqrt @ rho.matrix @ inv_sqrt
+    top = float(np.linalg.eigvalsh(hermitian_part(core))[-1])
+    return math.inf if top <= 0.0 else float(np.log2(top))

@@ -80,10 +80,17 @@ def support_mask(values, axis: int | None = None) -> np.ndarray:
     return (values > SUPPORT_CUTOFF * top) | (values < -POSITIVITY_TOL * np.fmax(1.0, top))
 
 
-def _is_integral(x) -> bool:
-    """An integer, or an integral float such as 2.0; not a bool or a string."""
+def _is_integral(x, floats: bool = True) -> bool:
+    """An integer, or if ``floats`` an integral float such as 2.0; no bool."""
     return (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-            or isinstance(x, (float, np.floating)) and float(x).is_integer())
+            or floats and isinstance(x, (float, np.floating)) and float(x).is_integer())
+
+
+def check_count(value, name: str, low: int = 1) -> None:
+    """A count, such as a dimension or a number of trials, is an integer (not
+    a bool or a float) of at least ``low``; else ValidationError("bad-spec")."""
+    if not _is_integral(value, floats=False) or value < low:
+        raise ValidationError("bad-spec", f"{name} must be an integer >= {low}, got {value}")
 
 
 def subsystem_dims(dims, shape=None) -> tuple[int, ...]:
@@ -423,7 +430,7 @@ def gram_pows(w, ps: Sequence[float]) -> np.ndarray:
     U diag(s^(2p)) U† from one ``svd`` W = U S V†, on the support of the
     singular values s, so W W† is never formed.  Each slice keeps its own
     support and equals its two-dimensional result bit for bit."""
-    u, s, _ = np.linalg.svd(_as_stack(w), full_matrices=False)
+    u, s, _ = checked_svd(_as_stack(w), compute_uv=True)
     if len(ps) != len(s):
         raise DimensionMismatchError(f"{len(ps)} exponents for a stack of {len(s)}")
     keep = support_mask(s, axis=1)
@@ -507,9 +514,20 @@ def embed_operator(x, dims: Sequence[int], sites: Sequence[int]) -> np.ndarray:
     return out
 
 
+def checked_svd(a: np.ndarray, compute_uv: bool = False):
+    """The one singular-value path: thin ``np.linalg.svd`` of a matrix or a
+    stack with a finite ||.||_inf (else ValidationError("not-finite"), as in
+    ``checked_hermitian_part``), nonempty (else DimensionMismatchError)."""
+    if not a.size:
+        raise DimensionMismatchError(f"expected a nonempty matrix, got shape {a.shape}")
+    if not math.isfinite(float(_inf_norms(a).max())):
+        raise ValidationError("not-finite", "matrix entries must be finite")
+    return np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
+
+
 def singular_values(x) -> np.ndarray:
     """Singular values on the support, descending."""
-    sv = np.linalg.svd(_as_matrix(x), compute_uv=False)
+    sv = checked_svd(_as_matrix(x))
     return sv[support_mask(sv)]
 
 
@@ -549,5 +567,4 @@ def spectral_norm(x) -> float:
 
 def spectral_norms(stack) -> list[float]:
     """``spectral_norm`` of each slice of a (k, m, n) stack, in one ``svd``."""
-    sv = np.linalg.svd(_as_stack(stack), compute_uv=False)
-    return [float(s[0]) if s.size else 0.0 for s in sv]
+    return [float(s[0]) for s in checked_svd(_as_stack(stack))]

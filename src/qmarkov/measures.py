@@ -86,6 +86,7 @@ from .linalg import (
     POSITIVITY_TOL,
     SUPPORT_CUTOFF,
     SpectralDecomposition,
+    checked_svd,
     embed_operator,
     finite_powers,
     herm_exp,
@@ -97,7 +98,7 @@ from .linalg import (
     partial_trace,
     read_only,
 )
-from .states import Decomposed, DensityOperator, PositiveOperator, as_matrix, matrix_pair
+from .states import Decomposed, DensityOperator, PositiveOperator, operands
 
 # Renyi orders used whenever a certified sweep over both sides of 1 is needed.
 PETZ_ALPHA_GRID = (0.25, 0.5, 0.75, 1.25, 1.5, 1.75)
@@ -202,7 +203,7 @@ class TripartiteState(_CachedSpectra):
     the members ``ChannelTriple`` offers to the difference formulas, each
     answered from the marginals, so neither rho_AC x I_B nor the Kraus
     operators of Tr_A are ever built.  The marginals and I_B x rho_C are
-    read-only, and rho_ABC, rho_BC, I_B x rho_C and rho_AC are each
+    read-only, and rho_ABC, rho_BC, I_B x rho_C, rho_AC and rho_C are each
     decomposed at most once, on first use, for the lifetime of the object.
     """
 
@@ -239,6 +240,10 @@ class TripartiteState(_CachedSpectra):
     def sigma_spectrum(self) -> SpectralDecomposition:
         """The decomposition of rho_AC, from which f(rho_AC x I_B) is read."""
         return hermitian_eig(self.rho_ac)
+
+    @cached_property
+    def rho_c_spectrum(self) -> SpectralDecomposition:
+        return hermitian_eig(self.rho_c)
 
     def sigma_log(self) -> np.ndarray:
         """log(rho_AC x I_B) = log(rho_AC) x I_B on the support, as a dense
@@ -389,15 +394,11 @@ class _TraceTriple:
     """The triple (rho, sigma, Tr) of two divergence operands, read as the
     kernel with K = I and Y = 1: the blocks K_i sigma^h v are the rows of
     U s^h U† v, no output is formed, and the Renyi differences are the
-    divergences.  Operands are read through their cached decompositions; a
-    plain matrix is decomposed once, into a Decomposed."""
+    divergences.  Operands are read by the divergences' one rule
+    (``operands``), through their cached decompositions."""
 
     def __init__(self, rho, sigma):
-        matrix_pair(rho, sigma)
-        self.rho, self.sigma = (
-            x if isinstance(x, (PositiveOperator, Decomposed))
-            else Decomposed(as_matrix(x), hermitian_eig(as_matrix(x))) for x in (rho, sigma)
-        )
+        self.rho, self.sigma = operands(rho, sigma)
         self.sigma_spectrum = self.sigma.spectrum
 
     def output_factors(self, hs) -> np.ndarray:
@@ -467,11 +468,12 @@ def _checked_alpha(x, a, strict: bool) -> AlphaParameter:
 
 
 def von_neumann_cmi(state: TripartiteState) -> float:
-    """Conditional mutual information H(AC) + H(BC) - H(C) - H(ABC), in bits."""
+    """Conditional mutual information H(AC) + H(BC) - H(C) - H(ABC), in bits;
+    the marginals are read with the decompositions the state caches."""
     return (
-        von_neumann_entropy(state.rho_ac)
-        + von_neumann_entropy(state.rho_bc)
-        - von_neumann_entropy(state.rho_c)
+        von_neumann_entropy(Decomposed(state.rho_ac, state.sigma_spectrum))
+        + von_neumann_entropy(Decomposed(state.rho_bc, state.out_rho_spectrum))
+        - von_neumann_entropy(Decomposed(state.rho_c, state.rho_c_spectrum))
         - von_neumann_entropy(state.rho)
     )
 
@@ -630,7 +632,7 @@ def sandwiched_rel_ent_diff_grid(
     hs = [(1.0 - a.alpha) / (2.0 * a.alpha) for a in checked]
     svs = []
     for _, products in _kraus_products(triple, hs, triple.rho.root(), triple.output_factors(hs)):
-        svs += list(np.linalg.svd(products, compute_uv=False))
+        svs += list(checked_svd(products))
     values = []
     for a, sv in zip(checked, svs):
         # log2_power_sum keeps the singular values above the support cutoff

@@ -19,7 +19,8 @@ square-root factor (``root``) of a full-rank operator is its Cholesky
 factor, so a formula that reads the operator only through such a factor
 computes neither its eigenvalues nor its decomposition.  A random draw
 (``random_density``, and the block draws of ``structured``) makes its
-matrix first and validates it once, where it becomes an operator.
+matrix first and validates it once, where it becomes an operator; the
+divergences' one operand rule (``operands``) does the same with a plain matrix.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from .errors import DimensionMismatchError, ValidationError
 from .linalg import (
     POSITIVITY_TOL,
     SpectralDecomposition,
+    _is_integral,
     alpha_norm,
     checked_hermitian_part,
-    hermitian_eig,
     hermitian_part,
     read_only,
     sorted_eigh,
@@ -178,7 +179,7 @@ def _random_density_matrix(dims, rank: int | None = None, seed=0) -> np.ndarray:
     dim = math.prod(dims)
     if rank is None:
         rank = dim
-    if not isinstance(rank, (int, np.integer)) or not 1 <= rank <= dim:
+    if not _is_integral(rank, floats=False) or not 1 <= rank <= dim:
         raise ValidationError("bad-rank", f"rank must be an integer in [1, {dim}], got {rank}")
     rng = seeded_rng(seed)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
@@ -205,9 +206,9 @@ def perturb_positive(rho: DensityOperator, eps: float) -> DensityOperator:
 class Decomposed:
     """A matrix handed to the divergences with its decomposition already made.
 
-    Not validated: it pairs an operator that is positive by construction (a
-    channel output, a recovered operator) with the decomposition its triple
-    or state caches, so the divergences decompose it no second time.
+    Not validated: it pairs an operator positive by construction (a marginal,
+    a channel output, a recovered operator) with the decomposition its
+    triple or state caches, so the divergences decompose it no second time.
     """
 
     matrix: np.ndarray
@@ -215,38 +216,35 @@ class Decomposed:
 
     root = PositiveOperator.root  # the support read from ``spectrum``
 
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.spectrum.eigenvalues
+
     def _full_support(self) -> bool:
         return bool(self.spectrum.support[0].all())
 
 
-def as_matrix(x) -> np.ndarray:
-    """The matrix of an operand: an operator's ``matrix``, else a complex array."""
-    return x.matrix if hasattr(x, "matrix") else np.asarray(x, dtype=complex)
-
-
-def matrix_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """The matrices of two operands, which must have the same shape."""
-    am, bm = as_matrix(a), as_matrix(b)
-    if am.shape != bm.shape:
-        raise DimensionMismatchError(f"shape mismatch {am.shape} vs {bm.shape}")
-    return am, bm
-
-
-def spectrum_of(x) -> SpectralDecomposition:
-    """The cached decomposition of a PositiveOperator or Decomposed, else a fresh one."""
-    if isinstance(x, (PositiveOperator, Decomposed)):
-        return x.spectrum
-    return hermitian_eig(as_matrix(x))
+def operands(*xs) -> list[PositiveOperator | Decomposed]:
+    """The divergences' one operand rule: a PositiveOperator or a Decomposed
+    as it is, any other matrix validated once as a PositiveOperator; all of
+    one shape."""
+    ops = [x if isinstance(x, (PositiveOperator, Decomposed)) else PositiveOperator(x) for x in xs]
+    shapes = [x.matrix.shape for x in ops]
+    if len(set(shapes)) > 1:
+        raise DimensionMismatchError(f"shape mismatch {' vs '.join(map(str, shapes))}")
+    return ops
 
 
 def fidelity(rho, sigma) -> float:
     """Fidelity ||sqrt(rho) sqrt(sigma)||_1^2, in [0, 1] for states."""
-    matrix_pair(rho, sigma)
-    product = spectrum_of(rho).power(0.5) @ spectrum_of(sigma).power(0.5)
+    rho, sigma = operands(rho, sigma)
+    product = rho.spectrum.power(0.5) @ sigma.spectrum.power(0.5)
     return float(alpha_norm(product, 1.0) ** 2)
 
 
 def trace_distance(a, b) -> float:
-    """Trace-norm distance ||A - B||_1 (not halved)."""
-    am, bm = matrix_pair(a, b)
+    """Trace-norm distance ||A - B||_1 (not halved); neither is validated."""
+    am, bm = (np.asarray(getattr(x, "matrix", x), dtype=complex) for x in (a, b))
+    if am.shape != bm.shape:
+        raise DimensionMismatchError(f"shape mismatch {am.shape} vs {bm.shape}")
     return alpha_norm(am - bm, 1.0)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import TP_TOL, Channel, random_strict_channel, random_unitary
+from .channels import Channel, random_strict_channel, random_unitary
 from .errors import DimensionMismatchError, ValidationError
 from .linalg import kron, subsystem_dims
 from .measures import ChannelTriple, TripartiteState
@@ -145,9 +145,7 @@ class SufficiencyBlockSpec:
                 raise DimensionMismatchError(
                     "unitary must be square on the left factor (equal in/out dims)"
                 )
-            # U†U = I is the trace-preserving condition of rho -> U rho U†
-            if np.linalg.norm(u.conj().T @ u - np.eye(dl), np.inf) > TP_TOL:
-                raise ValidationError("bad-spec", "left action is not unitary")
+            Channel((u,))  # U†U = I is trace preservation of rho -> U rho U†
             if b.channel_right.dim_in != b.tau_right.shape[0]:
                 raise DimensionMismatchError("channel_right input does not match tau_right")
 

@@ -49,7 +49,7 @@ from .functionals import (
     recovery_fixed_point_residual_grid,
     sandwiched_fixed_point_residual_grid,
 )
-from .linalg import hermitian_eig, hermitian_part, real_traces, subsystem_dims
+from .linalg import check_count, hermitian_eig, hermitian_part, real_traces, subsystem_dims
 from .measures import (
     PETZ_ALPHA_GRID,
     SANDWICHED_ALPHA_GRID,
@@ -95,10 +95,8 @@ class SuiteConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
-            raise ValidationError("bad-spec", f"trials must be an integer >= 1, got {self.trials}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValidationError("bad-spec", f"seed must be an integer >= 0, got {self.seed}")
+        check_count(self.trials, "trials")
+        check_count(self.seed, "seed", low=0)
         if not 0.0 < self.tol < math.inf:
             raise ValidationError("bad-spec", f"tol must be positive and finite, got {self.tol}")
         object.__setattr__(self, "dims", subsystem_dims(self.dims))

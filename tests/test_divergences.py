@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from qmarkov.divergences import (
     rel_entropy,
     von_neumann_entropy,
 )
-from qmarkov.errors import ValidationError
+from qmarkov.errors import DimensionMismatchError, NonHermitianError, ValidationError
 from qmarkov.linalg import SpectralDecomposition, hermitian_eig
 from qmarkov.measures import (
     PETZ_ALPHA_GRID,
@@ -279,3 +280,27 @@ class TestDataProcessing:
             assert renyi_rel_entropy(rho, sigma, a) == pytest.approx(
                 renyi_rel_entropy(rho.matrix, sigma.matrix, a), abs=1e-12
             )
+
+
+NOT_HERMITIAN = np.array([[0.5, 0.4], [0.0, 0.5]])
+
+
+@pytest.mark.parametrize("call, error, reason", [
+    (lambda: von_neumann_entropy(np.diag([np.nan, 1.0])), ValidationError, "not-finite"),
+    (lambda: von_neumann_entropy(np.diag([np.inf, 1.0])), ValidationError, "not-finite"),
+    (lambda: von_neumann_entropy(np.zeros((0, 0))), DimensionMismatchError, None),
+    (lambda: von_neumann_entropy(NOT_HERMITIAN), NonHermitianError, "not-hermitian"),
+    (lambda: rel_entropy(NOT_HERMITIAN, HALF), NonHermitianError, "not-hermitian"),
+    (lambda: max_rel_entropy(NOT_HERMITIAN, HALF), NonHermitianError, "not-hermitian"),
+    (lambda: max_rel_entropy(np.diag([np.nan, 1.0]), HALF), ValidationError, "not-finite"),
+    (lambda: max_rel_entropy(np.diag([1.2, -0.2]), HALF), ValidationError, "not-positive"),
+], ids=["entropy-nan", "entropy-inf", "entropy-empty", "entropy-not-hermitian",
+        "relative-not-hermitian", "max-not-hermitian", "max-nan", "max-not-positive"])
+def test_a_matrix_operand_is_validated(call, error, reason):
+    # before, each returned a plausible number (-0.0, -0.0, -0.0, 0.881,
+    # 0.119, 0.485, nan, 1.263): a plain matrix skipped validation
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as err:
+            call()
+    assert getattr(err.value, "reason", None) == reason

@@ -11,7 +11,9 @@ A ``_``-prefixed function, method or class that the package defines, and
 each module-level UPPER_CASE constant, must be read somewhere in the package
 besides its own definition, so that removing its last caller removes it too.  A module outside the standard library and
 the package must be listed in ``dependencies`` of ``pyproject.toml``, so
-an installed but undeclared package cannot become an import.
+an installed but undeclared package cannot become an import.  Singular
+values have one path, ``linalg.checked_svd``, the only call of
+``np.linalg.svd`` in the package, so no caller skips its input checks.
 """
 
 import ast
@@ -31,6 +33,7 @@ MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 # crosses modules
 PRIVATE_IMPORTS = {
     ("functionals", "measures", "_kraus_products"),
+    ("states", "linalg", "_is_integral"),
     ("structured", "states", "_random_density_matrix"),
     ("suites", "states", "_random_density_matrix"),
 }
@@ -214,3 +217,26 @@ def test_the_rule_sees_an_undeclared_dependency():
               "from . import measures\n")
     assert third_party_imports(source) == {"numpy", "scipy"}
     assert declared_dependencies() == {"numpy"}
+
+
+def svd_call_sites(sources: dict[str, str]) -> list[str]:
+    """``module:line`` of each call of ``np.linalg.svd`` in ``sources``, a map
+    of module name to source."""
+    return [
+        f"{module}:{node.lineno}"
+        for module, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.svd"
+    ]
+
+
+def test_one_singular_value_path():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in ALL_MODULES}
+    sites = svd_call_sites(sources)
+    assert len(sites) == 1 and sites[0].startswith("linalg:")
+
+
+def test_the_rule_sees_an_svd_call():
+    sources = {"a": "import numpy as np\ns = np.linalg.svd(m, compute_uv=False)\n",
+               "b": "svd = np.linalg.svd\nnp.linalg.eigh(m)\n"}
+    assert svd_call_sites(sources) == ["a:2"]

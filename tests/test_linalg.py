@@ -12,24 +12,37 @@ from qmarkov.errors import (
     ValidationError,
 )
 from qmarkov.divergences import rel_entropy, von_neumann_entropy
+from qmarkov.channels import random_channel, random_unitary
 from qmarkov.linalg import (
     alpha_norm,
     embed_operator,
     finite_powers,
     finite_rows,
+    gram_pows,
     herm_exp,
     herm_pow,
     hermitian_eig,
     kron,
     partial_trace,
     singular_values,
+    spectral_norm,
+    spectral_norms,
 )
 from qmarkov.measures import TripartiteState, cmi_as_triple, minmax_cmi, minmax_rel_ent_diff
-from qmarkov.states import perturb_positive, random_density
+from qmarkov.states import perturb_positive, random_density, trace_distance
+from qmarkov.suites import SuiteConfig
 
 from conftest import BAD_DIMS, BAD_INDICES, random_hermitian
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+# every public reader of the one singular-value path, on a square matrix m
+SCHATTEN_CALLS = [
+    singular_values, lambda m: alpha_norm(m, 2.0), spectral_norm,
+    lambda m: spectral_norms(m[None]), lambda m: gram_pows(m[None], (0.5,)),
+    lambda m: trace_distance(m, np.eye(len(m))),
+]
+SCHATTEN_IDS = ["singular-values", "norm", "spectral-norm", "spectral-norms", "gram", "distance"]
 
 
 class TestHermitianEig:
@@ -63,8 +76,8 @@ class TestHermitianEig:
         with pytest.raises(DimensionMismatchError):
             hermitian_eig(np.zeros((2, 3)))
 
-    @pytest.mark.parametrize("call", [hermitian_eig, herm_exp, lambda m: herm_pow(m, 0.5)],
-                             ids=["eig", "exp", "pow"])
+    @pytest.mark.parametrize("call", [hermitian_eig, herm_exp, lambda m: herm_pow(m, 0.5)]
+                             + SCHATTEN_CALLS, ids=["eig", "exp", "pow"] + SCHATTEN_IDS)
     def test_empty_raises(self, call):
         with pytest.raises(DimensionMismatchError, match="nonempty"):
             call(np.zeros((0, 0)))
@@ -73,11 +86,13 @@ class TestHermitianEig:
                                        complex(np.nan, np.inf)],
                              ids=["nan", "inf", "-inf", "nan-imag", "nan-inf"])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
-    @pytest.mark.parametrize("call", [hermitian_eig, herm_exp, lambda m: herm_pow(m, 0.5)],
-                             ids=["eig", "exp", "pow"])
+    @pytest.mark.parametrize("call", [hermitian_eig, herm_exp, lambda m: herm_pow(m, 0.5)]
+                             + SCHATTEN_CALLS, ids=["eig", "exp", "pow"] + SCHATTEN_IDS)
     def test_non_finite_raises_without_warning(self, call, where, entry):
         # before, herm_pow returned the zero matrix on a nan diagonal, the
-        # decomposition a nan eigenvalue, and an inf entry a RuntimeWarning
+        # decomposition a nan eigenvalue, and an inf entry a RuntimeWarning;
+        # the singular-value path raised a raw LinAlgError on nan, and on
+        # inf alpha_norm and trace_distance returned 0.0, spectral_norm nan
         m = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
         m[where] = entry
         with warnings.catch_warnings():
@@ -351,10 +366,23 @@ class TestEmbedOperator:
     (lambda: embed_operator(np.eye(2), (2, 2), (5,)), DimensionMismatchError, None),
     (lambda: embed_operator(np.eye(2), (2, 2), (-1,)), DimensionMismatchError, None),
     (lambda: random_density((2, 2), rank=1.5), ValidationError, "bad-rank"),
-], ids=["site-past-the-end", "negative-site", "fractional-rank"])
+    (lambda: random_density((2,), rank=True), ValidationError, "bad-rank"),
+    (lambda: trace_distance(np.eye(2), np.eye(3)), DimensionMismatchError, None),
+    (lambda: random_unitary(True), ValidationError, "bad-spec"),
+    (lambda: random_unitary(-1), ValidationError, "bad-spec"),
+    (lambda: random_unitary(0), ValidationError, "bad-spec"),
+    (lambda: random_channel(2.5, 2), ValidationError, "bad-spec"),
+    (lambda: random_channel(0, 2), ValidationError, "bad-spec"),
+    (lambda: SuiteConfig(trials=True), ValidationError, "bad-spec"),
+    (lambda: SuiteConfig(seed=False), ValidationError, "bad-spec"),
+], ids=["site-past-the-end", "negative-site", "fractional-rank", "bool-rank",
+        "distance-mismatch", "unitary-bool", "unitary-negative", "unitary-zero", "channel-fraction",
+        "channel-zero", "trials-bool", "seed-bool"])
 def test_out_of_range_argument_is_a_typed_error(call, error, reason):
-    with pytest.raises(error) as err:
-        call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as err:
+            call()
     assert getattr(err.value, "reason", None) == reason
 
 

@@ -171,10 +171,13 @@ class TestDecompositionCounts:
         eigvalsh_args = _spy(monkeypatch, "eigvalsh")
         state = _state()
         von_neumann_cmi(state)
-        # rho_ABC (12 x 12) once, whether validation or the entropy computes
-        # its eigenvalues, and the marginals rho_C, rho_AC and rho_BC
-        assert sorted(a.shape for a in eigvalsh_args) == [(2, 2), (4, 4), (6, 6), (12, 12)]
-        assert eigh_calls == []
+        # the eigenvalues of rho_ABC (12 x 12) once, whether validation or
+        # the entropy computes them; the marginals rho_AC, rho_BC and rho_C
+        # are read from the decompositions the state caches, one eigh each
+        assert [a.shape for a in eigvalsh_args] == [(12, 12)]
+        assert sorted(eigh_calls) == [(2, 2), (4, 4), (6, 6)]
+        von_neumann_cmi(state)
+        assert len(eigvalsh_args) == 1 and eigh_calls.calls == 3
 
     @pytest.mark.parametrize("measure, rho_eighs", [
         (lambda s: sandwiched_cmi(s, 0.75), 0),

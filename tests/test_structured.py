@@ -220,14 +220,21 @@ class TestSufficiencySpec:
         with pytest.raises(ValidationError):
             SufficiencyBlockSpec(blocks=(block,))
 
-    def test_unitary_validated(self):
+    @pytest.mark.parametrize("unitary, reason", [
+        (np.ones((2, 2)), "not-trace-preserving"),
+        (np.diag([np.nan, 1.0]), "not-finite"),
+    ], ids=["not-unitary", "nan"])
+    def test_unitary_validated(self, unitary, reason):
+        # validated as the one-Kraus channel rho -> U rho U†; before, a nan
+        # unitary passed the spec
         rho = random_density((2,), seed=0).matrix
         block = SufficiencyBlock(
             prob=1.0, weight=1.0, rho_left=rho, sigma_left=rho, tau_right=rho,
-            unitary=np.ones((2, 2)), channel_right=identity_channel(2),
+            unitary=unitary, channel_right=identity_channel(2),
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as err:
             SufficiencyBlockSpec(blocks=(block,))
+        assert err.value.reason == reason
 
     @pytest.mark.parametrize("block", [(True, 2.7, 1.2), (2, 2, 1.5), ("2", 2, 2)])
     def test_block_dims_are_not_coerced(self, block):
