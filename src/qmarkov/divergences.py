@@ -103,10 +103,8 @@ def _cross_entropy(a: np.ndarray, dec_b: SpectralDecomposition) -> float:
 
     The caller has checked that supp(rho) lies in supp(sigma).
     """
-    _, q, vb = dec_b.support
-    (log_q,) = finite_rows((q,), (np.log2,))
-    diagonal = (vb.conj() * (a @ vb)).sum(axis=0).real  # <b_j|rho|b_j>
-    return float(np.sum(diagonal * log_q))
+    (log_q,) = finite_rows((dec_b.support[1],), (np.log2,))
+    return float(np.sum(dec_b.expectations(a) * log_q))  # <b_j|rho|b_j> log2 q_j
 
 
 def min_rel_entropy(rho, sigma) -> float:

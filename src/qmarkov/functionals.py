@@ -152,7 +152,7 @@ def output_fixed_point_residual_grid(triple: ChannelTriple, alphas) -> list[floa
     alphas = [as_alpha(a).alpha for a in alphas]
     triple.check_output_support()
     hs = [(1.0 - a) / 2.0 for a in alphas]
-    _, kept, v = triple.rho.spectrum.support
+    kept, v = triple.rho.spectrum.support[1], triple.rho.spectrum.kept_vectors
     weights = finite_powers(kept, [a / 2.0 for a in alphas])[:, None, None, :]
     d_out = triple.out_rho.shape[0]
     ys = triple.out_sigma_spectrum.powers([-h for h in hs])

@@ -26,7 +26,8 @@ rule included, takes one matrix.  The eigensolver ``hermitian_eig`` takes
 one matrix too, but decomposes it block by block when its exact nonzero
 pattern splits, as the CMI triple's sigma = rho_AC x I_B does into d_B
 copies of rho_AC (``sorted_eigh``): the blocks of each size go to one
-stacked ``eigh``, from order EIGH_SPLIT_MIN on.
+stacked ``eigh``, from order EIGH_SPLIT_MIN on, and stay blocks, so U c,
+U† x and <u_j|a|u_j> take one stacked matmul per block size (``BlockMatrix``).
 
 Validation and the decomposition of an unvalidated matrix apply one
 Hermiticity rule, ``checked_hermitian_part``, so both reject the same
@@ -164,37 +165,102 @@ def _raise_first_non_finite(kepts, rows) -> None:
                 f"function {what} on retained eigenvalue(s) {kept[where]}")
 
 
+@dataclass(frozen=True, eq=False)
+class BlockMatrix:
+    """A matrix of ``shape``, zero outside blocks with disjoint rows and
+    disjoint columns, grouped by block shape: in (r, c, b) block j is b[j] on
+    rows r[j] and columns c[j].  Its products make one stacked matmul per
+    group, so the zeros outside the blocks are never multiplied."""
+
+    shape: tuple[int, int]
+    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """M x for a (..., shape[1], n) ``x``."""
+        products = [(rows, b @ x[..., cols, :]) for rows, cols, b in self.groups]
+        out = np.zeros(x.shape[:-2] + (self.shape[0], x.shape[-1]), dtype=complex)
+        for rows, p in products:  # out last: one product array fewer at the peak
+            out[..., rows, :] = p
+        return out
+
+    @cached_property
+    def adjoint(self) -> BlockMatrix:
+        return BlockMatrix(self.shape[::-1], tuple((c, r, read_only(_adjoint(b)))
+                                                   for r, c, b in self.groups))
+
+    def left_product(self, k: np.ndarray) -> BlockMatrix | None:
+        """K M, block j trimmed to K[o_j, r_j] b[j] for o_j the rows where K[:, r_j]
+        is not exactly zero; None unless the o_j are disjoint, of one size per group."""
+        owners = np.zeros(k.shape[0], dtype=np.intp)
+        groups = []
+        for rows, cols, b in self.groups:
+            live = (k[:, rows] != 0).any(-1).T  # (blocks, rows of K)
+            owners += live.sum(0)
+            if len(set(live.sum(1).tolist())) > 1 or owners.max() > 1:
+                return None
+            out = live.nonzero()[1].reshape(len(rows), -1)
+            groups.append((out, cols, read_only(k[out[:, :, None], rows[:, None, :]] @ b)))
+        return BlockMatrix((k.shape[0], self.shape[1]), tuple(groups))
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigensystem of a Hermitian matrix, eigenvalues sorted descending.
 
-    The eigenvectors are a dense d x d array, even when ``sorted_eigh``
-    decomposed the matrix block by block; each eigenvector is then exactly
-    zero outside its block.  Equal eigenvalues keep eigh's order within a
-    block, and the block with the smaller first index comes first.
+    ``basis`` holds the eigenvectors as columns: a dense d x d array, or the
+    ``BlockMatrix`` of the block eigenvectors when ``sorted_eigh`` went block
+    by block.  ``u_dot``, ``uh_dot`` and ``expectations`` then read the kept
+    eigenvectors block by block, unless the support drops an eigenvalue;
+    every other reader takes ``eigenvectors``, scattered on first read.
+    Equal eigenvalues keep eigh's order within a block, and the block with
+    the smaller first index comes first.
 
-    Both arrays are read-only: operators cache their decomposition and read
-    every power and logarithm from it.  The support (``support``) is also
-    computed once, on first use, so a matrix function costs one scaled
-    matmul plus the finiteness check of its values.  Nothing that depends on
-    the function is cached: a per-order cache would grow with every order of
-    a sweep.
+    The arrays are read-only: operators cache their decomposition and read
+    every power and logarithm from it, and the support (``support``) once.
+    Nothing that depends on the function is cached: a per-order cache would
+    grow with every order of a sweep.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns, aligned with eigenvalues
+    basis: np.ndarray | BlockMatrix  # columns, aligned with eigenvalues
 
     @cached_property
-    def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The support mask, the kept eigenvalues and the kept eigenvectors.
+    def eigenvectors(self) -> np.ndarray:
+        b = self.basis
+        return b if isinstance(b, np.ndarray) else read_only(b @ np.eye(b.shape[1]))
 
-        When nothing is dropped the kept arrays are the decomposition's own,
-        not copies.
-        """
+    @cached_property
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """The support mask and the kept eigenvalues (not a copy if all are)."""
         keep = support_mask(self.eigenvalues)
-        if keep.all():
-            return keep, self.eigenvalues, self.eigenvectors
-        return keep, read_only(self.eigenvalues[keep]), read_only(self.eigenvectors[:, keep])
+        return keep, self.eigenvalues if keep.all() else read_only(self.eigenvalues[keep])
+
+    @cached_property
+    def kept_vectors(self) -> np.ndarray:
+        keep, kept = self.support
+        v = self.eigenvectors
+        return v if kept.size == keep.size else read_only(v[:, keep])
+
+    def keeps_blocks(self) -> bool:
+        """Whether U is read block by block: blocked, and no eigenvalue dropped."""
+        return isinstance(self.basis, BlockMatrix) and self.support[1].size == self.basis.shape[1]
+
+    def u_dot(self, c: np.ndarray) -> np.ndarray:
+        """U c for a (..., rank, n) ``c``."""
+        return (self.basis if self.keeps_blocks() else self.kept_vectors) @ c
+
+    def uh_dot(self, x: np.ndarray) -> np.ndarray:
+        """U† x for a (..., d, n) ``x``."""
+        return self.basis.adjoint @ x if self.keeps_blocks() else self.kept_vectors.conj().T @ x
+
+    def expectations(self, a: np.ndarray) -> np.ndarray:
+        """Re <u_j|a|u_j> for the kept eigenvectors u_j, each read on its block."""
+        if not self.keeps_blocks():
+            return (self.kept_vectors.conj() * (a @ self.kept_vectors)).sum(axis=0).real
+        out = np.empty(len(self.eigenvalues))
+        for rows, cols, b in self.basis.groups:
+            out[cols] = (b.conj() * (a[rows[:, :, None], rows[:, None, :]] @ b)).sum(-2).real
+        return out
 
     def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """``f`` of the matrix on its support, zero on the kernel.
@@ -202,8 +268,7 @@ class SpectralDecomposition:
         Kernel eigenvalues are mapped to zero without evaluating ``f``, so
         e.g. f(x) = 1/x yields the pseudo-inverse.
         """
-        _, kept, v = self.support
-        return _reconstruct(v, finite_rows((kept,), (f,))[0][None])[0]
+        return _reconstruct(self.kept_vectors, finite_rows(self.support[1:], (f,))[0][None])[0]
 
     def power(self, p: float) -> np.ndarray:
         """Support-restricted power; ``p = 0`` gives the support projector."""
@@ -211,8 +276,7 @@ class SpectralDecomposition:
 
     def powers(self, ps: Sequence[float]) -> np.ndarray:
         """The (k, d, d) stack of support-restricted powers, one per order."""
-        _, kept, v = self.support
-        return _reconstruct(v, finite_powers(kept, ps))
+        return _reconstruct(self.kept_vectors, finite_powers(self.support[1], ps))
 
     def supports(self, a) -> bool:
         """Whether supp(a) lies in the support of this matrix, for PSD ``a``."""
@@ -333,17 +397,16 @@ def sorted_eigh(h: np.ndarray) -> SpectralDecomposition:
 
     A matrix of order at least EIGH_SPLIT_MIN whose exact nonzero pattern
     splits into blocks (``_blocks``) is decomposed block by block, with one
-    stacked ``eigh`` per block size; each eigenvector is then zero outside
-    its block.  Any other matrix takes one ``eigh``.  Either way the
-    eigenvalues are stably sorted descending from eigh's ascending output,
-    the blocks' spectra concatenated in block order: equal eigenvalues keep
-    eigh's order within a block, and the block with the smaller first index
-    comes first.
+    stacked ``eigh`` per block size, into a ``BlockMatrix`` basis.  Any
+    other matrix takes one ``eigh``.  Either way the eigenvalues are stably
+    sorted descending from eigh's ascending output, the blocks' spectra
+    concatenated in block order: equal eigenvalues keep eigh's order within
+    a block, and the block with the smaller first index comes first.
     """
     blocks = _blocks(h) if h.shape[0] >= EIGH_SPLIT_MIN else None
     if blocks is not None:
-        vals, vecs = _blockwise_eigh(h, blocks)
-        return SpectralDecomposition(read_only(vals), read_only(vecs))
+        vals, basis = _blockwise_eigh(h, blocks)
+        return SpectralDecomposition(read_only(vals), basis)
     vals, vecs = np.linalg.eigh(h)
     if (vals[1:] > vals[:-1]).all():
         # no ties: the stable descending order is the reverse of eigh's
@@ -391,29 +454,25 @@ def _blocks(h: np.ndarray) -> list[np.ndarray] | None:
     return blocks
 
 
-def _blockwise_eigh(h: np.ndarray, blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The descending eigenvalues and the eigenvectors of ``h`` from one
+def _blockwise_eigh(h: np.ndarray, blocks: list[np.ndarray]) -> tuple[np.ndarray, BlockMatrix]:
+    """The descending eigenvalues and the eigenvector basis of ``h`` from one
     stacked ``eigh`` per block size, ordered as ``sorted_eigh`` states."""
     n = h.shape[0]
     sizes = np.array([b.size for b in blocks])
     first = np.cumsum(sizes) - sizes  # slot of each block's first eigenvalue
     vals = np.empty(n)
-    parts = []
+    groups = []
     for size in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma, 0.5 MB
         which = np.flatnonzero(sizes == size)
         rows = np.stack([blocks[i] for i in which])  # (k, size)
         w, v = np.linalg.eigh(h[rows[:, :, None], rows[:, None, :]])
         slots = first[which, None] + np.arange(size)
         vals[slots] = w
-        parts.append((rows, slots, v))
+        groups.append((rows, slots, read_only(v)))
     order = np.argsort(-vals, kind="stable")
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
-    vecs = np.zeros((n, n), dtype=parts[0][2].dtype)
-    for rows, slots, v in parts:
-        # entry r of block vector j lands in row rows[., r], column rank[slots[., j]]
-        vecs[rows[:, :, None], rank[slots][:, None, :]] = v
-    return vals[order], vecs
+    return vals[order], BlockMatrix((n, n), tuple((r, rank[s], v) for r, s, v in groups))
 
 
 def herm_pow(m, p: float) -> np.ndarray:

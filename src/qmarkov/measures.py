@@ -24,7 +24,8 @@ triple densely, so the reduction can be tested against an independent
 evaluation.
 An order reaches the blocks only as its exponent h, and they form no sigma^h
 on any reading: they apply U†, the values s^h (``linalg.finite_powers``)
-and then U (K U on a triple), with U and s sigma's kept eigenpairs.
+and then U (K U on a triple), with U and s sigma's kept eigenpairs, block by
+block where sigma keeps its blocks (rho_AC x I_B under Tr_A, where K U = U).
 Sandwiched values are summed in log space, so alpha may be arbitrarily
 large.  All outputs are in bits.
 
@@ -50,11 +51,10 @@ Each Renyi family has a grid form (``renyi_rel_ent_diff_grid``,
 ``sandwiched_rel_ent_diff_grid``) that evaluates a tuple of orders in one
 call.  What no order changes (the root of rho, U† v, K U) is formed once
 per call, the small order-dependent factors (Y and the values s^h) form
-one array each, and the Kraus-block products are formed
-and reduced in chunks of as many orders as fit in GRID_CHUNK_ENTRIES
-complex entries, or of one order when a single product is larger.  Its
-values equal the one-order evaluation bit for bit, and the one-order
-function is the grid of one order.
+one array each, and the Kraus-block products are formed and reduced in
+chunks of as many orders as fit in GRID_CHUNK_ENTRIES complex entries, or of
+one order when a single product is larger.  Its values equal the one-order
+evaluation bit for bit, and the one-order function is the grid of one order.
 """
 
 from __future__ import annotations
@@ -85,6 +85,7 @@ from .errors import (
 from .linalg import (
     POSITIVITY_TOL,
     SUPPORT_CUTOFF,
+    BlockMatrix,
     SpectralDecomposition,
     checked_svd,
     embed_operator,
@@ -275,9 +276,8 @@ class TripartiteState(_CachedSpectra):
         d_a, d_b, d_c = self.dims
         d, n = self.rho.dim, v.shape[-1]
         v = v.reshape(d_a, d_b, d_c, n).swapaxes(1, 2).reshape(d_a * d_c, d_b * n)
-        u = self.sigma_spectrum.support[2]
         return (
-            (part, (u @ c).reshape(-1, d_a, d_c, d_b, n).swapaxes(2, 3)
+            (part, self.sigma_spectrum.u_dot(c).reshape(-1, d_a, d_c, d_b, n).swapaxes(2, 3)
              .reshape(-1, d_a, d_b * d_c, n))
             for part, c in _kept_chunks(self.sigma_spectrum, hs, v, d * n)
         )
@@ -362,11 +362,15 @@ class ChannelTriple(_CachedSpectra):
         return adjoint_apply(self.channel, x)
 
     @cached_property
-    def kraus_sigma_basis(self) -> np.ndarray:
-        """K U: the stacked Kraus operators [K_1; ...; K_r] times sigma's kept
-        eigenvectors U, an (r d_out, rank) array that no order changes."""
-        u = self.sigma_spectrum.support[2]
-        return read_only(np.concatenate(self.channel.kraus) @ u)
+    def kraus_sigma_basis(self) -> np.ndarray | BlockMatrix:
+        """K U: the stacked Kraus operators K = [K_1; ...; K_r] times sigma's
+        kept eigenvectors U, an (r d_out, rank) operator that no order changes.
+        When sigma keeps its blocks (rows R_b, eigenvectors V_b) and the rows
+        o_b where K[:, R_b] is not exactly zero are disjoint, as for Tr_A on
+        rho_AC x I_B, K U is the ``BlockMatrix`` of the K[o_b, R_b] V_b; else dense."""
+        k, dec = np.concatenate(self.channel.kraus), self.sigma_spectrum
+        blocked = dec.basis.left_product(k) if dec.keeps_blocks() else None
+        return blocked or read_only(k @ dec.kept_vectors)
 
     def kraus_wedges(self, hs, v) -> Iterator[tuple[slice, np.ndarray]]:
         """The blocks [K_i sigma^h v]_i for a (d, n) ``v`` and each exponent h
@@ -411,9 +415,8 @@ class _TraceTriple:
         return self.sigma_spectrum.supports(self.rho.matrix)
 
     def kraus_wedges(self, hs, v) -> Iterator[tuple[slice, np.ndarray]]:
-        dec = self.sigma_spectrum
-        return ((part, (dec.support[2] @ c)[:, :, None])
-                for part, c in _kept_chunks(dec, hs, v, v.size))
+        return ((part, self.sigma_spectrum.u_dot(c)[:, :, None])
+                for part, c in _kept_chunks(self.sigma_spectrum, hs, v, v.size))
 
 
 def _kept_chunks(dec: SpectralDecomposition, hs, v, entries: int) -> Iterator:
@@ -422,9 +425,8 @@ def _kept_chunks(dec: SpectralDecomposition, hs, v, entries: int) -> Iterator:
     ``hs`` it holds and its (c, rank, n) stack.  Every s^h is checked, and
     U† v is formed, before the first chunk; a chunk holds as many orders as
     fit in GRID_CHUNK_ENTRIES at ``entries`` entries of product each, or one."""
-    _, kept, u = dec.support
-    powers = finite_powers(kept, hs)[:, :, None]
-    coordinates = u.conj().T @ v
+    powers = finite_powers(dec.support[1], hs)[:, :, None]
+    coordinates = dec.uh_dot(v)
     step = max(1, GRID_CHUNK_ENTRIES // entries)
     return ((slice(start, start + step), powers[start:start + step] * coordinates)
             for start in range(0, len(hs), step))
@@ -578,7 +580,7 @@ def renyi_rel_ent_diff_grid(
     checked = [_checked_alpha(triple, a, strict) for a in alphas]
     triple.check_output_support()
     hs = [(1.0 - a.alpha) / 2.0 for a in checked]
-    _, kept, v = triple.rho.spectrum.support
+    kept, v = triple.rho.spectrum.support[1], triple.rho.spectrum.kept_vectors
     weights = finite_powers(kept, [a.alpha for a in checked])[:, None, :]
     values = []
     with np.errstate(over="ignore", invalid="ignore"):

@@ -153,9 +153,9 @@ class DensityOperator(PositiveOperator):
 
 def seeded_rng(seed) -> np.random.Generator:
     """``np.random.default_rng(seed)``; a seed it rejects, such as a negative
-    integer or a float, is a ValidationError."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise ValidationError("bad-spec", f"seed must be non-negative, got {seed}")
+    integer or a float, and a bool, which it reads as 0 or 1, is a ValidationError."""
+    if isinstance(seed, (bool, np.bool_)) or isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValidationError("bad-spec", f"seed must be a non-negative integer, got {seed!r}")
     try:
         return np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:

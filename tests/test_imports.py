@@ -18,6 +18,7 @@ values have one path, ``linalg.checked_svd``, the only call of
 
 import ast
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -240,3 +241,40 @@ def test_the_rule_sees_an_svd_call():
     sources = {"a": "import numpy as np\ns = np.linalg.svd(m, compute_uv=False)\n",
                "b": "svd = np.linalg.svd\nnp.linalg.eigh(m)\n"}
     assert svd_call_sites(sources) == ["a:2"]
+
+
+# A CLI compute and sweep on the files of a d = 64 CMI triple, whose sigma
+# splits into blocks; numpy.ma (np.unique imports it) and scipy cost
+# resident memory and neither is needed.
+FOOTPRINT_PROBE = """
+import sys
+from pathlib import Path
+from qmarkov import cli, linalg
+from qmarkov.measures import TripartiteState, cmi_as_triple
+from qmarkov.serialization import save_channel, save_state
+from qmarkov.states import random_density
+triple = cmi_as_triple(TripartiteState(random_density((4, 4, 4), seed=1)))
+out = Path(sys.argv[1])
+files = []
+for name, save, obj in (("rho", save_state, triple.rho), ("sigma", save_state, triple.sigma),
+                        ("channel", save_channel, triple.channel)):
+    save(out / name, obj)
+    files += ["--" + name, str(out / name)]
+blocked = []
+matmul = linalg.BlockMatrix.__matmul__
+linalg.BlockMatrix.__matmul__ = lambda self, x: blocked.append(1) or matmul(self, x)
+assert cli.main(["compute", "--measure", "delta-max"] + files) == 0
+assert cli.main(["sweep", "--measure", "delta-tilde", "--alpha-grid", "0.5:1.5:0.5",
+                 "--out", str(out / "sweep.csv")] + files) == 0
+assert blocked
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+             or m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+
+
+def test_the_block_path_imports_neither_numpy_ma_nor_scipy(src_env, tmp_path):
+    done = subprocess.run([sys.executable, "-c", FOOTPRINT_PROBE, str(tmp_path)],
+                          capture_output=True, text=True,
+                          env=dict(src_env, OPENBLAS_NUM_THREADS="1"), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

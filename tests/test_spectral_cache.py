@@ -267,7 +267,7 @@ class TestSupportCache:
 
     def test_full_rank_support_is_the_decomposition(self):
         dec = hermitian_eig(random_density((4,), seed=8).matrix)
-        keep, values, vectors = dec.support
+        (keep, values), vectors = dec.support, dec.kept_vectors
         assert keep.all()
         assert np.shares_memory(vectors, dec.eigenvectors)
         assert np.shares_memory(values, dec.eigenvalues)
@@ -275,7 +275,7 @@ class TestSupportCache:
     def test_rank_deficient_support_drops_the_kernel(self):
         m = random_density((4,), rank=2, seed=9).matrix
         dec = hermitian_eig(m)
-        keep, values, vectors = dec.support
+        (keep, values), vectors = dec.support, dec.kept_vectors
         assert keep.tolist() == [True, True, False, False]
         assert vectors.shape == (4, 2)
         np.testing.assert_array_equal(vectors, dec.eigenvectors[:, :2])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qmarkov import linalg, states
-from qmarkov.channels import random_unitary
+from qmarkov.channels import random_channel, random_strict_channel, random_unitary
 from qmarkov.errors import DimensionMismatchError, NonHermitianError, ValidationError
 from qmarkov.linalg import (
     HERMITICITY_TOL,
@@ -255,6 +255,19 @@ class TestRandomDensity:
     def test_negative_seed(self, seed):
         with pytest.raises(ValidationError) as err:
             random_density((2,), seed=seed)
+        assert err.value.reason == "bad-spec"
+
+    @pytest.mark.parametrize("draw", [
+        lambda seed: random_density((2,), seed=seed),
+        lambda seed: random_unitary(2, seed=seed),
+        lambda seed: random_channel(2, 2, seed=seed),
+        lambda seed: random_strict_channel(2, 2, seed=seed),
+    ], ids=["random_density", "random_unitary", "random_channel", "random_strict_channel"])
+    @pytest.mark.parametrize("seed", [True, False, np.True_])
+    def test_bool_seed(self, draw, seed):
+        # default_rng reads True as the seed 1, a silent alias
+        with pytest.raises(ValidationError) as err:
+            draw(seed)
         assert err.value.reason == "bad-spec"
 
 
