@@ -9,13 +9,19 @@ is not built as a channel: it is the bracket a ``ChannelTriple`` caches as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .linalg import check_count, factor_indices, hermitian_part, subsystem_dims
+from .linalg import (
+    _inf_norms,
+    check_count,
+    factor_index,
+    factor_indices,
+    hermitian_part,
+    subsystem_dims,
+)
 from .states import seeded_rng
 
 TP_TOL = 1e-10
@@ -24,11 +30,13 @@ STRICT_ATTEMPTS = 16  # draws random_strict_channel makes before it gives up
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """Completely positive trace-preserving map in Kraus form."""
+    """Completely positive trace-preserving map in Kraus form.  The Kraus
+    operators are its only settable value: ``dim_in`` and ``dim_out`` are
+    read from their shape."""
 
     kraus: tuple[np.ndarray, ...]
-    dim_in: int = 0
-    dim_out: int = 0
+    dim_in: int = field(init=False)
+    dim_out: int = field(init=False)
 
     def __post_init__(self):
         ops = tuple(np.ascontiguousarray(np.asarray(k, dtype=complex)) for k in self.kraus)
@@ -36,22 +44,14 @@ class Channel:
             raise ValidationError("bad-spec", "a channel needs at least one Kraus operator")
         if not all(np.all(np.isfinite(k)) for k in ops):
             raise ValidationError("not-finite", "Kraus operator entries must be finite")
-        if ops[0].ndim != 2:
-            raise DimensionMismatchError(f"Kraus operators must be matrices, got {ops[0].shape}")
+        if ops[0].ndim != 2 or not ops[0].size:
+            raise DimensionMismatchError(
+                f"Kraus operators must be nonempty matrices, got {ops[0].shape}")
         d_out, d_in = ops[0].shape
-        if self.dim_in and self.dim_in != d_in:
-            raise DimensionMismatchError(
-                f"declared dim_in {self.dim_in} but Kraus columns are {d_in}"
-            )
-        if self.dim_out and self.dim_out != d_out:
-            raise DimensionMismatchError(
-                f"declared dim_out {self.dim_out} but Kraus rows are {d_out}"
-            )
-        for k in ops:
-            if k.shape != (d_out, d_in):
-                raise DimensionMismatchError("inconsistent Kraus operator shapes")
+        if any(k.shape != (d_out, d_in) for k in ops):
+            raise DimensionMismatchError("inconsistent Kraus operator shapes")
         comp = sum(k.conj().T @ k for k in ops)
-        if np.linalg.norm(comp - np.eye(d_in), np.inf) > TP_TOL:
+        if _inf_norms(comp - np.eye(d_in)) > TP_TOL:
             raise ValidationError(
                 "not-trace-preserving",
                 "sum of K† K deviates from the identity beyond 1e-10",
@@ -100,21 +100,14 @@ def is_strict_cptp(channel: Channel, tol: float = 1e-10) -> bool:
 
 
 def partial_trace_channel(dims, traced_out) -> Channel:
-    """Partial trace over the listed factors, as a Kraus-form channel."""
+    """Partial trace over the listed factors, as a Kraus-form channel: with
+    ``index = factor_index(dims, traced)``, Kraus operator i is the rows of
+    the identity at ``index[i]``, i the traced factors' basis state in
+    natural order."""
     dims = subsystem_dims(dims)
-    traced = set(factor_indices(traced_out, len(dims)))
-    ops = []
-    for combo in np.ndindex(*[dims[i] if i in traced else 1 for i in range(len(dims))]):
-        factors = []
-        for site, pos in enumerate(combo):
-            if site in traced:
-                bra = np.zeros((1, dims[site]), dtype=complex)
-                bra[0, pos] = 1.0
-                factors.append(bra)
-            else:
-                factors.append(np.eye(dims[site], dtype=complex))
-        ops.append(reduce(np.kron, factors))
-    return Channel(tuple(ops))
+    index = factor_index(dims, sorted(set(factor_indices(traced_out, len(dims)))))
+    return Channel(tuple((rows[:, None] == np.arange(index.size)).astype(complex)
+                         for rows in index))
 
 
 def _haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -36,6 +36,10 @@ checked twice (``sorted_eigh``).  The residual M - M† and the Hermitian
 part (M + M†)/2 are read from a C-contiguous copy of M† (``_adjoint``),
 summed in place: the swapped view M.conj().T is read across its rows,
 which costs several times a contiguous add at d = 512.
+
+Every reorder of tensor factors reads one index rule, ``factor_index``, and
+every scalar argument (a tolerance, an exponent, a Schatten order) one
+number rule, ``check_real``.
 """
 
 from __future__ import annotations
@@ -85,6 +89,20 @@ def _is_integral(x, floats: bool = True) -> bool:
     """An integer, or if ``floats`` an integral float such as 2.0; no bool."""
     return (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
             or floats and isinstance(x, (float, np.floating)) and float(x).is_integer())
+
+
+def check_real(value, name: str) -> float:
+    """``value`` as a float, by the one rule for scalar arguments such as a
+    tolerance, an exponent or a Schatten order: a finite real number (an int
+    or a float, numpy's too; no bool, no string), else
+    ValidationError("bad-spec")."""
+    try:
+        if (isinstance(value, (int, float, np.integer, np.floating))
+                and not isinstance(value, bool) and math.isfinite(value)):
+            return float(value)
+    except OverflowError:  # an int beyond the float64 range
+        pass
+    raise ValidationError("bad-spec", f"{name} must be a finite real number, got {value!r}")
 
 
 def check_count(value, name: str, low: int = 1) -> None:
@@ -142,13 +160,14 @@ def finite_powers(values, ps) -> np.ndarray:
     (n,) ``values`` or, row by row, a (k, n) one, checked as ``finite_rows``.
     The one place an order becomes numbers: each row is one call with a
     scalar exponent, because numpy takes its sqrt path at p = 0.5 and an
-    array of exponents does not, and the two differ in the last bit."""
+    array of exponents does not, and the two differ in the last bit.  Each
+    exponent is read by ``check_real``."""
     values = np.asarray(values, dtype=float)
     rows = np.empty((len(ps), values.shape[-1]))
     kepts = values if values.ndim > 1 else [values] * len(ps)
     with np.errstate(all="ignore"):
         for row, x, p in zip(rows, kepts, ps):
-            np.power(x, p, out=row)
+            np.power(x, check_real(p, "an exponent"), out=row)
     if not np.isfinite(rows).all():
         _raise_first_non_finite(kepts, rows)
     return rows
@@ -510,7 +529,7 @@ def herm_exp(m) -> np.ndarray:
     sums of logarithms.
     """
     dec = hermitian_eig(m)
-    return _reconstruct(dec.eigenvectors, np.exp(dec.eigenvalues)[None])[0]
+    return _reconstruct(dec.eigenvectors, finite_rows((dec.eigenvalues,), (np.exp,))[0][None])[0]
 
 
 def kron(a, b) -> np.ndarray:
@@ -545,6 +564,16 @@ def partial_trace(m, dims: Sequence[int], traced_out: Iterable[int]) -> np.ndarr
     return reduced.reshape(d_kept, d_kept)
 
 
+def factor_index(dims: Sequence[int], first: Sequence[int]) -> np.ndarray:
+    """The one tensor-factor reorder: ``index[s, r]`` is the basis index, in
+    natural factor order, whose part on the factors ``first`` (in that
+    order) is s and whose part on the other factors (in natural order) is r.
+    ``dims`` and ``first`` are taken as checked."""
+    rest = [i for i in range(len(dims)) if i not in first]
+    index = np.arange(math.prod(dims)).reshape(dims).transpose(list(first) + rest)
+    return index.reshape(math.prod(dims[i] for i in first), -1)
+
+
 def embed_operator(x, dims: Sequence[int], sites: Sequence[int]) -> np.ndarray:
     """Extend an operator on a subset of tensor factors by identity elsewhere.
 
@@ -564,10 +593,8 @@ def embed_operator(x, dims: Sequence[int], sites: Sequence[int]) -> np.ndarray:
         raise DimensionMismatchError(
             f"operator shape {a.shape[-2:]} does not match site dims product {d_sites}"
         )
-    rest = [i for i in range(len(dims)) if i not in sites]
-    total = math.prod(dims)
-    # index[s, r]: the natural-order basis index with site part s and rest part r
-    index = np.arange(total).reshape(dims).transpose(list(sites) + rest).reshape(d_sites, -1)
+    index = factor_index(dims, sites)
+    total = index.size
     out = np.zeros(a.shape[:-2] + (total, total), dtype=complex)
     out[..., index[:, None, :], index[None, :, :]] = a[..., :, :, None]
     return out
@@ -613,7 +640,9 @@ def alpha_norm(x, alpha: float) -> float:
 
     For alpha >= 1 this is the Schatten norm; for alpha in (0, 1) it is the
     corresponding quasi-norm (same formula, no triangle inequality).
+    ``alpha`` is read by ``check_real``.
     """
+    alpha = check_real(alpha, "alpha")
     if alpha <= 0:
         raise ValidationError("bad-spec", f"alpha must be positive, got {alpha}")
     return float(2.0 ** (log2_power_sum(singular_values(x), alpha) / alpha))

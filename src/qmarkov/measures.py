@@ -699,9 +699,13 @@ def sandwiched_rel_entropy_grid(rho, sigma, alphas) -> list[float]:
 def _on_the_trace_channel(grid, rho, sigma, alphas) -> list[float]:
     """A Renyi divergence at each order, the difference ``grid`` on
     (rho, sigma, Tr): the kernel with K = I and Y = 1.  Orders above 1 are
-    +inf, unevaluated, when supp(rho) is not in supp(sigma)."""
+    +inf, unevaluated, when supp(rho) is not in supp(sigma).  A zero rho,
+    whose trace functional is 0 at every order, raises
+    ValidationError("bad-spec")."""
     checked = [as_alpha(a) for a in alphas]
     x = _TraceTriple(rho, sigma)
+    if not x.rho.matrix.any():
+        raise ValidationError("bad-spec", "the first operand of a Renyi divergence is zero")
     live = [a for a in checked if a.alpha <= 1.0 or x.sigma_supports_rho()]
     values = dict(zip(live, grid(x, live, strict=False)))
     return [values.get(a, math.inf) for a in checked]

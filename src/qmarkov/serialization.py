@@ -35,7 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from .channels import Channel
-from .errors import ValidationError
+from .errors import DimensionMismatchError, ValidationError
+from .linalg import _is_integral
 from .states import DensityOperator, PositiveOperator
 from .structured import (
     MarkovBlock,
@@ -192,12 +193,11 @@ def _dump_json(path, obj: dict):
 
 
 def _int_field(value, what: str, path) -> int:
-    """A JSON integer; an integral float such as 2.0 also counts, a bool does not."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValidationError("bad-spec", f"{path}: {what} must be an integer, got {value!r}")
+    """A JSON integer, by the one integer test (``linalg._is_integral``): an
+    integral float such as 2.0 also counts, a bool does not."""
+    if not _is_integral(value):
+        raise ValidationError("bad-spec", f"{path}: {what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _float_field(value, what: str, path) -> float:
@@ -255,12 +255,12 @@ def _channel_from_obj(obj, path) -> Channel:
     kraus_objs = obj.get("kraus") if isinstance(obj, dict) else None
     if not isinstance(kraus_objs, list) or not kraus_objs:
         raise ValidationError("bad-spec", f"{path}: channel needs a kraus list")
-    ops = tuple(_matrix_from_obj(k, str(path)) for k in kraus_objs)
-    return Channel(
-        ops,
-        dim_in=_int_field(obj.get("dim_in", 0), "dim_in", path),
-        dim_out=_int_field(obj.get("dim_out", 0), "dim_out", path),
-    )
+    channel = Channel(tuple(_matrix_from_obj(k, str(path)) for k in kraus_objs))
+    for name in ("dim_in", "dim_out"):  # optional, but a declared one must match
+        if name in obj and _int_field(obj[name], name, path) != getattr(channel, name):
+            raise DimensionMismatchError(f"{path}: declared {name} {obj[name]!r} but the "
+                                         f"Kraus operators give {getattr(channel, name)}")
+    return channel
 
 
 def load_channel(path) -> Channel:

@@ -37,6 +37,7 @@ from .linalg import (
     SpectralDecomposition,
     _is_integral,
     alpha_norm,
+    check_real,
     checked_hermitian_part,
     hermitian_part,
     read_only,
@@ -195,6 +196,7 @@ def perturb_positive(rho: DensityOperator, eps: float) -> DensityOperator:
     Guarantees a minimum eigenvalue of at least eps / d, which is the usual
     way to move a rank-deficient state into the positive definite cone.
     """
+    eps = check_real(eps, "eps")
     if not 0.0 < eps < 1.0:
         raise ValidationError("bad-spec", f"eps must lie in (0, 1), got {eps}")
     d = rho.dim

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channels import Channel, random_strict_channel, random_unitary
 from .errors import DimensionMismatchError, ValidationError
-from .linalg import kron, subsystem_dims
+from .linalg import factor_index, kron, subsystem_dims
 from .measures import ChannelTriple, TripartiteState
 from .states import (
     DensityOperator,
@@ -32,6 +32,18 @@ from .states import (
 
 WEIGHT_TOL = 1e-12
 PETZ_TOL = 1e-9  # trace distance at which a Petz round trip counts as exact
+
+
+def _check_distribution(weights, what: str) -> None:
+    """The block specs' one weight rule: at least one block, and ``weights``
+    positive and summing to 1 within WEIGHT_TOL; else ValidationError("bad-spec")."""
+    if not weights:
+        raise ValidationError("bad-spec", "at least one block is required")
+    total = sum(weights)
+    if not abs(total - 1.0) <= WEIGHT_TOL:  # written so that NaN fails
+        raise ValidationError("bad-spec", f"{what} sum to {total!r}, not 1")
+    if not all(w > 0.0 for w in weights):
+        raise ValidationError("bad-spec", f"{what} must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,14 +64,8 @@ class MarkovBlockSpec:
     blocks: tuple[MarkovBlock, ...]
 
     def __post_init__(self):
-        if not self.blocks:
-            raise ValidationError("bad-spec", "at least one block is required")
-        total = sum(b.weight for b in self.blocks)
-        if not abs(total - 1.0) <= WEIGHT_TOL:  # written so that NaN fails
-            raise ValidationError("bad-spec", f"block weights sum to {total!r}, not 1")
+        _check_distribution([b.weight for b in self.blocks], "block weights")
         for b in self.blocks:
-            if not b.weight > 0.0:
-                raise ValidationError("bad-spec", "block weights must be positive")
             DensityOperator(b.rho_left, (self.dim_a, b.dim_cl))
             DensityOperator(b.rho_right, (b.dim_cr, self.dim_b))
 
@@ -83,19 +89,11 @@ def build_markov_chain(spec: MarkovBlockSpec) -> TripartiteState:
     for block in spec.blocks:
         d_block = block.dim_cl * block.dim_cr
         x = kron(block.rho_left, block.rho_right)
-        # reorder tensor factors (A, C_L, C_R, B) -> (A, B, C_L, C_R)
-        shape = (da, block.dim_cl, block.dim_cr, db)
-        t = x.reshape(shape + shape).transpose(0, 3, 1, 2, 4, 7, 5, 6)
-        x_abc = t.reshape(da * db * d_block, da * db * d_block)
-        idx = np.array(
-            [
-                (a * db + b) * dc + offset + c
-                for a in range(da)
-                for b in range(db)
-                for c in range(d_block)
-            ]
-        )
-        full[np.ix_(idx, idx)] += block.weight * x_abc
+        # x's basis indices in (A, B, C_L, C_R) order, and where they sit in
+        # (A, B, C): each (A, B) part with the C parts at the block's offset
+        order = factor_index((da, block.dim_cl, block.dim_cr, db), (0, 3)).ravel()
+        at = factor_index((da, db, dc), (0, 1))[:, offset:offset + d_block].ravel()
+        full[np.ix_(at, at)] += block.weight * x[np.ix_(order, order)]
         offset += d_block
     return TripartiteState(DensityOperator(full, (da, db, dc)))
 
@@ -124,14 +122,10 @@ class SufficiencyBlockSpec:
     blocks: tuple[SufficiencyBlock, ...]
 
     def __post_init__(self):
-        if not self.blocks:
-            raise ValidationError("bad-spec", "at least one block is required")
-        total = sum(b.prob for b in self.blocks)
-        if not abs(total - 1.0) <= WEIGHT_TOL:  # written so that NaN fails
-            raise ValidationError("bad-spec", f"block probabilities sum to {total!r}")
+        _check_distribution([b.prob for b in self.blocks], "block probabilities")
         for b in self.blocks:
-            if not (b.prob > 0.0 and b.weight > 0.0):
-                raise ValidationError("bad-spec", "probs and weights must be positive")
+            if not b.weight > 0.0:
+                raise ValidationError("bad-spec", "reference weights must be positive")
             dl = b.rho_left.shape[0]
             DensityOperator(b.rho_left)
             sigma = PositiveOperator(b.sigma_left)
@@ -229,6 +223,16 @@ def is_sufficient_petz(triple: ChannelTriple) -> tuple[bool, float, float]:
     return (d_rho <= PETZ_TOL and d_sigma <= PETZ_TOL), float(d_rho), float(d_sigma)
 
 
+def _block_dims(block_dims, size: int) -> tuple[tuple[int, ...], ...]:
+    """Each block's ``size`` dims, read by the one dims rule
+    (``subsystem_dims``); a block of another length raises
+    DimensionMismatchError."""
+    blocks = tuple(subsystem_dims(b) for b in block_dims)
+    if any(len(b) != size for b in blocks):
+        raise DimensionMismatchError(f"each block takes {size} dims, got {blocks}")
+    return blocks
+
+
 def random_markov_spec(dim_a: int, dim_b: int, block_dims, seed=0) -> MarkovBlockSpec:
     """Random Markov block spec with full-rank block factors.
 
@@ -236,7 +240,8 @@ def random_markov_spec(dim_a: int, dim_b: int, block_dims, seed=0) -> MarkovBloc
     factors make the assembled chain positive definite.
     """
     rng = seeded_rng(seed)
-    block_dims = tuple(subsystem_dims(b) for b in block_dims)
+    dim_a, dim_b = subsystem_dims((dim_a, dim_b))
+    block_dims = _block_dims(block_dims, 2)
     weights = rng.dirichlet(np.ones(len(block_dims)))
     blocks = []
     for (dcl, dcr), w in zip(block_dims, weights):
@@ -258,7 +263,7 @@ def random_sufficiency_spec(block_dims, seed=0) -> SufficiencyBlockSpec:
     ``block_dims`` is a sequence of (dim_l, dim_r_in, dim_r_out) triples.
     """
     rng = seeded_rng(seed)
-    block_dims = tuple(subsystem_dims(b) for b in block_dims)
+    block_dims = _block_dims(block_dims, 3)
     probs = rng.dirichlet(np.ones(len(block_dims)))
     blocks = []
     for (dl, dr_in, dr_out), p in zip(block_dims, probs):

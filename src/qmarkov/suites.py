@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable
 
@@ -49,7 +48,14 @@ from .functionals import (
     recovery_fixed_point_residual_grid,
     sandwiched_fixed_point_residual_grid,
 )
-from .linalg import check_count, hermitian_eig, hermitian_part, real_traces, subsystem_dims
+from .linalg import (
+    check_count,
+    check_real,
+    hermitian_eig,
+    hermitian_part,
+    real_traces,
+    subsystem_dims,
+)
 from .measures import (
     PETZ_ALPHA_GRID,
     SANDWICHED_ALPHA_GRID,
@@ -97,8 +103,8 @@ class SuiteConfig:
     def __post_init__(self):
         check_count(self.trials, "trials")
         check_count(self.seed, "seed", low=0)
-        if not 0.0 < self.tol < math.inf:
-            raise ValidationError("bad-spec", f"tol must be positive and finite, got {self.tol}")
+        if not 0.0 < check_real(self.tol, "tol"):
+            raise ValidationError("bad-spec", f"tol must be positive, got {self.tol}")
         object.__setattr__(self, "dims", subsystem_dims(self.dims))
 
 

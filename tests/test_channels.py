@@ -57,10 +57,19 @@ class TestChannelBasics:
             Channel((np.full((2, 2), np.nan),))
         assert err.value.reason == "not-finite"
 
-    @pytest.mark.parametrize("op", [np.ones(3), np.ones((2, 2, 2))], ids=["vector", "stack"])
+    @pytest.mark.parametrize("op", [np.ones(3), np.ones((2, 2, 2)), np.zeros((0, 0)),
+                                    np.zeros((2, 0))],
+                             ids=["vector", "stack", "empty", "no-columns"])
     def test_kraus_operator_not_a_matrix(self, op):
+        # an empty Kraus operator was accepted before, as a channel on C^0
         with pytest.raises(DimensionMismatchError):
             Channel((op,))
+
+    def test_dims_are_the_kraus_shape(self):
+        chan = Channel((np.eye(3, 2),))  # the isometry C^2 -> C^3
+        assert (chan.dim_in, chan.dim_out) == (2, 3)
+        with pytest.raises(TypeError):
+            Channel((np.eye(2),), dim_in=2)  # the Kraus operators are its only field
 
     def test_dim_mismatch(self):
         chan = identity_channel(2)

@@ -394,6 +394,23 @@ class TestEdgeInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
 
+    @pytest.mark.parametrize("field", ["dim_in", "dim_out"])
+    def test_channel_dims_disagreeing_with_kraus_exit_two(self, identity_triple_files, capsys,
+                                                          field):
+        # before, Channel named the declared and the Kraus dims but not the file
+        path = identity_triple_files["channel"]
+        with open(path) as handle:
+            obj = json.load(handle)
+        obj[field] += 1
+        with open(path, "w") as handle:
+            json.dump(obj, handle)
+        argv = ["compute", "--measure", "red", "--rho", identity_triple_files["rho"],
+                "--sigma", identity_triple_files["sigma"], "--channel", path]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: declared {field}")
+
     def test_infinite_alpha_exits_two(self, correlated_state_file, capsys):
         assert main(["compute", "--measure", "sand-cmi", "--alpha", "inf",
                      "--state", correlated_state_file]) == 2

@@ -294,11 +294,19 @@ NOT_HERMITIAN = np.array([[0.5, 0.4], [0.0, 0.5]])
     (lambda: max_rel_entropy(NOT_HERMITIAN, HALF), NonHermitianError, "not-hermitian"),
     (lambda: max_rel_entropy(np.diag([np.nan, 1.0]), HALF), ValidationError, "not-finite"),
     (lambda: max_rel_entropy(np.diag([1.2, -0.2]), HALF), ValidationError, "not-positive"),
+    (lambda: renyi_rel_entropy(np.zeros((2, 2)), np.eye(2), 0.5), ValidationError, "bad-spec"),
+    (lambda: renyi_rel_entropy_grid(np.zeros((2, 2)), np.eye(2), (0.5, 2.0)),
+     ValidationError, "bad-spec"),
+    (lambda: sandwiched_rel_entropy(np.zeros((2, 2)), np.eye(2), 2.0),
+     ValidationError, "bad-spec"),
 ], ids=["entropy-nan", "entropy-inf", "entropy-empty", "entropy-not-hermitian",
-        "relative-not-hermitian", "max-not-hermitian", "max-nan", "max-not-positive"])
+        "relative-not-hermitian", "max-not-hermitian", "max-nan", "max-not-positive",
+        "renyi-zero", "renyi-grid-zero", "sandwiched-zero"])
 def test_a_matrix_operand_is_validated(call, error, reason):
     # before, each returned a plausible number (-0.0, -0.0, -0.0, 0.881,
-    # 0.119, 0.485, nan, 1.263): a plain matrix skipped validation
+    # 0.119, 0.485, nan, 1.263): a plain matrix skipped validation; a zero
+    # first Renyi operand raised a raw ZeroDivisionError (Petz) or gave +inf
+    # (sandwiched, where log2 Tr 0 / (alpha - 1) is -inf)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error) as err:

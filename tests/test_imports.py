@@ -13,7 +13,9 @@ besides its own definition, so that removing its last caller removes it too.  A 
 the package must be listed in ``dependencies`` of ``pyproject.toml``, so
 an installed but undeclared package cannot become an import.  Singular
 values have one path, ``linalg.checked_svd``, the only call of
-``np.linalg.svd`` in the package, so no caller skips its input checks.
+``np.linalg.svd`` in the package, so no caller skips its input checks, and
+the infinity norm one implementation, ``linalg._inf_norms``: the package
+calls no ``np.linalg.norm``.
 """
 
 import ast
@@ -33,7 +35,9 @@ MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 # (importing module, imported module, name) of each private name that
 # crosses modules
 PRIVATE_IMPORTS = {
+    ("channels", "linalg", "_inf_norms"),
     ("functionals", "measures", "_kraus_products"),
+    ("serialization", "linalg", "_is_integral"),
     ("states", "linalg", "_is_integral"),
     ("structured", "states", "_random_density_matrix"),
     ("suites", "states", "_random_density_matrix"),
@@ -220,27 +224,33 @@ def test_the_rule_sees_an_undeclared_dependency():
     assert declared_dependencies() == {"numpy"}
 
 
-def svd_call_sites(sources: dict[str, str]) -> list[str]:
-    """``module:line`` of each call of ``np.linalg.svd`` in ``sources``, a map
-    of module name to source."""
+def call_sites(sources: dict[str, str], func: str) -> list[str]:
+    """``module:line`` of each call of ``func``, such as ``np.linalg.svd``, in
+    ``sources``, a map of module name to source."""
     return [
         f"{module}:{node.lineno}"
         for module, source in sources.items()
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.svd"
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == func
     ]
 
 
 def test_one_singular_value_path():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in ALL_MODULES}
-    sites = svd_call_sites(sources)
+    sites = call_sites(sources, "np.linalg.svd")
     assert len(sites) == 1 and sites[0].startswith("linalg:")
+
+
+def test_no_norm_call():
+    # the infinity norm has one implementation, linalg._inf_norms
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in ALL_MODULES}
+    assert call_sites(sources, "np.linalg.norm") == []
 
 
 def test_the_rule_sees_an_svd_call():
     sources = {"a": "import numpy as np\ns = np.linalg.svd(m, compute_uv=False)\n",
                "b": "svd = np.linalg.svd\nnp.linalg.eigh(m)\n"}
-    assert svd_call_sites(sources) == ["a:2"]
+    assert call_sites(sources, "np.linalg.svd") == ["a:2"]
 
 
 # A CLI compute and sweep on the files of a d = 64 CMI triple, whose sigma

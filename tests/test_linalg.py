@@ -9,10 +9,17 @@ from qmarkov.errors import (
     MatrixFunctionDomainError,
     NonHermitianError,
     QmarkovError,
+    RankDeficientError,
     ValidationError,
 )
 from qmarkov.divergences import rel_entropy, von_neumann_entropy
-from qmarkov.channels import random_channel, random_unitary
+from qmarkov.channels import (
+    Channel,
+    adjoint_apply,
+    partial_trace_channel,
+    random_channel,
+    random_unitary,
+)
 from qmarkov.linalg import (
     alpha_norm,
     embed_operator,
@@ -28,8 +35,15 @@ from qmarkov.linalg import (
     spectral_norm,
     spectral_norms,
 )
-from qmarkov.measures import TripartiteState, cmi_as_triple, minmax_cmi, minmax_rel_ent_diff
-from qmarkov.states import perturb_positive, random_density, trace_distance
+from qmarkov.measures import (
+    ChannelTriple,
+    TripartiteState,
+    cmi_as_triple,
+    minmax_cmi,
+    minmax_rel_ent_diff,
+)
+from qmarkov.states import PositiveOperator, perturb_positive, random_density, trace_distance
+from qmarkov.structured import random_markov_spec, random_sufficiency_spec
 from qmarkov.suites import SuiteConfig
 
 from conftest import BAD_DIMS, BAD_INDICES, random_hermitian
@@ -373,11 +387,47 @@ class TestEmbedOperator:
     (lambda: random_unitary(0), ValidationError, "bad-spec"),
     (lambda: random_channel(2.5, 2), ValidationError, "bad-spec"),
     (lambda: random_channel(0, 2), ValidationError, "bad-spec"),
+    (lambda: Channel(()), ValidationError, "bad-spec"),
+    (lambda: Channel((np.eye(2), np.zeros((2, 3)))), DimensionMismatchError, None),
+    (lambda: adjoint_apply(partial_trace_channel((3, 2), {0}), np.eye(3)),
+     DimensionMismatchError, None),
     (lambda: SuiteConfig(trials=True), ValidationError, "bad-spec"),
     (lambda: SuiteConfig(seed=False), ValidationError, "bad-spec"),
+    # a scalar is a finite real number (check_real); before, alpha_norm
+    # returned nan at inf and nan, herm_pow diag(1, 0) at inf, SuiteConfig
+    # took tol=True, and a string raised a raw TypeError
+    (lambda: alpha_norm(np.eye(2), math.inf), ValidationError, "bad-spec"),
+    (lambda: alpha_norm(np.eye(2), math.nan), ValidationError, "bad-spec"),
+    (lambda: alpha_norm(np.eye(2), "2"), ValidationError, "bad-spec"),
+    (lambda: herm_pow(np.diag([1.0, 0.5]), "2"), ValidationError, "bad-spec"),
+    (lambda: herm_pow(np.diag([1.0, 0.5]), math.inf), ValidationError, "bad-spec"),
+    (lambda: finite_powers(np.ones(2), (True,)), ValidationError, "bad-spec"),
+    (lambda: SuiteConfig(tol=True), ValidationError, "bad-spec"),
+    (lambda: SuiteConfig(tol="1e-8"), ValidationError, "bad-spec"),
+    (lambda: SuiteConfig(tol=10**400), ValidationError, "bad-spec"),
+    (lambda: perturb_positive(random_density((2,), seed=0), "0.1"), ValidationError, "bad-spec"),
+    # herm_exp evaluates exp through finite_rows; before, it warned and
+    # returned inf entries
+    (lambda: herm_exp(np.diag([1000.0, 0.0])), MatrixFunctionDomainError, None),
+    # the spec generators read dims by subsystem_dims; before, a bad-rank
+    # error or a raw tuple-unpacking ValueError
+    (lambda: random_markov_spec(2.5, 2, [(1, 1)]), DimensionMismatchError, None),
+    (lambda: random_markov_spec(0, 2, [(1, 1)]), DimensionMismatchError, None),
+    (lambda: random_markov_spec(2, 2, [(1, 1, 1)]), DimensionMismatchError, None),
+    (lambda: random_sufficiency_spec([(2, 2)]), DimensionMismatchError, None),
+    (lambda: TripartiteState(random_density((2, 4), seed=0)), DimensionMismatchError, None),
+    (lambda: ChannelTriple(rho=random_density((2,), seed=0), sigma=PositiveOperator(np.eye(2)),
+                           channel=random_channel(3, 2)), DimensionMismatchError, None),
+    (lambda: minmax_rel_ent_diff(
+        cmi_as_triple(TripartiteState(random_density((2, 2, 2), rank=2, seed=0))), "max"),
+     RankDeficientError, None),
 ], ids=["site-past-the-end", "negative-site", "fractional-rank", "bool-rank",
         "distance-mismatch", "unitary-bool", "unitary-negative", "unitary-zero", "channel-fraction",
-        "channel-zero", "trials-bool", "seed-bool"])
+        "channel-zero", "no-kraus-operator", "two-kraus-shapes", "adjoint-shape", "trials-bool",
+        "seed-bool", "norm-inf", "norm-nan", "norm-str", "pow-str", "pow-inf", "exponent-bool",
+        "tol-bool", "tol-str", "tol-huge-int", "eps-str", "exp-overflow", "markov-fractional-dim",
+        "markov-zero-dim", "markov-triple-block", "sufficiency-pair-block", "two-factor-state",
+        "triple-dims", "strict-rank-deficient"])
 def test_out_of_range_argument_is_a_typed_error(call, error, reason):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

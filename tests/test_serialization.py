@@ -7,7 +7,7 @@ import pytest
 
 from qmarkov.channels import Channel, partial_trace_channel, random_strict_channel
 from qmarkov.cli import main
-from qmarkov.errors import ValidationError
+from qmarkov.errors import DimensionMismatchError, ValidationError
 from qmarkov.measures import TripartiteState, cmi_as_triple
 from qmarkov.serialization import (
     FORMAT_VERSION,
@@ -119,6 +119,18 @@ class TestStateFiles:
         with pytest.raises(ValidationError):
             load_state(path)
 
+    @pytest.mark.parametrize("text", [
+        '[{"kind": "state"}]',
+        '{"kind": "state", "im": [[0.0]]}',
+        '{"kind": "state", "re": [[1.0, 0.0], [0.0]], "im": [[0.0, 0.0], [0.0]]}',
+    ], ids=["array", "no-re", "ragged"])
+    def test_malformed_file_is_a_bad_spec(self, tmp_path, text):
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as err:
+            load_state(path)
+        assert err.value.reason == "bad-spec" and str(path) in str(err.value)
+
 
 class TestChannelFiles:
     def test_round_trip(self, tmp_path):
@@ -145,6 +157,19 @@ class TestChannelFiles:
                 assert _doubles(saved["re"]).tobytes() == np.ascontiguousarray(k.real).tobytes()
                 imag = _doubles(saved["im"]) if "im" in saved else np.zeros(k.size)
                 assert imag.tobytes() == np.ascontiguousarray(k.imag).tobytes()
+
+    @pytest.mark.parametrize("field", ["dim_in", "dim_out"])
+    def test_declared_dims_must_match_the_kraus_operators(self, tmp_path, field):
+        path = tmp_path / "chan.json"
+        save_channel(path, random_strict_channel(3, 2, seed=1))
+        obj = json.loads(path.read_text())
+        obj[field] = 5
+        path.write_text(json.dumps(obj))
+        with pytest.raises(DimensionMismatchError, match=f"{path}: declared {field} 5"):
+            load_channel(path)
+        del obj[field]  # an undeclared dim is read from the Kraus operators
+        path.write_text(json.dumps(obj))
+        assert (load_channel(path).dim_in, load_channel(path).dim_out) == (3, 2)
 
     def test_non_cptp_rejected_on_load(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -185,6 +210,26 @@ class TestSpecFiles:
         path.write_text('{"kind": "markov-spec", "blocks": "oops"}')
         with pytest.raises(ValidationError):
             load_markov_spec(path)
+
+    @pytest.mark.parametrize("kind", ["markov", "sufficiency"])
+    def test_bad_block_field_is_a_bad_spec(self, tmp_path, kind):
+        # a sufficiency block without its sigma_left, and a weight written
+        # as the JSON integer 10**400, which no float holds
+        path = tmp_path / "spec.json"
+        if kind == "markov":
+            save_markov_spec(path, random_markov_spec(2, 2, ((2, 1), (1, 2)), seed=3))
+        else:
+            save_sufficiency_spec(path, random_sufficiency_spec(((2, 2, 2), (1, 2, 2)), seed=4))
+        obj = json.loads(path.read_text())
+        if kind == "markov":
+            obj["blocks"][0]["weight"] = 10**400
+        else:
+            del obj["blocks"][0]["sigma_left"]
+        path.write_text(json.dumps(obj))
+        load = load_markov_spec if kind == "markov" else load_sufficiency_spec
+        with pytest.raises(ValidationError) as err:
+            load(path)
+        assert err.value.reason == "bad-spec" and str(path) in str(err.value)
 
 
 class TestExactEncoding:

@@ -120,6 +120,16 @@ class TestMarkovSpec:
         with pytest.raises(DimensionMismatchError, match="must be integers"):
             random_markov_spec(2, 2, [block], seed=0)
 
+    @pytest.mark.parametrize("weights", [(), (1.5, -0.5), (1.0, 0.0)],
+                             ids=["no-block", "negative", "zero"])
+    def test_weights_are_a_positive_distribution(self, weights):
+        rho = random_density((2,), seed=0).matrix
+        blocks = tuple(MarkovBlock(weight=w, dim_cl=1, dim_cr=1, rho_left=rho, rho_right=rho)
+                       for w in weights)
+        with pytest.raises(ValidationError) as err:
+            MarkovBlockSpec(dim_a=2, dim_b=2, blocks=blocks)
+        assert err.value.reason == "bad-spec"
+
 
 class TestBuildMarkovChain:
     def test_single_product_block(self):
@@ -240,6 +250,27 @@ class TestSufficiencySpec:
     def test_block_dims_are_not_coerced(self, block):
         with pytest.raises(DimensionMismatchError, match="must be integers"):
             random_sufficiency_spec([block], seed=0)
+
+    @pytest.mark.parametrize("edits, error, reason", [
+        ([], ValidationError, "bad-spec"),
+        ([{"prob": 1.5}, {"prob": -0.5}], ValidationError, "bad-spec"),
+        ([{"weight": 0.0}], ValidationError, "bad-spec"),
+        ([{"sigma_left": np.eye(3) / 3}], DimensionMismatchError, None),
+        ([{"sigma_left": np.diag([1.0, 0.0])}], ValidationError, "not-positive"),
+        ([{"unitary": np.eye(2, 3)}], DimensionMismatchError, None),
+        ([{"channel_right": identity_channel(3)}], DimensionMismatchError, None),
+    ], ids=["no-block", "negative-prob", "zero-weight", "sigma-size", "sigma-singular",
+            "unitary-not-square", "channel-input"])
+    def test_bad_block_is_a_typed_error(self, edits, error, reason):
+        # one block per entry of ``edits``, each a valid block with its edits
+        rho = random_density((2,), seed=0).matrix
+        block = SufficiencyBlock(
+            prob=1.0, weight=1.0, rho_left=rho, sigma_left=rho, tau_right=rho,
+            unitary=np.eye(2), channel_right=identity_channel(2),
+        )
+        with pytest.raises(error) as err:
+            SufficiencyBlockSpec(blocks=tuple(dataclasses.replace(block, **e) for e in edits))
+        assert getattr(err.value, "reason", None) == reason
 
 
 class TestBuildSufficiencyTriple:
